@@ -42,14 +42,31 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def parse_floats(text: str, what: str) -> list[float]:
+    """Comma-separated floats; anything else is a ValidationError."""
+    try:
+        return [float(v) for v in str(text).split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"{what} must be comma-separated numbers: {exc}") from exc
+
+
 def parse_set_spec(spec: str) -> GapSet:
     if spec.startswith("fat_cantor:"):
-        return fat_cantor(int(spec.split(":", 1)[1]))
+        try:
+            level = int(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise ValidationError(f"fat_cantor level must be an integer: {exc}") from exc
+        return fat_cantor(level)
     try:
         obj = json.loads(spec)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"set spec is neither fat_cantor:n nor JSON: {exc}") from exc
-    return make_gapset(obj["alpha"], obj["beta"], obj.get("gaps", []))
+    try:
+        return make_gapset(obj["alpha"], obj["beta"], obj.get("gaps", []))
+    except ValidationError:
+        raise
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed set spec {spec!r}: {exc!r}") from exc
 
 
 def parse_measure_spec(spec: str, model):
@@ -150,7 +167,7 @@ def run(config: dict) -> str:
 
     if command == "green":
         if config.get("points"):
-            pts = [float(p) for p in str(config["points"]).split(",")]
+            pts = parse_floats(config["points"], "--points")
         elif config.get("gap_index") is not None:
             j = int(config["gap_index"])
             if not 0 <= j < len(s.gaps):
@@ -238,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
             if val is not None:
                 config[key] = val
         if args.deltas:
-            config["deltas"] = [float(d) for d in args.deltas.split(",")]
+            config["deltas"] = parse_floats(args.deltas, "--deltas")
         config.setdefault("format", "csv")
         text = run(config)
     except (ValidationError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:

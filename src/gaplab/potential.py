@@ -15,7 +15,10 @@ space; coefficient bases degrade catastrophically once tiny Cantor gaps
 cluster.  The conditions are linear in a Lagrange-type correction basis
 anchored at the current root guesses, which keeps the linear systems
 near-diagonal; two solve passes (midpoints, then the found roots) reach
-machine-level period residuals.
+machine-level period residuals.  Each pass locates the new roots by one
+array bisection over all gaps that reads only the sign of the corrected
+numerator, so no product magnitude is formed; 60 halvings reach the last
+ulp of every gap and no Newton polish follows.
 
 Singular integrals are tamed by the cosine substitution t = c + r*cos(theta)
 (gap and band versions), which cancels the inverse-square-root edge
@@ -28,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -132,26 +135,30 @@ def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
     if order < 32:
         raise ValidationError("quad_order must be at least 32")
     edges = s.edges
-
-    theta = (np.arange(order) + 0.5) * np.pi / order
-    cos_t = np.cos(theta)
-    gap_nodes, gap_weights = [], []
-    for j, (lo, hi) in enumerate(s.gaps):
-        c, r = (lo + hi) / 2, (hi - lo) / 2
-        t = c + r * cos_t
-        logp = _log_edge_product(t, edges, (2 * j + 1, 2 * j + 2))
-        gap_nodes.append(t)
-        gap_weights.append((np.pi / order) * np.exp(-0.5 * logp))
+    gap_nodes, gap_weights = _gap_tables(s, order)
 
     # relinearize until the roots settle; small gap counts stop after two
     roots = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
     for _ in range(6 if n_gaps else 0):
-        new_roots = _period_solve_pass(s, roots, gap_nodes, gap_weights)
+        delta = _period_correction(roots, gap_nodes, gap_weights)
+        new_roots = _period_roots(s.gaps, roots, delta)
         moved = float(np.max(np.abs(new_roots - roots))) if n_gaps else 0.0
         roots = new_roots
         if moved <= 1e-14 * (s.beta - s.alpha):
             break
     return _assemble(s, edges, roots, order, gap_nodes, gap_weights)
+
+
+def _gap_tables(s: GapSet, order: int):
+    """Per-gap cosine-substitution nodes and weights for the period integrals."""
+    cos_t = np.cos((np.arange(order) + 0.5) * np.pi / order)
+    gap_nodes, gap_weights = [], []
+    for j, (lo, hi) in enumerate(s.gaps):
+        t = (lo + hi) / 2 + (hi - lo) / 2 * cos_t
+        logp = _log_edge_product(t, s.edges, (2 * j + 1, 2 * j + 2))
+        gap_nodes.append(t)
+        gap_weights.append((np.pi / order) * np.exp(-0.5 * logp))
+    return gap_nodes, gap_weights
 
 
 def _lagrange_parts(x: np.ndarray, anchors: np.ndarray):
@@ -179,12 +186,14 @@ def _lagrange_parts(x: np.ndarray, anchors: np.ndarray):
     return bfull, bi
 
 
-def _period_solve_pass(s, anchors, gap_nodes, gap_weights) -> np.ndarray:
-    """One linearization pass of the period conditions.
+def _period_correction(anchors, gap_nodes, gap_weights) -> np.ndarray:
+    """Solve the linearized period conditions for the correction weights.
 
     P is written as prod(t - m_k) plus per-gap Lagrange corrections
-    B_i = prod_{k != i}(t - m_k); since B_i is large only on gap i, the
-    system is near-diagonal regardless of how the gaps cluster.
+    delta_i * B_i with B_i = prod_{k != i}(t - m_k); since B_i is large only
+    on gap i, the system is near-diagonal regardless of how the gaps
+    cluster.  Rows are built gap by gap: stacking all gap nodes into one
+    call would make every temporary (gaps * order) x gaps.
     """
     n = len(anchors)
     A = np.empty((n, n))
@@ -197,70 +206,58 @@ def _period_solve_pass(s, anchors, gap_nodes, gap_weights) -> np.ndarray:
     scale = np.max(np.abs(A), axis=1)
     scale[scale == 0.0] = 1.0
     try:
-        delta = np.linalg.solve(A / scale[:, None], rhs / scale)
+        return np.linalg.solve(A / scale[:, None], rhs / scale)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular period-condition system: {exc}") from exc
 
-    def pval(x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        bfull, bi = _lagrange_parts(arr, anchors)
-        return bfull + bi @ delta
 
-    def pderiv_no_collision(x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        d = arr[:, None] - anchors[None, :]
-        if np.any(d == 0.0):
-            return None
-        _, bi = _lagrange_parts(arr, anchors)
-        out = np.sum(bi, axis=1)
-        logd = np.log(np.abs(d))
-        signd = np.sign(d)
-        # derivative of each B_i: remove a second factor j != i
-        for i in range(n):
-            li = np.sum(logd, axis=1) - logd[:, i]
-            si = np.prod(signd, axis=1) * signd[:, i]
-            bij = si[:, None] * signd * np.exp(li[:, None] - logd)
-            out += delta[i] * (np.sum(bij, axis=1) - bij[:, i])
-        return out
+def _numerator_sign(x: np.ndarray, anchors: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """sign of P(x) = B(x) * (1 + sum_i delta_i / (x - m_i)), vectorized over x.
 
-    # root of the updated P in each gap: guaranteed sign change, bisection
-    # then a short Newton polish
-    new_roots = np.empty(n)
-    for j, (lo, hi) in enumerate(s.gaps):
-        fa = float(pval(lo)[0])
-        fb = float(pval(hi)[0])
-        # a gap edge can coincide exactly with another gap's anchor (dyadic
-        # Cantor geometry); step inside for a well-defined sign
-        if fa == 0.0:
-            fa = float(pval(lo + 1e-9 * (hi - lo))[0])
-        if fb == 0.0:
-            fb = float(pval(hi - 1e-9 * (hi - lo))[0])
-        # compare signs, never products: values can sit near 1e-160 on
-        # large Cantor sets and a product of two of them underflows to 0
-        if fa == 0.0 or (fa > 0) == (fb > 0):
-            raise NumericalError(
-                f"numerator does not change sign over gap ({lo}, {hi}); "
-                "period solve is inconsistent"
-            )
-        sa = fa > 0
-        x1, x2 = lo, hi
-        for _ in range(60):
-            mid = 0.5 * (x1 + x2)
-            fm = float(pval(mid)[0])
-            if fm == 0.0 or (fm > 0) != sa:
-                x2 = mid
-            else:
-                x1 = mid
-        x = 0.5 * (x1 + x2)
-        for _ in range(3):
-            dfx = pderiv_no_collision(np.array([x]))
-            if dfx is None or dfx[0] == 0.0:
-                break
-            step = float(pval(x)[0]) / float(dfx[0])
-            if lo < x - step < hi:
-                x -= step
-        new_roots[j] = x
-    return new_roots
+    Only signs are formed, so nothing over/underflows and no exp is taken.
+    At an exact anchor collision x = m_i only delta_i * B_i(x) survives.
+    """
+    d = x[:, None] - anchors[None, :]
+    zero = d == 0.0
+    # sign of B, or of the deflated B_i at a collision
+    sign_b = np.prod(np.where(zero, 1.0, np.sign(d)), axis=1)
+    corr = 1.0 + np.sum(delta / np.where(zero, np.inf, d), axis=1)
+    hit = np.sum(np.where(zero, delta, 0.0), axis=1)
+    return sign_b * np.where(zero.any(axis=1), np.sign(hit), np.sign(corr))
+
+
+def _period_roots(gaps, anchors, delta) -> np.ndarray:
+    """Root of the corrected P in every gap by one array bisection.
+
+    P changes sign across each gap, and 60 halvings of the gap reach its
+    last ulp, so the bisection needs only the sign of P.
+    """
+    lo, hi = np.array(gaps, dtype=float).T
+    sign = partial(_numerator_sign, anchors=anchors, delta=delta)
+    fa, fb = sign(lo), sign(hi)
+    # a gap edge can coincide exactly with another gap's anchor (dyadic
+    # Cantor geometry); step inside for a well-defined sign
+    step = 1e-9 * (hi - lo)
+    fa = np.where(fa == 0.0, sign(lo + step), fa)
+    fb = np.where(fb == 0.0, sign(hi - step), fb)
+    # compare signs, never products: P itself sits near 1e-160 on large
+    # Cantor sets, where a product of two values underflows to 0
+    bad = np.flatnonzero((fa == 0.0) | ((fa > 0) == (fb > 0)))
+    if len(bad):
+        glo, ghi = gaps[bad[0]]
+        raise NumericalError(
+            f"numerator does not change sign over gap ({glo}, {ghi}); "
+            "period solve is inconsistent"
+        )
+    sa = fa > 0
+    x1, x2 = lo, hi
+    for _ in range(60):
+        mid = 0.5 * (x1 + x2)
+        fm = sign(mid)
+        left = (fm == 0.0) | ((fm > 0) != sa)
+        x2 = np.where(left, mid, x2)
+        x1 = np.where(left, x1, mid)
+    return 0.5 * (x1 + x2)
 
 
 def _assemble(s, edges, roots, order, gap_nodes, gap_weights) -> GreenModel:
@@ -299,13 +296,15 @@ def _assemble(s, edges, roots, order, gap_nodes, gap_weights) -> GreenModel:
             f"equilibrium weights sum to {total!r}, expected 1; raise quad_order"
         )
 
-    # Robin constant via the potential identity at the probe x0 = beta + 1:
-    # g(x0) from edge integration, the potential from the equilibrium rule
-    x0 = b0 + 1.0
-    sq = 0.5 * (xg + 1.0)
+    # Robin constant via the potential identity at the probe x0 = beta + diam,
+    # one diameter out so the identity is scale-covariant: g(x0) by edge
+    # integration in t = beta + s^2, the potential from the equilibrium rule
+    smax = math.sqrt(s.diameter)
+    x0 = b0 + s.diameter
+    sq = 0.5 * smax * (xg + 1.0)
     tq = b0 + sq * sq
     logp = _log_edge_product(tq, edges, (2 * n_gaps + 1,))
-    g0 = float(np.sum(0.5 * wg * 2.0 * pval(tq) * np.exp(-0.5 * logp)))
+    g0 = float(np.sum(0.5 * smax * wg * 2.0 * pval(tq) * np.exp(-0.5 * logp)))
     pot = float(sum(np.sum(w * np.log(x0 - t)) for t, w in zip(band_nodes, band_weights)))
     robin = g0 - pot
     capacity = math.exp(-robin)
@@ -511,15 +510,5 @@ def model_from_json(text: str) -> GreenModel:
     obj = json.loads(text)
     s = make_gapset(obj["set"]["alpha"], obj["set"]["beta"], obj["set"]["gaps"])
     order = int(obj["quad_order"])
-    edges = s.edges
     roots = np.asarray(obj["numerator"]["roots"], dtype=float)
-    theta = (np.arange(order) + 0.5) * np.pi / order
-    cos_t = np.cos(theta)
-    gap_nodes, gap_weights = [], []
-    for j, (lo, hi) in enumerate(s.gaps):
-        c, r = (lo + hi) / 2, (hi - lo) / 2
-        t = c + r * cos_t
-        logp = _log_edge_product(t, edges, (2 * j + 1, 2 * j + 2))
-        gap_nodes.append(t)
-        gap_weights.append((np.pi / order) * np.exp(-0.5 * logp))
-    return _assemble(s, edges, roots, order, gap_nodes, gap_weights)
+    return _assemble(s, s.edges, roots, order, *_gap_tables(s, order))

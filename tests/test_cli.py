@@ -162,3 +162,14 @@ def test_validation_exit_code(tmp_path, capsys):
 def test_emit_plotdata_validation(tmp_path):
     with pytest.raises(Exception):
         cli.emit_plotdata({"a": [1, 2], "b": [1]}, str(tmp_path / "x.dat"))
+
+
+@pytest.mark.parametrize("args", [
+    ["--command", "capacity", "--set", "fat_cantor:x"],
+    ["--command", "capacity", "--set", "[1,2]"],
+    ["--command", "green", "--set", '{"alpha": -2, "beta": 2}', "--points", "0.5,abc"],
+], ids=["cantor_level", "set_not_object", "points_not_numbers"])
+def test_malformed_inputs_are_validation_errors(args, capsys):
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab: validation error:") and "Traceback" not in err

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import gaplab as G
+from gaplab.cli import TOLERANCES
 from gaplab.errors import ValidationError
+from gaplab.potential import _lagrange_parts, _numerator_sign, _period_correction
 
 
 # closed forms used as oracles:
@@ -229,3 +231,49 @@ def test_model_json_round_trip(model_pm12):
 def test_solver_validation():
     with pytest.raises(ValidationError):
         G.solve_green(G.make_gapset(-2, 2), quad_order=16)
+
+
+SCALE_SWEEP_SETS = {
+    "interval": G.make_gapset(-2, 2),
+    "two_band": G.make_gapset(-2, 2, [(-1, 1)]),
+    "fat_cantor2": G.fat_cantor(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_SWEEP_SETS))
+def test_scale_sweep_covariance(name):
+    # capacity scales linearly and g (hence pw_sum) is invariant under
+    # x -> scale*x + shift, at every scale the Robin probe has to follow
+    s = SCALE_SWEEP_SETS[name]
+    base = G.solve_green(s)
+    base_pw = G.pw_sum(base)
+    for k in (-12, -8, -4, 0, 4, 8, 12):
+        scale = 10.0**k
+        for shift in (0.0, 0.37 * scale):
+            mapped = G.solve_green(G.scale_shift(s, scale, shift))
+            assert abs(mapped.capacity / (scale * base.capacity) - 1.0) <= 1e-12, (k, shift)
+            assert G.pw_sum(mapped) == pytest.approx(base_pw, abs=1e-12), (k, shift)
+
+
+def test_numerator_sign_matches_explicit_form(model_fat4):
+    # the bisection predicate against the explicit P = B + sum_i delta_i B_i,
+    # on a grid holding every anchor (exact collisions) and every gap edge
+    s = model_fat4.set
+    anchors = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
+    delta = _period_correction(anchors, model_fat4._gap_nodes, model_fat4._gap_weights)
+    assert np.any(delta != 0.0)
+    x = np.unique(np.concatenate([anchors, s.edges, np.linspace(s.alpha, s.beta, 1001)]))
+    bfull, bi = _lagrange_parts(x, anchors)
+    explicit = bfull + bi @ delta
+    got = _numerator_sign(x, anchors, delta)
+    live = explicit != 0.0
+    assert np.all(np.isin(anchors, x[live]))
+    assert np.array_equal(got[live], np.sign(explicit[live]))
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_ladder_period_residual_and_gap_roots(level):
+    model = G.solve_green(G.fat_cantor(level))
+    assert np.max(np.abs(G.period_residuals(model))) <= TOLERANCES["period_residual"]
+    for c, (lo, hi) in zip(model.critical_points, model.set.gaps):
+        assert lo < c < hi
