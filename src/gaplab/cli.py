@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .errors import NumericalError, ValidationError
 from .realset import GapSet, fat_cantor, homogeneity_margin, lebesgue_measure, make_gapset
-from .potential import green_value, pw_sum, solve_green
+from .potential import TOLERANCES, green_value, pw_sum, solve_green
 from .jacobi import WeightSpec, coefficients_from_measure, make_measure
 from .sumrule import (
     n_step_sum_rule,
@@ -25,14 +25,6 @@ from .sumrule import (
 )
 
 COMMANDS = ("capacity", "green", "cantor", "coeffs", "sumrule", "theorem", "homogeneity")
-
-# numeric gates pinned across the package, echoed into JSON metadata
-TOLERANCES = {
-    "period_residual": 1e-10,
-    "quadrature_mass": 1e-10,
-    "eigenvalue_abs": 1e-12,
-    "eigenvalue_stability": 1e-8,
-}
 
 
 def _fmt(v) -> str:
@@ -50,17 +42,26 @@ def parse_floats(text: str, what: str) -> list[float]:
         raise ValidationError(f"{what} must be comma-separated numbers: {exc}") from exc
 
 
-def parse_set_spec(spec: str) -> GapSet:
-    if spec.startswith("fat_cantor:"):
+def _decode_spec(spec, what: str):
+    """A JSON object from a config file as is, or a string decoded as JSON."""
+    if isinstance(spec, dict):
+        return spec
+    if not isinstance(spec, str):
+        raise ValidationError(f"{what} spec must be a string or a JSON object, got {spec!r}")
+    try:
+        return json.loads(spec)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} spec is not JSON: {exc}") from exc
+
+
+def parse_set_spec(spec) -> GapSet:
+    if isinstance(spec, str) and spec.startswith("fat_cantor:"):
         try:
             level = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ValidationError(f"fat_cantor level must be an integer: {exc}") from exc
         return fat_cantor(level)
-    try:
-        obj = json.loads(spec)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"set spec is neither fat_cantor:n nor JSON: {exc}") from exc
+    obj = _decode_spec(spec, "set")
     try:
         return make_gapset(obj["alpha"], obj["beta"], obj.get("gaps", []))
     except ValidationError:
@@ -69,15 +70,14 @@ def parse_set_spec(spec: str) -> GapSet:
         raise ValidationError(f"malformed set spec {spec!r}: {exc!r}") from exc
 
 
-def parse_measure_spec(spec: str, model):
+def parse_measure_spec(spec, model):
     if spec == "equilibrium":
         return make_measure(model, None, mode="relative")
     if spec == "lebesgue":
         return make_measure(model, WeightSpec("const", {"value": 1.0}), mode="absolute")
-    try:
-        obj = json.loads(spec)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"measure spec is not JSON: {exc}") from exc
+    obj = _decode_spec(spec, "measure")
+    if not isinstance(obj, dict):
+        raise ValidationError(f"measure spec must be a JSON object, got {obj!r}")
     factor = WeightSpec.from_dict(obj.get("factor", {"form": "const", "value": 1.0}))
     return make_measure(
         model,

@@ -25,9 +25,12 @@ from .errors import NumericalError, ValidationError
 from .potential import (
     EquilibriumQuadrature,
     GreenModel,
-    _glauert_pv,
+    TOLERANCES,
+    _band_cheb,
     _band_theta,
-    _log_edge_product,
+    _f_e,
+    _glauert_pv,
+    _leggauss,
     equilibrium_quadrature,
     green_value,
     interval_stieltjes,
@@ -148,9 +151,7 @@ class MeasureModel:
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         w = np.asarray(self.weight(arr), dtype=float)
         if self.mode == "relative":
-            logp = _log_edge_product(arr, self.model.edges, ())
-            fe = np.abs(self.model.numerator(arr)) * np.exp(-0.5 * logp) / np.pi
-            out = self.normalization * w * fe
+            out = self.normalization * w * _f_e(self.model, arr)
         else:
             out = self.normalization * w
         return out if np.ndim(t) else float(out[0])
@@ -188,7 +189,7 @@ def make_measure(
         ac_mass = float(sum(np.sum(wq * w) for wq, w in zip(quad.weights, wvals)))
     else:
         ac_mass = 0.0
-        xg, wg = np.polynomial.legendre.leggauss(order)
+        xg, wg = _leggauss(order)
         for lo, hi in model.set.bands:
             c, r = (lo + hi) / 2, (hi - lo) / 2
             ac_mass += float(np.sum(r * wg * np.asarray(weight(c + r * xg), dtype=float)))
@@ -199,23 +200,12 @@ def make_measure(
     if norm < 0:
         raise ValidationError("point masses alone exceed total mass 1")
 
-    # own-band Chebyshev expansions of w * f_E * r sin(theta) feed the
-    # Glauert principal value in measure_m_boundary (relative mode)
-    wphi = []
+    # own-band Chebyshev fits of w * f_E feed the Glauert principal value in
+    # measure_m_boundary (relative mode)
+    wphi = ()
     if mode == "relative":
-        from numpy.polynomial import chebyshev as Ch
-
-        for k, (lo, hi) in enumerate(model.set.bands):
-            c, r = (lo + hi) / 2, (hi - lo) / 2
-
-            def wphi_fn(x, c=c, r=r, k=k):
-                t = c + r * np.asarray(x, dtype=float)
-                lp = _log_edge_product(t, model.edges, (2 * k, 2 * k + 1))
-                w = np.asarray(weight(t), dtype=float)
-                return w * np.abs(model.numerator(t)) * np.exp(-0.5 * lp) / np.pi
-
-            wphi.append(Ch.chebinterpolate(wphi_fn, min(order, 400)))
-    return MeasureModel(model, weight, mode, masses, norm, quad, tuple(wphi))
+        wphi = tuple(_band_cheb(model, k, order, weight) for k in range(len(model.set.bands)))
+    return MeasureModel(model, weight, mode, masses, norm, quad, wphi)
 
 
 def measure_to_json(mu: MeasureModel) -> str:
@@ -251,7 +241,7 @@ def _discretize(mu: MeasureModel, quad_order: int):
             ts.append(t)
             ws.append(mu.normalization * wq * mu.weight_value(t))
     else:
-        xg, wg = np.polynomial.legendre.leggauss(quad_order)
+        xg, wg = _leggauss(quad_order)
         for lo, hi in model.set.bands:
             c, r = (lo + hi) / 2, (hi - lo) / 2
             t = c + r * xg
@@ -387,7 +377,7 @@ def _batch_bisect(J: JacobiCoeffs, N: int, indices, lo, hi) -> np.ndarray:
         above = sturm_count(J, N, mid) > idx
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-        if float(np.max(hi - lo)) <= 1e-13:
+        if float(np.max(hi - lo)) <= TOLERANCES["eigenvalue_abs"] / 10:
             break
     return 0.5 * (lo + hi)
 
@@ -432,7 +422,7 @@ def gap_eigenvalues(
 
 
 def stable_gap_eigenvalues(
-    J: JacobiCoeffs, model: GreenModel, N: int, tol: float = 1e-8
+    J: JacobiCoeffs, model: GreenModel, N: int, tol: float = TOLERANCES["eigenvalue_stability"]
 ) -> list[tuple[float, Location]]:
     """Gap eigenvalues certified stable across truncation sizes N, N+1, 2N.
 
@@ -555,31 +545,32 @@ def measure_m_boundary(mu: MeasureModel, t: float) -> complex:
     re = 0.0
     if mu.mode == "relative":
         re += mu.normalization * _glauert_pv(mu._band_wphi_cheb[k], theta_t, r)
+        quad = model.quad
         for kk in range(len(model.set.bands)):
             if kk == k:
                 continue
-            wn = mu.weight_value(model._band_nodes[kk])
+            wn = mu.weight_value(quad.nodes[kk])
             re += mu.normalization * float(
-                np.sum(model._band_weights[kk] * wn / (model._band_nodes[kk] - t))
+                np.sum(quad.weights[kk] * wn / (quad.nodes[kk] - t))
             )
     else:
+        xg, wg = _leggauss(model.quad_order)
         lo, hi = model.set.bands[k]
         c = (lo + hi) / 2
-        xg = (model._band_ds_nodes[k] - c) / r
-        wg = model._band_ds_weights[k] / r
         xt = (t - c) / r
-        W = mu.weight_value(model._band_ds_nodes[k])
+        W = mu.weight_value(c + r * xg)
         Wt = float(mu.weight_value(np.array([t]))[0])
         diff = np.where(xg == xt, 0.0, (W - Wt) / np.where(xg == xt, 1.0, xg - xt))
         re += mu.normalization * (
             float(np.sum(wg * diff)) + Wt * math.log((1 - xt) / (1 + xt))
         )
-        for kk in range(len(model.set.bands)):
+        for kk, (lo, hi) in enumerate(model.set.bands):
             if kk == k:
                 continue
-            sn = model._band_ds_nodes[kk]
+            rr = (hi - lo) / 2
+            sn = (lo + hi) / 2 + rr * xg
             re += mu.normalization * float(
-                np.sum(model._band_ds_weights[kk] * mu.weight_value(sn) / (sn - t))
+                np.sum(rr * wg * mu.weight_value(sn) / (sn - t))
             )
     for x, m in mu.point_masses:
         re += m / (x - t)

@@ -20,10 +20,15 @@ array bisection over all gaps that reads only the sign of the corrected
 numerator, so no product magnitude is formed; 60 halvings reach the last
 ulp of every gap and no Newton polish follows.
 
-Singular integrals are tamed by the cosine substitution t = c + r*cos(theta)
-(gap and band versions), which cancels the inverse-square-root edge
-behaviour exactly.  Edge products are accumulated in log space so that
-Cantor-type sets with ~100 edges stay inside double-precision range.
+Every weight, density and Green integral is g' itself with the edge
+factors its substitution cancels left out, from one primitive _g_prime:
+the root and edge log-sums meet in a single exp, so the quotient stays in
+range where either product alone over- or underflows.  Singular integrals
+are tamed by the cosine substitution t = c + r*cos(theta) (gap and band
+versions), which cancels the inverse-square-root edge behaviour exactly,
+and on the unbounded components by t = e +/- s^2.  The own-band Chebyshev
+fits of the density, read only by equilibrium_m_boundary, are built on
+first use.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -44,6 +49,14 @@ DEFAULT_ORDER_SMALL = 200  # nodes per band/gap for up to 15 gaps
 DEFAULT_ORDER_LARGE = 80  # above that, keep 255-gap levels affordable
 _GAP_COUNT_SWITCH = 15
 
+# numeric gates enforced across the package, echoed into CLI JSON metadata
+TOLERANCES = {
+    "period_residual": 1e-10,  # max |period residual| after solve_green
+    "quadrature_mass": 1e-10,  # |total equilibrium weight - 1|
+    "eigenvalue_abs": 1e-12,  # bisection brackets close to a tenth of this
+    "eigenvalue_stability": 1e-8,  # matching across truncation sizes
+}
+
 
 @lru_cache(maxsize=64)
 def _leggauss(n: int):
@@ -54,26 +67,53 @@ def _default_order(n_gaps: int) -> int:
     return DEFAULT_ORDER_SMALL if n_gaps <= _GAP_COUNT_SWITCH else DEFAULT_ORDER_LARGE
 
 
-def _log_edge_product(t: np.ndarray, edges: np.ndarray, skip: tuple[int, ...]) -> np.ndarray:
-    """sum_k log|t - e_k| over all edges not in skip, vectorized over t."""
-    keep = np.ones(len(edges), dtype=bool)
-    for k in skip:
-        keep[k] = False
-    diffs = np.abs(t[:, None] - edges[None, :][:, keep])
-    if np.any(diffs == 0.0):
-        raise NumericalError("quadrature node collided with a band edge")
-    return np.sum(np.log(diffs), axis=1)
+def _g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()) -> np.ndarray:
+    """g'(t) = P(t)/sqrt|R(t)| with the edge factors in skip left out.
 
-
-def _signed_root_product(t: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """prod_j (t - c_j) evaluated stably through logs; exact zero at roots."""
-    if len(roots) == 0:
-        return np.ones_like(t)
-    d = t[:, None] - roots[None, :]
-    sign = np.prod(np.sign(d), axis=1)
+    sign * exp(sum_j log|t - c_j| - 1/2 sum_{k not in skip} log|t - e_k|),
+    vectorized over t; exactly zero at a root.  With no edges this is P.
+    """
+    t = np.asarray(t, dtype=float)
+    d = t[:, None] - np.asarray(roots, dtype=float)[None, :]
     with np.errstate(divide="ignore"):
-        mag = np.sum(np.log(np.abs(d)), axis=1)
-    return sign * np.exp(mag)
+        logmag = np.sum(np.log(np.abs(d)), axis=1)
+    if len(edges):
+        keep = np.ones(len(edges), dtype=bool)
+        keep[list(skip)] = False
+        diffs = np.abs(t[:, None] - edges[keep][None, :])
+        if np.any(diffs == 0.0):
+            raise NumericalError("quadrature node collided with a band edge")
+        logmag = logmag - 0.5 * np.sum(np.log(diffs), axis=1)
+    return np.prod(np.sign(d), axis=1) * np.exp(logmag)
+
+
+def _cosine_rule(lo: float, hi: float, order: int, roots, edges, skip):
+    """Nodes t = c + r cos(theta_i), theta_i = (i + 1/2) pi/order, and g' there.
+
+    skip names the interval's own edges, whose factors the substitution
+    cancels; (pi/order) * g' then integrates against dt over [lo, hi].
+    """
+    cos_t = np.cos((np.arange(order) + 0.5) * np.pi / order)
+    t = (lo + hi) / 2 + (hi - lo) / 2 * cos_t
+    return t, _g_prime(t, roots, edges, skip)
+
+
+def _theta(lo: float, hi: float, x: float) -> float:
+    """Angle of x under t = c + r cos(theta) over [lo, hi]."""
+    return math.acos(min(1.0, max(-1.0, (x - (lo + hi) / 2) / ((hi - lo) / 2))))
+
+
+def _edge_ray(roots, edges, k: int, length: float, order: int) -> float:
+    """Integral of g' from the outer edge e_k (k = 0 or the last) outward by length.
+
+    Under t = e_k -/+ s^2, dt = 2s ds cancels the edge's own factor
+    sqrt|t - e_k| = s, leaving a smooth integrand in s.
+    """
+    xg, wg = _leggauss(order)
+    smax = math.sqrt(length)
+    sq = 0.5 * smax * (xg + 1.0)
+    t = edges[k] + (-1.0 if k == 0 else 1.0) * (sq * sq)
+    return float(np.sum(0.5 * smax * wg * 2.0 * _g_prime(t, roots, edges, (k,))))
 
 
 @dataclass(frozen=True)
@@ -103,7 +143,9 @@ class GreenModel:
     The numerator polynomial is monic with one root per gap; those roots
     are the critical points, so critical_points doubles as the polynomial
     representation.  All quadrature tables are precomputed so that
-    evaluation operations are pure reads.
+    evaluation operations are pure reads, apart from the own-band density
+    fits, which only equilibrium_m_boundary reads and which are built on
+    its first call.
     """
 
     set: GapSet
@@ -112,20 +154,20 @@ class GreenModel:
     robin: float
     capacity: float
     quad_order: int
-    # internal tables (band index -> arrays); treated as private
-    _band_nodes: tuple[np.ndarray, ...]
-    _band_weights: tuple[np.ndarray, ...]
-    _band_ds_nodes: tuple[np.ndarray, ...]
-    _band_ds_weights: tuple[np.ndarray, ...]
-    _band_density_cheb: tuple[np.ndarray, ...]
+    quad: EquilibriumQuadrature  # the band rule at quad_order
+    # per-gap period-integral tables; treated as private
     _gap_nodes: tuple[np.ndarray, ...]
     _gap_weights: tuple[np.ndarray, ...]
 
     def numerator(self, t) -> np.ndarray:
         """Evaluate the monic numerator polynomial P at t."""
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = _signed_root_product(arr, self.critical_points)
+        out = _g_prime(arr, self.critical_points, ())
         return out if np.ndim(t) else float(out[0])
+
+    @cached_property
+    def _band_density_cheb(self) -> tuple[np.ndarray, ...]:
+        return tuple(_band_cheb(self, k, self.quad_order) for k in range(len(self.set.bands)))
 
 
 def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
@@ -134,7 +176,6 @@ def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
     order = _default_order(n_gaps) if quad_order is None else int(quad_order)
     if order < 32:
         raise ValidationError("quad_order must be at least 32")
-    edges = s.edges
     gap_nodes, gap_weights = _gap_tables(s, order)
 
     # relinearize until the roots settle; small gap counts stop after two
@@ -146,18 +187,22 @@ def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
         roots = new_roots
         if moved <= 1e-14 * (s.beta - s.alpha):
             break
-    return _assemble(s, edges, roots, order, gap_nodes, gap_weights)
+    model = _assemble(s, roots, order, gap_nodes, gap_weights)
+    worst = float(np.max(np.abs(period_residuals(model)))) if n_gaps else 0.0
+    if worst > TOLERANCES["period_residual"]:
+        raise NumericalError(
+            f"period residual {worst!r} exceeds {TOLERANCES['period_residual']!r}"
+        )
+    return model
 
 
 def _gap_tables(s: GapSet, order: int):
     """Per-gap cosine-substitution nodes and weights for the period integrals."""
-    cos_t = np.cos((np.arange(order) + 0.5) * np.pi / order)
     gap_nodes, gap_weights = [], []
     for j, (lo, hi) in enumerate(s.gaps):
-        t = (lo + hi) / 2 + (hi - lo) / 2 * cos_t
-        logp = _log_edge_product(t, s.edges, (2 * j + 1, 2 * j + 2))
+        t, v = _cosine_rule(lo, hi, order, (), s.edges, (2 * j + 1, 2 * j + 2))
         gap_nodes.append(t)
-        gap_weights.append((np.pi / order) * np.exp(-0.5 * logp))
+        gap_weights.append((np.pi / order) * v)
     return gap_nodes, gap_weights
 
 
@@ -260,67 +305,41 @@ def _period_roots(gaps, anchors, delta) -> np.ndarray:
     return 0.5 * (x1 + x2)
 
 
-def _assemble(s, edges, roots, order, gap_nodes, gap_weights) -> GreenModel:
-    b0 = s.beta
-    bands = s.bands
-    n_gaps = len(s.gaps)
-
-    def pval(t):
-        return _signed_root_product(np.asarray(t, dtype=float), roots)
-
-    # per-band equilibrium weights: dmu_E = |P|/(pi sqrt|R|) dt with the
-    # band's own edge factors cancelled by the cosine substitution
-    theta = (np.arange(order) + 0.5) * np.pi / order
-    cos_t = np.cos(theta)
-    band_nodes, band_weights, ds_nodes, ds_weights, dens_cheb = [], [], [], [], []
-    xg, wg = _leggauss(order)
-    for k, (lo, hi) in enumerate(bands):
-        c, r = (lo + hi) / 2, (hi - lo) / 2
-        t = c + r * cos_t
-        logp = _log_edge_product(t, edges, (2 * k, 2 * k + 1))
-        band_nodes.append(t)
-        band_weights.append(np.abs(pval(t)) * np.exp(-0.5 * logp) / order)
-        ds_nodes.append(c + r * xg)
-        ds_weights.append(r * wg)
-
-        def phi(x, c=c, r=r, k=k):
-            tt = c + r * np.asarray(x, dtype=float)
-            lp = _log_edge_product(tt, edges, (2 * k, 2 * k + 1))
-            return np.abs(pval(tt)) * np.exp(-0.5 * lp) / np.pi
-
-        dens_cheb.append(C.chebinterpolate(phi, min(order, 400)))
-
-    total = float(sum(np.sum(w) for w in band_weights))
-    if abs(total - 1.0) > 1e-10:
+def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
+    """dmu_E = |g'|/pi dt per band, its own edge factors cancelled; unit mass."""
+    nodes, weights = [], []
+    for k, (lo, hi) in enumerate(s.bands):
+        t, v = _cosine_rule(lo, hi, order, roots, s.edges, (2 * k, 2 * k + 1))
+        nodes.append(t)
+        weights.append(np.abs(v) / order)
+    quad = EquilibriumQuadrature(tuple(nodes), tuple(weights), order)
+    total = float(np.sum(quad.all_weights))
+    if abs(total - 1.0) > TOLERANCES["quadrature_mass"]:
         raise NumericalError(
             f"equilibrium weights sum to {total!r}, expected 1; raise quad_order"
         )
+    return quad
 
+
+def _assemble(s, roots, order, gap_nodes, gap_weights) -> GreenModel:
+    quad = _band_rule(s, roots, order)
     # Robin constant via the potential identity at the probe x0 = beta + diam,
     # one diameter out so the identity is scale-covariant: g(x0) by edge
-    # integration in t = beta + s^2, the potential from the equilibrium rule
-    smax = math.sqrt(s.diameter)
-    x0 = b0 + s.diameter
-    sq = 0.5 * smax * (xg + 1.0)
-    tq = b0 + sq * sq
-    logp = _log_edge_product(tq, edges, (2 * n_gaps + 1,))
-    g0 = float(np.sum(0.5 * smax * wg * 2.0 * pval(tq) * np.exp(-0.5 * logp)))
-    pot = float(sum(np.sum(w * np.log(x0 - t)) for t, w in zip(band_nodes, band_weights)))
-    robin = g0 - pot
-    capacity = math.exp(-robin)
-
+    # integration, the potential from the equilibrium rule.  Logs are taken
+    # in units of h = diam/2, so capacity = h exp(pot - g0) never passes
+    # through robin, whose own rounding grows with |log h|.
+    h = 0.5 * s.diameter
+    x0 = s.beta + s.diameter
+    g0 = _edge_ray(roots, s.edges, len(s.edges) - 1, s.diameter, order)
+    pot = quad.integrate(lambda t: np.log((x0 - t) / h))
     return GreenModel(
         set=s,
-        edges=edges,
+        edges=s.edges,
         critical_points=np.asarray(roots, dtype=float),
-        robin=robin,
-        capacity=capacity,
+        robin=g0 - pot - math.log(h),
+        capacity=h * math.exp(pot - g0),
         quad_order=order,
-        _band_nodes=tuple(band_nodes),
-        _band_weights=tuple(band_weights),
-        _band_ds_nodes=tuple(ds_nodes),
-        _band_ds_weights=tuple(ds_weights),
-        _band_density_cheb=tuple(dens_cheb),
+        quad=quad,
         _gap_nodes=tuple(gap_nodes),
         _gap_weights=tuple(gap_weights),
     )
@@ -334,44 +353,35 @@ def period_residuals(model: GreenModel) -> np.ndarray:
     return np.asarray(out)
 
 
+def _gap_arc(model: GreenModel, j: int, th0: float, th1: float) -> float:
+    """|integral of g'| over the gap-j arc theta in [th0, th1] of t = c + r cos(theta)."""
+    lo, hi = model.set.gaps[j]
+    xg, wg = _leggauss(model.quad_order)
+    th = 0.5 * (th1 - th0) * (xg + 1.0) + th0
+    t = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(th)
+    g = _g_prime(t, model.critical_points, model.edges, (2 * j + 1, 2 * j + 2))
+    return abs(float(np.sum(0.5 * (th1 - th0) * wg * g)))
+
+
 def green_value(model: GreenModel, x: float) -> float:
     """g(x): zero on the set, else |integral of g'| from the nearest edge."""
     s = model.set
     loc = locate(s, x)
     if loc.kind == "band":
         return 0.0
-    xg, wg = _leggauss(model.quad_order)
-    edges = model.edges
     if loc.kind == "gap":
         j = loc.index
-        lo, hi = s.gaps[j]
-        c, r = (lo + hi) / 2, (hi - lo) / 2
-        cj = model.critical_points[j]
-        theta_x = math.acos(min(1.0, max(-1.0, (x - c) / r)))
+        theta_x = _theta(*s.gaps[j], x)
         # integrate over [0, theta_x] from the right edge or [theta_x, pi]
         # from the left edge, whichever side of the maximum x falls on
-        if x >= cj:
-            t0, t1 = 0.0, theta_x
-        else:
-            t0, t1 = theta_x, np.pi
-        th = 0.5 * (t1 - t0) * (xg + 1.0) + t0
-        t = c + r * np.cos(th)
-        logp = _log_edge_product(t, edges, (2 * j + 1, 2 * j + 2))
-        val = np.sum(0.5 * (t1 - t0) * wg * model.numerator(t) * np.exp(-0.5 * logp))
-        return abs(float(val))
-    # unbounded components: t = edge +/- s^2 kills the single edge factor
+        if x >= model.critical_points[j]:
+            return _gap_arc(model, j, 0.0, theta_x)
+        return _gap_arc(model, j, theta_x, np.pi)
     if loc.kind == "right":
-        smax = math.sqrt(x - s.beta)
-        sq = 0.5 * smax * (xg + 1.0)
-        t = s.beta + sq * sq
-        logp = _log_edge_product(t, edges, (len(edges) - 1,))
+        k, length = len(model.edges) - 1, x - s.beta
     else:
-        smax = math.sqrt(s.alpha - x)
-        sq = 0.5 * smax * (xg + 1.0)
-        t = s.alpha - sq * sq
-        logp = _log_edge_product(t, edges, (0,))
-    val = np.sum(0.5 * smax * wg * 2.0 * model.numerator(t) * np.exp(-0.5 * logp))
-    return abs(float(val))
+        k, length = 0, s.alpha - x
+    return abs(_edge_ray(model.critical_points, model.edges, k, length, model.quad_order))
 
 
 def critical_points(model: GreenModel) -> np.ndarray:
@@ -393,18 +403,8 @@ def gap_derivative_l1(model: GreenModel, j: int) -> float:
     """
     if not 0 <= j < len(model.set.gaps):
         raise ValidationError(f"gap index {j} out of range")
-    lo, hi = model.set.gaps[j]
-    c, r = (lo + hi) / 2, (hi - lo) / 2
-    cj = model.critical_points[j]
-    theta_c = math.acos(min(1.0, max(-1.0, (cj - c) / r)))
-    xg, wg = _leggauss(model.quad_order)
-    total = 0.0
-    for t0, t1 in ((0.0, theta_c), (theta_c, np.pi)):
-        th = 0.5 * (t1 - t0) * (xg + 1.0) + t0
-        t = c + r * np.cos(th)
-        logp = _log_edge_product(t, model.edges, (2 * j + 1, 2 * j + 2))
-        total += abs(float(np.sum(0.5 * (t1 - t0) * wg * model.numerator(t) * np.exp(-0.5 * logp))))
-    return total
+    theta_c = _theta(*model.set.gaps[j], model.critical_points[j])
+    return _gap_arc(model, j, 0.0, theta_c) + _gap_arc(model, j, theta_c, np.pi)
 
 
 def equilibrium_density(model: GreenModel, t: float) -> float:
@@ -414,35 +414,43 @@ def equilibrium_density(model: GreenModel, t: float) -> float:
         raise ValidationError(f"density is defined on bands only, got {loc.kind}")
     if t in (model.set.bands[loc.index][0], model.set.bands[loc.index][1]):
         raise ValidationError("density is unbounded at band edges")
-    logp = _log_edge_product(np.array([t]), model.edges, ())
-    return float(abs(model.numerator(t)) * math.exp(-0.5 * logp[0]) / math.pi)
+    return float(_f_e(model, np.array([t]))[0])
+
+
+def _f_e(model: GreenModel, t: np.ndarray) -> np.ndarray:
+    """Equilibrium density f_E = |g'|/pi at band points, vectorized over t."""
+    return np.abs(_g_prime(t, model.critical_points, model.edges)) / np.pi
 
 
 def equilibrium_quadrature(model: GreenModel, order: int) -> EquilibriumQuadrature:
-    """Fresh per-band quadrature for dmu_E at the given order."""
+    """Per-band quadrature for dmu_E at the given order (the model's own at quad_order)."""
     if order < 16:
         raise ValidationError("quadrature order must be at least 16")
-    theta = (np.arange(order) + 0.5) * np.pi / order
-    cos_t = np.cos(theta)
-    nodes, weights = [], []
-    for k, (lo, hi) in enumerate(model.set.bands):
-        c, r = (lo + hi) / 2, (hi - lo) / 2
-        t = c + r * cos_t
-        logp = _log_edge_product(t, model.edges, (2 * k, 2 * k + 1))
-        nodes.append(t)
-        weights.append(np.abs(model.numerator(t)) * np.exp(-0.5 * logp) / order)
-    quad = EquilibriumQuadrature(tuple(nodes), tuple(weights), order)
-    total = float(np.sum(quad.all_weights))
-    if abs(total - 1.0) > 1e-10:
-        raise NumericalError(f"equilibrium weights sum to {total!r}, expected 1")
-    return quad
+    if order == model.quad_order:
+        return model.quad
+    return _band_rule(model.set, model.critical_points, order)
+
+
+def _band_cheb(model: GreenModel, k: int, order: int, weight=None) -> np.ndarray:
+    """Chebyshev fit in x = (t - c)/r of w * f_E * r sin(theta) on band k.
+
+    Leaving the band's own edge factors out of f_E makes the fitted
+    function smooth; it feeds the Glauert principal value.
+    """
+    lo, hi = model.set.bands[k]
+    c, r = (lo + hi) / 2, (hi - lo) / 2
+
+    def phi(x):
+        t = c + r * np.asarray(x, dtype=float)
+        v = np.abs(_g_prime(t, model.critical_points, model.edges, (2 * k, 2 * k + 1))) / np.pi
+        return v if weight is None else np.asarray(weight(t), dtype=float) * v
+
+    return C.chebinterpolate(phi, min(order, 400))
 
 
 def _band_theta(model: GreenModel, t: float, k: int):
     lo, hi = model.set.bands[k]
-    c, r = (lo + hi) / 2, (hi - lo) / 2
-    xt = (t - c) / r
-    return math.acos(min(1.0, max(-1.0, xt))), r
+    return _theta(lo, hi, t), (hi - lo) / 2
 
 
 def _glauert_pv(coefs: np.ndarray, theta_t: float, r: float) -> float:
@@ -475,7 +483,7 @@ def equilibrium_m_boundary(model: GreenModel, t: float) -> complex:
     for kk in range(len(model.set.bands)):
         if kk == k:
             continue
-        re += float(np.sum(model._band_weights[kk] / (model._band_nodes[kk] - t)))
+        re += float(np.sum(model.quad.weights[kk] / (model.quad.nodes[kk] - t)))
     return complex(re, math.pi * equilibrium_density(model, t))
 
 
@@ -511,4 +519,4 @@ def model_from_json(text: str) -> GreenModel:
     s = make_gapset(obj["set"]["alpha"], obj["set"]["beta"], obj["set"]["gaps"])
     order = int(obj["quad_order"])
     roots = np.asarray(obj["numerator"]["roots"], dtype=float)
-    return _assemble(s, s.edges, roots, order, *_gap_tables(s, order))
+    return _assemble(s, roots, order, *_gap_tables(s, order))

@@ -35,7 +35,7 @@ from .jacobi import (
     stable_gap_eigenvalues,
     strip,
 )
-from .potential import EquilibriumQuadrature, GreenModel, equilibrium_quadrature, pw_sum
+from .potential import EquilibriumQuadrature, GreenModel, _f_e, equilibrium_quadrature, pw_sum
 
 NEG_INF = float("-inf")
 
@@ -204,22 +204,30 @@ def relative_entropy(
             raise ValidationError("density is negative at a quadrature node")
         if np.any(f == 0):
             return NEG_INF
-        vals.append(f / _equilibrium_density_nodes(model, t))
+        vals.append(f / _f_e(model, t))
     total = _log_integral(model, quad, vals)
     if total > 1e-6:
         raise NumericalError(f"relative entropy came out positive ({total}); check weights")
     return total
 
 
-def _equilibrium_density_nodes(model: GreenModel, t: np.ndarray) -> np.ndarray:
-    from .potential import _log_edge_product
-
-    logp = _log_edge_product(np.asarray(t, dtype=float), model.edges, ())
-    return np.abs(model.numerator(t)) * np.exp(-0.5 * logp) / np.pi
-
-
 # ---------------------------------------------------------------------------
 # step-by-step and n-step sum rules
+
+
+def _eval_size(J: JacobiCoeffs, used: int, cap: int) -> int:
+    """Certification size N for stable_gap_eigenvalues after `used` pairs.
+
+    Certifying at N reads 2N pairs, so N is at most (len(J) - used) // 2,
+    and at most cap.
+    """
+    size = min(cap, (len(J) - used) // 2)
+    if size < 2:
+        raise ValidationError(
+            f"coefficient sequence of length {len(J)} too short for certified "
+            f"eigenvalues beyond {used} pairs"
+        )
+    return size
 
 
 def _stripped_densities(mu: MeasureModel, J: JacobiCoeffs, n: int):
@@ -253,12 +261,7 @@ def n_step_sum_rule(
     quad = mu.quad
     lhs = float(np.sum(np.log(J.a[:n]))) - n * math.log(model.capacity)
 
-    if eval_size is None:
-        eval_size = max(40, min((len(J) - n) // 2, 200))
-    if n + 2 * eval_size > len(J):
-        eval_size = (len(J) - n) // 2
-    if eval_size < 2:
-        raise ValidationError("coefficient sequence too short for certified eigenvalues")
+    eval_size = _eval_size(J, n, 200 if eval_size is None else eval_size)
     eig_J = stable_gap_eigenvalues(J, model, eval_size)
     eig_n = stable_gap_eigenvalues(strip(J, n), model, eval_size)
     gsum_J = eigenvalue_green_sum([v for v, _ in eig_J], model)
@@ -269,7 +272,7 @@ def n_step_sum_rule(
     set_hash, measure_hash = _provenance(mu)
     c_formula = 2.0 * gsum_J + pw_sum(model)
     if not diverged:
-        fe_vals = [_equilibrium_density_nodes(model, t) for t in quad.nodes]
+        fe_vals = [_f_e(model, t) for t in quad.nodes]
         s_mu = _log_integral(model, quad, [f / fe for f, fe in zip(f_vals, fe_vals)])
         s_mun = _log_integral(model, quad, [fn / fe for fn, fe in zip(fn_vals, fe_vals)])
         ent_term = s_mu - s_mun
@@ -362,12 +365,7 @@ def eigenvalue_bound_check(
     sizes = sorted(int(x) for x in sizes)
     if not sizes or sizes[0] < 1:
         raise ValidationError("sizes must be positive integers")
-    if eval_size is None:
-        eval_size = max(40, min((len(J) - sizes[-1]) // 2, 200))
-    if sizes[-1] + 2 * eval_size > len(J):
-        eval_size = (len(J) - sizes[-1]) // 2
-    if eval_size < 2:
-        raise ValidationError("coefficient sequence too short for the requested sizes")
+    eval_size = _eval_size(J, sizes[-1], 200 if eval_size is None else eval_size)
     base = stable_gap_eigenvalues(J, model, eval_size)
     base_sum = eigenvalue_green_sum([v for v, _ in base], model)
     crit = pw_sum(model)
@@ -459,11 +457,7 @@ def theorem_upper_bound(
     window = trailing_window(u)
     if sample_sizes is None:
         sample_sizes = sorted({max(1, n_max // 8), n_max // 4, n_max // 2, n_max})
-    eval_size = max(40, min((len(J) - max(sample_sizes)) // 2, 160))
-    if max(sample_sizes) + 2 * eval_size > len(J):
-        eval_size = (len(J) - max(sample_sizes)) // 2
-    if eval_size < 2:
-        raise ValidationError("coefficient sequence too short for the glued samples")
+    eval_size = _eval_size(J, max(sample_sizes), 160)
     if tail is None:
         tail = equilibrium_coefficients(model, max(sample_sizes) + 2 * eval_size)
     base = stable_gap_eigenvalues(J, model, eval_size)

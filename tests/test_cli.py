@@ -173,3 +173,34 @@ def test_malformed_inputs_are_validation_errors(args, capsys):
     assert cli.main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("gaplab: validation error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,spec", [
+    ("set", {"alpha": 0, "beta": 1, "gaps": []}),
+    ("measure", {"mode": "relative", "factor": {"form": "const", "value": 2.0}}),
+], ids=["set_object", "measure_object"])
+def test_config_file_json_objects(key, spec, tmp_path):
+    cfg = {"command": "coeffs", "set": '{"alpha": 0, "beta": 1, "gaps": []}', "n": 3,
+           "format": "json", key: spec}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o.json"
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["meta"][key] == spec
+    # the arcsine measure of [0, 1]: a_1 = sqrt(2)/4, b_n = 1/2
+    assert obj["rows"][0][1] == pytest.approx(math.sqrt(2) / 4, abs=1e-10)
+    assert obj["rows"][0][2] == pytest.approx(0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("key,spec", [
+    ("set", 5), ("set", [0, 1]), ("set", None), ("measure", 3), ("measure", [1]),
+    ("measure", "[1]"),
+])
+def test_config_file_bad_specs_are_validation_errors(key, spec, tmp_path, capsys):
+    cfg = {"command": "coeffs", "set": '{"alpha": 0, "beta": 1}', "n": 3, key: spec}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab: validation error:") and "Traceback" not in err

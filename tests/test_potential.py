@@ -5,8 +5,15 @@ import pytest
 
 import gaplab as G
 from gaplab.cli import TOLERANCES
-from gaplab.errors import ValidationError
-from gaplab.potential import _lagrange_parts, _numerator_sign, _period_correction
+from gaplab import potential
+from gaplab.errors import NumericalError, ValidationError
+from gaplab.potential import (
+    _cosine_rule,
+    _g_prime,
+    _lagrange_parts,
+    _numerator_sign,
+    _period_correction,
+)
 
 
 # closed forms used as oracles:
@@ -122,6 +129,7 @@ def test_equilibrium_quadrature_moments(model_m22, model_pm12, model_fat3):
     for model in (model_m22, model_pm12, model_fat3):
         quad = G.equilibrium_quadrature(model, 200)
         assert np.sum(quad.all_weights) == pytest.approx(1.0, abs=1e-10)
+        assert G.equilibrium_quadrature(model, model.quad_order) is model.quad
     q22 = G.equilibrium_quadrature(model_m22, 200)
     assert q22.integrate(lambda t: t * t) == pytest.approx(2.0, abs=1e-8)
     qpm = G.equilibrium_quadrature(model_pm12, 200)
@@ -277,3 +285,63 @@ def test_ladder_period_residual_and_gap_roots(level):
     assert np.max(np.abs(G.period_residuals(model))) <= TOLERANCES["period_residual"]
     for c, (lo, hi) in zip(model.critical_points, model.set.gaps):
         assert lo < c < hi
+
+
+ASYMMETRIC = G.make_gapset(0, 1, [(0.1, 0.35), (0.6, 0.65)])
+
+
+def test_period_residual_gate(monkeypatch):
+    model = G.solve_green(ASYMMETRIC)
+    assert np.max(np.abs(G.period_residuals(model))) > 0.0
+    monkeypatch.setitem(potential.TOLERANCES, "period_residual", 0.0)
+    with pytest.raises(NumericalError, match="period residual"):
+        G.solve_green(ASYMMETRIC)
+
+
+def test_quadrature_mass_gate(monkeypatch):
+    model = G.solve_green(ASYMMETRIC)
+    assert np.sum(model.quad.all_weights) != 1.0
+    monkeypatch.setitem(potential.TOLERANCES, "quadrature_mass", 0.0)
+    with pytest.raises(NumericalError, match="equilibrium weights sum"):
+        G.solve_green(ASYMMETRIC)
+
+
+def _two_factor_g_prime(t, roots, edges, skip):
+    """P and 1/sqrt|R| formed as two separate exps, then multiplied."""
+    keep = np.ones(len(edges), dtype=bool)
+    keep[list(skip)] = False
+    d = t[:, None] - roots[None, :]
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        p = np.prod(np.sign(d), axis=1) * np.exp(np.sum(np.log(np.abs(d)), axis=1))
+        logr = np.sum(np.log(np.abs(t[:, None] - edges[keep][None, :])), axis=1)
+        return p * np.exp(-0.5 * logr)
+
+
+@pytest.mark.parametrize("level", [6, 9])
+def test_g_prime_single_exp_at_band_nodes(level):
+    # the band-rule values with roots at the gap midpoints: at level 9 the
+    # two factors over- and underflow at most nodes, their quotient does not
+    s = G.fat_cantor(level)
+    roots = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
+    failed = total = 0
+    for k, (lo, hi) in enumerate(s.bands):
+        skip = (2 * k, 2 * k + 1)
+        t, got = _cosine_rule(lo, hi, 80, roots, s.edges, skip)
+        assert np.all(np.isfinite(got)) and np.all(got != 0.0)
+        old = _two_factor_g_prime(t, roots, s.edges, skip)
+        ok = np.isfinite(old) & (old != 0.0)
+        failed += int(np.sum(~ok))
+        total += len(t)
+        if level == 6:
+            assert np.all(ok)
+            assert np.max(np.abs(got / old - 1.0)) <= 1e-13
+    if level == 9:
+        assert failed > total // 2
+
+
+def test_g_prime_edge_collision_and_roots():
+    edges = np.array([0.0, 1.0])
+    with pytest.raises(NumericalError, match="collided"):
+        _g_prime(np.array([0.5, 1.0]), [0.5], edges)
+    assert _g_prime(np.array([0.5]), [0.5], edges)[0] == 0.0
+    assert _g_prime(np.array([2.0]), [], ())[0] == 1.0

@@ -258,3 +258,34 @@ def test_theorem_upper_bound_perturbed(j_perturbed, model_m22):
     assert rep.satisfied
     assert rep.window_max == pytest.approx(1.0, abs=1e-10)  # a stays at 1
     assert rep.bound_C >= 2 * math.log(2.5)  # formula part alone
+
+
+def _eval_size_reference(length, used, cap, eval_size):
+    """The three-line policy each caller used to spell out, with its clamp."""
+    if eval_size is None:
+        eval_size = max(40, min((length - used) // 2, cap))
+    if used + 2 * eval_size > length:
+        eval_size = (length - used) // 2
+    return eval_size
+
+
+def test_eval_size_matches_clamped_policy():
+    from gaplab.sumrule import _eval_size
+
+    for used in (1, 20, 100):
+        for length in range(used, used + 601):
+            J = G.JacobiCoeffs(np.ones(length), np.zeros(length))
+            for cap in (160, 200):
+                for explicit in (None, 5, 300):
+                    want = _eval_size_reference(length, used, cap, explicit)
+                    arg = cap if explicit is None else explicit
+                    if want < 2:
+                        with pytest.raises(ValidationError):
+                            _eval_size(J, used, arg)
+                    else:
+                        assert _eval_size(J, used, arg) == want, (length, used, cap, explicit)
+    short = G.JacobiCoeffs(np.ones(24), np.zeros(24))
+    for used in (21, 23, 24, 30):
+        with pytest.raises(ValidationError, match="too short"):
+            _eval_size(short, used, 200)
+    assert _eval_size(short, 20, 200) == 2
