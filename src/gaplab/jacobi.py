@@ -8,15 +8,18 @@ determinants lose every digit by n ~ 20; Lanczos with reorthogonalization
 is stable to several hundred coefficients in double precision.
 
 Truncation spectra use Sturm-sequence sign counts with bisection, which
-give exact eigenvalue counts per interval and 1e-12 absolute accuracy
-without forming dense matrices.
+give exact eigenvalue counts per interval and 1e-12 accuracy relative to
+max(1, |x|) without forming dense matrices.  The zeros of the truncated
+m-function are the eigenvalues of a rank-one shift of b_1, so the same
+bisection finds poles and zeros; m_function is the only continued fraction.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -137,11 +140,19 @@ class MeasureModel:
     point_masses: tuple[tuple[float, float], ...]
     normalization: float
     quad: EquilibriumQuadrature
-    _band_wphi_cheb: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     @property
     def set(self) -> GapSet:
         return self.model.set
+
+    @cached_property
+    def _band_wphi_cheb(self) -> tuple[np.ndarray, ...]:
+        # own-band fits of w * f_E for the Glauert principal value in
+        # measure_m_boundary (relative mode), built on its first call
+        return tuple(
+            _band_cheb(self.model, k, self.quad.order, self.weight)
+            for k in range(len(self.set.bands))
+        )
 
     def weight_value(self, t):
         return np.asarray(self.weight(np.asarray(t, dtype=float)), dtype=float)
@@ -181,31 +192,33 @@ def make_measure(
         seen.add(x)
     order = model.quad_order if quad_order is None else int(quad_order)
     quad = equilibrium_quadrature(model, order)
-    wvals = [np.asarray(weight(t), dtype=float) for t in quad.nodes]
-    for w in wvals:
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValidationError("weight factor must be finite and nonnegative on bands")
-    if mode == "relative":
-        ac_mass = float(sum(np.sum(wq * w) for wq, w in zip(quad.weights, wvals)))
-    else:
-        ac_mass = 0.0
-        xg, wg = _leggauss(order)
-        for lo, hi in model.set.bands:
-            c, r = (lo + hi) / 2, (hi - lo) / 2
-            ac_mass += float(np.sum(r * wg * np.asarray(weight(c + r * xg), dtype=float)))
+    _, ac_weights = _ac_rule(model, weight, mode, quad)
+    if not all(np.all(w >= 0) and np.all(np.isfinite(w)) for w in ac_weights):
+        raise ValidationError("weight factor must be finite and nonnegative on bands")
+    ac_mass = float(sum(np.sum(w) for w in ac_weights))
     mass_sum = sum(m for _, m in masses)
     if ac_mass <= 0 and not masses:
         raise ValidationError("measure has neither a.c. mass nor point masses")
     norm = (1.0 - mass_sum) / ac_mass if ac_mass > 0 else 0.0
     if norm < 0:
         raise ValidationError("point masses alone exceed total mass 1")
+    return MeasureModel(model, weight, mode, masses, norm, quad)
 
-    # own-band Chebyshev fits of w * f_E feed the Glauert principal value in
-    # measure_m_boundary (relative mode)
-    wphi = ()
+
+def _ac_rule(model: GreenModel, weight: Callable, mode: str, quad: EquilibriumQuadrature):
+    """Per-band nodes and weights of the unnormalized a.c. part.
+
+    Relative mode weights the equilibrium rule quad by w (wq * w); absolute
+    mode takes Gauss-Legendre at quad's order on each band (r * wg * w).
+    """
     if mode == "relative":
-        wphi = tuple(_band_cheb(model, k, order, weight) for k in range(len(model.set.bands)))
-    return MeasureModel(model, weight, mode, masses, norm, quad, wphi)
+        nodes, base = quad.nodes, quad.weights
+    else:
+        xg, wg = _leggauss(quad.order)
+        halves = [((lo + hi) / 2, (hi - lo) / 2) for lo, hi in model.set.bands]
+        nodes = [c + r * xg for c, r in halves]
+        base = [r * wg for _, r in halves]
+    return nodes, [b * np.asarray(weight(t), dtype=float) for t, b in zip(nodes, base)]
 
 
 def measure_to_json(mu: MeasureModel) -> str:
@@ -235,23 +248,10 @@ def _discretize(mu: MeasureModel, quad_order: int):
         if quad_order == mu.quad.order
         else equilibrium_quadrature(model, quad_order)
     )
-    ts, ws = [], []
-    if mu.mode == "relative":
-        for t, wq in zip(quad.nodes, quad.weights):
-            ts.append(t)
-            ws.append(mu.normalization * wq * mu.weight_value(t))
-    else:
-        xg, wg = _leggauss(quad_order)
-        for lo, hi in model.set.bands:
-            c, r = (lo + hi) / 2, (hi - lo) / 2
-            t = c + r * xg
-            ts.append(t)
-            ws.append(mu.normalization * r * wg * mu.weight_value(t))
-    for x, m in mu.point_masses:
-        ts.append(np.array([x]))
-        ws.append(np.array([m]))
-    t = np.concatenate(ts)
-    w = np.concatenate(ws)
+    nodes, ac_weights = _ac_rule(model, mu.weight, mu.mode, quad)
+    x, m = np.reshape(mu.point_masses, (-1, 2)).T
+    t = np.concatenate([*nodes, x])
+    w = np.concatenate([mu.normalization * np.concatenate(ac_weights), m])
     keep = w > 0
     return t[keep], w[keep]
 
@@ -368,7 +368,7 @@ def _gershgorin(J: JacobiCoeffs, N: int):
 
 
 def _batch_bisect(J: JacobiCoeffs, N: int, indices, lo, hi) -> np.ndarray:
-    """Bisect many global eigenvalue indices at once inside their brackets."""
+    """Bisect many global eigenvalue indices at once, to eigenvalue_abs/10 * max(1, |x|)."""
     idx = np.asarray(indices, dtype=int)
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
@@ -377,46 +377,46 @@ def _batch_bisect(J: JacobiCoeffs, N: int, indices, lo, hi) -> np.ndarray:
         above = sturm_count(J, N, mid) > idx
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-        if float(np.max(hi - lo)) <= TOLERANCES["eigenvalue_abs"] / 10:
+        if np.all(hi - lo <= TOLERANCES["eigenvalue_abs"] / 10 * np.maximum(1.0, np.abs(mid))):
             break
     return 0.5 * (lo + hi)
 
 
 def truncation_eigenvalues(J: JacobiCoeffs, N: int) -> np.ndarray:
-    """All eigenvalues of the N x N truncation, 1e-12 absolute, ascending."""
+    """All eigenvalues of the N x N truncation, 1e-12 relative to max(1, |x|), ascending."""
     lo, hi = _gershgorin(J, N)
     return _batch_bisect(
         J, N, np.arange(N), np.full(N, lo - 1.0), np.full(N, hi + 1.0)
     )
 
 
-def gap_eigenvalues(
-    J: JacobiCoeffs, model: GreenModel, N: int
-) -> list[tuple[float, Location]]:
-    """Eigenvalues of the N-truncation lying off the set, with locations.
+def _off_set_brackets(J: JacobiCoeffs, model: GreenModel, N: int):
+    """Global index, component bracket and location of every eigenvalue off the set.
 
     Sturm counts at gap endpoints (and beyond [alpha, beta]) give the exact
-    count per component; the eigenvalues are then bisected in one batch.
+    count per component, in ascending order.
     """
     s = model.set
     glo, ghi = _gershgorin(J, N)
-    glo = min(glo, s.alpha) - 1.0
-    ghi = max(ghi, s.beta) + 1.0
-    brackets: list[tuple[float, float, Location]] = [(glo, s.alpha, Location("left"))]
-    for j, (lo, hi) in enumerate(s.gaps):
-        brackets.append((lo, hi, Location("gap", j)))
-    brackets.append((s.beta, ghi, Location("right")))
-    ends = np.array([[lo, hi] for lo, hi, _ in brackets])
-    counts = sturm_count(J, N, ends.ravel()).reshape(-1, 2)
-    idx, los, his, locs = [], [], [], []
-    for (lo, hi, loc), (c_lo, c_hi) in zip(brackets, counts):
-        for k in range(int(c_lo), int(c_hi)):
-            idx.append(k)
-            los.append(lo)
-            his.append(hi)
-            locs.append(loc)
-    if not idx:
+    brackets = [(min(glo, s.alpha) - 1.0, s.alpha, Location("left"))]
+    brackets += [(lo, hi, Location("gap", j)) for j, (lo, hi) in enumerate(s.gaps)]
+    brackets.append((s.beta, max(ghi, s.beta) + 1.0, Location("right")))
+    counts = sturm_count(J, N, np.ravel([b[:2] for b in brackets])).reshape(-1, 2)
+    return [
+        (k, lo, hi, loc)
+        for (lo, hi, loc), (c_lo, c_hi) in zip(brackets, counts)
+        for k in range(int(c_lo), int(c_hi))
+    ]
+
+
+def gap_eigenvalues(
+    J: JacobiCoeffs, model: GreenModel, N: int
+) -> list[tuple[float, Location]]:
+    """Eigenvalues of the N-truncation off the set, with locations, bisected in one batch."""
+    found = _off_set_brackets(J, model, N)
+    if not found:
         return []
+    idx, los, his, locs = zip(*found)
     vals = _batch_bisect(J, N, idx, los, his)
     return sorted(zip(map(float, vals), locs), key=lambda p: p[0])
 
@@ -542,17 +542,8 @@ def measure_m_boundary(mu: MeasureModel, t: float) -> complex:
         raise ValidationError(f"boundary values are taken on bands, got {loc.kind}")
     k = loc.index
     theta_t, r = _band_theta(model, t, k)
-    re = 0.0
     if mu.mode == "relative":
-        re += mu.normalization * _glauert_pv(mu._band_wphi_cheb[k], theta_t, r)
-        quad = model.quad
-        for kk in range(len(model.set.bands)):
-            if kk == k:
-                continue
-            wn = mu.weight_value(quad.nodes[kk])
-            re += mu.normalization * float(
-                np.sum(quad.weights[kk] * wn / (quad.nodes[kk] - t))
-            )
+        re = mu.normalization * _glauert_pv(mu._band_wphi_cheb[k], theta_t, r)
     else:
         xg, wg = _leggauss(model.quad_order)
         lo, hi = model.set.bands[k]
@@ -561,17 +552,13 @@ def measure_m_boundary(mu: MeasureModel, t: float) -> complex:
         W = mu.weight_value(c + r * xg)
         Wt = float(mu.weight_value(np.array([t]))[0])
         diff = np.where(xg == xt, 0.0, (W - Wt) / np.where(xg == xt, 1.0, xg - xt))
-        re += mu.normalization * (
+        re = mu.normalization * (
             float(np.sum(wg * diff)) + Wt * math.log((1 - xt) / (1 + xt))
         )
-        for kk, (lo, hi) in enumerate(model.set.bands):
-            if kk == k:
-                continue
-            rr = (hi - lo) / 2
-            sn = (lo + hi) / 2 + rr * xg
-            re += mu.normalization * float(
-                np.sum(rr * wg * mu.weight_value(sn) / (sn - t))
-            )
+    nodes, ac_weights = _ac_rule(model, mu.weight, mu.mode, model.quad)
+    for kk, (sn, wn) in enumerate(zip(nodes, ac_weights)):
+        if kk != k:
+            re += mu.normalization * float(np.sum(wn / (sn - t)))
     for x, m in mu.point_masses:
         re += m / (x - t)
     return complex(re, math.pi * float(mu.density(t)))
@@ -605,73 +592,30 @@ class InterlacingProfile:
         return out
 
 
-def _truncation_m_real(J: JacobiCoeffs, N: int, x: float) -> float:
-    """m of the N-truncation at real x (away from its poles)."""
-    m = 0.0
-    for k in range(N - 1, -1, -1):
-        denom = J.b[k] - x - (J.a[k] ** 2 * m if k < N - 1 else 0.0)
-        if denom == 0.0:
-            denom = 1e-300
-        m = 1.0 / denom
-    return m
-
-
 def interlacing_profile(
     J: JacobiCoeffs, model: GreenModel, N: int, epsilon: float = 1e-6
 ) -> InterlacingProfile:
-    """Pair each off-set pole of the truncation with the next zero right of it."""
+    """Pair each off-set pole of the truncation with the next zero right of it.
+
+    det(J + c e1 e1^T - x) = det(J - x)(1 + c m(x)), so with c = 1/eps the
+    zeros of m + eps are the eigenvalues of the truncation with b_1 raised
+    by 1/eps, the k-th between poles k and k+1; one batch bisection finds
+    them at the pole indices.  A zero that escaped into the next band is
+    recorded at the right end of its pole's component.
+    """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    poles = gap_eigenvalues(J, model, N)
-    all_eigs = truncation_eigenvalues(J, N)
-    zeros = []
-    for v, loc in poles:
-        # bracket: from just right of the pole to the next truncation
-        # eigenvalue or the component boundary, whichever comes first
-        # (or outward until m + eps turns positive above the set)
-        if loc.kind == "gap":
-            comp_hi = model.set.gaps[loc.index][1]
-        elif loc.kind == "left":
-            comp_hi = model.set.alpha
-        else:
-            comp_hi = None
-        above = all_eigs[all_eigs > v + 1e-11]
-        right = float(above[0]) if len(above) else None
-        f = lambda x: _truncation_m_real(J, N, x) + epsilon
-        lo = v + 1e-10 * max(1.0, abs(v))
-        if right is None and comp_hi is None:
-            hi = v + 1.0
-            while f(hi) < 0:
-                hi = v + 2 * (hi - v)
-                if hi - v > 1e16:
-                    raise NumericalError("no regularized zero found right of top pole")
-        else:
-            hi = right - 1e-10 * max(1.0, abs(right)) if right is not None else comp_hi
-            if comp_hi is not None:
-                hi = min(hi, comp_hi)
-        flo, fhi = f(lo), f(hi)
-        if flo >= 0:
-            zeros.append(lo)
-            continue
-        if fhi < 0:
-            # still negative at the component boundary: the zero escaped
-            # into the neighbouring band, so record the boundary itself
-            zeros.append(comp_hi if comp_hi is not None else hi)
-            continue
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * max(1.0, abs(mid)):
-                break
-        zeros.append(0.5 * (lo + hi))
+    found = _off_set_brackets(J, model, N)
+    if not found:
+        return InterlacingProfile(np.empty(0), np.empty(0), (), epsilon)
+    idx, los, his, locs = zip(*found)
+    poles = _batch_bisect(J, N, idx, los, his)
+    shifted = replace(J, b=np.concatenate([[J.b[0] + 1.0 / epsilon], J.b[1:]]))
+    top = np.full(len(idx), _gershgorin(shifted, N)[1])
+    zeros = _batch_bisect(shifted, N, idx, los, top)
+    ends = [np.inf if loc.kind == "right" else hi for hi, loc in zip(his, locs)]
     return InterlacingProfile(
-        poles=np.array([v for v, _ in poles]),
-        zeros=np.array(zeros),
-        locations=tuple(loc for _, loc in poles),
-        epsilon=epsilon,
+        poles=poles, zeros=np.minimum(zeros, ends), locations=locs, epsilon=epsilon
     )
 
 

@@ -21,9 +21,11 @@ numerator, so no product magnitude is formed; 60 halvings reach the last
 ulp of every gap and no Newton polish follows.
 
 Every weight, density and Green integral is g' itself with the edge
-factors its substitution cancels left out, from one primitive _g_prime:
-the root and edge log-sums meet in a single exp, so the quotient stays in
-range where either product alone over- or underflows.  Singular integrals
+factors its substitution cancels left out, from one primitive
+_log_g_prime: the root and edge log-sums meet in a single exp, so the
+quotient stays in range where either product alone over- or underflows.
+The period weights, which have no root factors, stay logs until they
+meet log|P|.  Singular integrals
 are tamed by the cosine substitution t = c + r*cos(theta) (gap and band
 versions), which cancels the inverse-square-root edge behaviour exactly,
 and on the unbounded components by t = e +/- s^2.  The own-band Chebyshev
@@ -53,7 +55,7 @@ _GAP_COUNT_SWITCH = 15
 TOLERANCES = {
     "period_residual": 1e-10,  # max |period residual| after solve_green
     "quadrature_mass": 1e-10,  # |total equilibrium weight - 1|
-    "eigenvalue_abs": 1e-12,  # bisection brackets close to a tenth of this
+    "eigenvalue_abs": 1e-12,  # bisection brackets close to a tenth of this * max(1, |x|)
     "eigenvalue_stability": 1e-8,  # matching across truncation sizes
 }
 
@@ -67,11 +69,11 @@ def _default_order(n_gaps: int) -> int:
     return DEFAULT_ORDER_SMALL if n_gaps <= _GAP_COUNT_SWITCH else DEFAULT_ORDER_LARGE
 
 
-def _g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()) -> np.ndarray:
-    """g'(t) = P(t)/sqrt|R(t)| with the edge factors in skip left out.
+def _log_g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()):
+    """sign and log|g'(t)| with the edge factors in skip left out.
 
-    sign * exp(sum_j log|t - c_j| - 1/2 sum_{k not in skip} log|t - e_k|),
-    vectorized over t; exactly zero at a root.  With no edges this is P.
+    log|g'| = sum_j log|t - c_j| - 1/2 sum_{k not in skip} log|t - e_k|,
+    vectorized over t; -inf at a root.  With no edges this is P.
     """
     t = np.asarray(t, dtype=float)
     d = t[:, None] - np.asarray(roots, dtype=float)[None, :]
@@ -84,17 +86,27 @@ def _g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()) -> np.ndar
         if np.any(diffs == 0.0):
             raise NumericalError("quadrature node collided with a band edge")
         logmag = logmag - 0.5 * np.sum(np.log(diffs), axis=1)
-    return np.prod(np.sign(d), axis=1) * np.exp(logmag)
+    return np.prod(np.sign(d), axis=1), logmag
+
+
+def _g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()) -> np.ndarray:
+    """g'(t) = P(t)/sqrt|R(t)| from one exp of _log_g_prime; exactly zero at a root."""
+    sign, logmag = _log_g_prime(t, roots, edges, skip)
+    return sign * np.exp(logmag)
+
+
+def _cosine_nodes(lo: float, hi: float, order: int) -> np.ndarray:
+    """t = c + r cos(theta_i) over [lo, hi], theta_i = (i + 1/2) pi/order."""
+    return (lo + hi) / 2 + (hi - lo) / 2 * np.cos((np.arange(order) + 0.5) * np.pi / order)
 
 
 def _cosine_rule(lo: float, hi: float, order: int, roots, edges, skip):
-    """Nodes t = c + r cos(theta_i), theta_i = (i + 1/2) pi/order, and g' there.
+    """Cosine nodes over [lo, hi] and g' there.
 
     skip names the interval's own edges, whose factors the substitution
     cancels; (pi/order) * g' then integrates against dt over [lo, hi].
     """
-    cos_t = np.cos((np.arange(order) + 0.5) * np.pi / order)
-    t = (lo + hi) / 2 + (hi - lo) / 2 * cos_t
+    t = _cosine_nodes(lo, hi, order)
     return t, _g_prime(t, roots, edges, skip)
 
 
@@ -157,13 +169,7 @@ class GreenModel:
     quad: EquilibriumQuadrature  # the band rule at quad_order
     # per-gap period-integral tables; treated as private
     _gap_nodes: tuple[np.ndarray, ...]
-    _gap_weights: tuple[np.ndarray, ...]
-
-    def numerator(self, t) -> np.ndarray:
-        """Evaluate the monic numerator polynomial P at t."""
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = _g_prime(arr, self.critical_points, ())
-        return out if np.ndim(t) else float(out[0])
+    _gap_log_weights: tuple[np.ndarray, ...]
 
     @cached_property
     def _band_density_cheb(self) -> tuple[np.ndarray, ...]:
@@ -176,18 +182,18 @@ def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
     order = _default_order(n_gaps) if quad_order is None else int(quad_order)
     if order < 32:
         raise ValidationError("quad_order must be at least 32")
-    gap_nodes, gap_weights = _gap_tables(s, order)
+    gap_nodes, gap_log_weights = _gap_tables(s, order)
 
     # relinearize until the roots settle; small gap counts stop after two
     roots = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
     for _ in range(6 if n_gaps else 0):
-        delta = _period_correction(roots, gap_nodes, gap_weights)
+        delta = _period_correction(roots, gap_nodes, gap_log_weights)
         new_roots = _period_roots(s.gaps, roots, delta)
         moved = float(np.max(np.abs(new_roots - roots))) if n_gaps else 0.0
         roots = new_roots
         if moved <= 1e-14 * (s.beta - s.alpha):
             break
-    model = _assemble(s, roots, order, gap_nodes, gap_weights)
+    model = _assemble(s, roots, order, gap_nodes, gap_log_weights)
     worst = float(np.max(np.abs(period_residuals(model)))) if n_gaps else 0.0
     if worst > TOLERANCES["period_residual"]:
         raise NumericalError(
@@ -197,27 +203,33 @@ def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
 
 
 def _gap_tables(s: GapSet, order: int):
-    """Per-gap cosine-substitution nodes and weights for the period integrals."""
-    gap_nodes, gap_weights = [], []
+    """Per-gap cosine-substitution nodes and log weights for the period integrals.
+
+    The weights (pi/order)/sqrt|R| with the gap's own edges cancelled stay
+    logs, log(pi/order) - 1/2 sum_{k not own} log|t - e_k|: past ~500 edges
+    they leave double range, and only their sum with log|P| is formed.
+    """
+    gap_nodes, gap_log_weights = [], []
     for j, (lo, hi) in enumerate(s.gaps):
-        t, v = _cosine_rule(lo, hi, order, (), s.edges, (2 * j + 1, 2 * j + 2))
+        t = _cosine_nodes(lo, hi, order)
+        _, log_w = _log_g_prime(t, (), s.edges, (2 * j + 1, 2 * j + 2))
         gap_nodes.append(t)
-        gap_weights.append((np.pi / order) * v)
-    return gap_nodes, gap_weights
+        gap_log_weights.append(math.log(np.pi / order) + log_w)
+    return gap_nodes, gap_log_weights
 
 
-def _lagrange_parts(x: np.ndarray, anchors: np.ndarray):
-    """B(x) = prod_k (x - m_k) and all deflated products B_i = B/(x - m_i).
+def _lagrange_parts(x: np.ndarray, anchors: np.ndarray, log_weight):
+    """w(x) B(x), B = prod_k (x - m_k), and all deflated w B_i = w B/(x - m_i).
 
-    Everything runs through log magnitudes so no product over/underflows;
-    a point landing exactly on an anchor is handled exactly (B vanishes,
-    only the colliding B_i survives).
+    Everything runs through log magnitudes, log w included, so no product
+    over/underflows; a point landing exactly on an anchor is handled
+    exactly (B vanishes, only the colliding B_i survives).
     """
     d = x[:, None] - anchors[None, :]
     zero = d == 0.0
     logd = np.log(np.where(zero, 1.0, np.abs(d)))
     signd = np.where(zero, 1.0, np.sign(d))
-    logmag = np.sum(logd, axis=1)
+    logmag = np.sum(logd, axis=1) + log_weight
     sign = np.prod(signd, axis=1)
     collided = zero.any(axis=1)
     bfull = np.where(collided, 0.0, sign * np.exp(logmag))
@@ -231,7 +243,7 @@ def _lagrange_parts(x: np.ndarray, anchors: np.ndarray):
     return bfull, bi
 
 
-def _period_correction(anchors, gap_nodes, gap_weights) -> np.ndarray:
+def _period_correction(anchors, gap_nodes, gap_log_weights) -> np.ndarray:
     """Solve the linearized period conditions for the correction weights.
 
     P is written as prod(t - m_k) plus per-gap Lagrange corrections
@@ -244,10 +256,9 @@ def _period_correction(anchors, gap_nodes, gap_weights) -> np.ndarray:
     A = np.empty((n, n))
     rhs = np.empty(n)
     for j in range(n):
-        t, wt = gap_nodes[j], gap_weights[j]
-        bfull, bi = _lagrange_parts(t, anchors)
-        rhs[j] = -np.sum(wt * bfull)
-        A[j] = wt @ bi
+        bfull, bi = _lagrange_parts(gap_nodes[j], anchors, gap_log_weights[j])
+        rhs[j] = -np.sum(bfull)
+        A[j] = np.sum(bi, axis=0)
     scale = np.max(np.abs(A), axis=1)
     scale[scale == 0.0] = 1.0
     try:
@@ -321,7 +332,7 @@ def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
     return quad
 
 
-def _assemble(s, roots, order, gap_nodes, gap_weights) -> GreenModel:
+def _assemble(s, roots, order, gap_nodes, gap_log_weights) -> GreenModel:
     quad = _band_rule(s, roots, order)
     # Robin constant via the potential identity at the probe x0 = beta + diam,
     # one diameter out so the identity is scale-covariant: g(x0) by edge
@@ -341,15 +352,16 @@ def _assemble(s, roots, order, gap_nodes, gap_weights) -> GreenModel:
         quad_order=order,
         quad=quad,
         _gap_nodes=tuple(gap_nodes),
-        _gap_weights=tuple(gap_weights),
+        _gap_log_weights=tuple(gap_log_weights),
     )
 
 
 def period_residuals(model: GreenModel) -> np.ndarray:
     """Per-gap residual of the defining conditions (zero for a solved model)."""
     out = []
-    for t, w in zip(model._gap_nodes, model._gap_weights):
-        out.append(float(np.sum(w * model.numerator(t))))
+    for t, log_w in zip(model._gap_nodes, model._gap_log_weights):
+        sign, log_p = _log_g_prime(t, model.critical_points, ())
+        out.append(float(np.sum(sign * np.exp(log_p + log_w))))
     return np.asarray(out)
 
 

@@ -28,6 +28,7 @@ from .jacobi import (
     MeasureModel,
     coefficients_from_measure,
     eigenvalue_green_sum,
+    gap_eigenvalues,
     glue_head,
     make_measure,
     measure_m_boundary,
@@ -268,28 +269,24 @@ def n_step_sum_rule(
     gsum_n = eigenvalue_green_sum([v for v, _ in eig_n], model)
 
     f_vals, fn_vals = _stripped_densities(mu, J, n)
-    diverged = any(np.any(f <= 0) for f in f_vals) or any(np.any(fn <= 0) for fn in fn_vals)
     set_hash, measure_hash = _provenance(mu)
     c_formula = 2.0 * gsum_J + pw_sum(model)
-    if not diverged:
-        fe_vals = [_f_e(model, t) for t in quad.nodes]
-        s_mu = _log_integral(model, quad, [f / fe for f, fe in zip(f_vals, fe_vals)])
-        s_mun = _log_integral(model, quad, [fn / fe for fn, fe in zip(fn_vals, fe_vals)])
-        ent_term = s_mu - s_mun
-    if diverged:
+    common = dict(
+        n=n, lhs=lhs, green_sum_J=gsum_J, green_sum_strip=gsum_n, bound_C=c_formula,
+        bound_Cprime=math.exp(c_formula), set_hash=set_hash, measure_hash=measure_hash,
+        quad_order=quad.order,
+    )
+    if any(np.any(f <= 0) for f in f_vals + fn_vals):
         return SumRuleReport(
-            n=n, lhs=lhs, green_sum_J=gsum_J, green_sum_strip=gsum_n,
             entropy_mu=NEG_INF, entropy_strip=NEG_INF, rhs=float("nan"),
-            residual=float("nan"), bound_C=c_formula,
-            bound_Cprime=math.exp(c_formula), status="inapplicable",
-            set_hash=set_hash, measure_hash=measure_hash, quad_order=quad.order,
+            residual=float("nan"), status="inapplicable", **common,
         )
-    rhs = (gsum_J - gsum_n) + 0.5 * ent_term
+    fe_vals = [_f_e(model, t) for t in quad.nodes]
+    s_mu = _log_integral(model, quad, [f / fe for f, fe in zip(f_vals, fe_vals)])
+    s_mun = _log_integral(model, quad, [fn / fe for fn, fe in zip(fn_vals, fe_vals)])
+    rhs = (gsum_J - gsum_n) + 0.5 * (s_mu - s_mun)
     return SumRuleReport(
-        n=n, lhs=lhs, green_sum_J=gsum_J, green_sum_strip=gsum_n,
-        entropy_mu=s_mu, entropy_strip=s_mun, rhs=rhs, residual=lhs - rhs,
-        bound_C=c_formula, bound_Cprime=math.exp(c_formula), status="ok",
-        set_hash=set_hash, measure_hash=measure_hash, quad_order=quad.order,
+        entropy_mu=s_mu, entropy_strip=s_mun, rhs=rhs, residual=lhs - rhs, **common
     )
 
 
@@ -377,19 +374,12 @@ def eigenvalue_bound_check(
             BoundCheckEntry("strip", n, eigenvalue_green_sum(eigs, model), c_bound, len(eigs))
         )
     for n in sizes:
-        from .jacobi import gap_eigenvalues
-
         eigs = [v for v, _ in gap_eigenvalues(J, model, n)]
         entries.append(
             BoundCheckEntry("corner", n, eigenvalue_green_sum(eigs, model), c_bound, len(eigs))
         )
     if include_glued:
-        if tail is None:
-            tail = equilibrium_coefficients(model, sizes[-1] + 2 * eval_size)
-        for n in sizes:
-            head = JacobiCoeffs(J.a[:n], J.b[:n])
-            glued = glue_head(head, float(J.a[n - 1]) if n >= 1 else 1.0, tail)
-            certified = stable_gap_eigenvalues(glued, model, eval_size)
+        for n, certified in _glued_spectra(J, model, sizes, eval_size, tail).items():
             in_gap = [v for v, loc in certified if loc.kind == "gap"]
             outside = [v for v, loc in certified if loc.kind != "gap"]
             entries.append(
@@ -400,6 +390,22 @@ def eigenvalue_bound_check(
                 )
             )
     return BoundCheckReport(entries=entries, base_green_sum=base_sum, critical_sum=crit)
+
+
+def _glued_spectra(J: JacobiCoeffs, model: GreenModel, sizes, eval_size: int, tail):
+    """Certified off-set eigenvalues of each n-pair head of J glued onto tail.
+
+    The junction coupling is a_n; the default tail is the equilibrium
+    matrix, long enough to certify at eval_size beyond the largest head.
+    """
+    if tail is None:
+        tail = equilibrium_coefficients(model, max(sizes) + 2 * eval_size)
+    return {
+        n: stable_gap_eigenvalues(
+            glue_head(JacobiCoeffs(J.a[:n], J.b[:n]), float(J.a[n - 1]), tail), model, eval_size
+        )
+        for n in sizes
+    }
 
 
 def equilibrium_coefficients(model: GreenModel, n: int, quad_order: int | None = None) -> JacobiCoeffs:
@@ -458,20 +464,13 @@ def theorem_upper_bound(
     if sample_sizes is None:
         sample_sizes = sorted({max(1, n_max // 8), n_max // 4, n_max // 2, n_max})
     eval_size = _eval_size(J, max(sample_sizes), 160)
-    if tail is None:
-        tail = equilibrium_coefficients(model, max(sample_sizes) + 2 * eval_size)
     base = stable_gap_eigenvalues(J, model, eval_size)
     base_sum = eigenvalue_green_sum([v for v, _ in base], model)
-    glued_sums = {}
-    sup_glue = 0.0
-    for n in sample_sizes:
-        head = JacobiCoeffs(J.a[:n], J.b[:n])
-        glued = glue_head(head, float(J.a[n - 1]), tail)
-        eigs = [v for v, _ in stable_gap_eigenvalues(glued, model, eval_size)]
-        gs = eigenvalue_green_sum(eigs, model)
-        glued_sums[n] = gs
-        sup_glue = max(sup_glue, gs)
-    bound_C = 2.0 * base_sum + pw_sum(model) + sup_glue
+    glued_sums = {
+        n: eigenvalue_green_sum([v for v, _ in eigs], model)
+        for n, eigs in _glued_spectra(J, model, sample_sizes, eval_size, tail).items()
+    }
+    bound_C = 2.0 * base_sum + pw_sum(model) + max(0.0, *glued_sums.values())
     bound_Cprime = math.exp(bound_C)
     limit = bound_Cprime * math.exp(0.5 * S) * (1.0 + tol)
     return TheoremReport(

@@ -440,6 +440,43 @@ def test_interlacing_zeros_confined_to_components(model_pm12, je_pm12):
                 assert y > model_pm12.set.beta
 
 
+def test_interlacing_zeros_are_zeros(model_m22, model_pm12, j_perturbed):
+    # dense oracle m_N(x) = sum_k v_1k^2 / (lambda_k - x): every zero inside
+    # its component is a sign change of m_N + eps, and the top zero, escaped
+    # towards 1/eps, is the top eigenvalue of the truncation with b_1 + 1/eps
+    b = np.zeros(300)
+    b[:2] = 1.8, -0.3
+    cases = [
+        (j_perturbed, model_m22, 300),
+        (G.JacobiCoeffs(np.concatenate([[0.7], np.ones(299)]), b), model_pm12, 260),
+    ]
+    rng = np.random.RandomState(5)
+    for _ in range(6):
+        b = np.zeros(300)
+        b[:2] = rng.uniform(-2.2, 2.2), rng.uniform(-1.0, 1.0)
+        a = np.ones(300)
+        a[0] = rng.uniform(0.5, 1.6)
+        cases.append((G.JacobiCoeffs(a, b), model_pm12, 240))
+    inside = tops = 0
+    for J, model, N in cases:
+        prof = G.interlacing_profile(J, model, N)
+        eps = prof.epsilon
+        T = dense_tridiagonal(J, N)
+        lam, vec = np.linalg.eigh(T)
+        f = lambda x: float(np.sum(vec[0] ** 2 / (lam - x))) + eps
+        for i, (y, loc) in enumerate(zip(prof.zeros, prof.locations)):
+            if loc.kind == "right" and i == len(prof.zeros) - 1:
+                T[0, 0] += 1.0 / eps
+                top = np.linalg.eigvalsh(T)[-1]
+                assert abs(y - top) <= 1e-12 * abs(top)
+                tops += 1
+            elif y < (model.set.gaps[loc.index][1] if loc.kind == "gap" else model.set.alpha):
+                d = 1e-9 * max(1.0, abs(y))
+                assert f(y - d) < 0 < f(y + d), (y, loc)
+                inside += 1
+    assert inside > 100 and tops >= 2
+
+
 # ---------------------------------------------------------------------------
 # exchange formats
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ def test_deep_cantor_level_solves():
     assert 0 < m8.capacity < m7.capacity
     assert G.pw_sum(m8) > G.pw_sum(m7)
     for c, (lo, hi) in zip(m8.critical_points, m8.set.gaps):
+        assert lo < c < hi
+
+
+def test_fat_cantor_level_9_solves():
+    # 1022 edges: the gap weights 1/sqrt|R| leave double range, so they stay
+    # logs and meet log|P| only inside one exponent
+    m8 = G.solve_green(G.fat_cantor(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        m9 = G.solve_green(G.fat_cantor(9))
+        assert np.max(np.abs(G.period_residuals(m9))) <= 1e-10
+        assert 0 < m9.capacity < m8.capacity
+        assert G.pw_sum(m9) > G.pw_sum(m8)
+    for c, (lo, hi) in zip(m9.critical_points, m9.set.gaps):
         assert lo < c < hi
 
 
@@ -268,10 +283,10 @@ def test_numerator_sign_matches_explicit_form(model_fat4):
     # on a grid holding every anchor (exact collisions) and every gap edge
     s = model_fat4.set
     anchors = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
-    delta = _period_correction(anchors, model_fat4._gap_nodes, model_fat4._gap_weights)
+    delta = _period_correction(anchors, model_fat4._gap_nodes, model_fat4._gap_log_weights)
     assert np.any(delta != 0.0)
     x = np.unique(np.concatenate([anchors, s.edges, np.linspace(s.alpha, s.beta, 1001)]))
-    bfull, bi = _lagrange_parts(x, anchors)
+    bfull, bi = _lagrange_parts(x, anchors, 0.0)
     explicit = bfull + bi @ delta
     got = _numerator_sign(x, anchors, delta)
     live = explicit != 0.0
