@@ -7,11 +7,14 @@ reorthogonalization is run on the resulting diagonal operator.  Moment
 determinants lose every digit by n ~ 20; Lanczos with reorthogonalization
 is stable to several hundred coefficients in double precision.
 
-Truncation spectra use Sturm-sequence sign counts with bisection, which
-give exact eigenvalue counts per interval and 1e-12 accuracy relative to
-max(1, |x|) without forming dense matrices.  The zeros of the truncated
-m-function are the eigenvalues of a rank-one shift of b_1, so the same
-bisection finds poles and zeros; m_function is the only continued fraction.
+Truncation spectra are seeded from the dense symmetric eigensolver (the
+N x N truncation, O(N^2) memory) and certified by Sturm-sequence sign
+counts, which give exact eigenvalue counts per interval: one sweep checks
+a bracket narrower than 1e-13 * max(1, |x|) around every seed, and
+bisection from the component bracket takes over where a seed fails.  The
+zeros of the truncated m-function are the eigenvalues of a rank-one shift
+of b_1, so the same certification finds poles and zeros; m_function is the
+only continued fraction.
 """
 
 from __future__ import annotations
@@ -368,17 +371,35 @@ def _gershgorin(J: JacobiCoeffs, N: int):
 
 
 def _batch_bisect(J: JacobiCoeffs, N: int, indices, lo, hi) -> np.ndarray:
-    """Bisect many global eigenvalue indices at once, to eigenvalue_abs/10 * max(1, |x|)."""
+    """Certify many global eigenvalue indices at once, to eigenvalue_abs/10 * max(1, |x|).
+
+    Each index is seeded from the dense spectrum of the N x N truncation.
+    One Sturm sweep at seed -/+ eigenvalue_abs/40 * max(1, |seed|) checks
+    count(lo) <= k < count(hi); a certified seed's narrow bracket replaces
+    the component bracket [lo, hi].  Bisection then runs from whatever
+    brackets are held, so an uncertified index bisects from its component
+    bracket and a batch of certified seeds takes no step at all.
+    """
     idx = np.asarray(indices, dtype=int)
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    # lower triangle of the truncation (all eigvalsh reads), filled in place
+    T = np.zeros((N, N))
+    T.flat[:: N + 1] = J.b[:N]
+    T.flat[N :: N + 1] = J.a[: N - 1]
+    seed = np.linalg.eigvalsh(T)[idx]
+    delta = TOLERANCES["eigenvalue_abs"] / 40 * np.maximum(1.0, np.abs(seed))
+    c_lo, c_hi = sturm_count(J, N, np.concatenate([seed - delta, seed + delta])).reshape(2, -1)
+    ok = (c_lo <= idx) & (idx < c_hi)
+    lo = np.where(ok, seed - delta, lo)
+    hi = np.where(ok, seed + delta, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if np.all(hi - lo <= TOLERANCES["eigenvalue_abs"] / 10 * np.maximum(1.0, np.abs(mid))):
+            break
         above = sturm_count(J, N, mid) > idx
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-        if np.all(hi - lo <= TOLERANCES["eigenvalue_abs"] / 10 * np.maximum(1.0, np.abs(mid))):
-            break
     return 0.5 * (lo + hi)
 
 
@@ -412,7 +433,7 @@ def _off_set_brackets(J: JacobiCoeffs, model: GreenModel, N: int):
 def gap_eigenvalues(
     J: JacobiCoeffs, model: GreenModel, N: int
 ) -> list[tuple[float, Location]]:
-    """Eigenvalues of the N-truncation off the set, with locations, bisected in one batch."""
+    """Eigenvalues of the N-truncation off the set, with locations, certified in one batch."""
     found = _off_set_brackets(J, model, N)
     if not found:
         return []
@@ -426,6 +447,10 @@ def stable_gap_eigenvalues(
 ) -> list[tuple[float, Location]]:
     """Gap eigenvalues certified stable across truncation sizes N, N+1, 2N.
 
+    A candidate matches a reference eigenvalue x within tol * (beta - alpha)/4,
+    which is tol on [-2, 2] and moves with E under affine maps, or within
+    eigenvalue_abs * |x| where floating point cannot resolve that window.
+
     Band-resonance artifacts wander when N doubles.  Surface states pinned
     to the truncation wall of a near-periodic sequence survive doubling
     (the wall keeps its phase) but move or vanish when the size changes by
@@ -434,7 +459,8 @@ def stable_gap_eigenvalues(
     if 2 * N > len(J):
         raise ValidationError(f"need length >= {2 * N} to certify at size {N}")
     ref = gap_eigenvalues(J, model, N)
-    others = [gap_eigenvalues(J, model, min(N + 1, 2 * N)), gap_eigenvalues(J, model, 2 * N)]
+    others = [gap_eigenvalues(J, model, N + 1), gap_eigenvalues(J, model, 2 * N)]
+    window = tol * (model.set.beta - model.set.alpha) / 4
     keep = set(range(len(ref)))
     for ee in others:
         # injective matching: a candidate certifies at most one reference
@@ -443,11 +469,12 @@ def stable_gap_eigenvalues(
         matched = set()
         i = j = 0
         while i < len(ref) and j < len(cand):
-            if abs(ref[i][0] - cand[j]) <= tol:
+            w = max(window, TOLERANCES["eigenvalue_abs"] * abs(ref[i][0]))
+            if abs(ref[i][0] - cand[j]) <= w:
                 matched.add(i)
                 i += 1
                 j += 1
-            elif cand[j] < ref[i][0] - tol:
+            elif cand[j] < ref[i][0] - w:
                 j += 1
             else:
                 i += 1
@@ -599,8 +626,8 @@ def interlacing_profile(
 
     det(J + c e1 e1^T - x) = det(J - x)(1 + c m(x)), so with c = 1/eps the
     zeros of m + eps are the eigenvalues of the truncation with b_1 raised
-    by 1/eps, the k-th between poles k and k+1; one batch bisection finds
-    them at the pole indices.  A zero that escaped into the next band is
+    by 1/eps, the k-th between poles k and k+1; one batch certification
+    finds them at the pole indices.  A zero that escaped into the next band is
     recorded at the right end of its pole's component.
     """
     if epsilon <= 0:

@@ -55,7 +55,7 @@ _GAP_COUNT_SWITCH = 15
 TOLERANCES = {
     "period_residual": 1e-10,  # max |period residual| after solve_green
     "quadrature_mass": 1e-10,  # |total equilibrium weight - 1|
-    "eigenvalue_abs": 1e-12,  # bisection brackets close to a tenth of this * max(1, |x|)
+    "eigenvalue_abs": 1e-12,  # certified brackets close to a tenth of this * max(1, |x|)
     "eigenvalue_stability": 1e-8,  # matching across truncation sizes
 }
 

@@ -1,11 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gaplab as G
+from gaplab import jacobi
 from gaplab.errors import ValidationError
 from gaplab.jacobi import sturm_count
+from gaplab.potential import TOLERANCES
+
+STOP = TOLERANCES["eigenvalue_abs"] / 10  # bisection stop, relative to max(1, |x|)
 
 
 def dense_tridiagonal(J, N):
@@ -239,6 +244,68 @@ def test_stable_filtering_drops_wall_states(model_pm12, je_pm12):
     certified = G.stable_gap_eigenvalues(stripped, model_pm12, 180)
     assert len(raw) == 2  # genuine left state plus truncation-wall state
     assert len(certified) == 1
+
+
+def test_stable_gap_eigenvalues_affine_covariant(model_pm12, je_pm12):
+    # b -> s b + t, a -> s a with E mapped alike: the certified count and
+    # locations stay, and the values map.  On the 25-times stripped fixture,
+    # sizes 27 and 34 reject a state that moves ~1e-8 between sizes (a
+    # window growing with |x| would keep it); 41 and 48 keep one that an
+    # absolute window drops at |x| ~ 1e9; 180 drops the truncation-wall state.
+    s, t = 1e6, 1e9
+    mapped = G.solve_green(G.make_gapset(-2 * s + t, 2 * s + t, [(-s + t, s + t)]),
+                           quad_order=240)
+    for k, N in [(0, 41), (25, 27), (25, 34), (25, 41), (25, 48), (25, 180)]:
+        J = G.strip(je_pm12, k)
+        ref = G.stable_gap_eigenvalues(J, model_pm12, N)
+        got = G.stable_gap_eigenvalues(G.JacobiCoeffs(s * J.a, s * J.b + t), mapped, N)
+        assert [loc for _, loc in got] == [loc for _, loc in ref], (k, N)
+        for (x, _), (y, _) in zip(ref, got):
+            assert abs((y - t) / s - x) <= TOLERANCES["eigenvalue_abs"] * abs(y) / s
+
+
+def test_free_truncation_eigenvalues_closed_form(j_free):
+    # LAPACK-free oracle at the CLI's largest certification size
+    N = 400
+    exact = np.sort(2 * np.cos(np.arange(1, N + 1) * math.pi / (N + 1)))
+    got = G.truncation_eigenvalues(j_free, N)
+    assert np.all(np.abs(got - exact) <= STOP * np.maximum(1.0, np.abs(exact)))
+
+
+def _perturb_seeds(monkeypatch, shift):
+    """Move the k-th dense seed jacobi reads by 1e-6 * shift(k)."""
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def fake(T):
+        w = eigvalsh(T)
+        calls.append(len(w))
+        return w + 1e-6 * shift(np.arange(len(w)))
+
+    monkeypatch.setattr(jacobi.np.linalg, "eigvalsh", fake)
+    return calls
+
+
+# every other seed up (a mixed batch), then every seed down (all rejected):
+# each side of the certifying bracket must catch a bad seed
+@pytest.mark.parametrize("shift", [lambda k: k % 2, lambda k: -np.ones(len(k))],
+                         ids=["mixed", "all_rejected"])
+def test_rejected_seeds_fall_back_to_bisection(monkeypatch, model_m22, je_pm12, shift):
+    b = np.zeros(460)
+    b[0], b[5] = 2.5, -2.5  # one eigenvalue below the set (index 0), one above (index N-1)
+    J = G.JacobiCoeffs(np.ones(460), b)
+    N = 250
+    want_gap = G.gap_eigenvalues(J, model_m22, N)
+    assert [int(sturm_count(J, N, v)[0]) for v, _ in want_gap] == [0, N - 1]
+    want_all = G.truncation_eigenvalues(je_pm12, 60)
+    calls = _perturb_seeds(monkeypatch, shift)
+    got_gap = G.gap_eigenvalues(J, model_m22, N)
+    got_all = G.truncation_eigenvalues(je_pm12, 60)
+    assert calls == [N, 60]
+    assert [loc for _, loc in got_gap] == [loc for _, loc in want_gap]
+    for want, got in [([v for v, _ in want_gap], [v for v, _ in got_gap]), (want_all, got_all)]:
+        want, got = np.asarray(want), np.asarray(got)
+        assert np.all(np.abs(got - want) <= STOP * np.maximum(1.0, np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +542,66 @@ def test_interlacing_zeros_are_zeros(model_m22, model_pm12, j_perturbed):
                 assert f(y - d) < 0 < f(y + d), (y, loc)
                 inside += 1
     assert inside > 100 and tops >= 2
+
+
+def _assert_sturm_certified(J, N, values, indices):
+    """count(x_k - d) <= k < count(x_k + d) with d the bisection stop at x_k."""
+    x = np.asarray(values, dtype=float)
+    k = np.asarray(indices)
+    d = STOP * np.maximum(1.0, np.abs(x))
+    assert np.all(sturm_count(J, N, x - d) <= k) and np.all(k < sturm_count(J, N, x + d))
+
+
+def _component_indices(J, model, N, locations):
+    """Global index of each off-set eigenvalue from its component's lower count."""
+    s = model.set
+    lower = {"left": -np.inf, "right": s.beta}
+    seen = {}
+    out = []
+    for loc in locations:
+        lo = s.gaps[loc.index][0] if loc.kind == "gap" else lower[loc.kind]
+        out.append(int(sturm_count(J, N, lo)[0]) + seen.get(loc, 0))
+        seen[loc] = seen.get(loc, 0) + 1
+    return out
+
+
+def test_returned_eigenvalues_are_sturm_certified(model_m22, model_pm12, je_pm12, j_perturbed):
+    for N in (13, 50, 200):
+        _assert_sturm_certified(je_pm12, N, G.truncation_eigenvalues(je_pm12, N), np.arange(N))
+    stripped = G.strip(je_pm12, 25)
+    found = 0
+    for J, N in [(je_pm12, 51), (je_pm12, 230), (stripped, 180), (stripped, 360)]:
+        eigs = G.gap_eigenvalues(J, model_pm12, N)
+        locs = [loc for _, loc in eigs]
+        _assert_sturm_certified(J, N, [v for v, _ in eigs], _component_indices(J, model_pm12, N, locs))
+        found += len(eigs)
+    assert found >= 4
+    # the interlacing battery: poles, and unclipped zeros on the shifted matrix
+    b = np.zeros(300)
+    b[:2] = 1.8, -0.3
+    cases = [
+        (j_perturbed, model_m22, 300),
+        (G.JacobiCoeffs(np.concatenate([[0.7], np.ones(299)]), b), model_pm12, 260),
+    ]
+    rng = np.random.RandomState(5)
+    for _ in range(6):
+        b = np.zeros(300)
+        b[:2] = rng.uniform(-2.2, 2.2), rng.uniform(-1.0, 1.0)
+        a = np.ones(300)
+        a[0] = rng.uniform(0.5, 1.6)
+        cases.append((G.JacobiCoeffs(a, b), model_pm12, 240))
+    zeros = 0
+    for J, model, N in cases:
+        prof = G.interlacing_profile(J, model, N)
+        idx = _component_indices(J, model, N, prof.locations)
+        _assert_sturm_certified(J, N, prof.poles, idx)
+        ends = [model.set.gaps[loc.index][1] if loc.kind == "gap" else
+                model.set.alpha if loc.kind == "left" else np.inf for loc in prof.locations]
+        free = [i for i, (y, e) in enumerate(zip(prof.zeros, ends)) if y < e]
+        shifted = replace(J, b=np.concatenate([[J.b[0] + 1.0 / prof.epsilon], J.b[1:]]))
+        _assert_sturm_certified(shifted, N, prof.zeros[free], np.asarray(idx)[free])
+        zeros += len(free)
+    assert zeros > 100
 
 
 # ---------------------------------------------------------------------------
