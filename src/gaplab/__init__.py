@@ -19,7 +19,6 @@ from .potential import (
     GreenModel,
     critical_points,
     equilibrium_density,
-    equilibrium_m_boundary,
     equilibrium_quadrature,
     gap_derivative_l1,
     green_value,

@@ -78,13 +78,18 @@ def parse_measure_spec(spec, model):
     obj = _decode_spec(spec, "measure")
     if not isinstance(obj, dict):
         raise ValidationError(f"measure spec must be a JSON object, got {obj!r}")
-    factor = WeightSpec.from_dict(obj.get("factor", {"form": "const", "value": 1.0}))
-    return make_measure(
-        model,
-        factor,
-        mode=obj.get("mode", "relative"),
-        point_masses=[tuple(pm) for pm in obj.get("masses", [])],
-    )
+    try:
+        factor = WeightSpec.from_dict(obj.get("factor", {"form": "const", "value": 1.0}))
+        return make_measure(
+            model,
+            factor,
+            mode=obj.get("mode", "relative"),
+            point_masses=[tuple(pm) for pm in obj.get("masses", [])],
+        )
+    except ValidationError:
+        raise
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed measure spec {spec!r}: {exc!r}") from exc
 
 
 def emit_plotdata(series: dict, path: str) -> None:

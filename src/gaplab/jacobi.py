@@ -33,9 +33,7 @@ from .potential import (
     GreenModel,
     TOLERANCES,
     _band_cheb,
-    _band_theta,
     _f_e,
-    _glauert_pv,
     _leggauss,
     equilibrium_quadrature,
     green_value,
@@ -156,6 +154,12 @@ class MeasureModel:
             _band_cheb(self.model, k, self.quad.order, self.weight)
             for k in range(len(self.set.bands))
         )
+
+    @cached_property
+    def _ac_rule_model(self):
+        # per-band a.c. nodes and weights on the model's own rule, which
+        # measure_m_boundary sums over every band but the point's own
+        return _ac_rule(self.model, self.weight, self.mode, self.model.quad)
 
     def weight_value(self, t):
         return np.asarray(self.weight(np.asarray(t, dtype=float)), dtype=float)
@@ -555,40 +559,59 @@ def stripped_boundary_density(
     return m1, m1.imag / math.pi
 
 
-def measure_m_boundary(mu: MeasureModel, t: float) -> complex:
-    """Boundary value m_mu(t + i0) at an interior band point.
+def measure_m_boundary(mu: MeasureModel, t):
+    """Boundary values m_mu(t + i0) at interior points of one band.
 
-    The principal value over the own band uses singularity subtraction: in
-    relative mode through the Glauert identity on the Chebyshev expansion
-    of w * f_E, in absolute mode by subtracting w(t) and integrating the
-    smooth difference quotient.  Point masses add their real poles.
+    t is a scalar, giving a complex, or an array of points inside one band,
+    giving a complex array of its shape; every term below is formed once
+    for the whole array.  The principal value over the own band uses
+    singularity subtraction: in relative mode through the Glauert identity
+    PV int_0^pi cos(m u)/(cos u - cos a) du = pi sin(m a)/sin(a) on the
+    Chebyshev expansion of w * f_E, in absolute mode by subtracting w(t)
+    and integrating the smooth difference quotient.  The other bands are
+    summed over the measure's a.c. rule, point masses add their real
+    poles, and the imaginary part is pi times the density.
     """
     model = mu.model
-    loc = locate(model.set, t)
+    ts = np.asarray(t, dtype=float).ravel()
+    if ts.size == 0:
+        return np.empty(np.shape(t), dtype=complex)
+    loc = locate(model.set, float(ts[0]))
     if loc.kind != "band":
         raise ValidationError(f"boundary values are taken on bands, got {loc.kind}")
     k = loc.index
-    theta_t, r = _band_theta(model, t, k)
+    lo, hi = model.set.bands[k]
+    c, r = (lo + hi) / 2, (hi - lo) / 2
+    xt = (ts - c) / r
+    inside = np.abs(xt) < 1.0
+    if not np.all(inside):
+        raise ValidationError(
+            f"boundary values are taken inside one band: {float(ts[~inside][0])!r} is an "
+            f"edge of or outside band {k} {model.set.bands[k]}"
+        )
     if mu.mode == "relative":
-        re = mu.normalization * _glauert_pv(mu._band_wphi_cheb[k], theta_t, r)
+        theta = np.arccos(xt)
+        coefs = mu._band_wphi_cheb[k]
+        sines = np.sin(theta[:, None] * np.arange(len(coefs)))
+        re = mu.normalization * (np.pi / r * np.sum(coefs * sines, axis=1) / np.sin(theta))
     else:
         xg, wg = _leggauss(model.quad_order)
-        lo, hi = model.set.bands[k]
-        c = (lo + hi) / 2
-        xt = (t - c) / r
         W = mu.weight_value(c + r * xg)
-        Wt = float(mu.weight_value(np.array([t]))[0])
-        diff = np.where(xg == xt, 0.0, (W - Wt) / np.where(xg == xt, 1.0, xg - xt))
+        Wt = mu.weight_value(ts)
+        d = xg - xt[:, None]
+        hit = d == 0.0
+        diff = np.where(hit, 0.0, (W - Wt[:, None]) / np.where(hit, 1.0, d))
         re = mu.normalization * (
-            float(np.sum(wg * diff)) + Wt * math.log((1 - xt) / (1 + xt))
+            np.sum(wg * diff, axis=1) + Wt * np.log((1 - xt) / (1 + xt))
         )
-    nodes, ac_weights = _ac_rule(model, mu.weight, mu.mode, model.quad)
-    for kk, (sn, wn) in enumerate(zip(nodes, ac_weights)):
+    for kk, (sn, wn) in enumerate(zip(*mu._ac_rule_model)):
         if kk != k:
-            re += mu.normalization * float(np.sum(wn / (sn - t)))
+            re += mu.normalization * np.sum(wn / (sn - ts[:, None]), axis=1)
     for x, m in mu.point_masses:
-        re += m / (x - t)
-    return complex(re, math.pi * float(mu.density(t)))
+        re += m / (x - ts)
+    out = re.astype(complex)
+    out.imag = np.pi * mu.density(ts)
+    return complex(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,7 @@ The period weights, which have no root factors, stay logs until they
 meet log|P|.  Singular integrals
 are tamed by the cosine substitution t = c + r*cos(theta) (gap and band
 versions), which cancels the inverse-square-root edge behaviour exactly,
-and on the unbounded components by t = e +/- s^2.  The own-band Chebyshev
-fits of the density, read only by equilibrium_m_boundary, are built on
-first use.
+and on the unbounded components by t = e +/- s^2.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -137,10 +135,6 @@ class EquilibriumQuadrature:
     order: int
 
     @property
-    def all_nodes(self) -> np.ndarray:
-        return np.concatenate(self.nodes)
-
-    @property
     def all_weights(self) -> np.ndarray:
         return np.concatenate(self.weights)
 
@@ -155,9 +149,7 @@ class GreenModel:
     The numerator polynomial is monic with one root per gap; those roots
     are the critical points, so critical_points doubles as the polynomial
     representation.  All quadrature tables are precomputed so that
-    evaluation operations are pure reads, apart from the own-band density
-    fits, which only equilibrium_m_boundary reads and which are built on
-    its first call.
+    evaluation operations are pure reads.
     """
 
     set: GapSet
@@ -170,10 +162,6 @@ class GreenModel:
     # per-gap period-integral tables; treated as private
     _gap_nodes: tuple[np.ndarray, ...]
     _gap_log_weights: tuple[np.ndarray, ...]
-
-    @cached_property
-    def _band_density_cheb(self) -> tuple[np.ndarray, ...]:
-        return tuple(_band_cheb(self, k, self.quad_order) for k in range(len(self.set.bands)))
 
 
 def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
@@ -443,7 +431,7 @@ def equilibrium_quadrature(model: GreenModel, order: int) -> EquilibriumQuadratu
     return _band_rule(model.set, model.critical_points, order)
 
 
-def _band_cheb(model: GreenModel, k: int, order: int, weight=None) -> np.ndarray:
+def _band_cheb(model: GreenModel, k: int, order: int, weight: Callable) -> np.ndarray:
     """Chebyshev fit in x = (t - c)/r of w * f_E * r sin(theta) on band k.
 
     Leaving the band's own edge factors out of f_E makes the fitted
@@ -455,48 +443,9 @@ def _band_cheb(model: GreenModel, k: int, order: int, weight=None) -> np.ndarray
     def phi(x):
         t = c + r * np.asarray(x, dtype=float)
         v = np.abs(_g_prime(t, model.critical_points, model.edges, (2 * k, 2 * k + 1))) / np.pi
-        return v if weight is None else np.asarray(weight(t), dtype=float) * v
+        return np.asarray(weight(t), dtype=float) * v
 
     return C.chebinterpolate(phi, min(order, 400))
-
-
-def _band_theta(model: GreenModel, t: float, k: int):
-    lo, hi = model.set.bands[k]
-    return _theta(lo, hi, t), (hi - lo) / 2
-
-
-def _glauert_pv(coefs: np.ndarray, theta_t: float, r: float) -> float:
-    """PV integral of a cosine series against 1/(cos th - cos th_t).
-
-    Uses the classical identity
-        PV int_0^pi cos(m th) / (cos th - cos a) dth = pi sin(m a) / sin(a),
-    so a principal value over one band costs one sine series evaluation.
-    """
-    m = np.arange(len(coefs))
-    st = math.sin(theta_t)
-    if st == 0.0:
-        raise ValidationError("principal value undefined at a band edge")
-    return float(np.pi / r * np.sum(coefs * np.sin(m * theta_t)) / st)
-
-
-def equilibrium_m_boundary(model: GreenModel, t: float) -> complex:
-    """Boundary value m_E(t + i0) at an interior band point.
-
-    Real part: principal value of the equilibrium density against 1/(s-t),
-    own band via the Glauert identity on its Chebyshev expansion, other
-    bands by equilibrium quadrature.  Imaginary part: pi * density.
-    """
-    loc = locate(model.set, t)
-    if loc.kind != "band":
-        raise ValidationError(f"boundary values are taken on bands, got {loc.kind}")
-    k = loc.index
-    theta_t, r = _band_theta(model, t, k)
-    re = _glauert_pv(model._band_density_cheb[k], theta_t, r)
-    for kk in range(len(model.set.bands)):
-        if kk == k:
-            continue
-        re += float(np.sum(model.quad.weights[kk] / (model.quad.nodes[kk] - t)))
-    return complex(re, math.pi * equilibrium_density(model, t))
 
 
 def interval_stieltjes(alpha: float, beta: float, x: complex) -> complex:

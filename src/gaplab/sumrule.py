@@ -143,17 +143,23 @@ def _log_integral(model: GreenModel, quad: EquilibriumQuadrature, band_values) -
     return total - model.robin * sum(exps.values())
 
 
-def _density_log_integral(mu: MeasureModel, quad: EquilibriumQuadrature) -> float:
-    """integral of log f dmu_E for the measure's own density; -inf if f hits 0."""
+def _node_densities(mu: MeasureModel, quad: EquilibriumQuadrature):
+    """Per-band density of mu at the nodes of quad; None if it vanishes at one."""
     vals = []
     for t in quad.nodes:
         f = np.asarray(mu.density(t), dtype=float)
         if np.any(f < 0):
             raise ValidationError("density is negative at a quadrature node")
         if np.any(f == 0):
-            return NEG_INF
+            return None
         vals.append(f)
-    return _log_integral(mu.model, quad, vals)
+    return vals
+
+
+def _density_log_integral(mu: MeasureModel, quad: EquilibriumQuadrature) -> float:
+    """integral of log f dmu_E for the measure's own density; -inf if f hits 0."""
+    vals = _node_densities(mu, quad)
+    return NEG_INF if vals is None else _log_integral(mu.model, quad, vals)
 
 
 def szego_integral(mu: MeasureModel, quad: EquilibriumQuadrature | None = None) -> float:
@@ -198,14 +204,10 @@ def relative_entropy(
     """
     model = mu.model if model is None else model
     quad = mu.quad if quad is None else quad
-    vals = []
-    for t in quad.nodes:
-        f = np.asarray(mu.density(t), dtype=float)
-        if np.any(f < 0):
-            raise ValidationError("density is negative at a quadrature node")
-        if np.any(f == 0):
-            return NEG_INF
-        vals.append(f / _f_e(model, t))
+    vals = _node_densities(mu, quad)
+    if vals is None:
+        return NEG_INF
+    vals = [f / _f_e(model, t) for f, t in zip(vals, quad.nodes)]
     total = _log_integral(model, quad, vals)
     if total > 1e-6:
         raise NumericalError(f"relative entropy came out positive ({total}); check weights")
@@ -232,21 +234,22 @@ def _eval_size(J: JacobiCoeffs, used: int, cap: int) -> int:
 
 
 def _stripped_densities(mu: MeasureModel, J: JacobiCoeffs, n: int):
-    """Node values of f and f_n via n pointwise stripping steps of m(t+i0)."""
-    quad = mu.quad
-    f_vals, fn_vals = [], []
-    for t_arr in quad.nodes:
-        m = np.array([measure_m_boundary(mu, float(t)) for t in t_arr])
-        f = m.imag / math.pi
+    """Node values of f_n: n stripping steps of m(t+i0), one array per band.
+
+    A step that leaves Im m <= 0 anywhere is a numerical failure; f > 0 at
+    every node, which a finite S(mu) guarantees, starts the recursion.
+    """
+    fn_vals = []
+    for t in mu.quad.nodes:
+        m = measure_m_boundary(mu, t)
         for k in range(n):
+            m = (J.b[k] - t - 1.0 / m) / (J.a[k] ** 2)
             if np.any(m.imag <= 0):
                 raise NumericalError(
                     f"stripping step {k + 1} produced a non-Herglotz boundary value"
                 )
-            m = (J.b[k] - t_arr - 1.0 / m) / (J.a[k] ** 2)
-        f_vals.append(f)
         fn_vals.append(m.imag / math.pi)
-    return f_vals, fn_vals
+    return fn_vals
 
 
 def n_step_sum_rule(
@@ -268,7 +271,7 @@ def n_step_sum_rule(
     gsum_J = eigenvalue_green_sum([v for v, _ in eig_J], model)
     gsum_n = eigenvalue_green_sum([v for v, _ in eig_n], model)
 
-    f_vals, fn_vals = _stripped_densities(mu, J, n)
+    s_mu = relative_entropy(mu, model, quad)
     set_hash, measure_hash = _provenance(mu)
     c_formula = 2.0 * gsum_J + pw_sum(model)
     common = dict(
@@ -276,14 +279,15 @@ def n_step_sum_rule(
         bound_Cprime=math.exp(c_formula), set_hash=set_hash, measure_hash=measure_hash,
         quad_order=quad.order,
     )
-    if any(np.any(f <= 0) for f in f_vals + fn_vals):
+    if s_mu == NEG_INF:
         return SumRuleReport(
             entropy_mu=NEG_INF, entropy_strip=NEG_INF, rhs=float("nan"),
             residual=float("nan"), status="inapplicable", **common,
         )
-    fe_vals = [_f_e(model, t) for t in quad.nodes]
-    s_mu = _log_integral(model, quad, [f / fe for f, fe in zip(f_vals, fe_vals)])
-    s_mun = _log_integral(model, quad, [fn / fe for fn, fe in zip(fn_vals, fe_vals)])
+    fn_vals = _stripped_densities(mu, J, n)
+    s_mun = _log_integral(
+        model, quad, [fn / _f_e(model, t) for fn, t in zip(fn_vals, quad.nodes)]
+    )
     rhs = (gsum_J - gsum_n) + 0.5 * (s_mu - s_mun)
     return SumRuleReport(
         entropy_mu=s_mu, entropy_strip=s_mun, rhs=rhs, residual=lhs - rhs, **common

@@ -168,7 +168,20 @@ def test_emit_plotdata_validation(tmp_path):
     ["--command", "capacity", "--set", "fat_cantor:x"],
     ["--command", "capacity", "--set", "[1,2]"],
     ["--command", "green", "--set", '{"alpha": -2, "beta": 2}', "--points", "0.5,abc"],
-], ids=["cantor_level", "set_not_object", "points_not_numbers"])
+    *[
+        ["--command", "coeffs", "--set", '{"alpha": -2, "beta": 2}', "--n", "3", "--measure", m]
+        for m in (
+            '{"factor": "x"}', '{"factor": 5}', '{"masses": [[3.0]]}',
+            '{"masses": [["a", 0.1]]}', '{"masses": 3}',
+            '{"factor": {"form": "poly", "coef": "abc"}}',
+            '{"factor": {"form": "poly", "coef": []}}',
+            '{"factor": {"form": "const", "value": "x"}}',
+            '{"factor": {"form": "indicator", "support": [1, 2]}}',
+        )
+    ],
+], ids=["cantor_level", "set_not_object", "points_not_numbers", "factor_string",
+        "factor_number", "mass_one_entry", "mass_not_number", "masses_number",
+        "poly_coef_string", "poly_coef_empty", "const_value_string", "indicator_flat"])
 def test_malformed_inputs_are_validation_errors(args, capsys):
     assert cli.main(args) == 1
     err = capsys.readouterr().err

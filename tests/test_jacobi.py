@@ -450,6 +450,30 @@ def test_measure_m_boundary_point_mass(model_m22):
     assert got.imag == pytest.approx(0.75 * base.imag, abs=1e-12)
 
 
+def test_measure_m_boundary_array_matches_scalar(model_fat3, model_pm12):
+    measures = [
+        G.make_measure(
+            model_fat3, G.WeightSpec("poly", {"coef": [1.0, 0.5]}), point_masses=[(0.3, 0.1)]
+        ),
+        G.make_measure(model_pm12, G.WeightSpec("const", {"value": 1.0}), mode="absolute"),
+    ]
+    for mu in measures:
+        for t in mu.model.quad.nodes:
+            got = G.measure_m_boundary(mu, t)
+            assert got.shape == t.shape and got.dtype == complex
+            want = np.array([G.measure_m_boundary(mu, float(x)) for x in t])
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_measure_m_boundary_array_domain_errors(model_pm12):
+    # a gap point, two bands, a band edge, points off the set; in both modes
+    lebesgue = G.WeightSpec("const", {"value": 1.0})
+    for mu in (G.make_measure(model_pm12), G.make_measure(model_pm12, lebesgue, "absolute")):
+        for t in ([1.5, 0.0], [1.2, -1.5], [1.5, 2.0], 1.0, 2.0, 0.0, 3.0):
+            with pytest.raises(ValidationError):
+                G.measure_m_boundary(mu, np.array(t))
+
+
 # ---------------------------------------------------------------------------
 # interlacing profile
 

@@ -126,10 +126,11 @@ def test_equilibrium_density_symmetry(model_pm12):
 
 def test_equilibrium_density_two_interval_closed_form(model_pm12):
     # pushforward through y = t^2: f_E(t) = |t| / (pi sqrt((t^2-1)(4-t^2)))
+    mu = G.make_measure(model_pm12)
     for t in (1.2, 1.5, 1.9, -1.35):
         want = abs(t) / (math.pi * math.sqrt((t * t - 1) * (4 - t * t)))
         assert G.equilibrium_density(model_pm12, t) == pytest.approx(want, abs=1e-10)
-        mb = G.equilibrium_m_boundary(model_pm12, t)
+        mb = G.measure_m_boundary(mu, t)
         assert mb.imag == pytest.approx(math.pi * want, abs=1e-9)
 
 
@@ -152,18 +153,20 @@ def test_equilibrium_quadrature_moments(model_m22, model_pm12, model_fat3):
 
 
 def test_equilibrium_m_boundary_interval(model_m22):
+    mu = G.make_measure(model_m22)
     for t, want in ((0.0, 0.5j), (1.0, 1j / math.sqrt(3))):
-        got = G.equilibrium_m_boundary(model_m22, t)
+        got = G.measure_m_boundary(mu, t)
         assert abs(got.real) <= 1e-6
         assert got.imag == pytest.approx(want.imag, abs=1e-10)
 
 
 def test_reflectionless_on_bands(model_pm12, model_fat3):
     for model in (model_pm12, model_fat3):
+        mu = G.make_measure(model)
         for lo, hi in model.set.bands:
             for i in range(10):
                 t = lo + (hi - lo) * (i + 0.5) / 10
-                mb = G.equilibrium_m_boundary(model, t)
+                mb = G.measure_m_boundary(mu, t)
                 assert abs(mb.real) / mb.imag <= 1e-4
                 assert mb.imag == pytest.approx(math.pi * G.equilibrium_density(model, t), abs=1e-8)
 

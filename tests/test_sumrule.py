@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gaplab as G
+from gaplab import cli
 from gaplab.errors import ValidationError
 
 
@@ -155,6 +156,49 @@ def test_n_step_three_band_asymmetric():
         assert abs(rep.residual) <= 1e-8
     rep8 = G.n_step_sum_rule(J, mu, model, 8)
     assert abs(rep8.residual) <= 2e-2
+
+
+NON_SZEGO_WEIGHTS = {
+    "indicator": {"form": "indicator", "support": [[-2, -1], [1, 1.5]]},
+    "edge_essential_zero": {"form": "exp_inv_abs", "center": 2.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SZEGO_WEIGHTS))
+def test_non_szego_sum_rule_is_inapplicable(name, model_pm12, tmp_path):
+    # S(mu) = -inf: the report says so before any boundary value is stripped
+    factor = NON_SZEGO_WEIGHTS[name]
+    mu = G.make_measure(model_pm12, G.WeightSpec.from_dict(factor), mode="relative")
+    J = G.coefficients_from_measure(mu, 240, quad_order=480)
+    rep = G.n_step_sum_rule(J, mu, model_pm12, 2)
+    assert rep.status == "inapplicable"
+    assert rep.entropy_mu == rep.entropy_strip == float("-inf")
+    assert math.isnan(rep.rhs) and math.isnan(rep.residual)
+    out = tmp_path / "o.json"
+    code = cli.main([
+        "--command", "sumrule", "--set", '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}',
+        "--measure", json.dumps({"mode": "relative", "factor": factor}), "--n", "2",
+        "--format", "json", "--out", str(out),
+    ])
+    assert code == 0
+    obj = json.loads(out.read_text())
+    row = dict(zip(obj["columns"], obj["rows"][0]))
+    assert row["status"] == "inapplicable"
+    assert row["entropy_mu"] == row["entropy_strip"] == float("-inf")
+    assert math.isnan(row["rhs"]) and math.isnan(row["residual"])
+
+
+def test_sum_rule_entropy_is_relative_entropy(model_pm12):
+    # one entropy path: S(mu) in the report is relative_entropy(mu) itself
+    measures = [
+        G.make_measure(model_pm12, G.WeightSpec("poly", {"coef": [1, 0, 0.3]})),
+        G.make_measure(model_pm12, G.WeightSpec("const", {"value": 1.0}), mode="absolute"),
+    ]
+    for mu in measures:
+        J = G.coefficients_from_measure(mu, 240, quad_order=480)
+        rep = G.n_step_sum_rule(J, mu, model_pm12, 4)
+        assert rep.status == "ok"
+        assert rep.entropy_mu == G.relative_entropy(mu)
 
 
 def test_sum_rule_affine_invariance(j_chebyshev, mu_arcsine, model_m22):
