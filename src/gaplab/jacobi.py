@@ -83,6 +83,21 @@ class JacobiCoeffs:
 # measure models
 
 
+# numeric parameters per weight form: what each must be, and its shape test
+_NUMBER = ("a number", lambda a: a.ndim == 0)
+_COEFS = ("a non-empty list of numbers", lambda a: a.ndim == 1 and a.size > 0)
+_PAIRS = ("a non-empty list of [lo, hi] pairs",
+          lambda a: a.ndim == 2 and a.shape[0] > 0 and a.shape[1] == 2)
+_WEIGHT_PARAMS = {
+    "const": {"value": _NUMBER},
+    "poly": {"coef": _COEFS},
+    "exprat": {"num": _COEFS, "den": _COEFS},
+    "exp_inv_abs": {"center": _NUMBER, "strength": _NUMBER},
+    "indicator": {"support": _PAIRS},
+}
+_OPTIONAL_WEIGHT_PARAMS = {"strength"}
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Serializable weight factor; form in {const, poly, exprat, exp_inv_abs,
@@ -92,6 +107,28 @@ class WeightSpec:
 
     form: str
     params: dict
+
+    def __post_init__(self):
+        # checked here, so a malformed factor is a ValidationError when it is
+        # built, not a raw IndexError or ValueError inside a quadrature
+        if self.form not in _WEIGHT_PARAMS:
+            raise ValidationError(f"unknown weight form {self.form!r}")
+        if not isinstance(self.params, dict):
+            raise ValidationError(f"weight params must be a dict, got {self.params!r}")
+        for name, (what, shape_ok) in _WEIGHT_PARAMS[self.form].items():
+            if name not in self.params:
+                if name in _OPTIONAL_WEIGHT_PARAMS:
+                    continue
+                raise ValidationError(f"{self.form} weight needs {name!r}")
+            value = self.params[name]
+            try:
+                arr = np.asarray(value, dtype=float)
+            except (TypeError, ValueError):
+                arr = None
+            if arr is None or not shape_ok(arr) or not np.all(np.isfinite(arr)):
+                raise ValidationError(
+                    f"{self.form} weight {name!r} must be {what}, finite; got {value!r}"
+                )
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -121,8 +158,7 @@ class WeightSpec:
     @staticmethod
     def from_dict(obj: dict) -> "WeightSpec":
         obj = dict(obj)
-        form = obj.pop("form")
-        return WeightSpec(form, obj)
+        return WeightSpec(obj.pop("form", None), obj)
 
 
 @dataclass(frozen=True)

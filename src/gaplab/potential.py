@@ -15,10 +15,10 @@ space; coefficient bases degrade catastrophically once tiny Cantor gaps
 cluster.  The conditions are linear in a Lagrange-type correction basis
 anchored at the current root guesses, which keeps the linear systems
 near-diagonal; two solve passes (midpoints, then the found roots) reach
-machine-level period residuals.  Each pass locates the new roots by one
-array bisection over all gaps that reads only the sign of the corrected
-numerator, so no product magnitude is formed; 60 halvings reach the last
-ulp of every gap and no Newton polish follows.
+machine-level period residuals.  Each pass finds the new root in gap j by
+a bracketed Newton step on the deflated numerator P/B_j, with
+B_j = prod_{k != j}(t - m_k) free of zeros on gap j, so no product
+magnitude is formed; a step that leaves the bracket becomes its midpoint.
 
 Every weight, density and Green integral is g' itself with the edge
 factors its substitution cancels left out, from one primitive
@@ -28,7 +28,10 @@ The period weights, which have no root factors, stay logs until they
 meet log|P|.  Singular integrals
 are tamed by the cosine substitution t = c + r*cos(theta) (gap and band
 versions), which cancels the inverse-square-root edge behaviour exactly,
-and on the unbounded components by t = e +/- s^2.
+and on the unbounded components by t = e +/- s^2.  After the substitution
+a gap integrand is analytic out to the nearest foreign edge, so each gap
+gets the order that edge's Bernstein ellipse needs for 1e-15 (at least
+32); an explicit quad_order sets every order.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -48,6 +51,11 @@ from .realset import GapSet, locate, make_gapset
 DEFAULT_ORDER_SMALL = 200  # nodes per band/gap for up to 15 gaps
 DEFAULT_ORDER_LARGE = 80  # above that, keep 255-gap levels affordable
 _GAP_COUNT_SWITCH = 15
+GAP_ORDER_FLOOR = 32  # smallest per-gap order; also the smallest quad_order
+_GAP_ORDER_CAP = 1024  # largest default per-gap order, to bound a table's size
+_GAP_RULE_TARGET = 1e-15  # error the per-gap orders are sized for
+_SOLVE_PASSES = 6  # cap on linearized period-solve passes
+_ROOT_SWEEPS = 100  # cap on Newton/bisection sweeps per pass
 
 # numeric gates enforced across the package, echoed into CLI JSON metadata
 TOLERANCES = {
@@ -65,6 +73,28 @@ def _leggauss(n: int):
 
 def _default_order(n_gaps: int) -> int:
     return DEFAULT_ORDER_SMALL if n_gaps <= _GAP_COUNT_SWITCH else DEFAULT_ORDER_LARGE
+
+
+def _gap_orders(s: GapSet) -> tuple[int, ...]:
+    """Cosine-rule order per gap for the period tables and the gap arcs.
+
+    Under t = c + r cos(theta) the gap's own edges cancel and P is a
+    polynomial, so the integrand is analytic inside the Bernstein ellipse
+    through the nearest foreign edge, at distance D (the shorter adjacent
+    band): rho = a + sqrt(a^2 - 1), a = 1 + D/r, and the error falls like
+    rho^(-2n).  n = ceil(ln(1/target) / (2 ln rho)), within
+    [GAP_ORDER_FLOOR, _GAP_ORDER_CAP].  The band order is no bound: a wide
+    gap beside a band ~1e-4 its size needs ~600 nodes, where 200 leave a
+    period residual of 2e-6 that no gate sees.
+    """
+    if not s.gaps:
+        return ()
+    lengths = np.diff(s.edges)
+    r = 0.5 * lengths[1::2]
+    u = np.minimum(lengths[0:-1:2], lengths[2::2]) / r  # a - 1
+    log_rho = np.log1p(u + np.sqrt(u * (u + 2.0)))
+    n = np.ceil(-math.log(_GAP_RULE_TARGET) / (2.0 * log_rho))
+    return tuple(int(k) for k in np.clip(n, GAP_ORDER_FLOOR, _GAP_ORDER_CAP))
 
 
 def _log_g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()):
@@ -159,6 +189,9 @@ class GreenModel:
     capacity: float
     quad_order: int
     quad: EquilibriumQuadrature  # the band rule at quad_order
+    gap_orders: tuple[int, ...]  # per-gap order of the period tables and gap arcs
+    solve_passes: int  # linearized period-solve passes run (0: roots given)
+    root_move: float  # largest root change in the last pass; above 1e-14 * diam the cap was hit
     # per-gap period-integral tables; treated as private
     _gap_nodes: tuple[np.ndarray, ...]
     _gap_log_weights: tuple[np.ndarray, ...]
@@ -167,21 +200,28 @@ class GreenModel:
 def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
     """Solve the period conditions and assemble all derived quantities."""
     n_gaps = len(s.gaps)
-    order = _default_order(n_gaps) if quad_order is None else int(quad_order)
-    if order < 32:
-        raise ValidationError("quad_order must be at least 32")
-    gap_nodes, gap_log_weights = _gap_tables(s, order)
+    if quad_order is None:
+        order = _default_order(n_gaps)
+        gap_orders = _gap_orders(s)
+    else:
+        order = int(quad_order)
+        if order < GAP_ORDER_FLOOR:
+            raise ValidationError(f"quad_order must be at least {GAP_ORDER_FLOOR}")
+        gap_orders = (order,) * n_gaps
+    gap_nodes, gap_log_weights = _gap_tables(s, gap_orders)
 
     # relinearize until the roots settle; small gap counts stop after two
     roots = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
-    for _ in range(6 if n_gaps else 0):
+    passes, moved = 0, 0.0
+    while n_gaps and passes < _SOLVE_PASSES:
         delta = _period_correction(roots, gap_nodes, gap_log_weights)
         new_roots = _period_roots(s.gaps, roots, delta)
-        moved = float(np.max(np.abs(new_roots - roots))) if n_gaps else 0.0
+        moved = float(np.max(np.abs(new_roots - roots)))
         roots = new_roots
+        passes += 1
         if moved <= 1e-14 * (s.beta - s.alpha):
             break
-    model = _assemble(s, roots, order, gap_nodes, gap_log_weights)
+    model = _assemble(s, roots, order, gap_orders, passes, moved, gap_nodes, gap_log_weights)
     worst = float(np.max(np.abs(period_residuals(model)))) if n_gaps else 0.0
     if worst > TOLERANCES["period_residual"]:
         raise NumericalError(
@@ -190,15 +230,16 @@ def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
     return model
 
 
-def _gap_tables(s: GapSet, order: int):
+def _gap_tables(s: GapSet, gap_orders):
     """Per-gap cosine-substitution nodes and log weights for the period integrals.
 
-    The weights (pi/order)/sqrt|R| with the gap's own edges cancelled stay
-    logs, log(pi/order) - 1/2 sum_{k not own} log|t - e_k|: past ~500 edges
-    they leave double range, and only their sum with log|P| is formed.
+    Gap j gets gap_orders[j] nodes.  The weights (pi/order)/sqrt|R| with the
+    gap's own edges cancelled stay logs, log(pi/order) - 1/2 sum_{k not own}
+    log|t - e_k|: past ~500 edges they leave double range, and only their
+    sum with log|P| is formed.
     """
     gap_nodes, gap_log_weights = [], []
-    for j, (lo, hi) in enumerate(s.gaps):
+    for j, ((lo, hi), order) in enumerate(zip(s.gaps, gap_orders)):
         t = _cosine_nodes(lo, hi, order)
         _, log_w = _log_g_prime(t, (), s.edges, (2 * j + 1, 2 * j + 2))
         gap_nodes.append(t)
@@ -255,53 +296,69 @@ def _period_correction(anchors, gap_nodes, gap_log_weights) -> np.ndarray:
         raise NumericalError(f"singular period-condition system: {exc}") from exc
 
 
-def _numerator_sign(x: np.ndarray, anchors: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """sign of P(x) = B(x) * (1 + sum_i delta_i / (x - m_i)), vectorized over x.
+def _deflated_numerator(x: np.ndarray, idx: np.ndarray, anchors: np.ndarray, delta: np.ndarray):
+    """f_j(x) = P(x)/B_j(x) and f_j'(x) for gap j = idx[r] at x[r], vectorized.
 
-    Only signs are formed, so nothing over/underflows and no exp is taken.
-    At an exact anchor collision x = m_i only delta_i * B_i(x) survives.
+    With B_j = prod_{k != j}(x - m_k) and P = B + sum_i delta_i B_i,
+
+        f_j(x) = (x - m_j)(1 + sum_{i != j} delta_i/(x - m_i)) + delta_j.
+
+    Every other anchor lies in its own gap and gap closures are disjoint, so
+    B_j has no zero on gap j and f_j has exactly P's root there; no product
+    is formed, so nothing over- or underflows.
     """
     d = x[:, None] - anchors[None, :]
-    zero = d == 0.0
-    # sign of B, or of the deflated B_i at a collision
-    sign_b = np.prod(np.where(zero, 1.0, np.sign(d)), axis=1)
-    corr = 1.0 + np.sum(delta / np.where(zero, np.inf, d), axis=1)
-    hit = np.sum(np.where(zero, delta, 0.0), axis=1)
-    return sign_b * np.where(zero.any(axis=1), np.sign(hit), np.sign(corr))
+    d[np.arange(len(x)), idx] = np.inf  # leave out i = j
+    inv = 1.0 / d
+    s = 1.0 + inv @ delta
+    u = x - anchors[idx]
+    return u * s + delta[idx], s - u * ((inv * inv) @ delta)
 
 
 def _period_roots(gaps, anchors, delta) -> np.ndarray:
-    """Root of the corrected P in every gap by one array bisection.
+    """Root of the corrected P in every gap by a bracketed Newton step on f_j.
 
-    P changes sign across each gap, and 60 halvings of the gap reach its
-    last ulp, so the bisection needs only the sign of P.
+    Each gap keeps a sign-change bracket of f_j, starting from its edges;
+    Newton starts at the anchor, and a step that leaves the bracket becomes
+    the bracket's midpoint.  A gap is done once its step or its bracket is
+    within 2 ulps; one still open after _ROOT_SWEEPS sweeps is an error.
     """
     lo, hi = np.array(gaps, dtype=float).T
-    sign = partial(_numerator_sign, anchors=anchors, delta=delta)
-    fa, fb = sign(lo), sign(hi)
-    # a gap edge can coincide exactly with another gap's anchor (dyadic
-    # Cantor geometry); step inside for a well-defined sign
-    step = 1e-9 * (hi - lo)
-    fa = np.where(fa == 0.0, sign(lo + step), fa)
-    fb = np.where(fb == 0.0, sign(hi - step), fb)
-    # compare signs, never products: P itself sits near 1e-160 on large
-    # Cantor sets, where a product of two values underflows to 0
-    bad = np.flatnonzero((fa == 0.0) | ((fa > 0) == (fb > 0)))
+    active = np.arange(len(lo))
+    f_lo = _deflated_numerator(lo, active, anchors, delta)[0]
+    f_hi = _deflated_numerator(hi, active, anchors, delta)[0]
+    bad = np.flatnonzero(np.sign(f_lo) * np.sign(f_hi) >= 0.0)
     if len(bad):
         glo, ghi = gaps[bad[0]]
         raise NumericalError(
             f"numerator does not change sign over gap ({glo}, {ghi}); "
             "period solve is inconsistent"
         )
-    sa = fa > 0
-    x1, x2 = lo, hi
-    for _ in range(60):
-        mid = 0.5 * (x1 + x2)
-        fm = sign(mid)
-        left = (fm == 0.0) | ((fm > 0) != sa)
-        x2 = np.where(left, mid, x2)
-        x1 = np.where(left, x1, mid)
-    return 0.5 * (x1 + x2)
+    side_hi = np.sign(f_hi)
+    x = np.array(anchors, dtype=float)
+    for _ in range(_ROOT_SWEEPS):
+        xa = x[active]
+        f, fp = _deflated_numerator(xa, active, anchors, delta)
+        left = np.sign(f) == side_hi[active]  # the root lies left of xa
+        lo[active] = np.where(left, lo[active], xa)
+        hi[active] = np.where(left, xa, hi[active])
+        a, b = lo[active], hi[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = xa - f / fp
+        tol = 2.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
+        # a step this short may round onto xa, a bracket end: it converged
+        small = np.abs(newton - xa) <= tol
+        new = np.where((newton > a) & (newton < b), newton, 0.5 * (a + b))
+        new = np.where(small, np.clip(newton, a, b), new)
+        root = f == 0.0
+        x[active] = np.where(root, xa, new)
+        active = active[~(root | small | (b - a <= tol))]
+        if not len(active):
+            return x
+    glo, ghi = gaps[active[0]]
+    raise NumericalError(
+        f"root step did not converge in gap ({glo}, {ghi}) after {_ROOT_SWEEPS} sweeps"
+    )
 
 
 def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
@@ -320,7 +377,7 @@ def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
     return quad
 
 
-def _assemble(s, roots, order, gap_nodes, gap_log_weights) -> GreenModel:
+def _assemble(s, roots, order, gap_orders, passes, moved, gap_nodes, gap_log_weights) -> GreenModel:
     quad = _band_rule(s, roots, order)
     # Robin constant via the potential identity at the probe x0 = beta + diam,
     # one diameter out so the identity is scale-covariant: g(x0) by edge
@@ -339,6 +396,9 @@ def _assemble(s, roots, order, gap_nodes, gap_log_weights) -> GreenModel:
         capacity=h * math.exp(pot - g0),
         quad_order=order,
         quad=quad,
+        gap_orders=tuple(gap_orders),
+        solve_passes=passes,
+        root_move=moved,
         _gap_nodes=tuple(gap_nodes),
         _gap_log_weights=tuple(gap_log_weights),
     )
@@ -356,7 +416,7 @@ def period_residuals(model: GreenModel) -> np.ndarray:
 def _gap_arc(model: GreenModel, j: int, th0: float, th1: float) -> float:
     """|integral of g'| over the gap-j arc theta in [th0, th1] of t = c + r cos(theta)."""
     lo, hi = model.set.gaps[j]
-    xg, wg = _leggauss(model.quad_order)
+    xg, wg = _leggauss(model.gap_orders[j])
     th = 0.5 * (th1 - th0) * (xg + 1.0) + th0
     t = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(th)
     g = _g_prime(t, model.critical_points, model.edges, (2 * j + 1, 2 * j + 2))
@@ -390,8 +450,15 @@ def critical_points(model: GreenModel) -> np.ndarray:
 
 
 def pw_sum(model: GreenModel) -> float:
-    """Sum of g over the critical points (zero for a gapless set)."""
-    return float(sum(green_value(model, c) for c in model.critical_points))
+    """Sum of g over the critical points (zero for a gapless set).
+
+    g(c_j) is the gap-j arc from the right edge to c_j, as green_value
+    takes it, with no search for the gap.
+    """
+    return float(sum(
+        _gap_arc(model, j, 0.0, _theta(lo, hi, c))
+        for j, ((lo, hi), c) in enumerate(zip(model.set.gaps, model.critical_points))
+    ))
 
 
 def gap_derivative_l1(model: GreenModel, j: int) -> float:
@@ -470,6 +537,9 @@ def model_to_json(model: GreenModel) -> str:
             "robin": model.robin,
             "capacity": model.capacity,
             "quad_order": model.quad_order,
+            "gap_orders": list(model.gap_orders),
+            "solve_passes": model.solve_passes,
+            "root_move": model.root_move,
         },
         sort_keys=True,
     )
@@ -479,5 +549,8 @@ def model_from_json(text: str) -> GreenModel:
     obj = json.loads(text)
     s = make_gapset(obj["set"]["alpha"], obj["set"]["beta"], obj["set"]["gaps"])
     order = int(obj["quad_order"])
+    # JSON from before per-gap orders used the band order on every gap
+    gap_orders = tuple(int(n) for n in obj.get("gap_orders", [order] * len(s.gaps)))
     roots = np.asarray(obj["numerator"]["roots"], dtype=float)
-    return _assemble(s, roots, order, *_gap_tables(s, order))
+    return _assemble(s, roots, order, gap_orders, int(obj.get("solve_passes", 0)),
+                     float(obj.get("root_move", 0.0)), *_gap_tables(s, gap_orders))

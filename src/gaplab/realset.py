@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -59,23 +60,22 @@ class GapSet:
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "gaps", gaps)
 
-    @property
+    @cached_property
     def bands(self) -> tuple[tuple[float, float], ...]:
         """Closed complementary intervals, left to right."""
-        points = [self.alpha]
-        for lo, hi in self.gaps:
-            points.extend((lo, hi))
-        points.append(self.beta)
+        points = self.edges.tolist()
         return tuple((points[i], points[i + 1]) for i in range(0, len(points), 2))
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
-        """Sorted band edges e_0 <= ... <= e_{2N+1} as an array."""
+        """Sorted band edges e_0 <= ... <= e_{2N+1} as a read-only array."""
         out = [self.alpha]
         for lo, hi in self.gaps:
             out.extend((lo, hi))
         out.append(self.beta)
-        return np.asarray(out, dtype=float)
+        edges = np.asarray(out, dtype=float)
+        edges.flags.writeable = False  # shared by every caller through the cache
+        return edges
 
     @property
     def diameter(self) -> float:

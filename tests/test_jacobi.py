@@ -123,6 +123,25 @@ def test_point_mass_validation(model_m22):
         G.make_measure(model_m22, None, point_masses=[(3.0, 0.6), (4.0, 0.7)])
 
 
+@pytest.mark.parametrize("form,params", [
+    ("poly", {"coef": []}),
+    ("const", {"value": "x"}),
+    ("poly", {}),
+    ("indicator", {"support": [1, 2]}),
+    ("const", {"value": float("nan")}),
+    ("exprat", {"num": [1.0], "den": [[1.0]]}),
+    ("exp_inv_abs", {"center": 2.0, "strength": "x"}),
+    ("spline", {"knots": [0.0, 1.0]}),
+], ids=["poly_coef_empty", "const_value_string", "poly_no_coef", "indicator_flat",
+        "const_value_nan", "exprat_den_nested", "exp_inv_abs_strength_string", "unknown_form"])
+def test_malformed_weight_spec_is_validation_error(model_m22, form, params):
+    # rejected when built, before make_measure evaluates the weight
+    with pytest.raises(ValidationError):
+        G.make_measure(model_m22, G.WeightSpec(form, params))
+    with pytest.raises(ValidationError):
+        G.WeightSpec.from_dict({"form": form, **params})
+
+
 # ---------------------------------------------------------------------------
 # strip and glue
 

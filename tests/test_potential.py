@@ -11,9 +11,11 @@ from gaplab.errors import NumericalError, ValidationError
 from gaplab.potential import (
     _cosine_rule,
     _g_prime,
+    _deflated_numerator,
+    _gap_tables,
     _lagrange_parts,
-    _numerator_sign,
     _period_correction,
+    _period_roots,
 )
 
 
@@ -247,11 +249,49 @@ def test_green_monotone_under_set_inclusion():
         assert G.green_value(m5, x) >= G.green_value(m3, x) - 1e-8
 
 
-def test_model_json_round_trip(model_pm12):
-    rebuilt = G.model_from_json(G.model_to_json(model_pm12))
-    assert rebuilt.capacity == pytest.approx(model_pm12.capacity, abs=1e-12)
+@pytest.fixture(scope="module")
+def model_fat3_explicit():
+    return G.solve_green(G.fat_cantor(3), quad_order=64)
+
+
+@pytest.mark.parametrize("name", ["model_pm12", "model_fat4", "model_fat3_explicit"],
+                         ids=["pm12", "fat4_default", "fat3_explicit"])
+def test_model_json_round_trip(name, request):
+    model = request.getfixturevalue(name)
+    rebuilt = G.model_from_json(G.model_to_json(model))
+    assert rebuilt.capacity == pytest.approx(model.capacity, abs=1e-12)
     for x in (0.2, 2.5, -3.0):
-        assert G.green_value(rebuilt, x) == pytest.approx(G.green_value(model_pm12, x), abs=1e-12)
+        assert G.green_value(rebuilt, x) == pytest.approx(G.green_value(model, x), abs=1e-12)
+    # the same gap rules, roots and solve diagnostics, hence the same residuals
+    assert rebuilt.gap_orders == model.gap_orders
+    assert (rebuilt.solve_passes, rebuilt.root_move) == (model.solve_passes, model.root_move)
+    assert np.array_equal(rebuilt.critical_points, model.critical_points)
+    assert np.array_equal(G.period_residuals(rebuilt), G.period_residuals(model))
+
+
+def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_explicit):
+    # an explicit quad_order sets every gap and band; the default sizes each
+    # gap from the Bernstein ellipse through its nearest foreign edge
+    for model, order in ((model_pm12, 240), (model_fat3_explicit, 64)):
+        assert model.quad_order == order
+        assert model.gap_orders == (order,) * len(model.set.gaps)
+        assert {len(t) for t in model._gap_nodes} == {order}
+    m8 = G.solve_green(G.fat_cantor(8))
+    for model in (model_fat4, m8):
+        bands = model.set.bands
+        want = []
+        for j, (lo, hi) in enumerate(model.set.gaps):
+            r = (hi - lo) / 2
+            a = 1 + min(bands[j][1] - bands[j][0], bands[j + 1][1] - bands[j + 1][0]) / r
+            n = math.ceil(math.log(1e15) / (2 * math.log(a + math.sqrt(a * a - 1))))
+            want.append(min(max(n, 32), 1024))
+        assert model.gap_orders == tuple(want)
+        assert [len(t) for t in model._gap_nodes] == want
+    # the level-1 gap of level 8 sits next to bands ~2e-3 long and needs
+    # more than the band order; the level-8 gaps need only the floor
+    assert m8.gap_orders[127] > m8.quad_order == 80
+    assert min(m8.gap_orders) == 32
+    assert 2 <= m8.solve_passes < 6 and m8.root_move <= 1e-14 * m8.set.diameter
 
 
 def test_solver_validation():
@@ -282,8 +322,9 @@ def test_scale_sweep_covariance(name):
 
 
 def test_numerator_sign_matches_explicit_form(model_fat4):
-    # the bisection predicate against the explicit P = B + sum_i delta_i B_i,
-    # on a grid holding every anchor (exact collisions) and every gap edge
+    # the root step's deflated f_j = P/B_j times B_j against the explicit
+    # P = B + sum_i delta_i B_i, on a grid holding every anchor and every
+    # gap edge, for every gap j whose B_j has no zero at the grid point
     s = model_fat4.set
     anchors = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
     delta = _period_correction(anchors, model_fat4._gap_nodes, model_fat4._gap_log_weights)
@@ -291,10 +332,16 @@ def test_numerator_sign_matches_explicit_form(model_fat4):
     x = np.unique(np.concatenate([anchors, s.edges, np.linspace(s.alpha, s.beta, 1001)]))
     bfull, bi = _lagrange_parts(x, anchors, 0.0)
     explicit = bfull + bi @ delta
-    got = _numerator_sign(x, anchors, delta)
     live = explicit != 0.0
     assert np.all(np.isin(anchors, x[live]))
-    assert np.array_equal(got[live], np.sign(explicit[live]))
+    for j, (lo, hi) in enumerate(s.gaps):
+        ok = live & ~np.isin(x, np.delete(anchors, j))
+        f, _ = _deflated_numerator(x[ok], np.full(int(ok.sum()), j), anchors, delta)
+        assert np.array_equal(np.sign(f) * np.sign(bi[ok, j]), np.sign(explicit[ok]))
+        # on the gap's closure, where the root step uses it, the values agree too
+        on_gap = (x[ok] >= lo) & (x[ok] <= hi)
+        assert np.any(on_gap)
+        assert f[on_gap] * bi[ok, j][on_gap] == pytest.approx(explicit[ok][on_gap], rel=1e-12)
 
 
 @pytest.mark.parametrize("level", range(1, 9))
@@ -363,3 +410,137 @@ def test_g_prime_edge_collision_and_roots():
         _g_prime(np.array([0.5, 1.0]), [0.5], edges)
     assert _g_prime(np.array([0.5]), [0.5], edges)[0] == 0.0
     assert _g_prime(np.array([2.0]), [], ())[0] == 1.0
+
+
+def _bisection_roots(gaps, anchors, delta):
+    """The former root step: 60 halvings per gap on the sign of
+    P = B (1 + sum_i delta_i/(x - m_i)); at x = m_i only delta_i B_i survives."""
+
+    def sign(x):
+        d = x[:, None] - anchors[None, :]
+        zero = d == 0.0
+        sign_b = np.prod(np.where(zero, 1.0, np.sign(d)), axis=1)
+        corr = 1.0 + np.sum(delta / np.where(zero, np.inf, d), axis=1)
+        hit = np.sum(np.where(zero, delta, 0.0), axis=1)
+        return sign_b * np.where(zero.any(axis=1), np.sign(hit), np.sign(corr))
+
+    x1, x2 = np.array(gaps, dtype=float).T
+    sa = sign(x1) > 0
+    for _ in range(60):
+        mid = 0.5 * (x1 + x2)
+        fm = sign(mid)
+        left = (fm == 0.0) | ((fm > 0) != sa)
+        x2 = np.where(left, mid, x2)
+        x1 = np.where(left, x1, mid)
+    return 0.5 * (x1 + x2)
+
+
+def _root_step_inputs(s):
+    """Anchors and corrections of both solve passes: gap midpoints, then their roots."""
+    gap_nodes, gap_log_weights = _gap_tables(s, potential._gap_orders(s))
+    anchors = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
+    delta = _period_correction(anchors, gap_nodes, gap_log_weights)
+    yield anchors, delta
+    anchors = _period_roots(s.gaps, anchors, delta)
+    yield anchors, _period_correction(anchors, gap_nodes, gap_log_weights)
+
+
+@pytest.mark.parametrize("s", [G.fat_cantor(level) for level in range(1, 9)] + [ASYMMETRIC],
+                         ids=[f"fat_cantor{level}" for level in range(1, 9)] + ["asymmetric"])
+def test_period_roots_match_bisection(s, monkeypatch):
+    calls = []
+    deflated = potential._deflated_numerator
+
+    def counted(*args):
+        calls.append(1)
+        return deflated(*args)
+
+    monkeypatch.setattr(potential, "_deflated_numerator", counted)
+    for anchors, delta in _root_step_inputs(s):
+        want = _bisection_roots(s.gaps, anchors, delta)
+        calls.clear()
+        got = _period_roots(s.gaps, anchors, delta)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        # both bracket ends, then a few Newton sweeps (1-3 measured)
+        assert len(calls) <= 2 + 5
+
+
+@pytest.mark.parametrize("s", [G.fat_cantor(4), ASYMMETRIC], ids=["fat_cantor4", "asymmetric"])
+def test_period_roots_bisect_when_newton_leaves_bracket(s, monkeypatch):
+    # a derivative 1e20 too small sends every Newton step out of its bracket,
+    # so each sweep falls back to the midpoint
+    inputs = list(_root_step_inputs(s))
+    want = [_period_roots(s.gaps, a, d) for a, d in inputs]
+    calls = []
+    deflated = potential._deflated_numerator
+
+    def too_far(*args):
+        calls.append(1)
+        f, fp = deflated(*args)
+        return f, fp * 1e-20
+
+    monkeypatch.setattr(potential, "_deflated_numerator", too_far)
+    for (anchors, delta), ref in zip(inputs, want):
+        calls.clear()
+        got = _period_roots(s.gaps, anchors, delta)
+        assert len(calls) > 30  # halvings, not Newton's few sweeps
+        for c, (lo, hi) in zip(got, s.gaps):
+            assert lo < c < hi
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
+
+
+def test_period_roots_unconverged_is_an_error(monkeypatch):
+    monkeypatch.setattr(potential, "_ROOT_SWEEPS", 1)
+    with pytest.raises(NumericalError, match="did not converge"):
+        G.solve_green(ASYMMETRIC)
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_gap_orders_match_order_240(level):
+    s = G.fat_cantor(level)
+    ref = G.solve_green(s, quad_order=240)
+    model = G.solve_green(s)
+    assert model.capacity == pytest.approx(ref.capacity, rel=1e-14, abs=0)
+    assert G.pw_sum(model) == pytest.approx(G.pw_sum(ref), rel=1e-14, abs=0)
+    assert np.max(np.abs(model.critical_points - ref.critical_points)) <= 1e-15
+
+
+def _chebyshev_preimage(rng, d):
+    """A random T of degree d with |T| > 2 at every critical point, and
+    E = T^{-1}([-2, 2]): d bands whose gaps hold the zeros of T'."""
+    while True:
+        zeros = np.sort(rng.uniform(-1.0, 1.0, d))
+        if np.min(np.diff(zeros)) > 0.05:
+            break
+    monic = np.poly(zeros)
+    crit = np.sort(np.roots(np.polyder(monic)).real)
+    lead = rng.uniform(1.05, 4.0) * 2.0 / np.min(np.abs(np.polyval(monic, crit)))
+    T = lead * monic
+    edges = []
+    for level in (-2.0, 2.0):
+        shifted = T.copy()
+        shifted[-1] -= level
+        x = np.sort(np.roots(shifted).real)
+        for _ in range(3):  # Newton polish to the last bits
+            x = x - np.polyval(shifted, x) / np.polyval(np.polyder(shifted), x)
+        edges.extend(x)
+    edges = np.sort(edges)
+    s = G.make_gapset(edges[0], edges[-1], list(zip(edges[1:-1:2], edges[2:-1:2])))
+    return T, s, crit
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_polynomial_preimage_battery(d):
+    # E = T^{-1}([-2, 2]): cap = |lead T|^(-1/d), the critical points of g are
+    # the zeros of T', and g(x) = acosh(|T(x)|/2)/d in the gaps
+    rng = np.random.default_rng(1000 + d)
+    for _ in range(4):
+        T, s, crit = _chebyshev_preimage(rng, d)
+        model = G.solve_green(s)
+        assert model.capacity == pytest.approx(abs(T[0]) ** (-1.0 / d), rel=1e-12, abs=0)
+        assert np.max(np.abs(model.critical_points - crit)) <= 1e-12
+        green = lambda x: math.acosh(abs(np.polyval(T, x)) / 2) / d
+        assert G.pw_sum(model) == pytest.approx(sum(map(green, crit)), rel=1e-12, abs=0)
+        for lo, hi in s.gaps:
+            for x in (lo + 0.01 * (hi - lo), 0.5 * (lo + hi), hi - 0.3 * (hi - lo)):
+                assert G.green_value(model, x) == pytest.approx(green(x), rel=1e-11, abs=1e-14)

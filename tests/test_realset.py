@@ -129,6 +129,19 @@ def test_json_round_trip():
     assert G.GapSet.from_json(s.to_json()) == s
 
 
+def test_edges_and_bands_cached_read_only():
+    s = G.make_gapset(-1.5, 2.5, [(0.0, 0.25), (1.0, 1.125)])
+    assert s.edges is s.edges and s.bands is s.bands
+    assert s.edges.tolist() == [-1.5, 0.0, 0.25, 1.0, 1.125, 2.5]
+    assert s.bands == ((-1.5, 0.0), (0.25, 1.0), (1.125, 2.5))
+    with pytest.raises(ValueError):
+        s.edges[0] = 0.0
+    assert s.edges[0] == -1.5
+    # the cache is no field: equality and hashing still see only the gaps
+    t = G.make_gapset(-1.5, 2.5, [(1.0, 1.125), (0.0, 0.25)])
+    assert t == s and hash(t) == hash(s)
+
+
 def test_scale_shift():
     s = G.make_gapset(-2, 2, [(-1, 1)])
     t = G.scale_shift(s, 0.5, 3.0)
