@@ -62,12 +62,9 @@ def parse_set_spec(spec) -> GapSet:
             raise ValidationError(f"fat_cantor level must be an integer: {exc}") from exc
         return fat_cantor(level)
     obj = _decode_spec(spec, "set")
-    try:
-        return make_gapset(obj["alpha"], obj["beta"], obj.get("gaps", []))
-    except ValidationError:
-        raise
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed set spec {spec!r}: {exc!r}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"set spec must be a JSON object, got {obj!r}")
+    return make_gapset(obj["alpha"], obj["beta"], obj.get("gaps", []))
 
 
 def parse_measure_spec(spec, model):
@@ -128,6 +125,9 @@ def run(config: dict) -> str:
     fmt = config.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format must be csv or json, got {fmt!r}")
+    for key in ("n", "length", "quad_order", "gap_index"):
+        if key in config and (isinstance(config[key], bool) or not isinstance(config[key], int)):
+            raise ValidationError(f"{key} must be an integer, got {config[key]!r}")
     quad_order = config.get("quad_order")
     meta = {
         "quad_order": quad_order,
@@ -137,7 +137,7 @@ def run(config: dict) -> str:
     }
 
     if command == "cantor":
-        n = int(config.get("n", 6))
+        n = config.get("n", 6)
         rows = []
         levels, pws = [], []
         for level in range(1, n + 1):
@@ -153,9 +153,12 @@ def run(config: dict) -> str:
     s = parse_set_spec(config["set"])
 
     if command == "homogeneity":
-        t_samples = int(config.get("n", 8))
+        t_samples = config.get("n", 8)
         deltas = config.get("deltas") or [0.8 * s.diameter * 2.0 ** (-k) for k in range(8)]
-        deltas = [float(d) for d in deltas]
+        try:
+            deltas = [float(d) for d in deltas]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"deltas must be numbers: {exc}") from exc
         rows = [[d, homogeneity_margin(s, t_samples, [d])] for d in deltas]
         rows.append(["overall", homogeneity_margin(s, t_samples, deltas)])
         return _table(command, ["delta", "margin"], rows, meta, fmt)
@@ -174,11 +177,11 @@ def run(config: dict) -> str:
         if config.get("points"):
             pts = parse_floats(config["points"], "--points")
         elif config.get("gap_index") is not None:
-            j = int(config["gap_index"])
+            j = config["gap_index"]
             if not 0 <= j < len(s.gaps):
                 raise ValidationError(f"gap index {j} out of range")
             lo, hi = s.gaps[j]
-            k = int(config.get("n", 51))
+            k = config.get("n", 51)
             pts = [lo + (hi - lo) * (i + 1) / (k + 1) for i in range(k)]
         else:
             raise ValidationError("green needs --points or --gap-index")
@@ -190,14 +193,14 @@ def run(config: dict) -> str:
     mu = parse_measure_spec(config.get("measure", "equilibrium"), model)
 
     if command == "coeffs":
-        n = int(config.get("n", 20))
+        n = config.get("n", 20)
         J = coefficients_from_measure(mu, n)
         rows = [[i + 1, float(J.a[i]), float(J.b[i])] for i in range(n)]
         return _table(command, ["n", "a_n", "b_n"], rows, meta, fmt)
 
     if command == "sumrule":
-        n = int(config.get("n", 1))
-        length = int(config.get("length", max(4 * n, 120) + 2 * 60))
+        n = config.get("n", 1)
+        length = config.get("length", max(4 * n, 120) + 2 * 60)
         J = coefficients_from_measure(mu, length, quad_order=max(2 * length, mu.quad.order))
         report = n_step_sum_rule(J, mu, model, n)
         columns = SumRuleReport.CSV_COLUMNS.split(",")
@@ -206,8 +209,8 @@ def run(config: dict) -> str:
         return _table(command, columns, [[getattr(report, c) for c in columns]], meta, fmt)
 
     if command == "theorem":
-        n_max = int(config.get("n", 50))
-        length = int(config.get("length", n_max + 2 * 90 + 8))
+        n_max = config.get("n", 50)
+        length = config.get("length", n_max + 2 * 90 + 8)
         J = coefficients_from_measure(mu, length, quad_order=max(2 * length, mu.quad.order))
         report = theorem_upper_bound(J, mu, model, n_max)
         u = szego_product(J, model.capacity, n_max)
@@ -251,6 +254,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             with open(args.config) as fh:
                 config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValidationError(f"config file must hold a JSON object, got {config!r}")
         for key, val in (
             ("command", args.command), ("set", args.set_spec), ("measure", args.measure),
             ("n", args.n), ("length", args.length), ("quad_order", args.quad_order),

@@ -10,22 +10,25 @@ polynomial fixed by the N period conditions
     integral over gap_j of P(t)/sqrt(|R(t)|) dt = 0.
 
 P has exactly one root per gap (the critical points of g), so it is
-represented by those roots and evaluated as a signed product in log
-space; coefficient bases degrade catastrophically once tiny Cantor gaps
-cluster.  The conditions are linear in a Lagrange-type correction basis
-anchored at the current root guesses, which keeps the linear systems
-near-diagonal; two solve passes (midpoints, then the found roots) reach
-machine-level period residuals.  Each pass finds the new root in gap j by
-a bracketed Newton step on the deflated numerator P/B_j, with
-B_j = prod_{k != j}(t - m_k) free of zeros on gap j, so no product
-magnitude is formed; a step that leaves the bracket becomes its midpoint.
+represented by those roots; coefficient bases degrade catastrophically
+once tiny Cantor gaps cluster.  A solve pass anchors P = B + sum_i
+delta_i B_i at the current root guesses m_k, B = prod_k (t - m_k) and
+B_i = B/(t - m_i), and uses one deflated numerator per gap,
+
+    f_j = P/B_j = (t - m_j)(1 + sum_{i != j} delta_i/(t - m_i)) + delta_j,
+
+B_j being free of zeros on gap j.  Gap j's period condition is a row
+linear in delta with node weights w |B_j|, and the new root in gap j is
+a bracketed Newton step on f_j (a step that leaves the bracket becomes
+its midpoint); f_j is formed from sums, never from a product.  Two passes
+(midpoints, then the found roots) reach machine-level period residuals.
 
 Every weight, density and Green integral is g' itself with the edge
 factors its substitution cancels left out, from one primitive
 _log_g_prime: the root and edge log-sums meet in a single exp, so the
 quotient stays in range where either product alone over- or underflows.
 The period weights, which have no root factors, stay logs until they
-meet log|P|.  Singular integrals
+meet log|P| or log|B_j|.  Singular integrals
 are tamed by the cosine substitution t = c + r*cos(theta) (gap and band
 versions), which cancels the inverse-square-root edge behaviour exactly,
 and on the unbounded components by t = e +/- s^2.  After the substitution
@@ -126,16 +129,6 @@ def _g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()) -> np.ndar
 def _cosine_nodes(lo: float, hi: float, order: int) -> np.ndarray:
     """t = c + r cos(theta_i) over [lo, hi], theta_i = (i + 1/2) pi/order."""
     return (lo + hi) / 2 + (hi - lo) / 2 * np.cos((np.arange(order) + 0.5) * np.pi / order)
-
-
-def _cosine_rule(lo: float, hi: float, order: int, roots, edges, skip):
-    """Cosine nodes over [lo, hi] and g' there.
-
-    skip names the interval's own edges, whose factors the substitution
-    cancels; (pi/order) * g' then integrates against dt over [lo, hi].
-    """
-    t = _cosine_nodes(lo, hi, order)
-    return t, _g_prime(t, roots, edges, skip)
 
 
 def _theta(lo: float, hi: float, x: float) -> float:
@@ -247,53 +240,40 @@ def _gap_tables(s: GapSet, gap_orders):
     return gap_nodes, gap_log_weights
 
 
-def _lagrange_parts(x: np.ndarray, anchors: np.ndarray, log_weight):
-    """w(x) B(x), B = prod_k (x - m_k), and all deflated w B_i = w B/(x - m_i).
-
-    Everything runs through log magnitudes, log w included, so no product
-    over/underflows; a point landing exactly on an anchor is handled
-    exactly (B vanishes, only the colliding B_i survives).
-    """
-    d = x[:, None] - anchors[None, :]
-    zero = d == 0.0
-    logd = np.log(np.where(zero, 1.0, np.abs(d)))
-    signd = np.where(zero, 1.0, np.sign(d))
-    logmag = np.sum(logd, axis=1) + log_weight
-    sign = np.prod(signd, axis=1)
-    collided = zero.any(axis=1)
-    bfull = np.where(collided, 0.0, sign * np.exp(logmag))
-    bi = sign[:, None] * signd * np.exp(logmag[:, None] - logd)
-    for l in np.where(collided)[0]:
-        cols = np.where(zero[l])[0]
-        row = np.zeros(len(anchors))
-        if len(cols) == 1:
-            row[cols[0]] = sign[l] * np.exp(logmag[l])
-        bi[l] = row
-    return bfull, bi
-
-
 def _period_correction(anchors, gap_nodes, gap_log_weights) -> np.ndarray:
     """Solve the linearized period conditions for the correction weights.
 
-    P is written as prod(t - m_k) plus per-gap Lagrange corrections
-    delta_i * B_i with B_i = prod_{k != i}(t - m_k); since B_i is large only
-    on gap i, the system is near-diagonal regardless of how the gaps
-    cluster.  Rows are built gap by gap: stacking all gap nodes into one
-    call would make every temporary (gaps * order) x gaps.
+    P = B + sum_i delta_i B_i with B = prod_k (t - m_k) and B_i = B/(t - m_i),
+    so gap j's condition sum_t w P = 0 is sum_t w B_j f_j = 0 with the
+    deflated f_j = P/B_j of _deflated_numerator, linear in delta.  B_j has
+    no zero on gap j, so its sign is the same at every node and is dropped,
+    flipping the row and its right-hand side together.  The node weights
+    v = w |B_j| are shifted by their largest log, which makes the diagonal
+    sum v >= 1.  A node on m_j only zeroes its factor t - m_j, and no node
+    meets another anchor.  Rows are built gap by gap: stacking all gap
+    nodes into one call would make every temporary (gaps * order) x gaps.
     """
     n = len(anchors)
     A = np.empty((n, n))
     rhs = np.empty(n)
-    for j in range(n):
-        bfull, bi = _lagrange_parts(gap_nodes[j], anchors, gap_log_weights[j])
-        rhs[j] = -np.sum(bfull)
-        A[j] = np.sum(bi, axis=0)
-    scale = np.max(np.abs(A), axis=1)
-    scale[scale == 0.0] = 1.0
+    for j, (t, log_w) in enumerate(zip(gap_nodes, gap_log_weights)):
+        u, inv = _deflated_terms(t, j, anchors)
+        log_v = log_w - np.sum(np.log(np.abs(np.delete(inv, j, axis=1))), axis=1)  # log w|B_j|
+        v = np.exp(log_v - np.max(log_v))
+        A[j] = (v * u) @ inv
+        A[j, j] = np.sum(v)
+        rhs[j] = -np.sum(v * u)
     try:
-        return np.linalg.solve(A / scale[:, None], rhs / scale)
+        return np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular period-condition system: {exc}") from exc
+
+
+def _deflated_terms(x: np.ndarray, idx, anchors: np.ndarray):
+    """x - m_j and 1/(x - m_i) with the own column i = j zero, for gap j = idx[r] at x[r]."""
+    d = x[:, None] - anchors[None, :]
+    d[np.arange(len(x)), idx] = np.inf  # leave out i = j
+    return x - anchors[idx], 1.0 / d
 
 
 def _deflated_numerator(x: np.ndarray, idx: np.ndarray, anchors: np.ndarray, delta: np.ndarray):
@@ -307,11 +287,8 @@ def _deflated_numerator(x: np.ndarray, idx: np.ndarray, anchors: np.ndarray, del
     B_j has no zero on gap j and f_j has exactly P's root there; no product
     is formed, so nothing over- or underflows.
     """
-    d = x[:, None] - anchors[None, :]
-    d[np.arange(len(x)), idx] = np.inf  # leave out i = j
-    inv = 1.0 / d
+    u, inv = _deflated_terms(x, idx, anchors)
     s = 1.0 + inv @ delta
-    u = x - anchors[idx]
     return u * s + delta[idx], s - u * ((inv * inv) @ delta)
 
 
@@ -362,12 +339,16 @@ def _period_roots(gaps, anchors, delta) -> np.ndarray:
 
 
 def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
-    """dmu_E = |g'|/pi dt per band, its own edge factors cancelled; unit mass."""
+    """dmu_E = |g'|/pi dt per band, its own edge factors cancelled; unit mass.
+
+    The band's own edges are skipped in g', because the cosine substitution
+    cancels their factors; (pi/order) * g' then integrates against dt.
+    """
     nodes, weights = [], []
     for k, (lo, hi) in enumerate(s.bands):
-        t, v = _cosine_rule(lo, hi, order, roots, s.edges, (2 * k, 2 * k + 1))
+        t = _cosine_nodes(lo, hi, order)
         nodes.append(t)
-        weights.append(np.abs(v) / order)
+        weights.append(np.abs(_g_prime(t, roots, s.edges, (2 * k, 2 * k + 1))) / order)
     quad = EquilibriumQuadrature(tuple(nodes), tuple(weights), order)
     total = float(np.sum(quad.all_weights))
     if abs(total - 1.0) > TOLERANCES["quadrature_mass"]:

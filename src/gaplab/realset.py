@@ -2,8 +2,9 @@
 
 A GapSet is an interval [alpha, beta] with finitely many open gaps removed.
 The complementary closed intervals are called bands.  All values are plain
-floats; construction validates disjointness and positive band lengths, and
-everything downstream treats the object as immutable.
+floats; construction validates that the endpoints are numbers and the gaps
+pairs, disjointness and positive band lengths, and everything downstream
+treats the object as immutable.
 """
 
 from __future__ import annotations
@@ -36,12 +37,15 @@ class GapSet:
     gaps: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        a, b = float(self.alpha), float(self.beta)
+        try:
+            a, b = float(self.alpha), float(self.beta)
+            gaps = tuple(sorted((float(lo), float(hi)) for lo, hi in self.gaps))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"endpoints or gaps are not numbers and pairs: {exc}") from exc
         if not (np.isfinite(a) and np.isfinite(b)):
             raise ValidationError("endpoints must be finite")
         if not a < b:
             raise ValidationError(f"alpha must be < beta, got [{a}, {b}]")
-        gaps = tuple(sorted((float(lo), float(hi)) for lo, hi in self.gaps))
         for lo, hi in gaps:
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise ValidationError(f"gap ({lo}, {hi}) has non-finite endpoint")
@@ -97,7 +101,7 @@ class GapSet:
 
 def make_gapset(alpha: float, beta: float, gaps: Iterable[Sequence[float]] = ()) -> GapSet:
     """Validate and sort the gap list into a GapSet."""
-    return GapSet(alpha, beta, tuple((g[0], g[1]) for g in gaps))
+    return GapSet(alpha, beta, gaps)
 
 
 def fat_cantor(level: int) -> GapSet:
@@ -178,7 +182,7 @@ def homogeneity_margin(s: GapSet, t_samples: int, delta_grid: Sequence[float]) -
     deltas = np.asarray(list(delta_grid), dtype=float)
     if deltas.size == 0:
         raise ValidationError("delta grid must be non-empty")
-    if np.any(deltas <= 0) or np.any(deltas >= s.diameter):
+    if not np.all((deltas > 0) & (deltas < s.diameter)):  # NaN fails too
         raise ValidationError("delta values must lie in (0, diam)")
     ts: list[float] = []
     for a, b in s.bands:

@@ -209,9 +209,13 @@ def test_config_file_json_objects(key, spec, tmp_path):
 @pytest.mark.parametrize("key,spec", [
     ("set", 5), ("set", [0, 1]), ("set", None), ("measure", 3), ("measure", [1]),
     ("measure", "[1]"),
+    ("n", "abc"), ("n", None), ("quad_order", "x"), ("quad_order", 40.7), ("gap_index", "a"),
+    ("length", "q"), ("deltas", ["a"]), (None, [1, 2]), ("deltas", ["nan"]),
 ])
 def test_config_file_bad_specs_are_validation_errors(key, spec, tmp_path, capsys):
-    cfg = {"command": "coeffs", "set": '{"alpha": 0, "beta": 1}', "n": 3, key: spec}
+    # key None: spec is the whole file; the integer fields take JSON integers only
+    cfg = {"command": "homogeneity" if key == "deltas" else "coeffs",
+           "set": '{"alpha": 0, "beta": 1}', "n": 3, key: spec} if key else spec
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["--config", str(path)]) == 1

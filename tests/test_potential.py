@@ -9,11 +9,10 @@ from gaplab.cli import TOLERANCES
 from gaplab import potential
 from gaplab.errors import NumericalError, ValidationError
 from gaplab.potential import (
-    _cosine_rule,
+    _cosine_nodes,
     _g_prime,
     _deflated_numerator,
     _gap_tables,
-    _lagrange_parts,
     _period_correction,
     _period_roots,
 )
@@ -321,6 +320,13 @@ def test_scale_sweep_covariance(name):
             assert G.pw_sum(mapped) == pytest.approx(base_pw, abs=1e-12), (k, shift)
 
 
+def _explicit_parts(x, anchors):
+    """B = prod_k (x - m_k) and every B_i = prod_{k != i}(x - m_k), as direct products."""
+    d = x[:, None] - anchors[None, :]
+    bi = np.stack([np.prod(np.delete(d, i, axis=1), axis=1) for i in range(len(anchors))], axis=1)
+    return np.prod(d, axis=1), bi
+
+
 def test_numerator_sign_matches_explicit_form(model_fat4):
     # the root step's deflated f_j = P/B_j times B_j against the explicit
     # P = B + sum_i delta_i B_i, on a grid holding every anchor and every
@@ -330,7 +336,7 @@ def test_numerator_sign_matches_explicit_form(model_fat4):
     delta = _period_correction(anchors, model_fat4._gap_nodes, model_fat4._gap_log_weights)
     assert np.any(delta != 0.0)
     x = np.unique(np.concatenate([anchors, s.edges, np.linspace(s.alpha, s.beta, 1001)]))
-    bfull, bi = _lagrange_parts(x, anchors, 0.0)
+    bfull, bi = _explicit_parts(x, anchors)
     explicit = bfull + bi @ delta
     live = explicit != 0.0
     assert np.all(np.isin(anchors, x[live]))
@@ -342,6 +348,12 @@ def test_numerator_sign_matches_explicit_form(model_fat4):
         on_gap = (x[ok] >= lo) & (x[ok] <= hi)
         assert np.any(on_gap)
         assert f[on_gap] * bi[ok, j][on_gap] == pytest.approx(explicit[ok][on_gap], rel=1e-12)
+    # the deflated rows solve the explicit period conditions of both passes
+    for anchors, delta in _root_step_inputs(s):
+        for t, log_w in zip(model_fat4._gap_nodes, model_fat4._gap_log_weights):
+            bfull, bi = _explicit_parts(t, anchors)
+            terms = np.exp(log_w)[:, None] * np.column_stack([bfull, bi * delta])
+            assert abs(np.sum(terms)) <= 1e-12 * np.sum(np.abs(terms))
 
 
 @pytest.mark.parametrize("level", range(1, 9))
@@ -391,7 +403,8 @@ def test_g_prime_single_exp_at_band_nodes(level):
     failed = total = 0
     for k, (lo, hi) in enumerate(s.bands):
         skip = (2 * k, 2 * k + 1)
-        t, got = _cosine_rule(lo, hi, 80, roots, s.edges, skip)
+        t = _cosine_nodes(lo, hi, 80)
+        got = _g_prime(t, roots, s.edges, skip)
         assert np.all(np.isfinite(got)) and np.all(got != 0.0)
         old = _two_factor_g_prime(t, roots, s.edges, skip)
         ok = np.isfinite(old) & (old != 0.0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,16 @@ def test_middle_quarter_removed():
         [(0.2, 0.2)],  # empty gap
         [(-0.5, 0.3)],  # escapes the interval
         [(0.3, 1.0)],  # gap reaching beta kills a band
+        [(0.2, 0.3, 0.9)],  # not a pair
+        [(0.5,)],  # one endpoint
+        [("a", 0.6)],  # not a number
     ],
 )
 def test_invalid_gaps_rejected(gaps):
     with pytest.raises(ValidationError):
         G.make_gapset(0, 1, gaps)
+    with pytest.raises(ValidationError):
+        G.GapSet.from_json(json.dumps({"alpha": 0, "beta": 1, "gaps": gaps}))
 
 
 def test_gaps_sorted_any_input_order():
@@ -127,6 +134,8 @@ def test_homogeneity_validation():
 def test_json_round_trip():
     s = G.make_gapset(-1.5, 2.5, [(0.0, 0.25), (1.0, 1.125)])
     assert G.GapSet.from_json(s.to_json()) == s
+    with pytest.raises(ValidationError):
+        G.GapSet.from_json('{"alpha": "x", "beta": 1, "gaps": []}')
 
 
 def test_edges_and_bands_cached_read_only():
