@@ -128,6 +128,8 @@ def run(config: dict) -> str:
     for key in ("n", "length", "quad_order", "gap_index"):
         if key in config and (isinstance(config[key], bool) or not isinstance(config[key], int)):
             raise ValidationError(f"{key} must be an integer, got {config[key]!r}")
+    if command != "capacity" and config.get("n", 1) < 1:
+        raise ValidationError(f"n must be at least 1, got {config['n']}")
     quad_order = config.get("quad_order")
     meta = {
         "quad_order": quad_order,
@@ -195,6 +197,7 @@ def run(config: dict) -> str:
     if command == "coeffs":
         n = config.get("n", 20)
         J = coefficients_from_measure(mu, n)
+        meta.update(reorth_steps=J.reorth_steps, breakdown_margin=J.breakdown_margin)
         rows = [[i + 1, float(J.a[i]), float(J.b[i])] for i in range(n)]
         return _table(command, ["n", "a_n", "b_n"], rows, meta, fmt)
 
@@ -202,6 +205,7 @@ def run(config: dict) -> str:
         n = config.get("n", 1)
         length = config.get("length", max(4 * n, 120) + 2 * 60)
         J = coefficients_from_measure(mu, length, quad_order=max(2 * length, mu.quad.order))
+        meta.update(reorth_steps=J.reorth_steps, breakdown_margin=J.breakdown_margin)
         report = n_step_sum_rule(J, mu, model, n)
         columns = SumRuleReport.CSV_COLUMNS.split(",")
         if fmt == "csv":
@@ -212,6 +216,7 @@ def run(config: dict) -> str:
         n_max = config.get("n", 50)
         length = config.get("length", n_max + 2 * 90 + 8)
         J = coefficients_from_measure(mu, length, quad_order=max(2 * length, mu.quad.order))
+        meta.update(reorth_steps=J.reorth_steps, breakdown_margin=J.breakdown_margin)
         report = theorem_upper_bound(J, mu, model, n_max)
         u = szego_product(J, model.capacity, n_max)
         if config.get("plot"):

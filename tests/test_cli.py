@@ -211,6 +211,11 @@ def test_config_file_json_objects(key, spec, tmp_path):
     ("measure", "[1]"),
     ("n", "abc"), ("n", None), ("quad_order", "x"), ("quad_order", 40.7), ("gap_index", "a"),
     ("length", "q"), ("deltas", ["a"]), (None, [1, 2]), ("deltas", ["nan"]),
+    ("n", 0),
+    (None, {"command": "green", "set": '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}',
+            "gap_index": 0, "n": -2}),
+    (None, {"command": "cantor", "n": 0}),
+    (None, {"command": "homogeneity", "set": "fat_cantor:2", "n": -1}),
 ])
 def test_config_file_bad_specs_are_validation_errors(key, spec, tmp_path, capsys):
     # key None: spec is the whole file; the integer fields take JSON integers only
@@ -221,3 +226,16 @@ def test_config_file_bad_specs_are_validation_errors(key, spec, tmp_path, capsys
     assert cli.main(["--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("gaplab: validation error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["coeffs", "sumrule", "theorem"])
+def test_lanczos_diagnostics_in_json_meta(command, tmp_path):
+    code, data = run_cli(
+        ["--command", command, "--set", '{"alpha": -2, "beta": 2, "gaps": []}',
+         "--measure", "equilibrium", "--n", "4", "--format", "json"],
+        tmp_path,
+    )
+    assert code == 0
+    meta = json.loads(data)["meta"]
+    assert meta["reorth_steps"] == 0
+    assert meta["breakdown_margin"] > 1e12

@@ -114,6 +114,83 @@ def test_degenerate_measure_errors(model_m22):
         G.coefficients_from_measure(mu, 500, quad_order=64)
 
 
+def two_pass_lanczos(mu, n, quad_order=None):
+    """Lanczos with two full reorthogonalization passes at every step, the
+    O(M n^2) loop that partial reorthogonalization replaced."""
+    order = mu.quad.order if quad_order is None else quad_order
+    t, w = jacobi._discretize(mu, order)
+    a, b = np.empty(n), np.empty(n)
+    Q = np.empty((len(t), n + 1))
+    q = Q[:, 0] = np.sqrt(w / np.sum(w))
+    qm, beta = np.zeros_like(q), 0.0
+    for k in range(n):
+        u = t * q
+        b[k] = q @ u
+        r = u - b[k] * q - beta * qm
+        for _ in range(2):
+            r -= Q[:, : k + 1] @ (Q[:, : k + 1].T @ r)
+        a[k] = beta = np.linalg.norm(r)
+        qm, q = q, r / beta
+        Q[:, k + 1] = q
+    return a, b
+
+
+@pytest.fixture(scope="module")
+def mass_measures(model_pm12):
+    """(measure, n): point masses off the set, where a Ritz value converges
+    to each mass and plain Lanczos loses orthogonality."""
+    fat5 = G.solve_green(G.fat_cantor(5))
+    lo, hi = fat5.set.gaps[0]
+    return [
+        (G.make_measure(model_pm12, None, point_masses=[(0.0, 0.1), (3.0, 0.05)]), 200),
+        (G.make_measure(fat5, None, point_masses=[((lo + hi) / 2, 0.1), (1.3, 0.05)]), 150),
+    ]
+
+
+def test_lanczos_matches_two_pass_reference(mu_arcsine, mu_semicircle, mass_measures):
+    cases = [(mu_arcsine, 50, 256), (mu_semicircle, 50, 256)]
+    cases += [(mu, n, None) for mu, n in mass_measures]
+    for mu, n, order in cases:
+        J = G.coefficients_from_measure(mu, n, order)
+        a, b = two_pass_lanczos(mu, n, order)
+        assert np.max(np.abs(J.a - a)) <= 1e-13
+        assert np.max(np.abs(J.b - b)) <= 1e-13
+
+
+def test_reorthogonalization_fires_only_with_point_masses(model_pm12, mass_measures):
+    ac = G.make_measure(model_pm12, G.WeightSpec("poly", {"coef": [1.0, 0.0, 0.3]}))
+    assert G.coefficients_from_measure(ac, 200).reorth_steps == 0
+    for mu, n in mass_measures:
+        assert G.coefficients_from_measure(mu, n).reorth_steps > 0
+
+
+def test_lanczos_diagnostics(mu_arcsine):
+    J = G.coefficients_from_measure(mu_arcsine, 20)
+    t, _ = jacobi._discretize(mu_arcsine, mu_arcsine.quad.order)
+    assert J.breakdown_margin == pytest.approx(np.min(J.a) / (1e-14 * np.max(np.abs(t))))
+    # diagnostics are not compared, serialized or carried by structural operations
+    assert J == replace(J, reorth_steps=None, breakdown_margin=None)
+    derived = [
+        G.coeffs_from_json(G.coeffs_to_json(J)),
+        G.strip(J, 0),
+        G.glue_head(G.JacobiCoeffs(J.a[:3], J.b[:3]), 1.0, J),
+    ]
+    for other in derived:
+        assert other.reorth_steps is None and other.breakdown_margin is None
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-16])
+def test_breakdown_threshold_scales_with_the_set(scale):
+    # an absolute threshold broke down at step 1 below |t| = 1
+    def coeffs(s):
+        model = G.solve_green(G.make_gapset(-2 * s, 2 * s, [(-s, s)]))
+        return G.coefficients_from_measure(G.make_measure(model), 40)
+
+    unit, small = coeffs(1.0), coeffs(scale)
+    assert np.max(np.abs(small.a - scale * unit.a)) <= 1e-13 * scale * np.max(unit.a)
+    assert np.max(np.abs(small.b - scale * unit.b)) <= 1e-13 * scale * np.max(unit.a)
+
+
 def test_point_mass_validation(model_m22):
     with pytest.raises(ValidationError):
         G.make_measure(model_m22, None, point_masses=[(0.5, 0.1)])  # inside set
