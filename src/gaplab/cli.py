@@ -208,8 +208,6 @@ def run(config: dict) -> str:
         meta.update(reorth_steps=J.reorth_steps, breakdown_margin=J.breakdown_margin)
         report = n_step_sum_rule(J, mu, model, n)
         columns = SumRuleReport.CSV_COLUMNS.split(",")
-        if fmt == "csv":
-            return SumRuleReport.CSV_COLUMNS + "\n" + report.csv_row() + "\n"
         return _table(command, columns, [[getattr(report, c) for c in columns]], meta, fmt)
 
     if command == "theorem":

@@ -4,6 +4,8 @@ Coefficients come out of a discretized-Stieltjes procedure: the measure is
 replaced by M equilibrium-quadrature atoms (reweighted by the model weight)
 plus any point masses, and the Lanczos recurrence is run on the resulting
 diagonal operator.  Moment determinants lose every digit by n ~ 20.
+The measure keeps the a.c. rule make_measure builds; Lanczos, boundary
+values and the Glauert fit (a cosine transform of its weights) read it.
 Lanczos keeps a semiorthogonal basis by partial reorthogonalization
 (Simon, Math. Comp. 42, 1984): an O(k) recurrence per step estimates the
 lost orthogonality, and two full passes run only on the step where the
@@ -38,7 +40,6 @@ from .potential import (
     EquilibriumQuadrature,
     GreenModel,
     TOLERANCES,
-    _band_cheb,
     _f_e,
     _leggauss,
     equilibrium_quadrature,
@@ -177,7 +178,9 @@ class MeasureModel:
     mode "relative" means density w(t) * f_E(t); "absolute" means w(t)
     directly.  The stored normalization scales the a.c. part so that total
     mass (including masses) is one.  The GreenModel is kept because both
-    the relative density and all quadratures live on it.
+    the relative density and all quadratures live on it.  ac_nodes and
+    ac_weights are the per-band a.c. rule at quad's order, unnormalized;
+    Lanczos, the boundary values and the Glauert fit all read it.
     """
 
     model: GreenModel
@@ -186,6 +189,8 @@ class MeasureModel:
     point_masses: tuple[tuple[float, float], ...]
     normalization: float
     quad: EquilibriumQuadrature
+    ac_nodes: tuple[np.ndarray, ...] = field(compare=False)
+    ac_weights: tuple[np.ndarray, ...] = field(compare=False)
 
     @property
     def set(self) -> GapSet:
@@ -193,18 +198,14 @@ class MeasureModel:
 
     @cached_property
     def _band_wphi_cheb(self) -> tuple[np.ndarray, ...]:
-        # own-band fits of w * f_E for the Glauert principal value in
-        # measure_m_boundary (relative mode), built on its first call
-        return tuple(
-            _band_cheb(self.model, k, self.quad.order, self.weight)
-            for k in range(len(self.set.bands))
-        )
-
-    @cached_property
-    def _ac_rule_model(self):
-        # per-band a.c. nodes and weights on the model's own rule, which
-        # measure_m_boundary sums over every band but the point's own
-        return _ac_rule(self.model, self.weight, self.mode, self.model.quad)
+        # relative mode: Chebyshev coefficients of w * f_E * r sin(theta) per
+        # band for the Glauert principal value, the interpolant at quad's nodes
+        # theta_i = (i + 1/2) pi/n, where the function is n/pi times the a.c.
+        # weight: c_m = (2/pi) sum_i w_i cos(m theta_i), c_0 halved, m < 400
+        n = self.quad.order
+        cosines = np.cos(np.arange(min(n, 400))[:, None] * ((np.arange(n) + 0.5) * np.pi / n))
+        cosines[0] /= 2.0
+        return tuple(2.0 / np.pi * (cosines @ w) for w in self.ac_weights)
 
     def weight_value(self, t):
         return np.asarray(self.weight(np.asarray(t, dtype=float)), dtype=float)
@@ -244,7 +245,7 @@ def make_measure(
         seen.add(x)
     order = model.quad_order if quad_order is None else int(quad_order)
     quad = equilibrium_quadrature(model, order)
-    _, ac_weights = _ac_rule(model, weight, mode, quad)
+    nodes, ac_weights = _ac_rule(model, weight, mode, quad)
     if not all(np.all(w >= 0) and np.all(np.isfinite(w)) for w in ac_weights):
         raise ValidationError("weight factor must be finite and nonnegative on bands")
     ac_mass = float(sum(np.sum(w) for w in ac_weights))
@@ -254,7 +255,7 @@ def make_measure(
     norm = (1.0 - mass_sum) / ac_mass if ac_mass > 0 else 0.0
     if norm < 0:
         raise ValidationError("point masses alone exceed total mass 1")
-    return MeasureModel(model, weight, mode, masses, norm, quad)
+    return MeasureModel(model, weight, mode, masses, norm, quad, nodes, ac_weights)
 
 
 def _ac_rule(model: GreenModel, weight: Callable, mode: str, quad: EquilibriumQuadrature):
@@ -270,7 +271,7 @@ def _ac_rule(model: GreenModel, weight: Callable, mode: str, quad: EquilibriumQu
         halves = [((lo + hi) / 2, (hi - lo) / 2) for lo, hi in model.set.bands]
         nodes = [c + r * xg for c, r in halves]
         base = [r * wg for _, r in halves]
-    return nodes, [b * np.asarray(weight(t), dtype=float) for t, b in zip(nodes, base)]
+    return tuple(nodes), tuple(b * np.asarray(weight(t), dtype=float) for t, b in zip(nodes, base))
 
 
 def measure_to_json(mu: MeasureModel) -> str:
@@ -294,13 +295,11 @@ def measure_to_json(mu: MeasureModel) -> str:
 
 
 def _discretize(mu: MeasureModel, quad_order: int):
-    model = mu.model
-    quad = (
-        mu.quad
-        if quad_order == mu.quad.order
-        else equilibrium_quadrature(model, quad_order)
-    )
-    nodes, ac_weights = _ac_rule(model, mu.weight, mu.mode, quad)
+    if quad_order == mu.quad.order:
+        nodes, ac_weights = mu.ac_nodes, mu.ac_weights
+    else:
+        quad = equilibrium_quadrature(mu.model, quad_order)
+        nodes, ac_weights = _ac_rule(mu.model, mu.weight, mu.mode, quad)
     x, m = np.reshape(mu.point_masses, (-1, 2)).T
     t = np.concatenate([*nodes, x])
     w = np.concatenate([mu.normalization * np.concatenate(ac_weights), m])
@@ -522,12 +521,13 @@ def gap_eigenvalues(
 
 
 def stable_gap_eigenvalues(
-    J: JacobiCoeffs, model: GreenModel, N: int, tol: float = TOLERANCES["eigenvalue_stability"]
+    J: JacobiCoeffs, model: GreenModel, N: int
 ) -> list[tuple[float, Location]]:
     """Gap eigenvalues certified stable across truncation sizes N, N+1, 2N.
 
-    A candidate matches a reference eigenvalue x within tol * (beta - alpha)/4,
-    which is tol on [-2, 2] and moves with E under affine maps, or within
+    A candidate matches a reference eigenvalue x within
+    eigenvalue_stability * (beta - alpha)/4, which is eigenvalue_stability
+    on [-2, 2] and moves with E under affine maps, or within
     eigenvalue_abs * |x| where floating point cannot resolve that window.
 
     Band-resonance artifacts wander when N doubles.  Surface states pinned
@@ -539,7 +539,7 @@ def stable_gap_eigenvalues(
         raise ValidationError(f"need length >= {2 * N} to certify at size {N}")
     ref = gap_eigenvalues(J, model, N)
     others = [gap_eigenvalues(J, model, N + 1), gap_eigenvalues(J, model, 2 * N)]
-    window = tol * (model.set.beta - model.set.alpha) / 4
+    window = TOLERANCES["eigenvalue_stability"] * (model.set.beta - model.set.alpha) / 4
     keep = set(range(len(ref)))
     for ee in others:
         # injective matching: a candidate certifies at most one reference
@@ -642,8 +642,9 @@ def measure_m_boundary(mu: MeasureModel, t):
     for the whole array.  The principal value over the own band uses
     singularity subtraction: in relative mode through the Glauert identity
     PV int_0^pi cos(m u)/(cos u - cos a) du = pi sin(m a)/sin(a) on the
-    Chebyshev expansion of w * f_E, in absolute mode by subtracting w(t)
-    and integrating the smooth difference quotient.  The other bands are
+    Chebyshev interpolant of w * f_E at the measure's own nodes, in
+    absolute mode by subtracting w(t) and integrating the smooth
+    difference quotient at the measure's order.  The other bands are
     summed over the measure's a.c. rule, point masses add their real
     poles, and the imaginary part is pi times the density.
     """
@@ -670,7 +671,7 @@ def measure_m_boundary(mu: MeasureModel, t):
         sines = np.sin(theta[:, None] * np.arange(len(coefs)))
         re = mu.normalization * (np.pi / r * np.sum(coefs * sines, axis=1) / np.sin(theta))
     else:
-        xg, wg = _leggauss(model.quad_order)
+        xg, wg = _leggauss(mu.quad.order)
         W = mu.weight_value(c + r * xg)
         Wt = mu.weight_value(ts)
         d = xg - xt[:, None]
@@ -679,7 +680,7 @@ def measure_m_boundary(mu: MeasureModel, t):
         re = mu.normalization * (
             np.sum(wg * diff, axis=1) + Wt * np.log((1 - xt) / (1 + xt))
         )
-    for kk, (sn, wn) in enumerate(zip(*mu._ac_rule_model)):
+    for kk, (sn, wn) in enumerate(zip(mu.ac_nodes, mu.ac_weights)):
         if kk != k:
             re += mu.normalization * np.sum(wn / (sn - ts[:, None]), axis=1)
     for x, m in mu.point_masses:

@@ -34,11 +34,13 @@ versions), which cancels the inverse-square-root edge behaviour exactly,
 and on the unbounded components by t = e +/- s^2.  After the substitution
 a gap integrand is analytic out to the nearest foreign edge, so each gap
 gets the order that edge's Bernstein ellipse needs for 1e-15 (at least
-32); an explicit quad_order sets every order.
+32); an explicit quad_order sets every order.  An outer ray is sized from
+the edge one outer band inside, never below the band order.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -46,7 +48,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev as C
 
 from .errors import NumericalError, ValidationError
 from .realset import GapSet, locate, make_gapset
@@ -95,9 +96,13 @@ def _gap_orders(s: GapSet) -> tuple[int, ...]:
     lengths = np.diff(s.edges)
     r = 0.5 * lengths[1::2]
     u = np.minimum(lengths[0:-1:2], lengths[2::2]) / r  # a - 1
-    log_rho = np.log1p(u + np.sqrt(u * (u + 2.0)))
+    return tuple(int(k) for k in _ellipse_orders(np.log1p(u + np.sqrt(u * (u + 2.0)))))
+
+
+def _ellipse_orders(log_rho):
+    """Rule orders for _GAP_RULE_TARGET inside Bernstein ellipses of radius exp(log_rho)."""
     n = np.ceil(-math.log(_GAP_RULE_TARGET) / (2.0 * log_rho))
-    return tuple(int(k) for k in np.clip(n, GAP_ORDER_FLOOR, _GAP_ORDER_CAP))
+    return np.clip(n, GAP_ORDER_FLOOR, _GAP_ORDER_CAP).astype(int)
 
 
 def _log_g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()):
@@ -140,9 +145,15 @@ def _edge_ray(roots, edges, k: int, length: float, order: int) -> float:
     """Integral of g' from the outer edge e_k (k = 0 or the last) outward by length.
 
     Under t = e_k -/+ s^2, dt = 2s ds cancels the edge's own factor
-    sqrt|t - e_k| = s, leaving a smooth integrand in s.
+    sqrt|t - e_k| = s, leaving a smooth integrand in s.  The edge one outer
+    band (length eps) inside puts branch points at s = +/- i sqrt(eps), at
+    z = -1 + 2i sqrt(eps/length) in the rule's variable; the rule takes the
+    larger of order and the order of their Bernstein ellipse.
     """
-    xg, wg = _leggauss(order)
+    eps = abs(edges[k] - edges[1 if k == 0 else k - 1])
+    z = complex(-1.0, 2.0 * math.sqrt(eps / length))
+    w = cmath.sqrt(z * z - 1.0)
+    xg, wg = _leggauss(max(order, int(_ellipse_orders(math.log(max(abs(z + w), abs(z - w)))))))
     smax = math.sqrt(length)
     sq = 0.5 * smax * (xg + 1.0)
     t = edges[k] + (-1.0 if k == 0 else 1.0) * (sq * sq)
@@ -477,23 +488,6 @@ def equilibrium_quadrature(model: GreenModel, order: int) -> EquilibriumQuadratu
     if order == model.quad_order:
         return model.quad
     return _band_rule(model.set, model.critical_points, order)
-
-
-def _band_cheb(model: GreenModel, k: int, order: int, weight: Callable) -> np.ndarray:
-    """Chebyshev fit in x = (t - c)/r of w * f_E * r sin(theta) on band k.
-
-    Leaving the band's own edge factors out of f_E makes the fitted
-    function smooth; it feeds the Glauert principal value.
-    """
-    lo, hi = model.set.bands[k]
-    c, r = (lo + hi) / 2, (hi - lo) / 2
-
-    def phi(x):
-        t = c + r * np.asarray(x, dtype=float)
-        v = np.abs(_g_prime(t, model.critical_points, model.edges, (2 * k, 2 * k + 1))) / np.pi
-        return np.asarray(weight(t), dtype=float) * v
-
-    return C.chebinterpolate(phi, min(order, 400))
 
 
 def interval_stieltjes(alpha: float, beta: float, x: complex) -> complex:

@@ -46,6 +46,8 @@ NEG_INF = float("-inf")
 DIVERGENCE_FLOOR = -50.0
 DIVERGENCE_STEP = 1.0
 MAX_REFINEMENTS = 5
+# relative slack on theorem_upper_bound's comparison of the window with C' e^(S/2)
+BOUND_SLACK = 1e-6
 
 
 def _short_hash(text: str) -> str:
@@ -252,20 +254,14 @@ def _stripped_densities(mu: MeasureModel, J: JacobiCoeffs, n: int):
     return fn_vals
 
 
-def n_step_sum_rule(
-    J: JacobiCoeffs,
-    mu: MeasureModel,
-    model: GreenModel,
-    n: int,
-    eval_size: int | None = None,
-) -> SumRuleReport:
+def n_step_sum_rule(J: JacobiCoeffs, mu: MeasureModel, model: GreenModel, n: int) -> SumRuleReport:
     """Residual of the n-step sum rule for the given matrix and measure."""
     if n < 1 or n > len(J):
         raise ValidationError(f"step count {n} out of range for length {len(J)}")
     quad = mu.quad
     lhs = float(np.sum(np.log(J.a[:n]))) - n * math.log(model.capacity)
 
-    eval_size = _eval_size(J, n, 200 if eval_size is None else eval_size)
+    eval_size = _eval_size(J, n, 200)
     eig_J = stable_gap_eigenvalues(J, model, eval_size)
     eig_n = stable_gap_eigenvalues(strip(J, n), model, eval_size)
     gsum_J = eigenvalue_green_sum([v for v, _ in eig_J], model)
@@ -311,10 +307,10 @@ def szego_product(J: JacobiCoeffs, capacity: float, n_max: int) -> np.ndarray:
     return np.exp(logs)
 
 
-def trailing_window(values: np.ndarray, fraction: float = 0.25) -> np.ndarray:
-    """Last `fraction` of a sequence; the liminf/limsup surrogate window."""
+def trailing_window(values: np.ndarray) -> np.ndarray:
+    """Last quarter of a sequence; the liminf/limsup surrogate window."""
     n = len(values)
-    k = max(1, int(math.ceil(n * fraction)))
+    k = max(1, int(math.ceil(n * 0.25)))
     return values[n - k:]
 
 
@@ -344,12 +340,7 @@ class BoundCheckReport:
 
 
 def eigenvalue_bound_check(
-    J: JacobiCoeffs,
-    model: GreenModel,
-    sizes: list[int],
-    tail: JacobiCoeffs | None = None,
-    include_glued: bool = True,
-    eval_size: int | None = None,
+    J: JacobiCoeffs, model: GreenModel, sizes: list[int], include_glued: bool = True
 ) -> BoundCheckReport:
     """Check the uniform eigenvalue-sum bounds over corners, strips and glues.
 
@@ -366,7 +357,7 @@ def eigenvalue_bound_check(
     sizes = sorted(int(x) for x in sizes)
     if not sizes or sizes[0] < 1:
         raise ValidationError("sizes must be positive integers")
-    eval_size = _eval_size(J, sizes[-1], 200 if eval_size is None else eval_size)
+    eval_size = _eval_size(J, sizes[-1], 200)
     base = stable_gap_eigenvalues(J, model, eval_size)
     base_sum = eigenvalue_green_sum([v for v, _ in base], model)
     crit = pw_sum(model)
@@ -383,7 +374,7 @@ def eigenvalue_bound_check(
             BoundCheckEntry("corner", n, eigenvalue_green_sum(eigs, model), c_bound, len(eigs))
         )
     if include_glued:
-        for n, certified in _glued_spectra(J, model, sizes, eval_size, tail).items():
+        for n, certified in _glued_spectra(J, model, sizes, eval_size).items():
             in_gap = [v for v, loc in certified if loc.kind == "gap"]
             outside = [v for v, loc in certified if loc.kind != "gap"]
             entries.append(
@@ -396,14 +387,13 @@ def eigenvalue_bound_check(
     return BoundCheckReport(entries=entries, base_green_sum=base_sum, critical_sum=crit)
 
 
-def _glued_spectra(J: JacobiCoeffs, model: GreenModel, sizes, eval_size: int, tail):
-    """Certified off-set eigenvalues of each n-pair head of J glued onto tail.
+def _glued_spectra(J: JacobiCoeffs, model: GreenModel, sizes, eval_size: int):
+    """Certified off-set eigenvalues of each n-pair head of J glued onto a tail.
 
-    The junction coupling is a_n; the default tail is the equilibrium
-    matrix, long enough to certify at eval_size beyond the largest head.
+    The junction coupling is a_n; the tail is the equilibrium matrix, long
+    enough to certify at eval_size beyond the largest head.
     """
-    if tail is None:
-        tail = equilibrium_coefficients(model, max(sizes) + 2 * eval_size)
+    tail = equilibrium_coefficients(model, max(sizes) + 2 * eval_size)
     return {
         n: stable_gap_eigenvalues(
             glue_head(JacobiCoeffs(J.a[:n], J.b[:n]), float(J.a[n - 1]), tail), model, eval_size
@@ -412,11 +402,9 @@ def _glued_spectra(J: JacobiCoeffs, model: GreenModel, sizes, eval_size: int, ta
     }
 
 
-def equilibrium_coefficients(model: GreenModel, n: int, quad_order: int | None = None) -> JacobiCoeffs:
+def equilibrium_coefficients(model: GreenModel, n: int) -> JacobiCoeffs:
     """Jacobi coefficients of the equilibrium measure of the model's set."""
-    if quad_order is None:
-        quad_order = max(model.quad_order, 2 * n + 32)
-    mu = make_measure(model, None, mode="relative", quad_order=quad_order)
+    mu = make_measure(model, None, mode="relative", quad_order=max(model.quad_order, 2 * n + 32))
     return coefficients_from_measure(mu, n)
 
 
@@ -445,13 +433,7 @@ class TheoremReport:
 
 
 def theorem_upper_bound(
-    J: JacobiCoeffs,
-    mu: MeasureModel,
-    model: GreenModel,
-    n_max: int,
-    tail: JacobiCoeffs | None = None,
-    sample_sizes: list[int] | None = None,
-    tol: float = 1e-6,
+    J: JacobiCoeffs, mu: MeasureModel, model: GreenModel, n_max: int
 ) -> TheoremReport:
     """Check max u_n over the trailing window against C' exp(S/2).
 
@@ -465,18 +447,17 @@ def theorem_upper_bound(
         raise ValidationError("upper-bound check requires a finite entropy")
     u = szego_product(J, model.capacity, n_max)
     window = trailing_window(u)
-    if sample_sizes is None:
-        sample_sizes = sorted({max(1, n_max // 8), n_max // 4, n_max // 2, n_max})
+    sample_sizes = sorted({max(1, n_max // 8), n_max // 4, n_max // 2, n_max})
     eval_size = _eval_size(J, max(sample_sizes), 160)
     base = stable_gap_eigenvalues(J, model, eval_size)
     base_sum = eigenvalue_green_sum([v for v, _ in base], model)
     glued_sums = {
         n: eigenvalue_green_sum([v for v, _ in eigs], model)
-        for n, eigs in _glued_spectra(J, model, sample_sizes, eval_size, tail).items()
+        for n, eigs in _glued_spectra(J, model, sample_sizes, eval_size).items()
     }
     bound_C = 2.0 * base_sum + pw_sum(model) + max(0.0, *glued_sums.values())
     bound_Cprime = math.exp(bound_C)
-    limit = bound_Cprime * math.exp(0.5 * S) * (1.0 + tol)
+    limit = bound_Cprime * math.exp(0.5 * S) * (1.0 + BOUND_SLACK)
     return TheoremReport(
         n_max=n_max,
         window_max=float(np.max(window)),

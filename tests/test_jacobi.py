@@ -561,6 +561,18 @@ def test_measure_m_boundary_array_matches_scalar(model_fat3, model_pm12):
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
+
+@pytest.mark.parametrize("factor", [1, 2])
+@pytest.mark.parametrize("name", ["model_pm12", "model_fat3"])
+def test_reflectionless_at_stripping_nodes(name, factor, request):
+    # m_E(t + i0) is purely imaginary on E; the sum rule strips it at the
+    # nodes of mu.quad, also when the measure's order is not the model's
+    model = request.getfixturevalue(name)
+    mu = G.make_measure(model, quad_order=factor * model.quad_order)
+    for t in mu.quad.nodes:
+        m = G.measure_m_boundary(mu, t)
+        assert np.max(np.abs(m.real) / m.imag) <= 3e-13
+
 def test_measure_m_boundary_array_domain_errors(model_pm12):
     # a gap point, two bands, a band edge, points off the set; in both modes
     lebesgue = G.WeightSpec("const", {"value": 1.0})

@@ -231,6 +231,16 @@ def test_capacity_narrow_bands():
     assert model.capacity == pytest.approx(math.sqrt(0.5**2 - 0.49**2) / 2, abs=1e-9)
 
 
+
+@pytest.mark.parametrize("eps, bound", [(1e-6, 1e-10), (1e-7, 1e-9), (1e-8, 1e-8)])
+def test_capacity_tiny_outer_bands(eps, bound):
+    # [0, eps] u [1 - eps, 1]: the Robin probe's ray from beta meets the branch
+    # point of the edge at beta - eps, so its rule is sized by eps, not by the
+    # band order, which left 2e-3 at eps = 1e-8
+    model = G.solve_green(G.make_gapset(0.0, 1.0, [(eps, 1.0 - eps)]))
+    want = math.sqrt(eps - eps * eps) / 2
+    assert abs(model.capacity - want) <= bound * want
+
 def test_affine_covariance(model_pm12):
     scale, shift = 0.5, 3.0
     mapped = G.solve_green(G.scale_shift(model_pm12.set, scale, shift), quad_order=240)

@@ -1,7 +1,11 @@
-"""The README's library tour runs as written, so an API change cannot leave it stale."""
+"""The README's library tour and shell examples run as written, so an API or
+CLI change cannot leave them stale."""
 
 import pathlib
 import re
+import shlex
+
+from gaplab import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -11,3 +15,18 @@ def test_readme_python_blocks_run():
     assert blocks
     for code in blocks:
         exec(compile(code, str(README), "exec"), {})
+
+
+def test_readme_shell_examples_run(tmp_path, monkeypatch):
+    # --out and --plot write their files into the working directory
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    commands = [
+        shlex.split(line)
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("gaplab ")
+    ]
+    assert commands
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
