@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from gaplab.errors import ValidationError
 
 def test_szego_integral_arcsine(mu_arcsine, model_m22):
     assert G.szego_integral(mu_arcsine) == pytest.approx(-math.log(math.pi), abs=1e-8)
-    # explicit quadrature argument follows the same path
-    quad = G.equilibrium_quadrature(model_m22, 300)
-    assert G.szego_integral(mu_arcsine, quad) == pytest.approx(-math.log(math.pi), abs=1e-8)
-    assert G.relative_entropy(mu_arcsine, model_m22, quad) == pytest.approx(0.0, abs=1e-10)
+    # a measure at another order follows the same path
+    mu = G.make_measure(model_m22, None, mode="relative", quad_order=300)
+    assert G.szego_integral(mu) == pytest.approx(-math.log(math.pi), abs=1e-8)
+    assert G.relative_entropy(mu) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_szego_integral_semicircle(mu_semicircle):
@@ -161,6 +162,8 @@ def test_n_step_three_band_asymmetric():
 NON_SZEGO_WEIGHTS = {
     "indicator": {"form": "indicator", "support": [[-2, -1], [1, 1.5]]},
     "edge_essential_zero": {"form": "exp_inv_abs", "center": 2.0},
+    "interior_essential_zero": {"form": "exp_inv_abs", "center": 1.5},
+    "interior_essential_zero_weak": {"form": "exp_inv_abs", "center": 1.5, "strength": 0.1},
 }
 
 
@@ -186,6 +189,63 @@ def test_non_szego_sum_rule_is_inapplicable(name, model_pm12, tmp_path):
     assert row["status"] == "inapplicable"
     assert row["entropy_mu"] == row["entropy_strip"] == float("-inf")
     assert math.isnan(row["rhs"]) and math.isnan(row["residual"])
+
+
+@pytest.mark.parametrize("name", ["interior_essential_zero", "interior_essential_zero_weak"])
+def test_non_szego_theorem_is_a_validation_error(name, tmp_path, capsys):
+    # an interior essential zero has no finite entropy for the bound to use,
+    # however mild its node values look at one order
+    measure = json.dumps({"mode": "relative", "factor": NON_SZEGO_WEIGHTS[name]})
+    code = cli.main([
+        "--command", "theorem", "--set", '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}',
+        "--measure", measure, "--n", "100", "--out", str(tmp_path / "o.csv"),
+    ])
+    assert code == 1
+    assert "requires a finite entropy" in capsys.readouterr().err
+
+
+def _szego_class_battery(set_, seeds):
+    """(factor, Szego class) cases on set_, each seed drawing its own centres.
+
+    Essential zeros at three strengths sit in the middle 96% of a random
+    band; a double zero at the same centre, an essential zero 10-90% across
+    a random gap and one off the set leave the measure in the Szego class.
+    """
+    diam = set_.beta - set_.alpha
+    for seed in seeds:
+        rng = random.Random(seed)
+        lo, hi = set_.bands[rng.randrange(len(set_.bands))]
+        c = lo + (hi - lo) * rng.uniform(0.02, 0.98)
+        for k in (1.0, 0.1, 0.01):
+            yield {"form": "exp_inv_abs", "center": c, "strength": k * (hi - lo)}, False
+        yield {"form": "poly", "coef": [c * c, -2.0 * c, 1.0]}, True
+        gl, gr = set_.gaps[rng.randrange(len(set_.gaps))]
+        yield {"form": "exp_inv_abs", "center": gl + (gr - gl) * rng.uniform(0.1, 0.9)}, True
+        yield {"form": "exp_inv_abs", "center": set_.alpha - 0.05 * diam}, True
+
+
+def test_szego_class_battery(model_pm12, model_fat3):
+    for model in (model_pm12, model_fat3):
+        for factor, szego in _szego_class_battery(model.set, range(5)):
+            mu = G.make_measure(model, G.WeightSpec.from_dict(factor), mode="relative")
+            for value in (G.relative_entropy(mu), G.szego_integral(mu)):
+                assert math.isfinite(value) == szego, (model.set.gaps, factor, value)
+
+
+def test_interior_double_zero_entropy_oracle():
+    # w = (t - 3/2)^2 relative to mu_E on [-2,-1] u [1,2]: S = log(cap^2 / int w dmu_E),
+    # cap = sqrt(3)/2 and int t^2 dmu_E = 5/2 from the pull-back T(x) = (4x^2 - 10)/3
+    model = G.solve_green(G.make_gapset(-2, 2, [(-1, 1)]))
+    exact = 2.0 * math.log(math.sqrt(3) / 2) - math.log(4.75)
+    w = G.WeightSpec("poly", {"coef": [2.25, -3.0, 1.0]})
+    mu = G.make_measure(model, w)
+    s = G.relative_entropy(mu)
+    # orders n and 2n disagree, so the class is read at 4n as well
+    s_2n = G.relative_entropy(G.make_measure(model, w, quad_order=2 * mu.quad.order))
+    assert abs(s - s_2n) > 1e-9 * abs(s)
+    assert math.isfinite(s) and abs(s - exact) <= 4e-3
+    s_fine = G.relative_entropy(G.make_measure(model, w, quad_order=1600))
+    assert abs(s_fine - exact) <= 5e-4
 
 
 def test_sum_rule_entropy_is_relative_entropy(model_pm12):
