@@ -118,6 +118,13 @@ def _table(command: str, columns: list[str], rows: list[list], meta: dict, fmt: 
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
+def _coefficients(mu, pairs: int, meta: dict):
+    """Lanczos at twice the pairs, or mu's own order if finer; diagnostics go to meta."""
+    J = coefficients_from_measure(mu, pairs, quad_order=max(2 * pairs, mu.quad.order))
+    meta.update(reorth_steps=J.reorth_steps, breakdown_margin=J.breakdown_margin)
+    return J
+
+
 def run(config: dict) -> str:
     command = config.get("command")
     if command not in COMMANDS:
@@ -196,26 +203,21 @@ def run(config: dict) -> str:
 
     if command == "coeffs":
         n = config.get("n", 20)
-        J = coefficients_from_measure(mu, n)
-        meta.update(reorth_steps=J.reorth_steps, breakdown_margin=J.breakdown_margin)
+        J = _coefficients(mu, n, meta)
         rows = [[i + 1, float(J.a[i]), float(J.b[i])] for i in range(n)]
         return _table(command, ["n", "a_n", "b_n"], rows, meta, fmt)
 
     if command == "sumrule":
         n = config.get("n", 1)
-        length = config.get("length", max(4 * n, 120) + 2 * 60)
-        J = coefficients_from_measure(mu, length, quad_order=max(2 * length, mu.quad.order))
-        meta.update(reorth_steps=J.reorth_steps, breakdown_margin=J.breakdown_margin)
-        report = n_step_sum_rule(J, mu, model, n)
+        J = _coefficients(mu, config.get("length", max(4 * n, 120) + 2 * 60), meta)
+        report = n_step_sum_rule(J, mu, n)
         columns = SumRuleReport.CSV_COLUMNS.split(",")
         return _table(command, columns, [[getattr(report, c) for c in columns]], meta, fmt)
 
     if command == "theorem":
         n_max = config.get("n", 50)
-        length = config.get("length", n_max + 2 * 90 + 8)
-        J = coefficients_from_measure(mu, length, quad_order=max(2 * length, mu.quad.order))
-        meta.update(reorth_steps=J.reorth_steps, breakdown_margin=J.breakdown_margin)
-        report = theorem_upper_bound(J, mu, model, n_max)
+        J = _coefficients(mu, n_max, meta)
+        report = theorem_upper_bound(J, mu, n_max)
         u = szego_product(J, model.capacity, n_max)
         if config.get("plot"):
             emit_plotdata({"szego_product": list(map(float, u))}, config["plot"])
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", dest="set_spec", help='inline GapSet JSON or "fat_cantor:n"')
     p.add_argument("--measure", help='measure spec JSON, "equilibrium" or "lebesgue"')
     p.add_argument("--n", type=int, help="command-specific size parameter")
-    p.add_argument("--length", type=int, help="coefficient sequence length override")
+    p.add_argument("--length", type=int, help="coefficient sequence length override (sumrule)")
     p.add_argument("--quad-order", type=int, dest="quad_order")
     p.add_argument("--points", help="comma-separated evaluation points (green)")
     p.add_argument("--gap-index", type=int, dest="gap_index")

@@ -7,10 +7,10 @@ The central identity compared here is
 
 with g the Green's function, x_k / x_{n,k} the eigenvalues of the matrix
 and its n-fold strip off the set, and S the relative entropy against the
-equilibrium measure.  The left side comes from Lanczos coefficients, the
-right side from certified gap eigenvalues and pointwise boundary-value
-stripping, so the residual is a genuine cross-validation of independent
-numerical paths.
+equilibrium measure.  The matrix is mu's, so the x_k are its point masses;
+the left side comes from Lanczos coefficients, the right side from the
+strip's certified gap eigenvalues and boundary-value stripping, so the
+residual is a genuine cross-validation of independent numerical paths.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ NEG_INF = float("-inf")
 # 0.93-1.07) while the error of a double zero halves (ratio 0.54-0.57).
 CLASS_TRIM = 4
 CLASS_RATIO = 0.75
+GLUED_EVAL_SIZE = 94  # certification size of theorem_upper_bound's glued matrices
 # relative slack on theorem_upper_bound's comparison of the window with C' e^(S/2)
 BOUND_SLACK = 1e-6
 
@@ -215,13 +216,13 @@ def szego_integral(mu: MeasureModel) -> float:
 # step-by-step and n-step sum rules
 
 
-def _eval_size(J: JacobiCoeffs, used: int, cap: int) -> int:
+def _eval_size(J: JacobiCoeffs, used: int) -> int:
     """Certification size N for stable_gap_eigenvalues after `used` pairs.
 
     Certifying at N reads 2N pairs, so N is at most (len(J) - used) // 2,
-    and at most cap.
+    and at most 200.
     """
-    size = min(cap, (len(J) - used) // 2)
+    size = min(200, (len(J) - used) // 2)
     if size < 2:
         raise ValidationError(
             f"coefficient sequence of length {len(J)} too short for certified "
@@ -249,17 +250,15 @@ def _stripped_densities(mu: MeasureModel, J: JacobiCoeffs, n: int):
     return fn_vals
 
 
-def n_step_sum_rule(J: JacobiCoeffs, mu: MeasureModel, model: GreenModel, n: int) -> SumRuleReport:
-    """Residual of the n-step sum rule for the given matrix and measure."""
+def n_step_sum_rule(J: JacobiCoeffs, mu: MeasureModel, n: int) -> SumRuleReport:
+    """Residual of the n-step sum rule for mu and its Jacobi matrix J."""
     if n < 1 or n > len(J):
         raise ValidationError(f"step count {n} out of range for length {len(J)}")
-    quad = mu.quad
+    model, quad = mu.model, mu.quad
     lhs = float(np.sum(np.log(J.a[:n]))) - n * math.log(model.capacity)
 
-    eval_size = _eval_size(J, n, 200)
-    eig_J = stable_gap_eigenvalues(J, model, eval_size)
-    eig_n = stable_gap_eigenvalues(strip(J, n), model, eval_size)
-    gsum_J = eigenvalue_green_sum([v for v, _ in eig_J], model)
+    eig_n = stable_gap_eigenvalues(strip(J, n), model, _eval_size(J, n))
+    gsum_J = eigenvalue_green_sum([x for x, _ in mu.point_masses], model)
     gsum_n = eigenvalue_green_sum([v for v, _ in eig_n], model)
 
     s_mu = relative_entropy(mu)
@@ -282,9 +281,9 @@ def n_step_sum_rule(J: JacobiCoeffs, mu: MeasureModel, model: GreenModel, n: int
     )
 
 
-def step_sum_rule(J: JacobiCoeffs, mu: MeasureModel, model: GreenModel) -> SumRuleReport:
-    """Single coefficient-stripping step of the sum rule (n = 1)."""
-    return n_step_sum_rule(J, mu, model, 1)
+def step_sum_rule(J: JacobiCoeffs, mu: MeasureModel) -> SumRuleReport:
+    """Single coefficient-stripping step of the sum rule (n = 1); J is mu's matrix."""
+    return n_step_sum_rule(J, mu, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +348,7 @@ def eigenvalue_bound_check(
     sizes = sorted(int(x) for x in sizes)
     if not sizes or sizes[0] < 1:
         raise ValidationError("sizes must be positive integers")
-    eval_size = _eval_size(J, sizes[-1], 200)
+    eval_size = _eval_size(J, sizes[-1])
     base = stable_gap_eigenvalues(J, model, eval_size)
     base_sum = eigenvalue_green_sum([v for v, _ in base], model)
     crit = pw_sum(model)
@@ -424,28 +423,26 @@ class TheoremReport:
         )
 
 
-def theorem_upper_bound(
-    J: JacobiCoeffs, mu: MeasureModel, model: GreenModel, n_max: int
-) -> TheoremReport:
+def theorem_upper_bound(J: JacobiCoeffs, mu: MeasureModel, n_max: int) -> TheoremReport:
     """Check max u_n over the trailing window against C' exp(S/2).
 
-    The uniform constant is realized operationally: C is the largest
-    certified Green-sum of the glued matrices over a documented sample of
-    head sizes, plus the baseline 2 sum g(x_k) + sum g(c_j) formula terms,
-    and C' = exp(C).
+    J must be mu's Jacobi matrix, with at least n_max pairs; its off-set
+    eigenvalues are then mu's point masses.  The uniform constant is
+    realized operationally: C is the largest certified Green-sum of the
+    glued matrices over a documented sample of head sizes, plus the
+    baseline 2 sum g(x_k) + sum g(c_j) formula terms, and C' = exp(C).
     """
+    model = mu.model
     S = relative_entropy(mu)
     if S == NEG_INF:
         raise ValidationError("upper-bound check requires a finite entropy")
     u = szego_product(J, model.capacity, n_max)
     window = trailing_window(u)
     sample_sizes = sorted({max(1, n_max // 8), n_max // 4, n_max // 2, n_max})
-    eval_size = _eval_size(J, max(sample_sizes), 160)
-    base = stable_gap_eigenvalues(J, model, eval_size)
-    base_sum = eigenvalue_green_sum([v for v, _ in base], model)
+    base_sum = eigenvalue_green_sum([x for x, _ in mu.point_masses], model)
     glued_sums = {
         n: eigenvalue_green_sum([v for v, _ in eigs], model)
-        for n, eigs in _glued_spectra(J, model, sample_sizes, eval_size).items()
+        for n, eigs in _glued_spectra(J, model, sample_sizes, GLUED_EVAL_SIZE).items()
     }
     bound_C = 2.0 * base_sum + pw_sum(model) + max(0.0, *glued_sums.values())
     bound_Cprime = math.exp(bound_C)

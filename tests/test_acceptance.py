@@ -102,13 +102,13 @@ def test_c06_coefficient_oracles(mu_arcsine, mu_semicircle):
         assert time.perf_counter() - t0 < 5.0
 
 
-def test_c07_step_sum_rules(j_chebyshev, mu_arcsine, model_m22):
+def test_c07_step_sum_rules(j_chebyshev, mu_arcsine):
     with criterion(7, "step and n-step sum rules on the analytic case"):
-        rep = G.step_sum_rule(j_chebyshev, mu_arcsine, model_m22)
+        rep = G.step_sum_rule(j_chebyshev, mu_arcsine)
         assert rep.lhs == pytest.approx(0.5 * math.log(2), abs=1e-10)
         assert abs(rep.residual) <= 1e-6
         for n in range(2, 21):
-            rep_n = G.n_step_sum_rule(j_chebyshev, mu_arcsine, model_m22, n)
+            rep_n = G.n_step_sum_rule(j_chebyshev, mu_arcsine, n)
             assert abs(rep_n.residual) <= 1e-5
 
 

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import gaplab as G
 from gaplab import cli
 
 
@@ -87,6 +89,23 @@ def test_coeffs_command(tmp_path):
     assert lines[0] == "n,a_n,b_n"
     first = lines[1].split(",")
     assert abs(float(first[1]) - math.sqrt(2)) <= 1e-10
+
+
+def test_coeffs_near_support_size(tmp_path):
+    # 399 pairs of mu_E on a 200-node-per-band rule: Lanczos runs at twice
+    # the pairs, so the tail matches an order-3200 reference to rounding
+    spec = '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}'
+    code, data = run_cli(
+        ["--command", "coeffs", "--set", spec, "--measure", "equilibrium", "--n", "399",
+         "--format", "json"],
+        tmp_path,
+    )
+    assert code == 0
+    rows = np.array(json.loads(data)["rows"])
+    mu = G.make_measure(G.solve_green(G.make_gapset(-2, 2, [(-1, 1)])))
+    ref = G.coefficients_from_measure(mu, 399, quad_order=3200)
+    assert np.max(np.abs(rows[:, 1] - ref.a)) <= 1e-13
+    assert np.max(np.abs(rows[:, 2] - ref.b)) <= 1e-13
 
 
 def test_sumrule_command(tmp_path):

@@ -77,8 +77,8 @@ def test_szego_entropy_offset(model_m22, mu_semicircle, mu_arcsine):
     assert lhs == pytest.approx(G.szego_integral(mu_arcsine), abs=1e-8)
 
 
-def test_step_sum_rule_chebyshev(j_chebyshev, mu_arcsine, model_m22):
-    rep = G.step_sum_rule(j_chebyshev, mu_arcsine, model_m22)
+def test_step_sum_rule_chebyshev(j_chebyshev, mu_arcsine):
+    rep = G.step_sum_rule(j_chebyshev, mu_arcsine)
     assert rep.status == "ok"
     assert rep.lhs == pytest.approx(0.5 * math.log(2), abs=1e-12)
     assert rep.rhs == pytest.approx(0.5 * math.log(2), abs=1e-6)
@@ -87,8 +87,8 @@ def test_step_sum_rule_chebyshev(j_chebyshev, mu_arcsine, model_m22):
     assert rep.entropy_strip == pytest.approx(-math.log(2), abs=1e-8)
 
 
-def test_step_sum_rule_free_invariance(j_free, mu_semicircle, model_m22):
-    rep = G.step_sum_rule(j_free, mu_semicircle, model_m22)
+def test_step_sum_rule_free_invariance(j_free, mu_semicircle):
+    rep = G.step_sum_rule(j_free, mu_semicircle)
     assert rep.lhs == pytest.approx(0.0, abs=1e-10)
     assert abs(rep.residual) <= 1e-8
 
@@ -101,30 +101,30 @@ def test_step_sum_rule_perturbed(model_m22, j_perturbed):
         return (mm.imag / np.pi) * (np.pi * np.sqrt(4 - t * t))
 
     mu = G.make_measure(model_m22, w_pert, point_masses=[(2.9, 0.84)])
-    rep = G.step_sum_rule(j_perturbed, mu, model_m22)
+    rep = G.step_sum_rule(j_perturbed, mu)
     assert rep.green_sum_J == pytest.approx(math.log(2.5), abs=1e-6)
     assert rep.green_sum_strip == 0.0
     assert abs(rep.residual) <= 1e-4
 
 
-def test_n_step_sum_rule_chebyshev(j_chebyshev, mu_arcsine, model_m22):
+def test_n_step_sum_rule_chebyshev(j_chebyshev, mu_arcsine):
     for n in (5, 20):
-        rep = G.n_step_sum_rule(j_chebyshev, mu_arcsine, model_m22, n)
+        rep = G.n_step_sum_rule(j_chebyshev, mu_arcsine, n)
         assert rep.lhs == pytest.approx(0.5 * math.log(2), abs=1e-10)
         assert abs(rep.residual) <= 1e-5
 
 
-def test_n_step_matches_step_composition(j_chebyshev, mu_arcsine, mu_semicircle, model_m22):
+def test_n_step_matches_step_composition(j_chebyshev, mu_arcsine, mu_semicircle):
     # strips of the arcsine matrix are free with semicircle measure, so the
     # n-step report must equal the telescoped single steps
     n = 4
-    rep_n = G.n_step_sum_rule(j_chebyshev, mu_arcsine, model_m22, n)
-    step1 = G.step_sum_rule(j_chebyshev, mu_arcsine, model_m22)
+    rep_n = G.n_step_sum_rule(j_chebyshev, mu_arcsine, n)
+    step1 = G.step_sum_rule(j_chebyshev, mu_arcsine)
     j_free_tail = G.strip(j_chebyshev, 1)
     total_lhs = step1.lhs
     total_rhs = step1.rhs
     for _ in range(n - 1):
-        rep = G.step_sum_rule(j_free_tail, mu_semicircle, model_m22)
+        rep = G.step_sum_rule(j_free_tail, mu_semicircle)
         total_lhs += rep.lhs
         total_rhs += rep.rhs
         j_free_tail = G.strip(j_free_tail, 1)
@@ -133,8 +133,8 @@ def test_n_step_matches_step_composition(j_chebyshev, mu_arcsine, mu_semicircle,
     assert rep_n.residual == pytest.approx(step1.residual, abs=1e-6)
 
 
-def test_n_step_two_interval_self_consistency(je_pm12, mu_eq_pm12, model_pm12):
-    rep = G.n_step_sum_rule(je_pm12, mu_eq_pm12, model_pm12, 8)
+def test_n_step_two_interval_self_consistency(je_pm12, mu_eq_pm12):
+    rep = G.n_step_sum_rule(je_pm12, mu_eq_pm12, 8)
     assert rep.status == "ok"
     assert abs(rep.residual) <= 1e-3
 
@@ -153,9 +153,9 @@ def test_n_step_three_band_asymmetric():
     mu = G.make_measure(model, None, mode="relative", quad_order=700)
     J = G.coefficients_from_measure(mu, 400)
     for n in (1, 4):
-        rep = G.n_step_sum_rule(J, mu, model, n)
+        rep = G.n_step_sum_rule(J, mu, n)
         assert abs(rep.residual) <= 1e-8
-    rep8 = G.n_step_sum_rule(J, mu, model, 8)
+    rep8 = G.n_step_sum_rule(J, mu, 8)
     assert abs(rep8.residual) <= 2e-2
 
 
@@ -173,7 +173,7 @@ def test_non_szego_sum_rule_is_inapplicable(name, model_pm12, tmp_path):
     factor = NON_SZEGO_WEIGHTS[name]
     mu = G.make_measure(model_pm12, G.WeightSpec.from_dict(factor), mode="relative")
     J = G.coefficients_from_measure(mu, 240, quad_order=480)
-    rep = G.n_step_sum_rule(J, mu, model_pm12, 2)
+    rep = G.n_step_sum_rule(J, mu, 2)
     assert rep.status == "inapplicable"
     assert rep.entropy_mu == rep.entropy_strip == float("-inf")
     assert math.isnan(rep.rhs) and math.isnan(rep.residual)
@@ -256,9 +256,34 @@ def test_sum_rule_entropy_is_relative_entropy(model_pm12):
     ]
     for mu in measures:
         J = G.coefficients_from_measure(mu, 240, quad_order=480)
-        rep = G.n_step_sum_rule(J, mu, model_pm12, 4)
+        rep = G.n_step_sum_rule(J, mu, 4)
         assert rep.status == "ok"
         assert rep.entropy_mu == G.relative_entropy(mu)
+
+
+def _massed_measure(model):
+    w = G.WeightSpec("poly", {"coef": [1, 0.5, 0.3]})
+    return G.make_measure(model, w, point_masses=[(0.0, 0.1), (2.5, 0.05)])
+
+
+def test_sum_rule_green_sum_is_point_mass_sum(model_pm12):
+    # mu's Jacobi matrix has mu's point masses as its off-set spectrum
+    mu = _massed_measure(model_pm12)
+    J = G.coefficients_from_measure(mu, 240, quad_order=480)
+    rep = G.n_step_sum_rule(J, mu, 4)
+    assert rep.status == "ok"
+    assert rep.green_sum_J == G.eigenvalue_green_sum([0.0, 2.5], model_pm12)
+
+
+def test_theorem_reads_only_n_max_pairs(model_pm12):
+    # the glued family is certified at a fixed size, so J needs no pairs
+    # beyond the Szego products it supplies
+    mu = _massed_measure(model_pm12)
+    J = G.coefficients_from_measure(mu, 100, quad_order=max(200, mu.quad.order))
+    rep = G.theorem_upper_bound(J, mu, 100)
+    mass_sum = G.eigenvalue_green_sum([0.0, 2.5], model_pm12)
+    assert rep.bound_C >= 2.0 * mass_sum + G.pw_sum(model_pm12)
+    assert rep.satisfied
 
 
 def test_sum_rule_affine_invariance(j_chebyshev, mu_arcsine, model_m22):
@@ -269,14 +294,14 @@ def test_sum_rule_affine_invariance(j_chebyshev, mu_arcsine, model_m22):
     mapped_mu = G.make_measure(mapped_model, None, mode="relative")
     mapped_J = G.JacobiCoeffs(scale * j_chebyshev.a, scale * j_chebyshev.b + shift)
     for n in (1, 3):
-        rep = G.n_step_sum_rule(j_chebyshev, mu_arcsine, model_m22, n)
-        rep_m = G.n_step_sum_rule(mapped_J, mapped_mu, mapped_model, n)
+        rep = G.n_step_sum_rule(j_chebyshev, mu_arcsine, n)
+        rep_m = G.n_step_sum_rule(mapped_J, mapped_mu, n)
         assert rep_m.lhs == pytest.approx(rep.lhs, abs=1e-8)
         assert rep_m.residual == pytest.approx(rep.residual, abs=1e-6)
 
 
-def test_report_serialization(j_chebyshev, mu_arcsine, model_m22):
-    rep = G.step_sum_rule(j_chebyshev, mu_arcsine, model_m22)
+def test_report_serialization(j_chebyshev, mu_arcsine):
+    rep = G.step_sum_rule(j_chebyshev, mu_arcsine)
     row = rep.csv_row()
     assert len(row.split(",")) == len(G.SumRuleReport.CSV_COLUMNS.split(","))
     obj = json.loads(rep.to_json())
@@ -335,16 +360,16 @@ def test_eigenvalue_bound_check_perturbed(j_perturbed, model_m22):
     assert all(e.green_sum == 0.0 for e in strips)
 
 
-def test_theorem_upper_bound_chebyshev(j_chebyshev, mu_arcsine, model_m22):
-    rep = G.theorem_upper_bound(j_chebyshev, mu_arcsine, model_m22, 50)
+def test_theorem_upper_bound_chebyshev(j_chebyshev, mu_arcsine):
+    rep = G.theorem_upper_bound(j_chebyshev, mu_arcsine, 50)
     assert rep.satisfied
     assert rep.window_max == pytest.approx(math.sqrt(2), abs=1e-10)
     assert rep.bound_Cprime >= math.sqrt(2)
     assert rep.entropy == pytest.approx(0.0, abs=1e-10)
 
 
-def test_theorem_upper_bound_free(j_free, mu_semicircle, model_m22):
-    rep = G.theorem_upper_bound(j_free, mu_semicircle, model_m22, 50)
+def test_theorem_upper_bound_free(j_free, mu_semicircle):
+    rep = G.theorem_upper_bound(j_free, mu_semicircle, 50)
     assert rep.satisfied
     assert rep.window_max == pytest.approx(1.0, abs=1e-12)
     assert rep.bound_Cprime >= 1.0
@@ -358,16 +383,15 @@ def test_theorem_upper_bound_perturbed(j_perturbed, model_m22):
         return (mm.imag / np.pi) * (np.pi * np.sqrt(4 - t * t))
 
     mu = G.make_measure(model_m22, w_pert, point_masses=[(2.9, 0.84)])
-    rep = G.theorem_upper_bound(j_perturbed, mu, model_m22, 40)
+    rep = G.theorem_upper_bound(j_perturbed, mu, 40)
     assert rep.satisfied
     assert rep.window_max == pytest.approx(1.0, abs=1e-10)  # a stays at 1
     assert rep.bound_C >= 2 * math.log(2.5)  # formula part alone
 
 
-def _eval_size_reference(length, used, cap, eval_size):
+def _eval_size_reference(length, used):
     """The three-line policy each caller used to spell out, with its clamp."""
-    if eval_size is None:
-        eval_size = max(40, min((length - used) // 2, cap))
+    eval_size = max(40, min((length - used) // 2, 200))
     if used + 2 * eval_size > length:
         eval_size = (length - used) // 2
     return eval_size
@@ -379,17 +403,14 @@ def test_eval_size_matches_clamped_policy():
     for used in (1, 20, 100):
         for length in range(used, used + 601):
             J = G.JacobiCoeffs(np.ones(length), np.zeros(length))
-            for cap in (160, 200):
-                for explicit in (None, 5, 300):
-                    want = _eval_size_reference(length, used, cap, explicit)
-                    arg = cap if explicit is None else explicit
-                    if want < 2:
-                        with pytest.raises(ValidationError):
-                            _eval_size(J, used, arg)
-                    else:
-                        assert _eval_size(J, used, arg) == want, (length, used, cap, explicit)
+            want = _eval_size_reference(length, used)
+            if want < 2:
+                with pytest.raises(ValidationError):
+                    _eval_size(J, used)
+            else:
+                assert _eval_size(J, used) == want, (length, used)
     short = G.JacobiCoeffs(np.ones(24), np.zeros(24))
     for used in (21, 23, 24, 30):
         with pytest.raises(ValidationError, match="too short"):
-            _eval_size(short, used, 200)
-    assert _eval_size(short, 20, 200) == 2
+            _eval_size(short, used)
+    assert _eval_size(short, 20) == 2
