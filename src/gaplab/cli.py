@@ -11,20 +11,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .errors import NumericalError, ValidationError
 from .realset import GapSet, fat_cantor, homogeneity_margin, lebesgue_measure, make_gapset
 from .potential import TOLERANCES, green_value, pw_sum, solve_green
 from .jacobi import WeightSpec, coefficients_from_measure, make_measure
-from .sumrule import (
-    n_step_sum_rule,
-    szego_product,
-    theorem_upper_bound,
-    SumRuleReport,
-)
+from .sumrule import n_step_sum_rule, szego_product, theorem_upper_bound
 
 COMMANDS = ("capacity", "green", "cantor", "coeffs", "sumrule", "theorem", "homogeneity")
+CONFIG_KEYS = (
+    "command", "set", "measure", "n", "quad_order", "points", "gap_index", "deltas", "plot",
+    "out", "format",
+)
 
 
 def _fmt(v) -> str:
@@ -118,9 +118,19 @@ def _table(command: str, columns: list[str], rows: list[list], meta: dict, fmt: 
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
+def _report_table(command: str, report, meta: dict, fmt: str) -> str:
+    """One row of the report's scalar fields in declaration order, a bool as 0/1."""
+    row = {
+        f.name: int(v) if isinstance(v, bool) else v
+        for f in fields(report)
+        if isinstance(v := getattr(report, f.name), (int, float, str))
+    }
+    return _table(command, list(row), [list(row.values())], meta, fmt)
+
+
 def _coefficients(mu, pairs: int, meta: dict):
-    """Lanczos at twice the pairs, or mu's own order if finer; diagnostics go to meta."""
-    J = coefficients_from_measure(mu, pairs, quad_order=max(2 * pairs, mu.quad.order))
+    """Lanczos pairs of mu; its diagnostics go to meta."""
+    J = coefficients_from_measure(mu, pairs)
     meta.update(reorth_steps=J.reorth_steps, breakdown_margin=J.breakdown_margin)
     return J
 
@@ -132,7 +142,10 @@ def run(config: dict) -> str:
     fmt = config.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format must be csv or json, got {fmt!r}")
-    for key in ("n", "length", "quad_order", "gap_index"):
+    unknown = sorted(set(config) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValidationError(f"unknown config keys {unknown}; choose from {CONFIG_KEYS}")
+    for key in ("n", "quad_order", "gap_index"):
         if key in config and (isinstance(config[key], bool) or not isinstance(config[key], int)):
             raise ValidationError(f"{key} must be an integer, got {config[key]!r}")
     if command != "capacity" and config.get("n", 1) < 1:
@@ -209,10 +222,8 @@ def run(config: dict) -> str:
 
     if command == "sumrule":
         n = config.get("n", 1)
-        J = _coefficients(mu, config.get("length", max(4 * n, 120) + 2 * 60), meta)
-        report = n_step_sum_rule(J, mu, n)
-        columns = SumRuleReport.CSV_COLUMNS.split(",")
-        return _table(command, columns, [[getattr(report, c) for c in columns]], meta, fmt)
+        J = _coefficients(mu, max(4 * n, 120) + 2 * 60, meta)
+        return _report_table(command, n_step_sum_rule(J, mu, n), meta, fmt)
 
     if command == "theorem":
         n_max = config.get("n", 50)
@@ -221,15 +232,7 @@ def run(config: dict) -> str:
         u = szego_product(J, model.capacity, n_max)
         if config.get("plot"):
             emit_plotdata({"szego_product": list(map(float, u))}, config["plot"])
-        rows = [[
-            report.n_max, report.window_max, report.window_min, report.entropy,
-            report.bound_C, report.bound_Cprime, int(report.satisfied),
-        ]]
-        return _table(
-            command,
-            ["n_max", "window_max", "window_min", "entropy", "bound_C", "bound_Cprime", "satisfied"],
-            rows, meta, fmt,
-        )
+        return _report_table(command, report, meta, fmt)
 
     raise AssertionError("unreachable")
 
@@ -238,10 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gaplab", description=__doc__)
     p.add_argument("--config", help="JSON config file (one object per run)")
     p.add_argument("--command", choices=COMMANDS)
-    p.add_argument("--set", dest="set_spec", help='inline GapSet JSON or "fat_cantor:n"')
+    p.add_argument("--set", help='inline GapSet JSON or "fat_cantor:n"')
     p.add_argument("--measure", help='measure spec JSON, "equilibrium" or "lebesgue"')
     p.add_argument("--n", type=int, help="command-specific size parameter")
-    p.add_argument("--length", type=int, help="coefficient sequence length override (sumrule)")
     p.add_argument("--quad-order", type=int, dest="quad_order")
     p.add_argument("--points", help="comma-separated evaluation points (green)")
     p.add_argument("--gap-index", type=int, dest="gap_index")
@@ -261,16 +263,10 @@ def main(argv: list[str] | None = None) -> int:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise ValidationError(f"config file must hold a JSON object, got {config!r}")
-        for key, val in (
-            ("command", args.command), ("set", args.set_spec), ("measure", args.measure),
-            ("n", args.n), ("length", args.length), ("quad_order", args.quad_order),
-            ("points", args.points), ("gap_index", args.gap_index), ("plot", args.plot),
-            ("format", args.format),
-        ):
+        for key in CONFIG_KEYS:
+            val = getattr(args, key)
             if val is not None:
-                config[key] = val
-        if args.deltas:
-            config["deltas"] = parse_floats(args.deltas, "--deltas")
+                config[key] = parse_floats(val, "--deltas") if key == "deltas" else val
         config.setdefault("format", "csv")
         text = run(config)
     except (ValidationError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
@@ -279,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"gaplab: numerical failure: {exc}", file=sys.stderr)
         return 2
-    out = args.out or config.get("out")
+    out = config.get("out")
     if out:
         with open(out, "w") as fh:
             fh.write(text)

@@ -312,13 +312,16 @@ def coefficients_from_measure(
 ) -> JacobiCoeffs:
     """First n recurrence pairs via Lanczos on the discretized measure.
 
+    The rule's order is max(2n, mu.quad.order) unless quad_order is given:
+    at mu's order alone, pairs near the support size come out far off
+    (399 pairs of mu_E on [-2,-1] u [1,2] at 200 nodes per band, 0.49).
     The result records reorth_steps, the number of steps that
     reorthogonalized, and breakdown_margin, min a_k over the breakdown
     threshold 1e-14 * max|t|.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    order = mu.quad.order if quad_order is None else int(quad_order)
+    order = max(2 * n, mu.quad.order) if quad_order is None else int(quad_order)
     t, w = _discretize(mu, order)
     if len(t) < n + 1:
         raise ValidationError(
@@ -421,10 +424,14 @@ def glue_head(head: JacobiCoeffs, junction_a: float, tail: JacobiCoeffs) -> Jaco
 # Sturm-sequence eigenvalue machinery
 
 
+def _check_size(J: JacobiCoeffs, N: int) -> None:
+    if N < 1 or N > len(J):
+        raise ValidationError(f"truncation size {N} out of range for length {len(J)}")
+
+
 def sturm_count(J: JacobiCoeffs, N: int, x) -> np.ndarray:
     """Number of eigenvalues of the N x N truncation strictly below each x."""
-    if N < 1 or N > len(J):
-        raise ValidationError(f"truncation size {N} out of range")
+    _check_size(J, N)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     a2 = J.a[: N - 1] ** 2
     b = J.b[:N]
@@ -442,6 +449,7 @@ def sturm_count(J: JacobiCoeffs, N: int, x) -> np.ndarray:
 
 
 def _gershgorin(J: JacobiCoeffs, N: int):
+    _check_size(J, N)
     a = np.concatenate([[0.0], J.a[: N - 1], [0.0]])
     lo = float(np.min(J.b[:N] - a[:-1] - a[1:]))
     hi = float(np.max(J.b[:N] + a[:-1] + a[1:]))

@@ -75,20 +75,6 @@ class SumRuleReport:
     measure_hash: str = ""
     quad_order: int = 0
 
-    CSV_COLUMNS = (
-        "n,lhs,green_sum_J,green_sum_strip,entropy_mu,entropy_strip,"
-        "rhs,residual,bound_C,bound_Cprime,status,set_hash,measure_hash,quad_order"
-    )
-
-    def csv_row(self) -> str:
-        vals = [
-            self.n, self.lhs, self.green_sum_J, self.green_sum_strip,
-            self.entropy_mu, self.entropy_strip, self.rhs, self.residual,
-            self.bound_C, self.bound_Cprime, self.status, self.set_hash,
-            self.measure_hash, self.quad_order,
-        ]
-        return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in vals)
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
@@ -381,10 +367,11 @@ def eigenvalue_bound_check(
 def _glued_spectra(J: JacobiCoeffs, model: GreenModel, sizes, eval_size: int):
     """Certified off-set eigenvalues of each n-pair head of J glued onto a tail.
 
-    The junction coupling is a_n; the tail is the equilibrium matrix, long
-    enough to certify at eval_size beyond the largest head.
+    The junction coupling is a_n; the tail is the equilibrium matrix with
+    2 eval_size pairs, as many rows as certification at eval_size reads
+    whatever the head size.
     """
-    tail = equilibrium_coefficients(model, max(sizes) + 2 * eval_size)
+    tail = equilibrium_coefficients(model, 2 * eval_size)
     return {
         n: stable_gap_eigenvalues(
             glue_head(JacobiCoeffs(J.a[:n], J.b[:n]), float(J.a[n - 1]), tail), model, eval_size
@@ -394,9 +381,8 @@ def _glued_spectra(J: JacobiCoeffs, model: GreenModel, sizes, eval_size: int):
 
 
 def equilibrium_coefficients(model: GreenModel, n: int) -> JacobiCoeffs:
-    """Jacobi coefficients of the equilibrium measure of the model's set."""
-    mu = make_measure(model, None, mode="relative", quad_order=max(model.quad_order, 2 * n + 32))
-    return coefficients_from_measure(mu, n)
+    """First n Jacobi pairs of the equilibrium measure, at coefficients_from_measure's order."""
+    return coefficients_from_measure(make_measure(model), n)
 
 
 @dataclass
@@ -409,18 +395,6 @@ class TheoremReport:
     bound_Cprime: float
     satisfied: bool
     glued_sums: dict
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_max": self.n_max, "window_max": self.window_max,
-                "window_min": self.window_min, "entropy": self.entropy,
-                "bound_C": self.bound_C, "bound_Cprime": self.bound_Cprime,
-                "satisfied": self.satisfied,
-                "glued_sums": {str(k): v for k, v in self.glued_sums.items()},
-            },
-            sort_keys=True,
-        )
 
 
 def theorem_upper_bound(J: JacobiCoeffs, mu: MeasureModel, n_max: int) -> TheoremReport:

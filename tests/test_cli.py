@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -235,9 +236,11 @@ def test_config_file_json_objects(key, spec, tmp_path):
             "gap_index": 0, "n": -2}),
     (None, {"command": "cantor", "n": 0}),
     (None, {"command": "homogeneity", "set": "fat_cantor:2", "n": -1}),
+    ("quad-order", 400),
 ])
 def test_config_file_bad_specs_are_validation_errors(key, spec, tmp_path, capsys):
-    # key None: spec is the whole file; the integer fields take JSON integers only
+    # key None: spec is the whole file; the integer fields take JSON integers
+    # only, and a key the CLI does not read (a typo) must not run silently
     cfg = {"command": "homogeneity" if key == "deltas" else "coeffs",
            "set": '{"alpha": 0, "beta": 1}', "n": 3, key: spec} if key else spec
     path = tmp_path / "cfg.json"
@@ -258,3 +261,35 @@ def test_lanczos_diagnostics_in_json_meta(command, tmp_path):
     meta = json.loads(data)["meta"]
     assert meta["reorth_steps"] == 0
     assert meta["breakdown_margin"] > 1e12
+
+
+@pytest.mark.parametrize("command,compute", [
+    ("sumrule", "n_step_sum_rule"), ("theorem", "theorem_upper_bound"),
+])
+def test_report_columns_are_its_scalar_fields(command, compute, tmp_path, monkeypatch):
+    # the CLI renders whatever the report declares: a field added to the
+    # report shows up in the output, a bool as 0/1, the dict of glued sums not
+    real = getattr(cli, compute)
+
+    def extended(*args):
+        report = real(*args)
+
+        @dataclass
+        class Extended(type(report)):
+            extra: bool = True
+
+        return Extended(**{f.name: getattr(report, f.name) for f in fields(report)})
+
+    monkeypatch.setattr(cli, compute, extended)
+    code, data = run_cli(
+        ["--command", command, "--set", '{"alpha": -2, "beta": 2, "gaps": []}',
+         "--measure", "equilibrium", "--n", "4", "--format", "json"],
+        tmp_path,
+    )
+    assert code == 0
+    obj = json.loads(data)
+    report_cls = G.SumRuleReport if command == "sumrule" else G.TheoremReport
+    scalars = [f.name for f in fields(report_cls) if f.name != "glued_sums"]
+    assert obj["columns"] == scalars + ["extra"]
+    row = dict(zip(obj["columns"], obj["rows"][0]))
+    assert row["extra"] == 1 and row.get("satisfied", 1) == 1

@@ -114,6 +114,18 @@ def test_degenerate_measure_errors(model_m22):
         G.coefficients_from_measure(mu, 500, quad_order=64)
 
 
+@pytest.mark.parametrize("spec,pairs", [("two_band", 399), ("fat_cantor_3", 790)])
+def test_default_order_near_support_size(spec, pairs):
+    # both measures have 200 nodes per band; at that order alone these pairs
+    # are 0.49 and 0.08 off, so the default rule runs at twice the pairs
+    s = G.make_gapset(-2, 2, [(-1, 1)]) if spec == "two_band" else G.fat_cantor(3)
+    mu = G.make_measure(G.solve_green(s))
+    J = G.coefficients_from_measure(mu, pairs)
+    ref = G.coefficients_from_measure(mu, pairs, quad_order=3200)
+    assert np.max(np.abs(J.a - ref.a)) <= 1e-13
+    assert np.max(np.abs(J.b - ref.b)) <= 1e-13
+
+
 def two_pass_lanczos(mu, n, quad_order=None):
     """Lanczos with two full reorthogonalization passes at every step, the
     O(M n^2) loop that partial reorthogonalization replaced."""
@@ -302,6 +314,18 @@ def test_gap_eigenvalue_single_site(model_m22):
     J = G.JacobiCoeffs(np.ones(1), np.array([3.0]))
     eigs = G.gap_eigenvalues(J, model_m22, 1)
     assert len(eigs) == 1 and eigs[0][0] == pytest.approx(3.0, abs=1e-12)
+
+
+def test_truncation_size_beyond_length_is_validation_error(model_m22, j_free):
+    # one range check serves the Sturm counts and every Gershgorin bound
+    for call in (
+        lambda N: G.gap_eigenvalues(j_free, model_m22, N),
+        lambda N: G.truncation_eigenvalues(j_free, N),
+        lambda N: G.interlacing_profile(j_free, model_m22, N),
+    ):
+        for N in (0, len(j_free) + 1):
+            with pytest.raises(ValidationError, match="out of range"):
+                call(N)
 
 
 def test_eigenvalue_green_sum_validation(model_m22):

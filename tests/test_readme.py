@@ -30,3 +30,9 @@ def test_readme_shell_examples_run(tmp_path, monkeypatch):
     assert commands
     for argv in commands:
         assert cli.main(argv[1:]) == 0, argv
+
+
+def test_readme_config_keys_are_the_cli_keys():
+    # README's list of config keys, in its order, is what the CLI accepts
+    text = re.search(r"same keys as the\s+flags \((.*?)\)", README.read_text(), flags=re.S)
+    assert re.findall(r"`(\w+)`", text.group(1)) == list(cli.CONFIG_KEYS)

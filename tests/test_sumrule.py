@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gaplab as G
-from gaplab import cli
+from gaplab import cli, sumrule
 from gaplab.errors import ValidationError
 
 
@@ -300,10 +300,37 @@ def test_sum_rule_affine_invariance(j_chebyshev, mu_arcsine, model_m22):
         assert rep_m.residual == pytest.approx(rep.residual, abs=1e-6)
 
 
+def test_glued_tail_is_what_certification_reads(model_pm12, monkeypatch):
+    # certification at GLUED_EVAL_SIZE reads 2 * GLUED_EVAL_SIZE rows of a
+    # glued matrix, so that is the whole tail, whatever the head size
+    asked = []
+    real = sumrule.equilibrium_coefficients
+
+    def spy(model, n):
+        asked.append(n)
+        return real(model, n)
+
+    monkeypatch.setattr(sumrule, "equilibrium_coefficients", spy)
+    cli.run({
+        "command": "theorem", "set": '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}',
+        "measure": '{"factor": {"form": "poly", "coef": [1, 0, 0.3]}}', "n": 100,
+    })
+    assert asked == [2 * sumrule.GLUED_EVAL_SIZE] == [188]
+
+    mu = G.make_measure(model_pm12, G.WeightSpec("poly", {"coef": [1, 0, 0.3]}))
+    J = G.coefficients_from_measure(mu, 100)
+    rep = G.theorem_upper_bound(J, mu, 100)
+    long_tail = real(model_pm12, 100 + 188)
+    for n, got in rep.glued_sums.items():
+        glued = G.glue_head(G.JacobiCoeffs(J.a[:n], J.b[:n]), float(J.a[n - 1]), long_tail)
+        eigs = G.stable_gap_eigenvalues(glued, model_pm12, sumrule.GLUED_EVAL_SIZE)
+        assert got == pytest.approx(
+            G.eigenvalue_green_sum([v for v, _ in eigs], model_pm12), abs=1e-13
+        )
+
+
 def test_report_serialization(j_chebyshev, mu_arcsine):
     rep = G.step_sum_rule(j_chebyshev, mu_arcsine)
-    row = rep.csv_row()
-    assert len(row.split(",")) == len(G.SumRuleReport.CSV_COLUMNS.split(","))
     obj = json.loads(rep.to_json())
     assert obj["n"] == 1 and obj["status"] == "ok"
     assert obj["set_hash"] and obj["measure_hash"]
