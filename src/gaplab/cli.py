@@ -207,7 +207,7 @@ def run(config: dict) -> str:
             pts = [lo + (hi - lo) * (i + 1) / (k + 1) for i in range(k)]
         else:
             raise ValidationError("green needs --points or --gap-index")
-        rows = [[x, green_value(model, x)] for x in pts]
+        rows = [[x, g] for x, g in zip(pts, green_value(model, pts).tolist())]
         if config.get("plot"):
             emit_plotdata({"green": [r[1] for r in rows]}, config["plot"])
         return _table(command, ["x", "green"], rows, meta, fmt)

@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .realset import GapSet, locate, make_gapset
+from .realset import GapSet, edge_slots, locate, make_gapset
 
 DEFAULT_ORDER_SMALL = 200  # nodes per band/gap for up to 15 gaps
 DEFAULT_ORDER_LARGE = 80  # above that, keep 255-gap levels affordable
@@ -60,6 +60,7 @@ _GAP_ORDER_CAP = 1024  # largest default per-gap order, to bound a table's size
 _GAP_RULE_TARGET = 1e-15  # error the per-gap orders are sized for
 _SOLVE_PASSES = 6  # cap on linearized period-solve passes
 _ROOT_SWEEPS = 100  # cap on Newton/bisection sweeps per pass
+_ARC_BLOCK = 80 * 765  # entries per _gap_arc chunk: one level-8 band-rule block
 
 # numeric gates enforced across the package, echoed into CLI JSON metadata
 TOLERANCES = {
@@ -405,35 +406,53 @@ def period_residuals(model: GreenModel) -> np.ndarray:
     return np.asarray(out)
 
 
-def _gap_arc(model: GreenModel, j: int, th0: float, th1: float) -> float:
-    """|integral of g'| over the gap-j arc theta in [th0, th1] of t = c + r cos(theta)."""
+def _gap_arc(model: GreenModel, j: int, th0: np.ndarray, th1: np.ndarray) -> np.ndarray:
+    """|integral of g'| over each gap-j arc theta in [th0[i], th1[i]] of t = c + r cos(theta).
+
+    Each arc is one row of gap_orders[j] Gauss-Legendre nodes; the rows go
+    through _g_prime with the gap's own edges skipped, in chunks of rows
+    whose (nodes x factors) temporaries stay within _ARC_BLOCK entries (a
+    chunk holds at least one row).
+    """
     lo, hi = model.set.gaps[j]
+    c, r = (lo + hi) / 2, (hi - lo) / 2
     xg, wg = _leggauss(model.gap_orders[j])
-    th = 0.5 * (th1 - th0) * (xg + 1.0) + th0
-    t = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(th)
-    g = _g_prime(t, model.critical_points, model.edges, (2 * j + 1, 2 * j + 2))
-    return abs(float(np.sum(0.5 * (th1 - th0) * wg * g)))
+    half = 0.5 * (th1 - th0)
+    rows = max(1, _ARC_BLOCK // (len(xg) * (len(model.edges) + len(model.critical_points))))
+    out = np.empty(len(half))
+    for i in range(0, len(half), rows):
+        h, a = half[i:i + rows, None], th0[i:i + rows, None]
+        t = c + r * np.cos(h * (xg + 1.0) + a)
+        g = _g_prime(t.ravel(), model.critical_points, model.edges, (2 * j + 1, 2 * j + 2))
+        out[i:i + rows] = np.abs((h * wg * g.reshape(t.shape)).sum(axis=1))
+    return out
 
 
-def green_value(model: GreenModel, x: float) -> float:
-    """g(x): zero on the set, else |integral of g'| from the nearest edge."""
-    s = model.set
-    loc = locate(s, x)
-    if loc.kind == "band":
-        return 0.0
-    if loc.kind == "gap":
-        j = loc.index
-        theta_x = _theta(*s.gaps[j], x)
-        # integrate over [0, theta_x] from the right edge or [theta_x, pi]
-        # from the left edge, whichever side of the maximum x falls on
-        if x >= model.critical_points[j]:
-            return _gap_arc(model, j, 0.0, theta_x)
-        return _gap_arc(model, j, theta_x, np.pi)
-    if loc.kind == "right":
-        k, length = len(model.edges) - 1, x - s.beta
-    else:
-        k, length = 0, s.alpha - x
-    return abs(_edge_ray(model.critical_points, model.edges, k, length, model.quad_order))
+def green_value(model: GreenModel, x):
+    """g(x): a float for a float, else an array of x's shape; zero on the set.
+
+    The points of gap j, found by edge_slots, go to one _gap_arc call, each
+    on the arc from x to the edge on its side of the maximum c_j.  A point
+    outside [alpha, beta] takes its own edge ray, sized from its length.
+    """
+    s, edges, roots = model.set, model.edges, model.critical_points
+    xs = np.asarray(x, dtype=float).ravel()
+    groups = {}  # point indices by slot, in input order
+    for i, slot in enumerate(edge_slots(s, xs).tolist()):
+        groups.setdefault(slot, []).append(i)
+    out = np.zeros(len(xs))
+    for slot, idx in groups.items():
+        if slot in (0, len(edges)):
+            k = 0 if slot == 0 else len(edges) - 1
+            for i in idx:
+                out[i] = abs(_edge_ray(roots, edges, k, abs(xs[i] - edges[k]), model.quad_order))
+        elif slot % 2 == 0:
+            j, (lo, hi) = slot // 2 - 1, s.gaps[slot // 2 - 1]
+            c = float(roots[j])  # arc [0, theta] from the right edge, else [theta, pi]
+            arcs = [(0.0, _theta(lo, hi, v)) if v >= c else (_theta(lo, hi, v), np.pi)
+                    for v in xs[idx].tolist()]
+            out[idx] = _gap_arc(model, j, *np.array(arcs).T)
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 def critical_points(model: GreenModel) -> np.ndarray:
@@ -442,15 +461,8 @@ def critical_points(model: GreenModel) -> np.ndarray:
 
 
 def pw_sum(model: GreenModel) -> float:
-    """Sum of g over the critical points (zero for a gapless set).
-
-    g(c_j) is the gap-j arc from the right edge to c_j, as green_value
-    takes it, with no search for the gap.
-    """
-    return float(sum(
-        _gap_arc(model, j, 0.0, _theta(lo, hi, c))
-        for j, ((lo, hi), c) in enumerate(zip(model.set.gaps, model.critical_points))
-    ))
+    """Sum of g over the critical points, left to right (zero for a gapless set)."""
+    return float(sum(green_value(model, model.critical_points).tolist()))
 
 
 def gap_derivative_l1(model: GreenModel, j: int) -> float:
@@ -463,7 +475,7 @@ def gap_derivative_l1(model: GreenModel, j: int) -> float:
     if not 0 <= j < len(model.set.gaps):
         raise ValidationError(f"gap index {j} out of range")
     theta_c = _theta(*model.set.gaps[j], model.critical_points[j])
-    return _gap_arc(model, j, 0.0, theta_c) + _gap_arc(model, j, theta_c, np.pi)
+    return float(sum(_gap_arc(model, j, np.array([0.0, theta_c]), np.array([theta_c, np.pi]))))
 
 
 def equilibrium_density(model: GreenModel, t: float) -> float:

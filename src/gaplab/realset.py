@@ -134,21 +134,26 @@ def lebesgue_measure(s: GapSet) -> float:
     return float(sum(b - a for a, b in s.bands))
 
 
+def edge_slots(s: GapSet, x) -> np.ndarray:
+    """Number of band lower edges at or below x plus band upper edges below it.
+
+    Slot 0 is left of alpha, an odd slot 2k + 1 is band k (edges included), an
+    even slot 2j + 2 is gap j, and len(s.edges) is right of beta; shape of x.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValidationError(f"cannot locate non-finite point {x[~np.isfinite(x)].flat[0]}")
+    return s.edges[0::2].searchsorted(x, side="right") + s.edges[1::2].searchsorted(x, side="left")
+
+
 def locate(s: GapSet, x: float) -> Location:
-    """Classify x against the set; band edges count as in-band."""
-    if not np.isfinite(x):
-        raise ValidationError(f"cannot locate non-finite point {x}")
-    if x < s.alpha:
+    """Classify x against the set by its edge_slots slot; band edges count as in-band."""
+    slot = int(edge_slots(s, x))
+    if slot == 0:
         return Location("left")
-    if x > s.beta:
+    if slot == len(s.edges):
         return Location("right")
-    for j, (lo, hi) in enumerate(s.gaps):
-        if lo < x < hi:
-            return Location("gap", j)
-    for k, (lo, hi) in enumerate(s.bands):
-        if lo <= x <= hi:
-            return Location("band", k)
-    raise AssertionError("unreachable: point inside [alpha, beta] is in a band or gap")
+    return Location("band", slot // 2) if slot % 2 else Location("gap", slot // 2 - 1)
 
 
 def intersection_length(s: GapSet, lo: float, hi: float) -> float:

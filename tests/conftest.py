@@ -25,6 +25,11 @@ def model_fat4():
 
 
 @pytest.fixture(scope="session")
+def model_fat8():
+    return G.solve_green(G.fat_cantor(8))
+
+
+@pytest.fixture(scope="session")
 def mu_arcsine(model_m22):
     return G.make_measure(model_m22, None, mode="relative")
 

@@ -337,6 +337,21 @@ def test_eigenvalue_green_sum_validation(model_m22):
         G.eigenvalue_green_sum([0.5], model_m22)
 
 
+def test_eigenvalue_green_sum_is_one_left_to_right_call(model_fat3, monkeypatch):
+    pts = [1.7, 0.5, -0.3, 0.2, 0.5, 0.45, 0.8, -2.0, 0.08]
+    total = 0.0
+    for x in pts:
+        total += G.green_value(model_fat3, x)
+    calls = []
+    green_value = jacobi.green_value
+    monkeypatch.setattr(jacobi, "green_value", lambda *a: calls.append(1) or green_value(*a))
+    assert G.eigenvalue_green_sum(pts, model_fat3) == total
+    assert len(calls) == 1
+    for inside in (0.1, 0.375, 1.0):
+        with pytest.raises(ValidationError, match=f"^{inside} lies inside"):
+            G.eigenvalue_green_sum(pts[:3] + [inside] + pts[3:], model_fat3)
+
+
 def test_gap_count_lemma_two_interval(model_pm12, je_pm12):
     """Corner and strip sections inherit the one-per-gap bound whenever the
     double-size section is clean, and the counts match a dense eigensolver."""

@@ -6,13 +6,15 @@ import pytest
 
 import gaplab as G
 from gaplab.cli import TOLERANCES
-from gaplab import potential
+from gaplab import cli, potential
 from gaplab.errors import NumericalError, ValidationError
 from gaplab.potential import (
     _cosine_nodes,
     _g_prime,
     _deflated_numerator,
+    _edge_ray,
     _gap_tables,
+    _leggauss,
     _period_correction,
     _period_roots,
 )
@@ -111,6 +113,127 @@ def test_gap_area_identity(model_pm12):
     assert G.gap_derivative_l1(model_pm12, 0) == pytest.approx(
         2 * G.green_value(model_pm12, c), abs=1e-10
     )
+
+
+def _arc_reference(model, j, th0, th1):
+    """One gap arc as a lone point takes it: one Gauss-Legendre row through _g_prime."""
+    lo, hi = model.set.gaps[j]
+    xg, wg = _leggauss(model.gap_orders[j])
+    th = 0.5 * (th1 - th0) * (xg + 1.0) + th0
+    t = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(th)
+    g = _g_prime(t, model.critical_points, model.edges, (2 * j + 1, 2 * j + 2))
+    return abs(float(np.sum(0.5 * (th1 - th0) * wg * g)))
+
+
+def _theta_of(lo, hi, x):
+    return math.acos(min(1.0, max(-1.0, (x - (lo + hi) / 2) / ((hi - lo) / 2))))
+
+
+def _green_reference(model, x):
+    """g at one point: an edge ray outside [alpha, beta], else the gap arc
+    from x to the edge on its side of c_j, else zero."""
+    s, roots, edges = model.set, model.critical_points, model.edges
+    if x < s.alpha:
+        return abs(_edge_ray(roots, edges, 0, s.alpha - x, model.quad_order))
+    if x > s.beta:
+        return abs(_edge_ray(roots, edges, len(edges) - 1, x - s.beta, model.quad_order))
+    for j, (lo, hi) in enumerate(s.gaps):
+        if lo < x < hi:
+            theta = _theta_of(lo, hi, x)
+            if x >= roots[j]:
+                return _arc_reference(model, j, 0.0, theta)
+            return _arc_reference(model, j, theta, math.pi)
+    return 0.0
+
+
+@pytest.mark.parametrize("name", ["model_pm12", "model_fat3"])
+def test_green_value_array_matches_per_point(name, request):
+    # unsorted points in gaps and bands, on edges, repeated, and on both
+    # sides of [alpha, beta], in one call, bit for bit against each point alone
+    model = request.getfixturevalue(name)
+    s = model.set
+    rng = np.random.default_rng(14)
+    pts = np.concatenate([
+        rng.uniform(s.alpha - 1.0, s.beta + 1.0, 300),
+        [lo + (hi - lo) * f for lo, hi in s.gaps for f in (0.01, 0.5, 0.99)],
+        model.critical_points, s.edges, s.edges[:3], [s.beta + 2.0, s.beta + 2.0],
+    ])
+    rng.shuffle(pts)
+    want = np.array([_green_reference(model, x) for x in pts.tolist()])
+    assert G.green_value(model, pts).tobytes() == want.tobytes()
+    assert np.count_nonzero(want) > 100
+    for i in (0, 1, 2):
+        assert G.green_value(model, pts[i : i + 1].reshape(())) == want[i]
+    assert G.green_value(model, np.array([])).shape == (0,)
+
+
+def test_green_value_shape_follows_input(model_fat3):
+    pts = np.linspace(-0.5, 1.5, 12)
+    flat = G.green_value(model_fat3, pts)
+    assert flat.shape == (12,)
+    assert G.green_value(model_fat3, pts.reshape(3, 4)).tobytes() == flat.tobytes()
+    assert G.green_value(model_fat3, pts.reshape(3, 4)).shape == (3, 4)
+    assert G.green_value(model_fat3, pts.tolist()).tobytes() == flat.tobytes()
+    for x in (pts[3], float(pts[3]), np.array(pts[3])):
+        value = G.green_value(model_fat3, x)
+        assert type(value) is float and value == flat[3]
+    assert G.green_value(model_fat3, []).shape == (0,)
+    assert G.green_value(model_fat3, np.empty((2, 0))).shape == (2, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_green_value_non_finite_is_validation_error(model_fat3, bad):
+    for x in (bad, [0.5, bad, 0.2], np.array([[0.1, 0.2], [bad, 2.0]])):
+        with pytest.raises(ValidationError, match="non-finite"):
+            G.green_value(model_fat3, x)
+
+
+def test_pw_sum_is_the_per_gap_sum(model_fat8):
+    models = [G.solve_green(G.fat_cantor(level)) for level in range(1, 8)] + [model_fat8]
+    for model in models:
+        want = 0.0
+        for j, ((lo, hi), c) in enumerate(zip(model.set.gaps, model.critical_points)):
+            want += _arc_reference(model, j, 0.0, _theta_of(lo, hi, c))
+        assert G.pw_sum(model) == want
+
+
+def _count_g_prime(monkeypatch):
+    """Record the (nodes x factors) size of every _g_prime call."""
+    sizes = []
+    g_prime = potential._g_prime
+
+    def spy(t, roots, edges, skip=()):
+        sizes.append(len(t) * (len(roots) + len(edges)))
+        return g_prime(t, roots, edges, skip)
+
+    monkeypatch.setattr(potential, "_g_prime", spy)
+    return sizes
+
+
+def test_green_value_chunks_match_small_calls(model_fat8, monkeypatch):
+    # 5,000 points on one level-8 gap: the chunks stay within _ARC_BLOCK
+    # entries, fill at least half of it, and give the bits of 100-point calls
+    lo, hi = model_fat8.set.gaps[100]
+    x = np.linspace(lo, hi, 5002)[1:-1]
+    sizes = _count_g_prime(monkeypatch)
+    whole = G.green_value(model_fat8, x)
+    assert potential._ARC_BLOCK / 2 < max(sizes) <= potential._ARC_BLOCK
+    parts = [G.green_value(model_fat8, x[i : i + 100]) for i in range(0, len(x), 100)]
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+
+def test_one_g_prime_call_per_gap(model_fat3, monkeypatch):
+    # a deterministic guard against per-point loops: a profile on one gap is
+    # one _g_prime call, and pw_sum one call per gap
+    s = G.make_gapset(-2, 2, [(-1, 1)])
+    model = G.solve_green(s)
+    monkeypatch.setattr(cli, "solve_green", lambda s, quad_order=None: model)
+    sizes = _count_g_prime(monkeypatch)
+    cli.run({"command": "green", "set": s.to_json(), "gap_index": 0, "n": 101})
+    assert len(sizes) == 1
+    sizes.clear()
+    G.pw_sum(model_fat3)
+    assert len(sizes) == len(model_fat3.set.gaps) == 7
 
 
 def test_equilibrium_density_interval(model_m22):

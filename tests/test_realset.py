@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gaplab as G
+from gaplab import realset
 from gaplab.errors import ValidationError
 
 
@@ -91,6 +92,44 @@ def test_locate_classification():
     assert G.locate(s, 0.2) == G.Location("band", 0)
     with pytest.raises(ValidationError):
         G.locate(s, float("nan"))
+
+
+def _scan_locate(s, x):
+    """The classification by a scan over the gaps, then the bands."""
+    if not np.isfinite(x):
+        raise ValidationError(f"cannot locate non-finite point {x}")
+    if x < s.alpha:
+        return G.Location("left")
+    if x > s.beta:
+        return G.Location("right")
+    for j, (lo, hi) in enumerate(s.gaps):
+        if lo < x < hi:
+            return G.Location("gap", j)
+    for k, (lo, hi) in enumerate(s.bands):
+        if lo <= x <= hi:
+            return G.Location("band", k)
+    raise AssertionError("unreachable")
+
+
+def test_locate_matches_scan():
+    # the searchsorted classifier against the scan, on seeded points, every
+    # edge and both floats next to every edge
+    s = G.fat_cantor(6)
+    e = s.edges
+    pts = np.concatenate([
+        np.random.default_rng(6).uniform(s.alpha - 0.1, s.beta + 0.1, 1000),
+        e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf), [s.alpha - 1, s.beta + 1],
+    ])
+    want = [_scan_locate(s, x) for x in pts.tolist()]
+    assert [G.locate(s, x) for x in pts.tolist()] == want
+    assert {loc.kind for loc in want} == {"left", "right", "gap", "band"}
+    # one call over the array gives each point's own slot
+    assert realset.edge_slots(s, pts).tolist() == [int(realset.edge_slots(s, x)) for x in pts]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            G.locate(s, bad)
+        with pytest.raises(ValidationError):
+            realset.edge_slots(s, np.array([0.1, bad, 0.2]))
 
 
 def test_homogeneity_full_interval():
