@@ -62,8 +62,8 @@ def parse_set_spec(spec) -> GapSet:
             raise ValidationError(f"fat_cantor level must be an integer: {exc}") from exc
         return fat_cantor(level)
     obj = _decode_spec(spec, "set")
-    if not isinstance(obj, dict):
-        raise ValidationError(f"set spec must be a JSON object, got {obj!r}")
+    if not isinstance(obj, dict) or not {"alpha", "beta"} <= obj.keys():
+        raise ValidationError(f"set spec must be a JSON object with alpha and beta, got {obj!r}")
     return make_gapset(obj["alpha"], obj["beta"], obj.get("gaps", []))
 
 
@@ -172,7 +172,7 @@ def run(config: dict) -> str:
             emit_plotdata({"pw_sum": pws}, config["plot"])
         return _table(command, ["level", "gap_count", "measure", "capacity", "pw_sum"], rows, meta, fmt)
 
-    s = parse_set_spec(config["set"])
+    s = parse_set_spec(config.get("set"))
 
     if command == "homogeneity":
         t_samples = config.get("n", 8)
@@ -269,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
                 config[key] = parse_floats(val, "--deltas") if key == "deltas" else val
         config.setdefault("format", "csv")
         text = run(config)
-    except (ValidationError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"gaplab: validation error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

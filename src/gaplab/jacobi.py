@@ -40,8 +40,8 @@ from .potential import (
     EquilibriumQuadrature,
     GreenModel,
     TOLERANCES,
-    _f_e,
     _leggauss,
+    _log_f_e,
     equilibrium_quadrature,
     green_value,
     interval_stieltjes,
@@ -215,7 +215,7 @@ class MeasureModel:
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         w = np.asarray(self.weight(arr), dtype=float)
         if self.mode == "relative":
-            out = self.normalization * w * _f_e(self.model, arr)
+            out = self.normalization * w * np.exp(_log_f_e(self.model, arr))
         else:
             out = self.normalization * w
         return out if np.ndim(t) else float(out[0])

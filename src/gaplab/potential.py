@@ -183,8 +183,8 @@ class GreenModel:
 
     The numerator polynomial is monic with one root per gap; those roots
     are the critical points, so critical_points doubles as the polynomial
-    representation.  All quadrature tables are precomputed so that
-    evaluation operations are pure reads.
+    representation.  The band rule is precomputed; the period tables are
+    rebuilt from gap_orders by period_residuals, their only later reader.
     """
 
     set: GapSet
@@ -197,9 +197,6 @@ class GreenModel:
     gap_orders: tuple[int, ...]  # per-gap order of the period tables and gap arcs
     solve_passes: int  # linearized period-solve passes run (0: roots given)
     root_move: float  # largest root change in the last pass; above 1e-14 * diam the cap was hit
-    # per-gap period-integral tables; treated as private
-    _gap_nodes: tuple[np.ndarray, ...]
-    _gap_log_weights: tuple[np.ndarray, ...]
 
 
 def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
@@ -213,21 +210,21 @@ def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
         if order < GAP_ORDER_FLOOR:
             raise ValidationError(f"quad_order must be at least {GAP_ORDER_FLOOR}")
         gap_orders = (order,) * n_gaps
-    gap_nodes, gap_log_weights = _gap_tables(s, gap_orders)
+    tables = _gap_tables(s, gap_orders)
 
     # relinearize until the roots settle; small gap counts stop after two
     roots = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
     passes, moved = 0, 0.0
     while n_gaps and passes < _SOLVE_PASSES:
-        delta = _period_correction(roots, gap_nodes, gap_log_weights)
+        delta = _period_correction(roots, *tables)
         new_roots = _period_roots(s.gaps, roots, delta)
         moved = float(np.max(np.abs(new_roots - roots)))
         roots = new_roots
         passes += 1
         if moved <= 1e-14 * (s.beta - s.alpha):
             break
-    model = _assemble(s, roots, order, gap_orders, passes, moved, gap_nodes, gap_log_weights)
-    worst = float(np.max(np.abs(period_residuals(model)))) if n_gaps else 0.0
+    model = _assemble(s, roots, order, gap_orders, passes, moved)
+    worst = float(np.max(np.abs(_period_residuals(roots, *tables)), initial=0.0))
     if worst > TOLERANCES["period_residual"]:
         raise NumericalError(
             f"period residual {worst!r} exceeds {TOLERANCES['period_residual']!r}"
@@ -370,7 +367,7 @@ def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
     return quad
 
 
-def _assemble(s, roots, order, gap_orders, passes, moved, gap_nodes, gap_log_weights) -> GreenModel:
+def _assemble(s, roots, order, gap_orders, passes, moved) -> GreenModel:
     quad = _band_rule(s, roots, order)
     # Robin constant via the potential identity at the probe x0 = beta + diam,
     # one diameter out so the identity is scale-covariant: g(x0) by edge
@@ -392,16 +389,18 @@ def _assemble(s, roots, order, gap_orders, passes, moved, gap_nodes, gap_log_wei
         gap_orders=tuple(gap_orders),
         solve_passes=passes,
         root_move=moved,
-        _gap_nodes=tuple(gap_nodes),
-        _gap_log_weights=tuple(gap_log_weights),
     )
 
 
 def period_residuals(model: GreenModel) -> np.ndarray:
     """Per-gap residual of the defining conditions (zero for a solved model)."""
+    return _period_residuals(model.critical_points, *_gap_tables(model.set, model.gap_orders))
+
+
+def _period_residuals(roots, gap_nodes, gap_log_weights) -> np.ndarray:
     out = []
-    for t, log_w in zip(model._gap_nodes, model._gap_log_weights):
-        sign, log_p = _log_g_prime(t, model.critical_points, ())
+    for t, log_w in zip(gap_nodes, gap_log_weights):
+        sign, log_p = _log_g_prime(t, roots, ())
         out.append(float(np.sum(sign * np.exp(log_p + log_w))))
     return np.asarray(out)
 
@@ -433,16 +432,26 @@ def green_value(model: GreenModel, x):
 
     The points of gap j, found by edge_slots, go to one _gap_arc call, each
     on the arc from x to the edge on its side of the maximum c_j.  A point
-    outside [alpha, beta] takes its own edge ray, sized from its length.
+    outside [alpha, beta] by less than the diameter takes its own edge ray,
+    sized from its length.  The points farther out read the Robin probe's
+    identity g(x) = robin + int log|x - t| dmu_E on the band rule, in one
+    batch: a ray that long needs more nodes than any rule order allows.
     """
     s, edges, roots = model.set, model.edges, model.critical_points
     xs = np.asarray(x, dtype=float).ravel()
+    slots = edge_slots(s, xs)
+    slots[np.maximum(s.alpha - xs, xs - s.beta) >= s.diameter] = -1  # far field
     groups = {}  # point indices by slot, in input order
-    for i, slot in enumerate(edge_slots(s, xs).tolist()):
+    for i, slot in enumerate(slots.tolist()):
         groups.setdefault(slot, []).append(i)
     out = np.zeros(len(xs))
     for slot, idx in groups.items():
-        if slot in (0, len(edges)):
+        if slot == -1:  # row sums in ~_ARC_BLOCK chunks: a point's bits ignore its batch
+            t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
+            chunks = min(len(idx), math.ceil(len(idx) * len(t) / _ARC_BLOCK))
+            for rows in np.array_split(idx, chunks):
+                out[rows] = model.robin + np.sum(w * np.log(np.abs(xs[rows, None] - t)), axis=1)
+        elif slot in (0, len(edges)):
             k = 0 if slot == 0 else len(edges) - 1
             for i in idx:
                 out[i] = abs(_edge_ray(roots, edges, k, abs(xs[i] - edges[k]), model.quad_order))
@@ -485,12 +494,12 @@ def equilibrium_density(model: GreenModel, t: float) -> float:
         raise ValidationError(f"density is defined on bands only, got {loc.kind}")
     if t in (model.set.bands[loc.index][0], model.set.bands[loc.index][1]):
         raise ValidationError("density is unbounded at band edges")
-    return float(_f_e(model, np.array([t]))[0])
+    return math.exp(_log_f_e(model, np.array([t]))[0])
 
 
-def _f_e(model: GreenModel, t: np.ndarray) -> np.ndarray:
-    """Equilibrium density f_E = |g'|/pi at band points, vectorized over t."""
-    return np.abs(_g_prime(t, model.critical_points, model.edges)) / np.pi
+def _log_f_e(model: GreenModel, t: np.ndarray) -> np.ndarray:
+    """log f_E = log|g'| - log pi at band points, vectorized over t."""
+    return _log_g_prime(t, model.critical_points, model.edges)[1] - math.log(math.pi)
 
 
 def equilibrium_quadrature(model: GreenModel, order: int) -> EquilibriumQuadrature:
@@ -540,4 +549,4 @@ def model_from_json(text: str) -> GreenModel:
     gap_orders = tuple(int(n) for n in obj.get("gap_orders", [order] * len(s.gaps)))
     roots = np.asarray(obj["numerator"]["roots"], dtype=float)
     return _assemble(s, roots, order, gap_orders, int(obj.get("solve_passes", 0)),
-                     float(obj.get("root_move", 0.0)), *_gap_tables(s, gap_orders))
+                     float(obj.get("root_move", 0.0)))

@@ -36,7 +36,7 @@ from .jacobi import (
     stable_gap_eigenvalues,
     strip,
 )
-from .potential import EquilibriumQuadrature, GreenModel, _f_e, equilibrium_quadrature, pw_sum
+from .potential import EquilibriumQuadrature, GreenModel, _log_f_e, equilibrium_quadrature, pw_sum
 
 NEG_INF = float("-inf")
 
@@ -92,15 +92,15 @@ def _provenance(mu: MeasureModel):
 # entropy-type integrals
 
 
-def _fit_edge_exponent(d1: float, d2: float, h1: float, h2: float) -> float:
-    """Power of |t - e| in h from the two nodes nearest the edge.
+def _fit_edge_exponent(d1: float, d2: float, l1: float, l2: float) -> float:
+    """Power of |t - e| in h from log h at the two nodes nearest the edge.
 
     The exponents occurring here are half-integers (inverse-square-root
     equilibrium factors, polynomial weight zeros, stripping flips between
     hard and soft edges), so the noisy fit is snapped to the nearest k/2
     when it is unambiguous.
     """
-    p = math.log(h1 / h2) / math.log(d1 / d2)
+    p = float(l1 - l2) / math.log(d1 / d2)
     if not math.isfinite(p) or abs(p) > 4.0:
         # essential singularities masquerade as huge exponents; leave the
         # integrand alone and let the Szego-class decision judge the value
@@ -109,54 +109,45 @@ def _fit_edge_exponent(d1: float, d2: float, h1: float, h2: float) -> float:
     return p_half if abs(p - p_half) <= 0.1 else p
 
 
-def _log_integral(model: GreenModel, quad: EquilibriumQuadrature, band_values):
-    """integral of log h dmu_E from strictly positive node values of h.
+def _log_integral(model: GreenModel, quad: EquilibriumQuadrature, band_logs):
+    """integral of log h dmu_E from per-band node values of log h (all finite).
 
     log h carries logarithmic singularities wherever h has a power-law
     band-edge factor, and plain quadrature converges only like 1/order.
-    The fitted edge exponents are therefore removed node-wise and added
-    back exactly through int log|t - e| dmu_E = g(e) - robin = -robin.
-    Returns the integral and the same sum without its CLASS_TRIM most
-    negative node terms.
+    The fitted edge exponents p are therefore removed node-wise, one
+    product log|t - e| @ p per band, and added back exactly through
+    int log|t - e| dmu_E = g(e) - robin = -robin.  Returns the integral and
+    the same sum without its CLASS_TRIM most negative node terms.
     """
-    edges = model.edges
-    bands = model.set.bands
-    exps: dict[int, float] = {}
-    for k, (t, vals) in enumerate(zip(quad.nodes, band_values)):
-        lo, hi = bands[k]
+    p = np.zeros(len(model.edges))
+    for k, (t, logs) in enumerate(zip(quad.nodes, band_logs)):
+        lo, hi = model.set.bands[k]
         # theta-ordered nodes descend from the upper edge to the lower one
-        exps[2 * k + 1] = _fit_edge_exponent(hi - t[0], hi - t[1], vals[0], vals[1])
-        exps[2 * k] = _fit_edge_exponent(t[-1] - lo, t[-2] - lo, vals[-1], vals[-2])
-    total = 0.0
-    terms = []
-    for t, w, vals in zip(quad.nodes, quad.weights, band_values):
-        sub = np.log(vals)
-        for eidx, p in exps.items():
-            if p != 0.0:
-                sub = sub - p * np.log(np.abs(t - edges[eidx]))
-        terms.append(w * sub)
-        total += float(np.sum(terms[-1]))
-    total -= model.robin * sum(exps.values())
+        p[2 * k + 1] = _fit_edge_exponent(hi - t[0], hi - t[1], logs[0], logs[1])
+        p[2 * k] = _fit_edge_exponent(t[-1] - lo, t[-2] - lo, logs[-1], logs[-2])
+    fitted = np.flatnonzero(p)
+    terms = [w * (logs - np.log(np.abs(t[:, None] - model.edges[fitted])) @ p[fitted])
+             for t, w, logs in zip(quad.nodes, quad.weights, band_logs)]
+    total = sum(float(np.sum(x)) for x in terms) - model.robin * float(np.sum(p))
     lowest = np.partition(np.concatenate(terms), CLASS_TRIM)[:CLASS_TRIM]
     return total, total - float(np.sum(lowest))
 
 
-def _relative_log(model: GreenModel, quad: EquilibriumQuadrature, band_values):
-    """_log_integral of f / f_E from per-band node values of a density f."""
-    return _log_integral(model, quad, [f / _f_e(model, t) for f, t in zip(band_values, quad.nodes)])
+def _log_ratio(mu: MeasureModel, quad: EquilibriumQuadrature):
+    """Per-band node values of log(f/f_E), f mu's a.c. density; None if f vanishes at one.
 
-
-def _node_densities(mu: MeasureModel, quad: EquilibriumQuadrature):
-    """Per-band density of mu at the nodes of quad; None if it vanishes at one."""
-    vals = []
+    f = norm * w * f_E in relative mode, so there the ratio is norm * w and
+    f_E is never evaluated; absolute mode subtracts log f_E.
+    """
+    logs = []
     for t in quad.nodes:
-        f = np.asarray(mu.density(t), dtype=float)
-        if np.any(f < 0):
+        h = np.broadcast_to(mu.normalization * mu.weight_value(t), t.shape)  # w may be a scalar
+        if np.any(h < 0):
             raise ValidationError("density is negative at a quadrature node")
-        if np.any(f == 0):
+        if np.any(h == 0):
             return None
-        vals.append(f)
-    return vals
+        logs.append(np.log(h) if mu.mode == "relative" else np.log(h) - _log_f_e(mu.model, t))
+    return logs
 
 
 def relative_entropy(mu: MeasureModel) -> float:
@@ -171,10 +162,10 @@ def relative_entropy(mu: MeasureModel) -> float:
     values, trimmed = [], []
     for k in range(3):
         quad = mu.quad if k == 0 else equilibrium_quadrature(mu.model, mu.quad.order << k)
-        vals = _node_densities(mu, quad)
-        if vals is None:
+        logs = _log_ratio(mu, quad)
+        if logs is None:
             return NEG_INF
-        v, v_trim = _relative_log(mu.model, quad, vals)
+        v, v_trim = _log_integral(mu.model, quad, logs)
         if values and abs(v - values[-1]) <= 1e-9 * max(1.0, abs(v)):
             break
         values.append(v)
@@ -194,7 +185,7 @@ def szego_integral(mu: MeasureModel) -> float:
     It is relative_entropy(mu) plus the equilibrium measure's own
     integral of log f_E at the same nodes, so both read one class decision.
     """
-    own = _log_integral(mu.model, mu.quad, [_f_e(mu.model, t) for t in mu.quad.nodes])[0]
+    own = _log_integral(mu.model, mu.quad, [_log_f_e(mu.model, t) for t in mu.quad.nodes])[0]
     return relative_entropy(mu) + own
 
 
@@ -218,12 +209,12 @@ def _eval_size(J: JacobiCoeffs, used: int) -> int:
 
 
 def _stripped_densities(mu: MeasureModel, J: JacobiCoeffs, n: int):
-    """Node values of f_n: n stripping steps of m(t+i0), one array per band.
+    """Node values of log(f_n/f_E): n stripping steps of m(t+i0), one array per band.
 
     A step that leaves Im m <= 0 anywhere is a numerical failure; f > 0 at
     every node, which a finite S(mu) guarantees, starts the recursion.
     """
-    fn_vals = []
+    logs = []
     for t in mu.quad.nodes:
         m = measure_m_boundary(mu, t)
         for k in range(n):
@@ -232,8 +223,8 @@ def _stripped_densities(mu: MeasureModel, J: JacobiCoeffs, n: int):
                 raise NumericalError(
                     f"stripping step {k + 1} produced a non-Herglotz boundary value"
                 )
-        fn_vals.append(m.imag / math.pi)
-    return fn_vals
+        logs.append(np.log(m.imag / math.pi) - _log_f_e(mu.model, t))
+    return logs
 
 
 def n_step_sum_rule(J: JacobiCoeffs, mu: MeasureModel, n: int) -> SumRuleReport:
@@ -260,7 +251,7 @@ def n_step_sum_rule(J: JacobiCoeffs, mu: MeasureModel, n: int) -> SumRuleReport:
             entropy_mu=NEG_INF, entropy_strip=NEG_INF, rhs=float("nan"),
             residual=float("nan"), status="inapplicable", **common,
         )
-    s_mun = _relative_log(model, quad, _stripped_densities(mu, J, n))[0]
+    s_mun = _log_integral(model, quad, _stripped_densities(mu, J, n))[0]
     rhs = (gsum_J - gsum_n) + 0.5 * (s_mu - s_mun)
     return SumRuleReport(
         entropy_mu=s_mu, entropy_strip=s_mun, rhs=rhs, residual=lhs - rhs, **common
@@ -317,7 +308,7 @@ class BoundCheckReport:
 
 
 def eigenvalue_bound_check(
-    J: JacobiCoeffs, model: GreenModel, sizes: list[int], include_glued: bool = True
+    J: JacobiCoeffs, model: GreenModel, sizes: list[int]
 ) -> BoundCheckReport:
     """Check the uniform eigenvalue-sum bounds over corners, strips and glues.
 
@@ -350,17 +341,16 @@ def eigenvalue_bound_check(
         entries.append(
             BoundCheckEntry("corner", n, eigenvalue_green_sum(eigs, model), c_bound, len(eigs))
         )
-    if include_glued:
-        for n, certified in _glued_spectra(J, model, sizes, eval_size).items():
-            in_gap = [v for v, loc in certified if loc.kind == "gap"]
-            outside = [v for v, loc in certified if loc.kind != "gap"]
-            entries.append(
-                BoundCheckEntry(
-                    "glued", n, eigenvalue_green_sum(in_gap, model),
-                    c_bound + 2.0 * crit, len(certified),
-                    outside_sum=eigenvalue_green_sum(outside, model),
-                )
+    for n, certified in _glued_spectra(J, model, sizes, eval_size).items():
+        in_gap = [v for v, loc in certified if loc.kind == "gap"]
+        outside = [v for v, loc in certified if loc.kind != "gap"]
+        entries.append(
+            BoundCheckEntry(
+                "glued", n, eigenvalue_green_sum(in_gap, model),
+                c_bound + 2.0 * crit, len(certified),
+                outside_sum=eigenvalue_green_sum(outside, model),
             )
+        )
     return BoundCheckReport(entries=entries, base_green_sum=base_sum, critical_sum=crit)
 
 

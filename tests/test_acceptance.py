@@ -145,12 +145,12 @@ def test_c08_eigenvalue_machinery(model_m22, model_pm12, j_perturbed, je_pm12):
 def test_c09_eigenvalue_sum_bounds(je_pm12, model_pm12, j_free, j_perturbed, model_m22):
     with criterion(9, "eigenvalue-sum bounds across the matrix battery"):
         battery = [
-            (je_pm12, model_pm12, [25, 50, 100], True),
-            (j_free, model_m22, [25, 50, 100], True),
-            (j_perturbed, model_m22, [25, 50, 100], True),
+            (je_pm12, model_pm12, [25, 50, 100]),
+            (j_free, model_m22, [25, 50, 100]),
+            (j_perturbed, model_m22, [25, 50, 100]),
         ]
-        for J, model, sizes, glued in battery:
-            rep = G.eigenvalue_bound_check(J, model, sizes, include_glued=glued)
+        for J, model, sizes in battery:
+            rep = G.eigenvalue_bound_check(J, model, sizes)
             bad = [e for e in rep.entries if not e.ok]
             assert not bad, f"violations: {bad}"
 

@@ -7,6 +7,7 @@ import pytest
 
 import gaplab as G
 from gaplab import cli
+from gaplab.errors import ValidationError
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -62,6 +63,25 @@ def test_green_points_and_plot(tmp_path):
     blocks = plot.read_text().strip().split("\n")
     assert blocks[0] == "# green"
     assert blocks[1].split()[0] == "0"
+
+
+def test_green_far_point(tmp_path):
+    code, data = run_cli(
+        ["--command", "green", "--set", '{"alpha": -2, "beta": 2}', "--points", "1e300"], tmp_path
+    )
+    assert code == 0
+    _, g = data.decode().split("\n")[1].split(",")
+    assert abs(float(g) / math.log(1e300) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "capacity"},
+    {"command": "capacity", "set": "{}"},
+    {"command": "green", "set": {"alpha": -2}, "points": "3"},
+], ids=["no_set", "empty_set", "no_beta"])
+def test_missing_set_keys_are_validation_errors(config):
+    with pytest.raises(ValidationError, match="set spec"):
+        cli.run(config)
 
 
 def test_green_gap_profile_concave(tmp_path):

@@ -130,9 +130,13 @@ def _theta_of(lo, hi, x):
 
 
 def _green_reference(model, x):
-    """g at one point: an edge ray outside [alpha, beta], else the gap arc
-    from x to the edge on its side of c_j, else zero."""
+    """g at one point: robin plus the band rule's log potential one diameter
+    or more outside [alpha, beta], an edge ray nearer, else the gap arc from
+    x to the edge on its side of c_j, else zero."""
     s, roots, edges = model.set, model.critical_points, model.edges
+    if max(s.alpha - x, x - s.beta) >= s.diameter:
+        t = np.concatenate(model.quad.nodes)
+        return float(model.robin + np.sum(model.quad.all_weights * np.log(np.abs(x - t))))
     if x < s.alpha:
         return abs(_edge_ray(roots, edges, 0, s.alpha - x, model.quad_order))
     if x > s.beta:
@@ -149,7 +153,8 @@ def _green_reference(model, x):
 @pytest.mark.parametrize("name", ["model_pm12", "model_fat3"])
 def test_green_value_array_matches_per_point(name, request):
     # unsorted points in gaps and bands, on edges, repeated, and on both
-    # sides of [alpha, beta], in one call, bit for bit against each point alone
+    # sides of [alpha, beta] out to 1e300 diameters (several far-field chunks),
+    # in one call, bit for bit against each point alone
     model = request.getfixturevalue(name)
     s = model.set
     rng = np.random.default_rng(14)
@@ -157,6 +162,8 @@ def test_green_value_array_matches_per_point(name, request):
         rng.uniform(s.alpha - 1.0, s.beta + 1.0, 300),
         [lo + (hi - lo) * f for lo, hi in s.gaps for f in (0.01, 0.5, 0.99)],
         model.critical_points, s.edges, s.edges[:3], [s.beta + 2.0, s.beta + 2.0],
+        s.alpha - s.diameter * np.geomspace(1.0, 1e300, 100),
+        s.beta + s.diameter * np.geomspace(1.0, 1e300, 100),
     ])
     rng.shuffle(pts)
     want = np.array([_green_reference(model, x) for x in pts.tolist()])
@@ -165,6 +172,23 @@ def test_green_value_array_matches_per_point(name, request):
     for i in (0, 1, 2):
         assert G.green_value(model, pts[i : i + 1].reshape(())) == want[i]
     assert G.green_value(model, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["model_m22", "model_pm12"])
+def test_green_value_far_field_closed_forms(name, request):
+    # from one diameter out (x = +-6) to +-1e300, against acosh, or log|x| +
+    # log(2/sqrt(3)) where 4x^2 overflows; an edge ray that long loses digits
+    model = request.getfixturevalue(name)
+    xs = np.array([6.0 * 10.0**k for k in range(0, 301, 4)] + [1e300])
+    xs = np.concatenate([xs, -xs])
+    for x, g in zip(xs.tolist(), G.green_value(model, xs).tolist()):
+        if name == "model_m22":
+            want = math.acosh(abs(x) / 2)
+        elif abs(x) < 1e150:
+            want = 0.5 * math.acosh(abs(4 * x * x - 10) / 6)
+        else:
+            want = math.log(abs(x)) + 0.5 * math.log(4 / 3)
+        assert abs(g - want) <= 2e-15 * want, x
 
 
 def test_green_value_shape_follows_input(model_fat3):
@@ -407,7 +431,7 @@ def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_expl
     for model, order in ((model_pm12, 240), (model_fat3_explicit, 64)):
         assert model.quad_order == order
         assert model.gap_orders == (order,) * len(model.set.gaps)
-        assert {len(t) for t in model._gap_nodes} == {order}
+        assert {len(t) for t in _gap_tables(model.set, model.gap_orders)[0]} == {order}
     m8 = G.solve_green(G.fat_cantor(8))
     for model in (model_fat4, m8):
         bands = model.set.bands
@@ -418,7 +442,7 @@ def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_expl
             n = math.ceil(math.log(1e15) / (2 * math.log(a + math.sqrt(a * a - 1))))
             want.append(min(max(n, 32), 1024))
         assert model.gap_orders == tuple(want)
-        assert [len(t) for t in model._gap_nodes] == want
+        assert [len(t) for t in _gap_tables(model.set, model.gap_orders)[0]] == want
     # the level-1 gap of level 8 sits next to bands ~2e-3 long and needs
     # more than the band order; the level-8 gaps need only the floor
     assert m8.gap_orders[127] > m8.quad_order == 80
@@ -465,8 +489,9 @@ def test_numerator_sign_matches_explicit_form(model_fat4):
     # P = B + sum_i delta_i B_i, on a grid holding every anchor and every
     # gap edge, for every gap j whose B_j has no zero at the grid point
     s = model_fat4.set
+    tables = _gap_tables(s, model_fat4.gap_orders)
     anchors = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
-    delta = _period_correction(anchors, model_fat4._gap_nodes, model_fat4._gap_log_weights)
+    delta = _period_correction(anchors, *tables)
     assert np.any(delta != 0.0)
     x = np.unique(np.concatenate([anchors, s.edges, np.linspace(s.alpha, s.beta, 1001)]))
     bfull, bi = _explicit_parts(x, anchors)
@@ -483,7 +508,7 @@ def test_numerator_sign_matches_explicit_form(model_fat4):
         assert f[on_gap] * bi[ok, j][on_gap] == pytest.approx(explicit[ok][on_gap], rel=1e-12)
     # the deflated rows solve the explicit period conditions of both passes
     for anchors, delta in _root_step_inputs(s):
-        for t, log_w in zip(model_fat4._gap_nodes, model_fat4._gap_log_weights):
+        for t, log_w in zip(*tables):
             bfull, bi = _explicit_parts(t, anchors)
             terms = np.exp(log_w)[:, None] * np.column_stack([bfull, bi * delta])
             assert abs(np.sum(terms)) <= 1e-12 * np.sum(np.abs(terms))

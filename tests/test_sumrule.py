@@ -77,6 +77,89 @@ def test_szego_entropy_offset(model_m22, mu_semicircle, mu_arcsine):
     assert lhs == pytest.approx(G.szego_integral(mu_arcsine), abs=1e-8)
 
 
+# (relative_entropy, szego_integral) as computed when the integrands were
+# ratios of densities; reading logs may move them by rounding only
+ENTROPY_RECORD = {
+    "arcsine": (2.220446049250312e-16, -1.1447298858493997),
+    "semicircle": (-0.6931471805599416, -1.8378770664093416),
+    "massed": (-0.9162907318741513, -2.0610206177235515),
+    "lebesgue": (-0.24156447527049063, -1.3862943611198906),
+    "lebesgue_pm12": (-0.24156447527049055, -0.6931471805599453),
+    "poly_pm12": (-0.016956247344876517, -0.46853895263433126),
+    "linear_pm12": (-0.05323674160332109, -0.5048194468927758),
+    "exprat": (-0.06154971918548138, -1.2062796050348814),
+    "fat3": (0.0, 0.8318319501573104),
+}
+
+
+def _entropy_battery(model_m22, model_pm12, model_fat3):
+    W = G.WeightSpec
+    semicircle = W("poly", {"coef": [2.0, 0.0, -0.5]})
+    lebesgue = W("const", {"value": 1.0})
+    return {
+        "arcsine": G.make_measure(model_m22),
+        "semicircle": G.make_measure(model_m22, semicircle),
+        "massed": G.make_measure(
+            model_m22, semicircle, point_masses=[(2.5, 0.125), (-3.0, 0.075)]
+        ),
+        "lebesgue": G.make_measure(model_m22, lebesgue, mode="absolute"),
+        "lebesgue_pm12": G.make_measure(model_pm12, lebesgue, mode="absolute"),
+        "poly_pm12": G.make_measure(model_pm12, W("poly", {"coef": [1, 0, 0.3]})),
+        "linear_pm12": G.make_measure(model_pm12, W("poly", {"coef": [1.0, 0.2]})),
+        "exprat": G.make_measure(model_m22, W("exprat", {"num": [0.0, 1.0], "den": [4.0]})),
+        "fat3": G.make_measure(model_fat3),
+    }
+
+
+def test_entropy_values_match_record(model_m22, model_pm12, model_fat3):
+    for name, mu in _entropy_battery(model_m22, model_pm12, model_fat3).items():
+        s, szego = ENTROPY_RECORD[name]
+        assert abs(G.relative_entropy(mu) - s) <= 1e-15, name
+        assert abs(G.szego_integral(mu) - szego) <= 1e-15, name
+
+
+def test_relative_mode_entropy_never_evaluates_f_e(
+    model_m22, model_pm12, model_fat3, monkeypatch
+):
+    # f = norm * w * f_E in relative mode, so log(f/f_E) is log(norm * w);
+    # a weight callable may return a scalar
+    measures = _entropy_battery(model_m22, model_pm12, model_fat3)
+    measures["arcsine"] = G.make_measure(model_m22, lambda t: 2.0)
+
+    def no_f_e(model, t):
+        raise AssertionError("relative-mode entropy evaluated f_E")
+
+    monkeypatch.setattr(sumrule, "_log_f_e", no_f_e)
+    for name in ("arcsine", "poly_pm12", "fat3"):
+        assert abs(G.relative_entropy(measures[name]) - ENTROPY_RECORD[name][0]) <= 1e-15
+
+
+def test_log_integral_product_matches_per_edge_loop(model_fat4):
+    # szego_integral's own term on fat_cantor(4): one log|t - e| @ p product
+    # per band against the loop over every fitted edge inside every band
+    model = model_fat4
+    quad, edges = model.quad, model.edges
+    logs = [sumrule._log_f_e(model, t) for t in quad.nodes]
+    exps = {}
+    for k, (t, l) in enumerate(zip(quad.nodes, logs)):
+        lo, hi = model.set.bands[k]
+        exps[2 * k + 1] = sumrule._fit_edge_exponent(hi - t[0], hi - t[1], l[0], l[1])
+        exps[2 * k] = sumrule._fit_edge_exponent(t[-1] - lo, t[-2] - lo, l[-1], l[-2])
+    assert set(exps.values()) == {-0.5}  # the inverse square root at every edge
+    total, terms = 0.0, []
+    for t, w, l in zip(quad.nodes, quad.weights, logs):
+        sub = l
+        for e, p in exps.items():
+            sub = sub - p * np.log(np.abs(t - edges[e]))
+        terms.append(w * sub)
+        total += float(np.sum(terms[-1]))
+    total -= model.robin * sum(exps.values())
+    lowest = np.partition(np.concatenate(terms), sumrule.CLASS_TRIM)[: sumrule.CLASS_TRIM]
+    got, got_trimmed = sumrule._log_integral(model, quad, logs)
+    assert abs(got - total) <= 1e-14
+    assert abs(got_trimmed - (total - float(np.sum(lowest)))) <= 1e-14
+
+
 def test_step_sum_rule_chebyshev(j_chebyshev, mu_arcsine):
     rep = G.step_sum_rule(j_chebyshev, mu_arcsine)
     assert rep.status == "ok"
@@ -374,9 +457,13 @@ def test_eigenvalue_bound_check_two_interval(je_pm12, model_pm12):
 
 
 def test_eigenvalue_bound_check_free(j_free, model_m22):
-    rep = G.eigenvalue_bound_check(j_free, model_m22, [25, 50, 100], include_glued=False)
+    rep = G.eigenvalue_bound_check(j_free, model_m22, [25, 50, 100])
     assert rep.all_ok
     assert all(e.green_sum == 0.0 for e in rep.entries)
+    # the glued junction is one sqrt(2) bond of the free matrix: two bound
+    # states at +-3/sqrt(2) outside [-2, 2], each with g = log(2)/2
+    glued = [e.outside_sum for e in rep.entries if e.family == "glued"]
+    assert glued == pytest.approx([math.log(2)] * 3, abs=1e-7)
 
 
 def test_eigenvalue_bound_check_perturbed(j_perturbed, model_m22):
