@@ -229,6 +229,7 @@ def run(config: dict) -> str:
         n_max = config.get("n", 50)
         J = _coefficients(mu, n_max, meta)
         report = theorem_upper_bound(J, mu, n_max)
+        meta["glued_sums"] = report.glued_sums  # JSON keys are the head sizes as strings
         u = szego_product(J, model.capacity, n_max)
         if config.get("plot"):
             emit_plotdata({"szego_product": list(map(float, u))}, config["plot"])

@@ -42,6 +42,7 @@ from .potential import (
     TOLERANCES,
     _leggauss,
     _log_f_e,
+    _m_e,
     equilibrium_quadrature,
     green_value,
     interval_stieltjes,
@@ -479,11 +480,16 @@ def _batch_bisect(J: JacobiCoeffs, N: int, indices, lo, hi) -> np.ndarray:
     ok = (c_lo <= idx) & (idx < c_hi)
     lo = np.where(ok, seed - delta, lo)
     hi = np.where(ok, seed + delta, hi)
+    return _bisect(lambda x: sturm_count(J, N, x), idx, lo, hi)
+
+
+def _bisect(count: Callable, idx, lo, hi) -> np.ndarray:
+    """Bisect each bracket to eigenvalue_abs/10 * max(1, |x|) on where count(x) > idx starts."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if np.all(hi - lo <= TOLERANCES["eigenvalue_abs"] / 10 * np.maximum(1.0, np.abs(mid))):
             break
-        above = sturm_count(J, N, mid) > idx
+        above = count(mid) > idx
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     return 0.5 * (lo + hi)
@@ -567,6 +573,43 @@ def stable_gap_eigenvalues(
                 i += 1
         keep &= matched
     return [ref[i] for i in sorted(keep)]
+
+
+def glued_eigenvalues(J: JacobiCoeffs, model: GreenModel, sizes) -> dict[int, list]:
+    """Exact off-set eigenvalues, located, of each n-pair head of J glued by a_n onto mu_E's.
+
+    On a component of R \\ E the glued count below x is a constant plus the
+    negative pivots of the head's LDL^T with its last one less a_n^2 m_E(x)
+    (Haynsworth).  m_E rises from -inf at beta and gap left ends to +inf at
+    alpha and gap right ends: a gap holds one more than J's (n-1)-corner.
+    """
+    sizes = sorted({int(n) for n in sizes})
+    if not sizes or sizes[0] < 1 or sizes[-1] > len(J.a):
+        raise ValidationError(f"head sizes {sizes} must lie in 1..{len(J.a)}, J's couplings")
+    s, a, b = model.set, J.a[: sizes[-1]], J.b[: sizes[-1]]
+    a2, b_next = a * a, np.r_[b[1:], 0.0]
+    tiny = 1e-290 * max(1.0, float(np.max(np.abs(b)) + np.max(a2)))
+
+    def count(rows, x, m):  # negative pivots at x[i] of head rows[i] + 1, its last less a_n^2 m[i]
+        D, d, cols = np.empty((len(b), len(x))), b[0] - x, np.arange(len(x))
+        for i in range(len(b)):
+            D[i] = d = np.where(np.abs(d) < tiny, -tiny, d)  # a zero pivot counts as negative
+            d = b_next[i] - x - a2[i] / d
+        D[rows, cols] -= a2[rows] * m
+        return np.cumsum(D < 0, axis=0)[rows, cols]
+
+    # the glued norm is at most max(|head|, |alpha|, |beta|) + a_n
+    reach = max(np.max(np.abs(b) + a + np.r_[0.0, a[:-1]]), -s.alpha, s.beta) + np.max(a) + 1.0
+    ends = np.r_[-reach, s.edges, reach]  # m_E's limits at alpha, gap ends and beta in between
+    m_ends = np.r_[_m_e(model, [-reach]), [np.inf, -np.inf] * len(s.bands), _m_e(model, [reach])]
+    heads = np.repeat(sizes, len(ends))
+    counts = count(heads - 1, np.tile(ends, len(sizes)), np.tile(m_ends, len(sizes))).reshape(-1, 2)
+    found = [(heads[2 * p], k, p % (len(ends) // 2))
+             for p, (lo, hi) in enumerate(counts.tolist()) for k in range(lo, hi)]
+    row, idx, comp = np.array(found, dtype=int).reshape(-1, 3).T
+    vals = _bisect(lambda x: count(row - 1, x, _m_e(model, x)), idx, *ends.reshape(-1, 2)[comp].T)
+    locs = [Location("left"), *(Location("gap", j) for j in range(len(s.gaps))), Location("right")]
+    return {n: [(v, locs[c]) for h, v, c in zip(row, vals.tolist(), comp) if h == n] for n in sizes}
 
 
 def eigenvalue_green_sum(eigs: Sequence[float], model: GreenModel) -> float:

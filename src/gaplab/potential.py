@@ -502,6 +502,12 @@ def _log_f_e(model: GreenModel, t: np.ndarray) -> np.ndarray:
     return _log_g_prime(t, model.critical_points, model.edges)[1] - math.log(math.pi)
 
 
+def _m_e(model: GreenModel, x: np.ndarray) -> np.ndarray:
+    """m_E = -g' off the set: P's sign from _g_prime times (-1)^(k+1), k bands ending right of x."""
+    k = len(model.set.bands) - np.searchsorted(model.edges[1::2], x, side="right")
+    return np.where(k % 2, 1.0, -1.0) * _g_prime(x, model.critical_points, model.edges)
+
+
 def equilibrium_quadrature(model: GreenModel, order: int) -> EquilibriumQuadrature:
     """Per-band quadrature for dmu_E at the given order (the model's own at quad_order)."""
     if order < 16:

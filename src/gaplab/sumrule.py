@@ -29,7 +29,7 @@ from .jacobi import (
     coefficients_from_measure,
     eigenvalue_green_sum,
     gap_eigenvalues,
-    glue_head,
+    glued_eigenvalues,
     make_measure,
     measure_m_boundary,
     measure_to_json,
@@ -49,7 +49,6 @@ NEG_INF = float("-inf")
 # 0.93-1.07) while the error of a double zero halves (ratio 0.54-0.57).
 CLASS_TRIM = 4
 CLASS_RATIO = 0.75
-GLUED_EVAL_SIZE = 94  # certification size of theorem_upper_bound's glued matrices
 # relative slack on theorem_upper_bound's comparison of the window with C' e^(S/2)
 BOUND_SLACK = 1e-6
 
@@ -341,33 +340,13 @@ def eigenvalue_bound_check(
         entries.append(
             BoundCheckEntry("corner", n, eigenvalue_green_sum(eigs, model), c_bound, len(eigs))
         )
-    for n, certified in _glued_spectra(J, model, sizes, eval_size).items():
-        in_gap = [v for v, loc in certified if loc.kind == "gap"]
-        outside = [v for v, loc in certified if loc.kind != "gap"]
-        entries.append(
-            BoundCheckEntry(
-                "glued", n, eigenvalue_green_sum(in_gap, model),
-                c_bound + 2.0 * crit, len(certified),
-                outside_sum=eigenvalue_green_sum(outside, model),
-            )
-        )
+    for n, eigs in glued_eigenvalues(J, model, sizes).items():
+        in_gap = [v for v, loc in eigs if loc.kind == "gap"]
+        outside = [v for v, loc in eigs if loc.kind != "gap"]
+        entries.append(BoundCheckEntry("glued", n, eigenvalue_green_sum(in_gap, model),
+                                       c_bound + 2.0 * crit, len(eigs),
+                                       outside_sum=eigenvalue_green_sum(outside, model)))
     return BoundCheckReport(entries=entries, base_green_sum=base_sum, critical_sum=crit)
-
-
-def _glued_spectra(J: JacobiCoeffs, model: GreenModel, sizes, eval_size: int):
-    """Certified off-set eigenvalues of each n-pair head of J glued onto a tail.
-
-    The junction coupling is a_n; the tail is the equilibrium matrix with
-    2 eval_size pairs, as many rows as certification at eval_size reads
-    whatever the head size.
-    """
-    tail = equilibrium_coefficients(model, 2 * eval_size)
-    return {
-        n: stable_gap_eigenvalues(
-            glue_head(JacobiCoeffs(J.a[:n], J.b[:n]), float(J.a[n - 1]), tail), model, eval_size
-        )
-        for n in sizes
-    }
 
 
 def equilibrium_coefficients(model: GreenModel, n: int) -> JacobiCoeffs:
@@ -388,13 +367,11 @@ class TheoremReport:
 
 
 def theorem_upper_bound(J: JacobiCoeffs, mu: MeasureModel, n_max: int) -> TheoremReport:
-    """Check max u_n over the trailing window against C' exp(S/2).
+    """Check max u_n over the trailing window against C' exp(S/2), C' = exp(C).
 
-    J must be mu's Jacobi matrix, with at least n_max pairs; its off-set
-    eigenvalues are then mu's point masses.  The uniform constant is
-    realized operationally: C is the largest certified Green-sum of the
-    glued matrices over a documented sample of head sizes, plus the
-    baseline 2 sum g(x_k) + sum g(c_j) formula terms, and C' = exp(C).
+    J must be mu's Jacobi matrix with at least n_max pairs, so its off-set
+    eigenvalues x_k are mu's point masses.  C is 2 sum g(x_k) + sum g(c_j) plus
+    the largest glued Green sum over the heads max(1, n_max // k), k = 8, 4, 2, 1.
     """
     model = mu.model
     S = relative_entropy(mu)
@@ -402,12 +379,9 @@ def theorem_upper_bound(J: JacobiCoeffs, mu: MeasureModel, n_max: int) -> Theore
         raise ValidationError("upper-bound check requires a finite entropy")
     u = szego_product(J, model.capacity, n_max)
     window = trailing_window(u)
-    sample_sizes = sorted({max(1, n_max // 8), n_max // 4, n_max // 2, n_max})
     base_sum = eigenvalue_green_sum([x for x, _ in mu.point_masses], model)
-    glued_sums = {
-        n: eigenvalue_green_sum([v for v, _ in eigs], model)
-        for n, eigs in _glued_spectra(J, model, sample_sizes, GLUED_EVAL_SIZE).items()
-    }
+    glued = glued_eigenvalues(J, model, {max(1, n_max // k) for k in (8, 4, 2, 1)})
+    glued_sums = {n: eigenvalue_green_sum([v for v, _ in eigs], model) for n, eigs in glued.items()}
     bound_C = 2.0 * base_sum + pw_sum(model) + max(0.0, *glued_sums.values())
     bound_Cprime = math.exp(bound_C)
     limit = bound_Cprime * math.exp(0.5 * S) * (1.0 + BOUND_SLACK)

@@ -313,3 +313,20 @@ def test_report_columns_are_its_scalar_fields(command, compute, tmp_path, monkey
     assert obj["columns"] == scalars + ["extra"]
     row = dict(zip(obj["columns"], obj["rows"][0]))
     assert row["extra"] == 1 and row.get("satisfied", 1) == 1
+
+
+def test_theorem_meta_carries_glued_sums(tmp_path):
+    # JSON meta shows every sampled head's glued Green sum; CSV stays one row
+    args = ["--command", "theorem", "--set", '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}',
+            "--measure", '{"factor": {"form": "poly", "coef": [1, 0, 0.3]}}', "--n", "100"]
+    code, data = run_cli(args + ["--format", "json"], tmp_path)
+    assert code == 0
+    s = G.make_gapset(-2, 2, [(-1, 1)])
+    mu = cli.parse_measure_spec('{"factor": {"form": "poly", "coef": [1, 0, 0.3]}}',
+                                G.solve_green(s))
+    report = G.theorem_upper_bound(G.coefficients_from_measure(mu, 100), mu, 100)
+    glued = json.loads(data)["meta"]["glued_sums"]
+    assert glued == {str(n): v for n, v in report.glued_sums.items()}
+    assert sorted(glued) == ["100", "12", "25", "50"]
+    code, csv = run_cli(args, tmp_path, "out.csv")
+    assert code == 0 and len(csv.decode().strip().split("\n")) == 2

@@ -267,6 +267,72 @@ def test_glue_empty_head(je_pm12):
     assert G.glue_head(head, 1.0, je_pm12) is je_pm12
 
 
+HEADS = [12, 25, 50, 100]
+
+
+@pytest.fixture(scope="module", params=["two_band", "fat_cantor_3"])
+def glued_case(request, model_pm12, model_fat3):
+    """(model, J, reference tail pairs, its quad_order, tolerance) for glued_eigenvalues."""
+    if request.param == "two_band":
+        mu = G.make_measure(model_pm12, G.WeightSpec("poly", {"coef": [1, 0, 0.3]}))
+        return model_pm12, G.coefficients_from_measure(mu, 100), 600, None, 1e-12
+    # a near-edge state converges slowly in the reference: 9.0e-7 at 1600 pairs
+    return model_fat3, G.coefficients_from_measure(G.make_measure(model_fat3), 100), 1600, 1000, 1e-6
+
+
+def test_glued_eigenvalues_match_long_glue(glued_case):
+    # each exact eigenvalue is one of a long truncated glue's, onto mu_E's own
+    # Lanczos tail; the truncation adds wall states of its own, so one way only
+    model, J, pairs, order, tol = glued_case
+    tail = G.coefficients_from_measure(G.make_measure(model), pairs, quad_order=order)
+    exact = G.glued_eigenvalues(J, model, HEADS)
+    assert list(exact) == HEADS
+    for n, eigs in exact.items():
+        glued = G.glue_head(G.JacobiCoeffs(J.a[:n], J.b[:n]), float(J.a[n - 1]), tail)
+        ref = np.array([v for v, _ in G.gap_eigenvalues(glued, model, n + pairs - 200)])
+        for x, loc in eigs:
+            assert np.min(np.abs(ref - x)) <= tol, (n, x)
+            assert G.locate(model.set, x) == loc
+
+
+def test_glued_gap_counts_are_corner_counts_plus_one(glued_case):
+    # m_E runs from -inf to +inf across a gap, so the shifted last pivot adds
+    # exactly one eigenvalue to the (n-1)-corner's count there
+    model, J, *_ = glued_case
+    s = model.set
+    for n, eigs in G.glued_eigenvalues(J, model, [1, *HEADS]).items():
+        corner = sturm_count(J, n - 1, s.edges) if n > 1 else np.zeros(len(s.edges), dtype=int)
+        for j in range(len(s.gaps)):
+            got = sum(loc == G.Location("gap", j) for _, loc in eigs)
+            assert got == corner[2 * j + 2] - corner[2 * j + 1] + 1, (n, j)
+
+
+def test_glued_long_heads_keep_their_junction_states(model_pm12):
+    # poly [1, 0, 0.3] on [-2,-1] u [1,2]: heads 50 and 100 hold the pairs
+    # +-0.98005 in the gap and +-2.04071 outside
+    mu = G.make_measure(model_pm12, G.WeightSpec("poly", {"coef": [1, 0, 0.3]}))
+    J = G.coefficients_from_measure(mu, 100)
+    for n, eigs in G.glued_eigenvalues(J, model_pm12, [50, 100]).items():
+        assert [round(x, 5) for x, _ in eigs] == [-2.04071, -0.98005, 0.98005, 2.04071], n
+
+
+def test_glued_head_keeps_its_junction_states(model_fat3):
+    # head 12 on fat_cantor(3): one state per gap, a second in gap 3 where
+    # the 11-corner has one, and one each side of [alpha, beta]
+    J = G.coefficients_from_measure(G.make_measure(model_fat3), 100)
+    eigs = G.glued_eigenvalues(J, model_fat3, [12])[12]
+    kinds = [loc.kind for _, loc in eigs]
+    assert len(eigs) == 10 and kinds[0] == "left" and kinds[-1] == "right"
+
+
+def test_glued_eigenvalues_need_the_junction_coupling(model_pm12, je_pm12):
+    corner = G.JacobiCoeffs(je_pm12.a[:9], je_pm12.b[:10])
+    assert list(G.glued_eigenvalues(corner, model_pm12, [9])) == [9]
+    for sizes in ([10], [0, 4], []):
+        with pytest.raises(ValidationError):
+            G.glued_eigenvalues(corner, model_pm12, sizes)
+
+
 # ---------------------------------------------------------------------------
 # eigenvalues
 

@@ -8,6 +8,7 @@ import gaplab as G
 from gaplab.cli import TOLERANCES
 from gaplab import cli, potential
 from gaplab.errors import NumericalError, ValidationError
+from gaplab.realset import edge_slots
 from gaplab.potential import (
     _cosine_nodes,
     _g_prime,
@@ -15,6 +16,7 @@ from gaplab.potential import (
     _edge_ray,
     _gap_tables,
     _leggauss,
+    _m_e,
     _period_correction,
     _period_roots,
 )
@@ -715,3 +717,26 @@ def test_polynomial_preimage_battery(d):
         for lo, hi in s.gaps:
             for x in (lo + 0.01 * (hi - lo), 0.5 * (lo + hi), hi - 0.3 * (hi - lo)):
                 assert G.green_value(model, x) == pytest.approx(green(x), rel=1e-11, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", ["model_pm12", "model_fat3"])
+def test_m_e_is_the_band_rule_stieltjes_transform(name, request):
+    # m_E = -g' off E: the band rule's sum w/(t - x) at points 1% of the
+    # diameter or more from E, and increasing on every component
+    model = request.getfixturevalue(name)
+    s = model.set
+    x = np.linspace(s.alpha - s.diameter, s.beta + s.diameter, 3001)
+    off = x[(edge_slots(s, x) % 2 == 0)
+            & (np.min(np.abs(x[:, None] - s.edges), axis=1) >= 0.01 * s.diameter)]
+    t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
+    assert np.max(np.abs(_m_e(model, off) - (w / (t - off[:, None])).sum(axis=1))) <= 1e-12
+    for lo, hi in zip(np.r_[s.alpha - s.diameter, s.edges[1::2]], np.r_[s.edges[::2], np.inf]):
+        hi = min(hi, s.beta + s.diameter)
+        inner = np.linspace(lo, hi, 403)[1:-1]
+        assert np.all(np.diff(_m_e(model, inner)) > 0), (lo, hi)
+
+
+def test_m_e_matches_interval_stieltjes(model_m22):
+    x = np.r_[-np.geomspace(2.0 + 1e-9, 1e6, 60), np.geomspace(2.0 + 1e-9, 1e6, 60)]
+    want = [G.potential.interval_stieltjes(-2.0, 2.0, v).real for v in x]
+    assert _m_e(model_m22, x) == pytest.approx(want, rel=1e-14)

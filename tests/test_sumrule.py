@@ -359,8 +359,8 @@ def test_sum_rule_green_sum_is_point_mass_sum(model_pm12):
 
 
 def test_theorem_reads_only_n_max_pairs(model_pm12):
-    # the glued family is certified at a fixed size, so J needs no pairs
-    # beyond the Szego products it supplies
+    # the glued family reads J's first n_max rows and couplings, so J needs
+    # no pairs beyond the Szego products it supplies
     mu = _massed_measure(model_pm12)
     J = G.coefficients_from_measure(mu, 100, quad_order=max(200, mu.quad.order))
     rep = G.theorem_upper_bound(J, mu, 100)
@@ -383,33 +383,42 @@ def test_sum_rule_affine_invariance(j_chebyshev, mu_arcsine, model_m22):
         assert rep_m.residual == pytest.approx(rep.residual, abs=1e-6)
 
 
-def test_glued_tail_is_what_certification_reads(model_pm12, monkeypatch):
-    # certification at GLUED_EVAL_SIZE reads 2 * GLUED_EVAL_SIZE rows of a
-    # glued matrix, so that is the whole tail, whatever the head size
-    asked = []
-    real = sumrule.equilibrium_coefficients
+BENCH_THEOREM = {
+    "command": "theorem", "set": '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}',
+    "measure": '{"factor": {"form": "poly", "coef": [1, 0, 0.3]}}', "n": 100,
+}
 
-    def spy(model, n):
-        asked.append(n)
-        return real(model, n)
 
-    monkeypatch.setattr(sumrule, "equilibrium_coefficients", spy)
-    cli.run({
-        "command": "theorem", "set": '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}',
-        "measure": '{"factor": {"form": "poly", "coef": [1, 0, 0.3]}}', "n": 100,
-    })
-    assert asked == [2 * sumrule.GLUED_EVAL_SIZE] == [188]
+def test_theorem_builds_no_second_measure(monkeypatch):
+    # the glued family reads m_E = -g' in closed form: J's own Lanczos run
+    # is the only one, and no matrix is certified by truncation
+    calls = {"coefficients_from_measure": [], "equilibrium_coefficients": [],
+             "stable_gap_eigenvalues": []}
+    for name, record in calls.items():
+        real = getattr(G, name)
 
-    mu = G.make_measure(model_pm12, G.WeightSpec("poly", {"coef": [1, 0, 0.3]}))
+        def spy(*args, _real=real, _record=record, **kwargs):
+            _record.append(args[1])
+            return _real(*args, **kwargs)
+
+        for mod in (cli, sumrule, G.jacobi):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, spy)
+    cli.run(BENCH_THEOREM)
+    assert calls == {"coefficients_from_measure": [100], "equilibrium_coefficients": [],
+                     "stable_gap_eigenvalues": []}
+
+
+def test_theorem_heads_start_at_one_pair(model_pm12):
+    # n_max < 4 samples n_max // 4 = 0; every head has at least one pair.  The
+    # one-pair head has the largest glued sum, so bound_C is the same for all
+    model = G.solve_green(model_pm12.set)  # the CLI's default order
+    mu = G.make_measure(model, G.WeightSpec("poly", {"coef": [1, 0, 0.3]}))
     J = G.coefficients_from_measure(mu, 100)
-    rep = G.theorem_upper_bound(J, mu, 100)
-    long_tail = real(model_pm12, 100 + 188)
-    for n, got in rep.glued_sums.items():
-        glued = G.glue_head(G.JacobiCoeffs(J.a[:n], J.b[:n]), float(J.a[n - 1]), long_tail)
-        eigs = G.stable_gap_eigenvalues(glued, model_pm12, sumrule.GLUED_EVAL_SIZE)
-        assert got == pytest.approx(
-            G.eigenvalue_green_sum([v for v, _ in eigs], model_pm12), abs=1e-13
-        )
+    for n_max in range(1, 5):
+        rep = G.theorem_upper_bound(J, mu, n_max)
+        assert min(rep.glued_sums) == 1
+        assert rep.bound_C == pytest.approx(2.4467381033708886, abs=1e-12)
 
 
 def test_report_serialization(j_chebyshev, mu_arcsine):
@@ -461,9 +470,19 @@ def test_eigenvalue_bound_check_free(j_free, model_m22):
     assert rep.all_ok
     assert all(e.green_sum == 0.0 for e in rep.entries)
     # the glued junction is one sqrt(2) bond of the free matrix: two bound
-    # states at +-3/sqrt(2) outside [-2, 2], each with g = log(2)/2
+    # states E = +-(z + 1/z) outside [-2, 2], each with g = -log z.  The
+    # head's free end n sites away puts q = z^2 at the root of
+    # 1 - 2q + q^(n+2) = 0 near 1/2, so the pair's sum -log q is log 2 up
+    # to 2^-(n+2) (7.5e-9 at n = 25)
+    exact = []
+    for n in (25, 50, 100):
+        q = 0.5
+        for _ in range(20):
+            q = (1.0 + q ** (n + 2)) / 2.0
+        exact.append(-math.log(q))
     glued = [e.outside_sum for e in rep.entries if e.family == "glued"]
-    assert glued == pytest.approx([math.log(2)] * 3, abs=1e-7)
+    assert glued == pytest.approx(exact, abs=1e-12)
+    assert exact[0] == pytest.approx(math.log(2) - 2.0 ** -27, abs=1e-14)
 
 
 def test_eigenvalue_bound_check_perturbed(j_perturbed, model_m22):
