@@ -19,7 +19,7 @@ Truncation spectra are seeded from the dense symmetric eigensolver (the
 N x N truncation, O(N^2) memory) and certified by Sturm-sequence sign
 counts, which give exact eigenvalue counts per interval: one sweep checks
 a bracket narrower than 1e-13 * max(1, |x|) around every seed, and
-bisection from the component bracket takes over where a seed fails.  The
+multisection from the component bracket takes over where a seed fails.  The
 zeros of the truncated m-function are the eigenvalues of a rank-one shift
 of b_1, so the same certification finds poles and zeros; m_function is the
 only continued fraction.
@@ -50,6 +50,7 @@ from .potential import (
 from .realset import GapSet, Location, edge_slots, locate
 
 TAIL_POLICIES = ("truncate", "periodic", "equilibrium")
+_SWEEP_POINTS = 512  # midpoints per multisection count sweep, all brackets together
 
 
 @dataclass(frozen=True)
@@ -334,8 +335,8 @@ def coefficients_from_measure(
     tiny = 1e-14 * norm
     a = np.empty(n)
     b = np.empty(n)
-    Q = np.empty((n + 1, len(t)))
-    q = Q[0] = np.sqrt(w / np.sum(w))
+    Q = None  # the basis, kept from the first reorthogonalizing step on
+    q = q0 = np.sqrt(w / np.sum(w))
     beta = 0.0
     qm = np.zeros_like(q)
     # omega[i] estimates q_k . q_i and omega_old[i] estimates q_{k-1} . q_i
@@ -362,6 +363,10 @@ def coefficients_from_measure(
         if second or np.abs(omega_old[: k + 1]).max() > math.sqrt(eps):
             # semiorthogonality is about to go: two full passes now and on
             # the next step, whose three-term update reuses the unrepaired q_k
+            if Q is None:  # replay q_0 .. q_k from the stored a and b, bit for bit
+                Q = np.concatenate([[q0], np.zeros((n + 1, len(t)))])  # row -1: q_{-1} = 0
+                for j in range(k):
+                    Q[j + 1] = (t * Q[j] - b[j] * Q[j] - (a[j - 1] if j else 0.0) * Q[j - 1]) / a[j]
             for _ in range(2):
                 r -= Q[: k + 1].T @ (Q[: k + 1] @ r)
             beta_new = math.sqrt(r @ r)
@@ -377,7 +382,9 @@ def coefficients_from_measure(
         omega_old[k + 1] = 1.0
         omega, omega_old = omega_old, omega
         qm = q
-        q = Q[k + 1] = r / beta_new
+        q = r / beta_new
+        if Q is not None:
+            Q[k + 1] = q
         beta = beta_new
     return JacobiCoeffs(
         a, b, reorth_steps=reorth_steps, breakdown_margin=float(np.min(a)) / tiny
@@ -484,14 +491,24 @@ def _batch_bisect(J: JacobiCoeffs, N: int, indices, lo, hi) -> np.ndarray:
 
 
 def _bisect(count: Callable, idx, lo, hi) -> np.ndarray:
-    """Bisect each bracket to eigenvalue_abs/10 * max(1, |x|) on where count(x) > idx starts."""
+    """Bisect each bracket to eigenvalue_abs/10 * max(1, |x|) on where count(x) > idx starts.
+
+    By multisection: a count call takes the (2^s - 1, B) heap of midpoints s steps could
+    visit in the B brackets, s >= 1 the largest with B (2^s - 1) <= _SWEEP_POINTS."""
+    depth = level = max(1, (_SWEEP_POINTS // max(1, len(idx)) + 1).bit_length() - 1)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if np.all(hi - lo <= TOLERANCES["eigenvalue_abs"] / 10 * np.maximum(1.0, np.abs(mid))):
             break
-        above = count(mid) > idx
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+        if level == depth:  # heap walked: one sweep counts the next depth levels
+            ends, heap = np.stack([lo, hi]), []
+            for _ in range(depth):  # level l holds the midpoints of ends, 2^l + 1 in order
+                heap.append(0.5 * (ends[:-1] + ends[1:]))
+                ends = np.insert(ends, np.arange(1, len(ends)), heap[-1], axis=0)
+            above_at, node, level = count(np.concatenate(heap)) > idx, np.zeros(len(idx), int), 0
+        above = above_at[node, np.arange(len(idx))]
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+        node, level = 2 * node + 2 - above, level + 1  # children 2i + 1 (left), 2i + 2
     return 0.5 * (lo + hi)
 
 
@@ -591,12 +608,14 @@ def glued_eigenvalues(J: JacobiCoeffs, model: GreenModel, sizes) -> dict[int, li
     tiny = 1e-290 * max(1.0, float(np.max(np.abs(b)) + np.max(a2)))
 
     def count(rows, x, m):  # negative pivots at x[i] of head rows[i] + 1, its last less a_n^2 m[i]
-        D, d, cols = np.empty((len(b), len(x))), b[0] - x, np.arange(len(x))
-        for i in range(len(b)):
-            D[i] = d = np.where(np.abs(d) < tiny, -tiny, d)  # a zero pivot counts as negative
+        neg, out, d = np.zeros(x.shape, int), 0, b[0] - x
+        for i in range(rows.max() + 1):  # streamed: stop at the largest head
+            d = np.where(np.abs(d) < tiny, -tiny, d)  # a zero pivot counts as negative
+            if i + 1 in sizes:
+                out = np.where(rows == i, neg + (d - a2[i] * m < 0), out)
+            neg += d < 0
             d = b_next[i] - x - a2[i] / d
-        D[rows, cols] -= a2[rows] * m
-        return np.cumsum(D < 0, axis=0)[rows, cols]
+        return out
 
     # the glued norm is at most max(|head|, |alpha|, |beta|) + a_n
     reach = max(np.max(np.abs(b) + a + np.r_[0.0, a[:-1]]), -s.alpha, s.beta) + np.max(a) + 1.0
@@ -607,7 +626,8 @@ def glued_eigenvalues(J: JacobiCoeffs, model: GreenModel, sizes) -> dict[int, li
     found = [(heads[2 * p], k, p % (len(ends) // 2))
              for p, (lo, hi) in enumerate(counts.tolist()) for k in range(lo, hi)]
     row, idx, comp = np.array(found, dtype=int).reshape(-1, 3).T
-    vals = _bisect(lambda x: count(row - 1, x, _m_e(model, x)), idx, *ends.reshape(-1, 2)[comp].T)
+    vals = _bisect(lambda x: count(row - 1, x, _m_e(model, x.ravel()).reshape(x.shape)),
+                   idx, *ends.reshape(-1, 2)[comp].T)
     locs = [Location("left"), *(Location("gap", j) for j in range(len(s.gaps))), Location("right")]
     return {n: [(v, locs[c]) for h, v, c in zip(row, vals.tolist(), comp) if h == n] for n in sizes}
 

@@ -509,6 +509,68 @@ def test_rejected_seeds_fall_back_to_bisection(monkeypatch, model_m22, je_pm12, 
         assert np.all(np.abs(got - want) <= STOP * np.maximum(1.0, np.abs(want)))
 
 
+def one_level_bisect(count, idx, lo, hi):
+    """Reference bisection: one count call per step."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.all(hi - lo <= STOP * np.maximum(1.0, np.abs(mid))):
+            break
+        above = count(mid) > idx
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("batch, depth", [(1, 9), (15, 5), (300, 1)])
+@pytest.mark.parametrize("capped", [False, True], ids=["converges", "capped"])
+def test_multisection_matches_one_level_bisection(batch, depth, capped):
+    # brackets 1e-15 to 10 wide around (and off) the dense eigenvalues; a
+    # +-1e308 bracket reaches the 200-step cap, its width overflowing to inf
+    rng = np.random.default_rng(batch)
+    N = 40
+    J = G.JacobiCoeffs(rng.uniform(0.2, 1.5, N - 1), rng.normal(size=N))
+    idx = rng.integers(0, N, batch)
+    centre = np.linalg.eigvalsh(dense_tridiagonal(J, N))[idx] + rng.normal(0.0, 1e-3, batch)
+    width = 10.0 ** rng.uniform(-15, 1, batch)
+    lo, hi = centre - width * rng.uniform(0, 1, batch), centre + width * rng.uniform(0, 1, batch)
+    if capped:
+        lo[0], hi[0] = -1e308, 1e308
+    calls = {"reference": [], "multisection": []}
+
+    def counter(name):
+        def count(x):
+            calls[name].append(np.shape(x))
+            return sturm_count(J, N, x)
+        return count
+
+    with np.errstate(over="ignore"):
+        want = one_level_bisect(counter("reference"), idx, lo, hi)
+        got = jacobi._bisect(counter("multisection"), idx, lo, hi)
+    assert np.all(got == want)
+    steps = len(calls["reference"])
+    assert steps == 200 if capped else 0 < steps < 200
+    # each sweep takes a full heap; only the last may be cut short by the stop rule
+    assert calls["multisection"] == [(2 ** depth - 1, batch)] * -(-steps // depth)
+
+
+def test_certified_seeds_make_no_sweep(monkeypatch, model_m22):
+    # one count at the component ends, one at the seed brackets: a batch of
+    # certified seeds needs no multisection sweep
+    b = np.zeros(460)
+    b[0], b[5] = 2.5, -2.5  # one eigenvalue each side of [-2, 2]
+    J = G.JacobiCoeffs(np.ones(460), b)
+    calls = []
+    real = jacobi.sturm_count
+
+    def spy(J, N, x):
+        calls.append(np.shape(x))
+        return real(J, N, x)
+
+    monkeypatch.setattr(jacobi, "sturm_count", spy)
+    assert [loc.kind for _, loc in G.gap_eigenvalues(J, model_m22, 250)] == ["left", "right"]
+    assert calls == [(4,), (4,)]
+
+
 # ---------------------------------------------------------------------------
 # m-functions
 

@@ -409,6 +409,23 @@ def test_theorem_builds_no_second_measure(monkeypatch):
                      "stable_gap_eigenvalues": []}
 
 
+def test_theorem_glued_count_sweeps(monkeypatch):
+    # m_E is evaluated once per end limit and once per multisection sweep:
+    # the 15 glued brackets go 5 levels deep per sweep (45 levels, one per
+    # sweep, before multisection)
+    sizes = []
+    real = G.jacobi._m_e
+
+    def spy(model, x):
+        sizes.append(len(x))
+        return real(model, x)
+
+    monkeypatch.setattr(G.jacobi, "_m_e", spy)
+    cli.run(BENCH_THEOREM)
+    assert sizes[:2] == [1, 1] and len(sizes) <= 12
+    assert set(sizes[2:]) == {15 * 31}
+
+
 def test_theorem_heads_start_at_one_pair(model_pm12):
     # n_max < 4 samples n_max // 4 = 0; every head has at least one pair.  The
     # one-pair head has the largest glued sum, so bound_C is the same for all
