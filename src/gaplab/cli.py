@@ -128,6 +128,9 @@ def _report_table(command: str, report, meta: dict, fmt: str) -> str:
     return _table(command, list(row), [list(row.values())], meta, fmt)
 
 
+SOLVE_DIAGNOSTICS = ("solve_passes", "root_move", "period_residual", "mass_error")
+
+
 def _coefficients(mu, pairs: int, meta: dict):
     """Lanczos pairs of mu; its diagnostics go to meta."""
     J = coefficients_from_measure(mu, pairs)
@@ -161,13 +164,14 @@ def run(config: dict) -> str:
     if command == "cantor":
         n = config.get("n", 6)
         rows = []
-        levels, pws = [], []
+        pws = []
         for level in range(1, n + 1):
             s = fat_cantor(level)
             model = solve_green(s, quad_order)
             rows.append([level, len(s.gaps), lebesgue_measure(s), model.capacity, pw_sum(model)])
-            levels.append(level)
             pws.append(rows[-1][4])
+            for key in SOLVE_DIAGNOSTICS:  # one entry per level
+                meta.setdefault(key, []).append(getattr(model, key))
         if config.get("plot"):
             emit_plotdata({"pw_sum": pws}, config["plot"])
         return _table(command, ["level", "gap_count", "measure", "capacity", "pw_sum"], rows, meta, fmt)
@@ -186,6 +190,7 @@ def run(config: dict) -> str:
         return _table(command, ["delta", "margin"], rows, meta, fmt)
 
     model = solve_green(s, quad_order)
+    meta.update((key, getattr(model, key)) for key in SOLVE_DIAGNOSTICS)
 
     if command == "capacity":
         rows = [

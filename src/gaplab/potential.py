@@ -24,11 +24,20 @@ its midpoint); f_j is formed from sums, never from a product.  Two passes
 (midpoints, then the found roots) reach machine-level period residuals.
 
 Every weight, density and Green integral is g' itself with the edge
-factors its substitution cancels left out, from one primitive
-_log_g_prime: the root and edge log-sums meet in a single exp, so the
-quotient stays in range where either product alone over- or underflows.
-The period weights, which have no root factors, stay logs until they
-meet log|P| or log|B_j|.  Singular integrals
+factors its substitution cancels left out, from log-sums: the root and
+edge log-sums meet in a single exp, so the quotient stays in range where
+either product alone over- or underflows.  The period weights, which have
+no root factors, stay logs until they meet log|P| or log|B_j|.  At
+arbitrary points (rays, gap arcs, densities, m_E) the sums are
+_log_g_prime's, one direct sum over every root and edge.  At the cosine
+nodes of whole interval families (the band rule, the period tables and
+rows, the residual gate) they are _log_sums's: the sources within _FAR
+half-lengths of an interval are summed directly, the rest at p <= 9
+Chebyshev proxy points sized by the Bernstein ellipse through the
+nearest of them and interpolated, and intervals sharing (order, p) go
+as one batch of _ARC_BLOCK-entry pieces (a one-level fast-multipole
+split, Greengard and Rokhlin, J. Comput. Phys. 73, 1987).  An interval
+with no far source is _log_g_prime's sum, bit for bit.  Singular integrals
 are tamed by the cosine substitution t = c + r*cos(theta) (gap and band
 versions), which cancels the inverse-square-root edge behaviour exactly,
 and on the unbounded components by t = e +/- s^2.  After the substitution
@@ -40,6 +49,7 @@ the edge one outer band inside, never below the band order.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import json
 import math
@@ -60,7 +70,8 @@ _GAP_ORDER_CAP = 1024  # largest default per-gap order, to bound a table's size
 _GAP_RULE_TARGET = 1e-15  # error the per-gap orders are sized for
 _SOLVE_PASSES = 6  # cap on linearized period-solve passes
 _ROOT_SWEEPS = 100  # cap on Newton/bisection sweeps per pass
-_ARC_BLOCK = 80 * 765  # entries per _gap_arc chunk: one level-8 band-rule block
+_ARC_BLOCK = 80 * 765  # entries per log-sum chunk: one level-8 band-rule block
+_FAR = 32.0  # sources within _FAR half-lengths of an interval are summed directly
 
 # numeric gates enforced across the package, echoed into CLI JSON metadata
 TOLERANCES = {
@@ -103,7 +114,7 @@ def _gap_orders(s: GapSet) -> tuple[int, ...]:
 def _ellipse_orders(log_rho):
     """Rule orders for _GAP_RULE_TARGET inside Bernstein ellipses of radius exp(log_rho)."""
     n = np.ceil(-math.log(_GAP_RULE_TARGET) / (2.0 * log_rho))
-    return np.clip(n, GAP_ORDER_FLOOR, _GAP_ORDER_CAP).astype(int)
+    return np.minimum(np.maximum(n, GAP_ORDER_FLOOR), _GAP_ORDER_CAP).astype(int)
 
 
 def _log_g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()):
@@ -113,17 +124,178 @@ def _log_g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()):
     vectorized over t; -inf at a root.  With no edges this is P.
     """
     t = np.asarray(t, dtype=float)
-    d = t[:, None] - np.asarray(roots, dtype=float)[None, :]
+    d = t[:, None] - np.asarray(roots, dtype=float)
     with np.errstate(divide="ignore"):
-        logmag = np.sum(np.log(np.abs(d)), axis=1)
+        logmag = np.log(np.abs(d)).sum(axis=1)
     if len(edges):
-        keep = np.ones(len(edges), dtype=bool)
-        keep[list(skip)] = False
-        diffs = np.abs(t[:, None] - edges[keep][None, :])
-        if np.any(diffs == 0.0):
+        if len(skip):
+            keep = np.ones(len(edges), dtype=bool)
+            keep[list(skip)] = False
+            edges = edges[keep]
+        diffs = np.abs(t[:, None] - edges)
+        if (diffs == 0.0).any():
             raise NumericalError("quadrature node collided with a band edge")
-        logmag = logmag - 0.5 * np.sum(np.log(diffs), axis=1)
-    return np.prod(np.sign(d), axis=1), logmag
+        logmag = logmag - 0.5 * np.log(diffs).sum(axis=1)
+    return np.sign(d).prod(axis=1), logmag
+
+
+def _near_sums(x: np.ndarray, src: np.ndarray, coef: np.ndarray, start, stop, own) -> np.ndarray:
+    """sum_k coef_k log|x[i] - src_k| over src[start[i]:stop[i]] but src[own[i]].
+
+    A left-out source reads log 1 = 0, so a node on it does no harm; a node
+    on a kept root reads -inf.  Temporaries are _ARC_BLOCK entries a piece.
+    """
+    width = int(np.max(stop - start))
+    out = np.empty(x.shape)
+    for b, e in _blocks(*x.shape, width):
+        win = start[b, None] + np.arange(width)
+        keep = (win < stop[b, None]) & np.all(win[:, :, None] != own[b, None, :], axis=2)
+        np.minimum(win, len(src) - 1, out=win)
+        a = x[b, e, None] - src[win][:, None, :]
+        np.abs(a, out=a)
+        np.copyto(a, 1.0, where=~keep[:, None, :])
+        np.log(a, out=a)
+        np.multiply(a, coef[win][:, None, :], out=a)  # by 1 or -1/2, exact
+        out[b, e] = np.sum(a, axis=-1)
+        del a  # before the next piece is allocated
+    return out
+
+
+def _far_sums(c: np.ndarray, offsets: np.ndarray, src: np.ndarray, coef: np.ndarray, start, stop):
+    """Sums of coef log|c + offset - s| over the sources s outside
+    src[start[i]:stop[i]]: one sum of log|c - s| per row and one of
+    log1p(offset/(c - s)) per offset.
+
+    Every such source is beyond _FAR r of the interval, so each log1p
+    term is below 1/_FAR and its rounding error far below that of
+    log|x - s|, and the large part, log|c - s|, is one sum per row.  A
+    block of rows holds its (rows, offsets, sources) temporary and two
+    (rows, sources) ones within _ARC_BLOCK entries.
+    """
+    k = np.arange(len(src))
+    base, var = np.empty((len(c), 1)), np.empty(offsets.shape)
+    for b, _ in _blocks(len(c), 1, (offsets.shape[1] + 2) * len(src)):
+        near = (k >= start[b, None]) & (k < stop[b, None])
+        d = c[b, None] - src
+        np.copyto(d, 1.0, where=near)
+        inv = np.reciprocal(d)
+        np.copyto(inv, 0.0, where=near)
+        np.abs(d, out=d)
+        np.log(d, out=d)
+        base[b, 0] = np.sum(np.multiply(d, coef, out=d), axis=1)
+        y = offsets[b, :, None] * inv[:, None, :]
+        var[b] = np.log1p(y, out=y) @ coef
+        del d, inv, y  # before the next piece is allocated
+    return base, var
+
+
+def _blocks(rows: int, cols: int, width: int):
+    """Row and column slices of a (rows, cols, width) temporary, _ARC_BLOCK entries a piece."""
+    step_r = max(1, _ARC_BLOCK // max(1, cols * width))
+    step_c = max(1, min(cols, _ARC_BLOCK // max(1, width)))
+    for a in range(0, rows, step_r):
+        for b in range(0, cols, step_c):
+            yield slice(a, a + step_r), slice(b, b + step_c)
+
+
+@lru_cache(maxsize=64)
+def _cheb_interp(p: int, n: int):
+    """(n x p) barycentric matrices from p to n first-kind Chebyshev points:
+    the interpolant's values and its derivatives at the nodes.
+
+    Both point sets are cos((i + 1/2) pi/count) on [-1, 1], so the matrices
+    depend on (p, n) alone.  A node on a proxy point, where (2i + 1) p =
+    (2k + 1) n, gets that point's unit row and the derivative row of the
+    Lagrange basis there.
+    """
+    i, k = np.arange(n)[:, None], np.arange(p)[None, :]
+    hit = (2 * i + 1) * p == (2 * k + 1) * n
+    d = _cos_points(n)[:, None] - _cos_points(p)
+    d[hit] = 1.0
+    w = (-1.0) ** k * np.sin((k + 0.5) * np.pi / p)
+    c = w / d
+    total = np.sum(c, axis=1, keepdims=True)
+    values = c / total
+    slopes = values * (np.sum(c / d, axis=1, keepdims=True) / total - 1.0 / d)
+    rows = np.any(hit, axis=1)
+    values[rows] = hit[rows]
+    own = np.where(hit[rows], 0.0, c[rows] / np.sum(w * hit[rows], axis=1, keepdims=True))
+    slopes[rows] = np.where(hit[rows], -np.sum(own, axis=1, keepdims=True), own)
+    values.flags.writeable = slopes.flags.writeable = False  # shared through the cache
+    return values, slopes
+
+
+def _log_sums(lo, hi, orders, roots, edges, skip):
+    """_log_g_prime at the cosine nodes of many intervals at once: the near
+    field summed, the far field interpolated from proxy points.
+
+    Interval i is (lo[i], hi[i]) with orders[i] nodes c + r cos(theta); the
+    factors skip[i] (indices into roots ++ edges: its own edges, or its own
+    root) are left out.  Returns the nodes and the log-sums, each flat,
+    interval after interval.
+
+    A source within _FAR r of the interval is near.  An interval with
+    every source near is _log_g_prime itself, bit for bit; that is every
+    interval of a set of a few comparable bands.  For the others the sources are
+    sorted once, the near ones are a contiguous range found by
+    searchsorted and summed at the nodes, and the far ones, analytic inside
+    the Bernstein ellipse through the nearest of them (rho > 2 _FAR), are
+    summed at p first-kind Chebyshev proxy points, rho^-p <=
+    _GAP_RULE_TARGET, and carried to the nodes by _cheb_interp, with one
+    step along its derivative for the nodes' own rounding.  Intervals
+    sharing (order, p) are one batch.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    orders, skip = np.asarray(orders, dtype=int), np.asarray(skip, dtype=int)
+    roots = np.asarray(roots, dtype=float)
+    src = np.concatenate([roots, edges])
+    sizes = orders.tolist()
+    t, logsum = np.empty(sum(sizes)), np.empty(sum(sizes))
+    if not sizes:
+        return t, logsum
+    lowest, highest, n_roots = src.min(), src.max(), len(roots)
+    step = max(1, _ARC_BLOCK // len(src))  # nodes per _log_g_prime call
+    batch, end = [], 0
+    for i, (a, b, n, own) in enumerate(zip(lo.tolist(), hi.tolist(), sizes, skip.tolist())):
+        reach, end = _FAR * ((b - a) / 2), end + n
+        if a - reach > lowest or b + reach < highest:
+            batch.append(i)
+            continue
+        # every source is near: _log_g_prime itself, in pieces of at most _ARC_BLOCK entries
+        kept = roots[np.arange(n_roots) != own[0]] if own and own[0] < n_roots else roots  # own root
+        skipped = [j - n_roots for j in own if j >= n_roots]
+        t[end - n:end] = _cosine_nodes(a, b, n)
+        for e in range(end - n, end, step):
+            piece = slice(e, min(e + step, end))
+            logsum[piece] = _log_g_prime(t[piece], kept, edges, skipped)[1]
+    if batch:
+        batch, first = np.array(batch), np.cumsum(orders) - orders
+        c, r = (lo + hi) / 2, (hi - lo) / 2
+        perm = np.argsort(src, kind="stable")
+        rank = np.empty_like(perm)
+        rank[perm] = np.arange(len(src))
+        own, src, coef = rank[skip], src[perm], np.where(perm < len(roots), 1.0, -0.5)
+        start = np.searchsorted(src, lo - _FAR * r, side="left")
+        stop = np.searchsorted(src, hi + _FAR * r, side="right")
+        padded = np.concatenate([[-np.inf], src, [np.inf]])
+        u = np.minimum(lo - padded[start], padded[stop + 1] - hi) / r  # a - 1 at the nearest far source
+        p = np.ceil(-math.log(_GAP_RULE_TARGET) / np.log1p(u + np.sqrt(u * (u + 2.0)))).astype(int)
+        for n, q in sorted(set(zip(orders[batch].tolist(), p[batch].tolist()))):
+            idx = batch[(orders[batch] == n) & (p[batch] == q)]
+            nodes = _cosine_nodes(lo[idx, None], hi[idx, None], n)
+            with np.errstate(divide="ignore"):
+                total = _near_sums(nodes, src, coef, start[idx], stop[idx], own[idx])
+            base, var = _far_sums(c[idx], r[idx, None] * _cos_points(q), src, coef, start[idx], stop[idx])
+            values, slopes = _cheb_interp(q, n)
+            # the nodes sit off c + r cos(theta) by their rounding: one derivative step
+            shift = (nodes - c[idx, None]) / r[idx, None] - _cos_points(n)
+            shift *= var @ slopes.T
+            total += base
+            total += var @ values.T
+            total += shift
+            out = (first[idx, None] + np.arange(n)).ravel()
+            t[out], logsum[out] = nodes.ravel(), total.ravel()
+    return t, logsum
 
 
 def _g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()) -> np.ndarray:
@@ -132,9 +304,20 @@ def _g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()) -> np.ndar
     return sign * np.exp(logmag)
 
 
-def _cosine_nodes(lo: float, hi: float, order: int) -> np.ndarray:
-    """t = c + r cos(theta_i) over [lo, hi], theta_i = (i + 1/2) pi/order."""
-    return (lo + hi) / 2 + (hi - lo) / 2 * np.cos((np.arange(order) + 0.5) * np.pi / order)
+def _cosine_nodes(lo, hi, order: int) -> np.ndarray:
+    """t = c + r cos(theta_i) over [lo, hi], theta_i = (i + 1/2) pi/order.
+
+    Columns lo, hi give one row of nodes per interval.
+    """
+    return (lo + hi) / 2 + (hi - lo) / 2 * _cos_points(order)
+
+
+@lru_cache(maxsize=256)
+def _cos_points(n: int) -> np.ndarray:
+    """cos((i + 1/2) pi/n), i < n: the first-kind Chebyshev points, read-only."""
+    x = np.cos((np.arange(n) + 0.5) * np.pi / n)
+    x.flags.writeable = False
+    return x
 
 
 def _theta(lo: float, hi: float, x: float) -> float:
@@ -149,7 +332,8 @@ def _edge_ray(roots, edges, k: int, length: float, order: int) -> float:
     sqrt|t - e_k| = s, leaving a smooth integrand in s.  The edge one outer
     band (length eps) inside puts branch points at s = +/- i sqrt(eps), at
     z = -1 + 2i sqrt(eps/length) in the rule's variable; the rule takes the
-    larger of order and the order of their Bernstein ellipse.
+    larger of order and the order of their Bernstein ellipse.  g' is
+    evaluated in calls of at most _ARC_BLOCK entries.
     """
     eps = abs(edges[k] - edges[1 if k == 0 else k - 1])
     z = complex(-1.0, 2.0 * math.sqrt(eps / length))
@@ -158,7 +342,9 @@ def _edge_ray(roots, edges, k: int, length: float, order: int) -> float:
     smax = math.sqrt(length)
     sq = 0.5 * smax * (xg + 1.0)
     t = edges[k] + (-1.0 if k == 0 else 1.0) * (sq * sq)
-    return float(np.sum(0.5 * smax * wg * 2.0 * _g_prime(t, roots, edges, (k,))))
+    step = max(1, _ARC_BLOCK // (len(roots) + len(edges)))  # nodes per _g_prime call
+    g = np.concatenate([_g_prime(t[i:i + step], roots, edges, (k,)) for i in range(0, len(t), step)])
+    return float(np.sum(0.5 * smax * wg * 2.0 * g))
 
 
 @dataclass(frozen=True)
@@ -197,6 +383,8 @@ class GreenModel:
     gap_orders: tuple[int, ...]  # per-gap order of the period tables and gap arcs
     solve_passes: int  # linearized period-solve passes run (0: roots given)
     root_move: float  # largest root change in the last pass; above 1e-14 * diam the cap was hit
+    period_residual: float  # largest |period residual|, what the solve's gate read
+    mass_error: float  # |band-rule mass - 1|, what the mass gate read
 
 
 def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
@@ -210,46 +398,42 @@ def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
         if order < GAP_ORDER_FLOOR:
             raise ValidationError(f"quad_order must be at least {GAP_ORDER_FLOOR}")
         gap_orders = (order,) * n_gaps
-    tables = _gap_tables(s, gap_orders)
-
     # relinearize until the roots settle; small gap counts stop after two
     roots = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
-    passes, moved = 0, 0.0
-    while n_gaps and passes < _SOLVE_PASSES:
-        delta = _period_correction(roots, *tables)
-        new_roots = _period_roots(s.gaps, roots, delta)
-        moved = float(np.max(np.abs(new_roots - roots)))
-        roots = new_roots
-        passes += 1
-        if moved <= 1e-14 * (s.beta - s.alpha):
-            break
-    model = _assemble(s, roots, order, gap_orders, passes, moved)
-    worst = float(np.max(np.abs(_period_residuals(roots, *tables)), initial=0.0))
-    if worst > TOLERANCES["period_residual"]:
-        raise NumericalError(
-            f"period residual {worst!r} exceeds {TOLERANCES['period_residual']!r}"
-        )
-    return model
+    passes, moved, worst = 0, 0.0, 0.0
+    if n_gaps:
+        tables = _gap_tables(s, gap_orders)
+        while passes < _SOLVE_PASSES:
+            delta = _period_correction(roots, *tables)
+            new_roots = _period_roots(s.gaps, roots, delta)
+            moved = float(np.max(np.abs(new_roots - roots)))
+            roots = new_roots
+            passes += 1
+            if moved <= 1e-14 * (s.beta - s.alpha):
+                break
+        worst = float(np.max(np.abs(_period_residuals(roots, *tables))))
+        if worst > TOLERANCES["period_residual"]:
+            raise NumericalError(
+                f"period residual {worst!r} exceeds {TOLERANCES['period_residual']!r}"
+            )
+    return _assemble(s, roots, order, gap_orders, passes, moved, worst)
 
 
 def _gap_tables(s: GapSet, gap_orders):
-    """Per-gap cosine-substitution nodes and log weights for the period integrals.
+    """Gap ends, orders and cosine-substitution log weights for the period integrals.
 
     Gap j gets gap_orders[j] nodes.  The weights (pi/order)/sqrt|R| with the
     gap's own edges cancelled stay logs, log(pi/order) - 1/2 sum_{k not own}
-    log|t - e_k|: past ~500 edges they leave double range, and only their
-    sum with log|P| is formed.
+    log|t - e_k|, flat gap after gap: past ~500 edges they leave double
+    range, and only their sum with log|P| is formed.
     """
-    gap_nodes, gap_log_weights = [], []
-    for j, ((lo, hi), order) in enumerate(zip(s.gaps, gap_orders)):
-        t = _cosine_nodes(lo, hi, order)
-        _, log_w = _log_g_prime(t, (), s.edges, (2 * j + 1, 2 * j + 2))
-        gap_nodes.append(t)
-        gap_log_weights.append(math.log(np.pi / order) + log_w)
-    return gap_nodes, gap_log_weights
+    lo, hi, orders = s.edges[1:-1:2], s.edges[2:-1:2], np.asarray(gap_orders, dtype=int)
+    own = np.arange(1, len(s.edges) - 1).reshape(-1, 2)
+    _, log_w = _log_sums(lo, hi, orders, (), s.edges, own)
+    return lo, hi, orders, np.repeat(np.log(np.pi / orders), orders) + log_w
 
 
-def _period_correction(anchors, gap_nodes, gap_log_weights) -> np.ndarray:
+def _period_correction(anchors, lo, hi, orders, log_w) -> np.ndarray:
     """Solve the linearized period conditions for the correction weights.
 
     P = B + sum_i delta_i B_i with B = prod_k (t - m_k) and B_i = B/(t - m_i),
@@ -257,21 +441,32 @@ def _period_correction(anchors, gap_nodes, gap_log_weights) -> np.ndarray:
     deflated f_j = P/B_j of _deflated_numerator, linear in delta.  B_j has
     no zero on gap j, so its sign is the same at every node and is dropped,
     flipping the row and its right-hand side together.  The node weights
-    v = w |B_j| are shifted by their largest log, which makes the diagonal
-    sum v >= 1.  A node on m_j only zeroes its factor t - m_j, and no node
-    meets another anchor.  Rows are built gap by gap: stacking all gap
-    nodes into one call would make every temporary (gaps * order) x gaps.
+    v = w |B_j| (log|B_j| from _log_sums, the own anchor skipped) are
+    shifted by their gap's largest log, which makes the diagonal sum
+    v >= 1.  A node on m_j only zeroes its factor t - m_j, and no node meets
+    another anchor.  The Cauchy columns sum_t v u/(t - m_i) are one matrix
+    product per chunk of whole gaps of at most _ARC_BLOCK entries (a chunk
+    holds at least one gap).
     """
     n = len(anchors)
-    A = np.empty((n, n))
-    rhs = np.empty(n)
-    for j, (t, log_w) in enumerate(zip(gap_nodes, gap_log_weights)):
-        u, inv = _deflated_terms(t, j, anchors)
-        log_v = log_w - np.sum(np.log(np.abs(np.delete(inv, j, axis=1))), axis=1)  # log w|B_j|
-        v = np.exp(log_v - np.max(log_v))
-        A[j] = (v * u) @ inv
-        A[j, j] = np.sum(v)
-        rhs[j] = -np.sum(v * u)
+    t, log_b = _log_sums(lo, hi, orders, anchors, (), np.arange(n)[:, None])
+    gap, ends = np.repeat(np.arange(n), orders), np.cumsum(orders)
+    starts = ends - orders
+    log_v = log_w + log_b  # log w|B_j|
+    v = np.exp(log_v - np.maximum.reduceat(log_v, starts)[gap])
+    vu = v * (t - anchors[gap])
+    A, j, ends, starts = np.empty((n, n)), 0, ends.tolist(), starts.tolist()
+    while j < n:  # whole gaps, _ARC_BLOCK entries a chunk where they fit
+        k = max(j + 1, bisect.bisect_right(ends, starts[j] + _ARC_BLOCK // n))
+        rows = slice(starts[j], ends[k - 1])
+        inv = _deflated_terms(t[rows], gap[rows], anchors)[1]
+        block = np.zeros((k - j, rows.stop - rows.start))  # gap j + i's row of vu
+        block[gap[rows] - j, np.arange(rows.stop - rows.start)] = vu[rows]
+        A[j:k] = block @ inv
+        del inv  # before the next chunk is allocated
+        j = k
+    A.flat[::n + 1] = np.add.reduceat(v, starts)
+    rhs = -np.add.reduceat(vu, starts)
     try:
         return np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
@@ -282,7 +477,7 @@ def _deflated_terms(x: np.ndarray, idx, anchors: np.ndarray):
     """x - m_j and 1/(x - m_i) with the own column i = j zero, for gap j = idx[r] at x[r]."""
     d = x[:, None] - anchors[None, :]
     d[np.arange(len(x)), idx] = np.inf  # leave out i = j
-    return x - anchors[idx], 1.0 / d
+    return x - anchors[idx], np.reciprocal(d, out=d)
 
 
 def _deflated_numerator(x: np.ndarray, idx: np.ndarray, anchors: np.ndarray, delta: np.ndarray):
@@ -353,13 +548,13 @@ def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
     The band's own edges are skipped in g', because the cosine substitution
     cancels their factors; (pi/order) * g' then integrates against dt.
     """
-    nodes, weights = [], []
-    for k, (lo, hi) in enumerate(s.bands):
-        t = _cosine_nodes(lo, hi, order)
-        nodes.append(t)
-        weights.append(np.abs(_g_prime(t, roots, s.edges, (2 * k, 2 * k + 1))) / order)
-    quad = EquilibriumQuadrature(tuple(nodes), tuple(weights), order)
-    total = float(np.sum(quad.all_weights))
+    bands = len(s.edges) // 2
+    own = len(roots) + np.arange(2 * bands).reshape(-1, 2)
+    t, log_g = _log_sums(s.edges[0::2], s.edges[1::2], np.full(bands, order), roots, s.edges, own)
+    w = np.exp(log_g)
+    w /= order
+    quad = EquilibriumQuadrature(tuple(t.reshape(bands, order)), tuple(w.reshape(bands, order)), order)
+    total = float(w.sum())
     if abs(total - 1.0) > TOLERANCES["quadrature_mass"]:
         raise NumericalError(
             f"equilibrium weights sum to {total!r}, expected 1; raise quad_order"
@@ -367,17 +562,19 @@ def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
     return quad
 
 
-def _assemble(s, roots, order, gap_orders, passes, moved) -> GreenModel:
+def _assemble(s, roots, order, gap_orders, passes, moved, residual) -> GreenModel:
     quad = _band_rule(s, roots, order)
     # Robin constant via the potential identity at the probe x0 = beta + diam,
     # one diameter out so the identity is scale-covariant: g(x0) by edge
-    # integration, the potential from the equilibrium rule.  Logs are taken
-    # in units of h = diam/2, so capacity = h exp(pot - g0) never passes
+    # integration, the potential from the equilibrium rule divided by its
+    # mass, so the rule's mass error does not enter.  Logs are taken in
+    # units of h = diam/2, so capacity = h exp(pot - g0) never passes
     # through robin, whose own rounding grows with |log h|.
     h = 0.5 * s.diameter
     x0 = s.beta + s.diameter
     g0 = _edge_ray(roots, s.edges, len(s.edges) - 1, s.diameter, order)
-    pot = quad.integrate(lambda t: np.log((x0 - t) / h))
+    mass = float(np.sum(quad.all_weights))
+    pot = quad.integrate(lambda t: np.log((x0 - t) / h)) / mass
     return GreenModel(
         set=s,
         edges=s.edges,
@@ -389,6 +586,8 @@ def _assemble(s, roots, order, gap_orders, passes, moved) -> GreenModel:
         gap_orders=tuple(gap_orders),
         solve_passes=passes,
         root_move=moved,
+        period_residual=residual,
+        mass_error=abs(mass - 1.0),
     )
 
 
@@ -397,12 +596,12 @@ def period_residuals(model: GreenModel) -> np.ndarray:
     return _period_residuals(model.critical_points, *_gap_tables(model.set, model.gap_orders))
 
 
-def _period_residuals(roots, gap_nodes, gap_log_weights) -> np.ndarray:
-    out = []
-    for t, log_w in zip(gap_nodes, gap_log_weights):
-        sign, log_p = _log_g_prime(t, roots, ())
-        out.append(float(np.sum(sign * np.exp(log_p + log_w))))
-    return np.asarray(out)
+def _period_residuals(roots, lo, hi, orders, log_w) -> np.ndarray:
+    """sum of w P over each gap's nodes; P's sign is (-1)^(roots right of t)."""
+    t, log_p = _log_sums(lo, hi, orders, roots, (), np.empty((len(lo), 0), dtype=int))
+    right = len(roots) - np.searchsorted(roots, t, side="right")
+    terms = np.where(right % 2, -1.0, 1.0) * np.exp(log_p + log_w)
+    return np.add.reduceat(terms, np.cumsum(orders) - orders)
 
 
 def _gap_arc(model: GreenModel, j: int, th0: np.ndarray, th1: np.ndarray) -> np.ndarray:
@@ -434,8 +633,9 @@ def green_value(model: GreenModel, x):
     on the arc from x to the edge on its side of the maximum c_j.  A point
     outside [alpha, beta] by less than the diameter takes its own edge ray,
     sized from its length.  The points farther out read the Robin probe's
-    identity g(x) = robin + int log|x - t| dmu_E on the band rule, in one
-    batch: a ray that long needs more nodes than any rule order allows.
+    identity g(x) = robin + int log|x - t| dmu_E on the band rule over its
+    mass, in one batch: a ray that long needs more nodes than any rule
+    order allows.
     """
     s, edges, roots = model.set, model.edges, model.critical_points
     xs = np.asarray(x, dtype=float).ravel()
@@ -448,9 +648,10 @@ def green_value(model: GreenModel, x):
     for slot, idx in groups.items():
         if slot == -1:  # row sums in ~_ARC_BLOCK chunks: a point's bits ignore its batch
             t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
+            mass = np.sum(w)  # as in the Robin probe
             chunks = min(len(idx), math.ceil(len(idx) * len(t) / _ARC_BLOCK))
             for rows in np.array_split(idx, chunks):
-                out[rows] = model.robin + np.sum(w * np.log(np.abs(xs[rows, None] - t)), axis=1)
+                out[rows] = model.robin + np.sum(w * np.log(np.abs(xs[rows, None] - t)), axis=1) / mass
         elif slot in (0, len(edges)):
             k = 0 if slot == 0 else len(edges) - 1
             for i in idx:
@@ -542,6 +743,8 @@ def model_to_json(model: GreenModel) -> str:
             "gap_orders": list(model.gap_orders),
             "solve_passes": model.solve_passes,
             "root_move": model.root_move,
+            "period_residual": model.period_residual,
+            "mass_error": model.mass_error,
         },
         sort_keys=True,
     )
@@ -554,5 +757,10 @@ def model_from_json(text: str) -> GreenModel:
     # JSON from before per-gap orders used the band order on every gap
     gap_orders = tuple(int(n) for n in obj.get("gap_orders", [order] * len(s.gaps)))
     roots = np.asarray(obj["numerator"]["roots"], dtype=float)
+    if "period_residual" in obj:
+        residual = float(obj["period_residual"])
+    else:  # JSON from before the solve diagnostics
+        residuals = _period_residuals(roots, *_gap_tables(s, gap_orders))
+        residual = float(np.max(np.abs(residuals), initial=0.0))
     return _assemble(s, roots, order, gap_orders, int(obj.get("solve_passes", 0)),
-                     float(obj.get("root_move", 0.0)))
+                     float(obj.get("root_move", 0.0)), residual)

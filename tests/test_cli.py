@@ -330,3 +330,23 @@ def test_theorem_meta_carries_glued_sums(tmp_path):
     assert sorted(glued) == ["100", "12", "25", "50"]
     code, csv = run_cli(args, tmp_path, "out.csv")
     assert code == 0 and len(csv.decode().strip().split("\n")) == 2
+
+
+def test_solve_diagnostics_in_json_meta(tmp_path):
+    # the gates' own readings ride in meta: one entry per level for cantor,
+    # the model's values for a command on one set; CSV output is unchanged
+    code, data = run_cli(["--command", "cantor", "--n", "3", "--format", "json"], tmp_path)
+    assert code == 0
+    meta = json.loads(data)["meta"]
+    models = [G.solve_green(G.fat_cantor(level)) for level in (1, 2, 3)]
+    for key in ("solve_passes", "root_move", "period_residual", "mass_error"):
+        assert meta[key] == [getattr(m, key) for m in models]
+    assert max(meta["period_residual"]) <= cli.TOLERANCES["period_residual"]
+    spec = '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}'
+    code, data = run_cli(["--command", "capacity", "--set", spec, "--format", "json"], tmp_path)
+    model = G.solve_green(G.make_gapset(-2, 2, [(-1, 1)]))
+    meta = json.loads(data)["meta"]
+    assert (meta["solve_passes"], meta["root_move"]) == (model.solve_passes, model.root_move)
+    assert (meta["period_residual"], meta["mass_error"]) == (model.period_residual, model.mass_error)
+    _, csv = run_cli(["--command", "capacity", "--set", spec], tmp_path, "out.csv")
+    assert b"residual" not in csv

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -16,6 +17,8 @@ from gaplab.potential import (
     _edge_ray,
     _gap_tables,
     _leggauss,
+    _log_g_prime,
+    _log_sums,
     _m_e,
     _period_correction,
     _period_roots,
@@ -137,8 +140,8 @@ def _green_reference(model, x):
     x to the edge on its side of c_j, else zero."""
     s, roots, edges = model.set, model.critical_points, model.edges
     if max(s.alpha - x, x - s.beta) >= s.diameter:
-        t = np.concatenate(model.quad.nodes)
-        return float(model.robin + np.sum(model.quad.all_weights * np.log(np.abs(x - t))))
+        t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
+        return float(model.robin + np.sum(w * np.log(np.abs(x - t))) / np.sum(w))
     if x < s.alpha:
         return abs(_edge_ray(roots, edges, 0, s.alpha - x, model.quad_order))
     if x > s.beta:
@@ -427,13 +430,34 @@ def test_model_json_round_trip(name, request):
     assert np.array_equal(G.period_residuals(rebuilt), G.period_residuals(model))
 
 
+def _per_gap(tables):
+    """Gap j's cosine nodes and log weights from the flat _gap_tables."""
+    lo, hi, orders, log_w = tables
+    return ([_cosine_nodes(a, b, n) for a, b, n in zip(lo, hi, orders)],
+            np.split(log_w, np.cumsum(orders)[:-1]))
+
+
+@pytest.mark.parametrize("name", ["model_pm12", "model_fat4", "model_fat3_explicit"])
+def test_model_json_keeps_solve_diagnostics(name, request):
+    # the gate readings round-trip; JSON without them recomputes the residual
+    model = request.getfixturevalue(name)
+    text = G.model_to_json(model)
+    rebuilt = G.model_from_json(text)
+    assert (rebuilt.period_residual, rebuilt.mass_error) == (model.period_residual, model.mass_error)
+    old = json.loads(text)
+    del old["period_residual"], old["mass_error"]
+    rebuilt = G.model_from_json(json.dumps(old))
+    assert rebuilt.mass_error == model.mass_error
+    assert rebuilt.period_residual == np.max(np.abs(G.period_residuals(model)), initial=0.0)
+
+
 def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_explicit):
     # an explicit quad_order sets every gap and band; the default sizes each
     # gap from the Bernstein ellipse through its nearest foreign edge
     for model, order in ((model_pm12, 240), (model_fat3_explicit, 64)):
         assert model.quad_order == order
         assert model.gap_orders == (order,) * len(model.set.gaps)
-        assert {len(t) for t in _gap_tables(model.set, model.gap_orders)[0]} == {order}
+        assert {len(t) for t in _per_gap(_gap_tables(model.set, model.gap_orders))[0]} == {order}
     m8 = G.solve_green(G.fat_cantor(8))
     for model in (model_fat4, m8):
         bands = model.set.bands
@@ -444,7 +468,7 @@ def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_expl
             n = math.ceil(math.log(1e15) / (2 * math.log(a + math.sqrt(a * a - 1))))
             want.append(min(max(n, 32), 1024))
         assert model.gap_orders == tuple(want)
-        assert [len(t) for t in _gap_tables(model.set, model.gap_orders)[0]] == want
+        assert [len(t) for t in _per_gap(_gap_tables(model.set, model.gap_orders))[0]] == want
     # the level-1 gap of level 8 sits next to bands ~2e-3 long and needs
     # more than the band order; the level-8 gaps need only the floor
     assert m8.gap_orders[127] > m8.quad_order == 80
@@ -510,7 +534,7 @@ def test_numerator_sign_matches_explicit_form(model_fat4):
         assert f[on_gap] * bi[ok, j][on_gap] == pytest.approx(explicit[ok][on_gap], rel=1e-12)
     # the deflated rows solve the explicit period conditions of both passes
     for anchors, delta in _root_step_inputs(s):
-        for t, log_w in zip(*tables):
+        for t, log_w in zip(*_per_gap(tables)):
             bfull, bi = _explicit_parts(t, anchors)
             terms = np.exp(log_w)[:, None] * np.column_stack([bfull, bi * delta])
             assert abs(np.sum(terms)) <= 1e-12 * np.sum(np.abs(terms))
@@ -610,12 +634,12 @@ def _bisection_roots(gaps, anchors, delta):
 
 def _root_step_inputs(s):
     """Anchors and corrections of both solve passes: gap midpoints, then their roots."""
-    gap_nodes, gap_log_weights = _gap_tables(s, potential._gap_orders(s))
+    tables = _gap_tables(s, potential._gap_orders(s))
     anchors = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
-    delta = _period_correction(anchors, gap_nodes, gap_log_weights)
+    delta = _period_correction(anchors, *tables)
     yield anchors, delta
     anchors = _period_roots(s.gaps, anchors, delta)
-    yield anchors, _period_correction(anchors, gap_nodes, gap_log_weights)
+    yield anchors, _period_correction(anchors, *tables)
 
 
 @pytest.mark.parametrize("s", [G.fat_cantor(level) for level in range(1, 9)] + [ASYMMETRIC],
@@ -740,3 +764,138 @@ def test_m_e_matches_interval_stieltjes(model_m22):
     x = np.r_[-np.geomspace(2.0 + 1e-9, 1e6, 60), np.geomspace(2.0 + 1e-9, 1e6, 60)]
     want = [G.potential.interval_stieltjes(-2.0, 2.0, v).real for v in x]
     assert _m_e(model_m22, x) == pytest.approx(want, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# _log_sums: the near field summed, the far field from Chebyshev proxies
+
+SMALL_FAMILIES = [
+    G.scale_shift(base, scale, 0.37 * scale)
+    for base in (G.make_gapset(-2, 2), G.make_gapset(-2, 2, [(-1, 1)]), cubic_preimage_set())
+    for scale in (1e-12, 1.0, 1e12)
+]
+
+
+def _kernel_calls(s, roots):
+    """The four callers' _log_sums arguments on s, and for interval i the
+    roots and skipped edges of the _log_g_prime call it stands for."""
+    e, n_bands, n_gaps = s.edges, len(s.edges) // 2, len(s.gaps)
+    yield (e[0::2], e[1::2], np.full(n_bands, 80), roots, e,
+           len(roots) + np.arange(2 * n_bands).reshape(-1, 2)), lambda i: (roots, (2 * i, 2 * i + 1))
+    if n_gaps:
+        lo, hi, orders = e[1:-1:2], e[2:-1:2], np.array(potential._gap_orders(s))
+        yield (lo, hi, orders, (), e, np.arange(1, 2 * n_gaps + 1).reshape(-1, 2)), \
+            lambda i: ((), (2 * i + 1, 2 * i + 2))
+        yield (lo, hi, orders, roots, (), np.empty((n_gaps, 0), dtype=int)), lambda i: (roots, ())
+        yield (lo, hi, orders, roots, (), np.arange(n_gaps)[:, None]), lambda i: (np.delete(roots, i), ())
+
+
+@pytest.mark.parametrize(
+    "s", [G.fat_cantor(level) for level in range(1, 10)] + SMALL_FAMILIES,
+    ids=[f"fat_cantor{level}" for level in range(1, 10)]
+    + [f"{name}_{scale}" for name in ("interval", "two_band", "cubic") for scale in ("1e-12", "1", "1e12")],
+)
+def test_log_sums_match_direct_sums(s):
+    # on every band and gap, for the band rule, the period tables, the gate and
+    # the period rows: within 4x the direct sum's own rounding bound, eps times
+    # the sum of its terms' magnitudes, at the same nodes, and the gate's signs
+    # too; the roots are the first pass's anchors, the gap midpoints, so nodes
+    # of odd orders meet them
+    eps = np.finfo(float).eps
+    roots = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
+    for args, direct in _kernel_calls(s, roots):
+        lo, hi, orders, _, edges, _ = args
+        t, got = _log_sums(*args)
+        first = np.cumsum(orders) - orders
+        for i in range(len(lo)):
+            x, part = _cosine_nodes(lo[i], hi[i], orders[i]), slice(first[i], first[i] + orders[i])
+            assert np.array_equal(t[part], x)
+            kept, skipped = direct(i)
+            want = _log_g_prime(x, kept, edges, skipped)[1]
+            keep = np.ones(len(edges), dtype=bool)
+            keep[list(skipped)] = False
+            with np.errstate(divide="ignore"):
+                terms = (np.abs(np.log(np.abs(x[:, None] - np.asarray(kept, dtype=float)))).sum(axis=1)
+                         + 0.5 * np.abs(np.log(np.abs(x[:, None] - np.asarray(edges)[keep]))).sum(axis=1))
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got[part]), finite)
+            assert np.all(np.abs(got[part][finite] - want[finite]) <= 4 * eps * terms[finite])
+    # the gate's sums of w P with P's sign, against per-gap direct sums
+    if len(s.gaps):
+        lo, hi, orders, log_w = _gap_tables(s, potential._gap_orders(s))
+        got = potential._period_residuals(roots, lo, hi, orders, log_w)
+        for j, (x, w) in enumerate(zip(*_per_gap((lo, hi, orders, log_w)))):
+            sign, log_p = _log_g_prime(x, roots, ())
+            terms = sign * np.exp(log_p + w)
+            assert abs(got[j] - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+
+
+def test_solve_log_sum_work_and_pieces(monkeypatch):
+    # solve_green(fat_cantor(8)) takes its logs in _log_g_prime (rays,
+    # intervals with no far source), _near_sums (near windows at the nodes)
+    # and _far_sums (far sources at c and the proxies): 7.2M in all, where
+    # per-interval direct sums took 22.1M, and every call or _blocks piece
+    # holds at most _ARC_BLOCK entries
+    entries, calls, pieces = [], [], []
+    log_g_prime, near, far, blocks = (potential._log_g_prime, potential._near_sums,
+                                      potential._far_sums, potential._blocks)
+
+    def count_log_g_prime(t, roots, edges, skip=()):
+        calls.append(len(t) * (len(roots) + len(edges)))
+        return log_g_prime(t, roots, edges, skip)
+
+    def count_near(x, src, coef, start, stop, own):
+        entries.append(x.size * int(np.max(stop - start)))
+        return near(x, src, coef, start, stop, own)
+
+    def count_far(c, offsets, src, coef, start, stop):
+        entries.append((offsets.size + len(c)) * len(src))
+        return far(c, offsets, src, coef, start, stop)
+
+    def count_pieces(rows, cols, width):
+        for b, e in blocks(rows, cols, width):
+            pieces.append(len(range(rows)[b]) * len(range(cols)[e]) * width)
+            yield b, e
+
+    for name, spy in (("_log_g_prime", count_log_g_prime), ("_near_sums", count_near),
+                      ("_far_sums", count_far), ("_blocks", count_pieces)):
+        monkeypatch.setattr(potential, name, spy)
+    G.solve_green(G.fat_cantor(8))
+    assert sum(calls) + sum(entries) <= 8.0e6
+    assert max(calls) <= potential._ARC_BLOCK and max(pieces) <= potential._ARC_BLOCK
+
+
+@pytest.mark.parametrize("p, n", [(1, 3), (3, 9), (4, 12), (7, 21), (9, 45), (6, 80), (9, 80)])
+def test_cheb_interp_matrices(p, n):
+    # built without a warning, also when nodes meet proxy points (n/p odd);
+    # a node on a proxy point reads its value exactly, and polynomials of
+    # degree below p and their derivatives come through to rounding
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, slopes = potential._cheb_interp.__wrapped__(p, n)
+    x, xp = potential._cos_points(n), potential._cos_points(p)
+    f = np.polynomial.Polynomial(np.linspace(1.0, -0.5, p))
+    hits = [(i, k) for i in range(n) for k in range(p) if (2 * i + 1) * p == (2 * k + 1) * n]
+    assert len(hits) == (p if (n // p) % 2 and n % p == 0 else 0)
+    for i, k in hits:
+        assert values[i] @ f(xp) == f(xp)[k]
+    assert np.max(np.abs(values @ f(xp) - f(x))) <= 1e-14
+    assert np.max(np.abs(slopes @ f(xp) - f.deriv()(x))) <= 1e-11
+
+
+# pw_sum of fat_cantor(1..9) from per-interval direct sums, before the proxies
+DIRECT_PW_SUMS = (0.25541281188299525, 0.43675130185679234, 0.5487329482119186,
+                  0.6130029616832344, 0.6484614550314673, 0.6675578583831008,
+                  0.677669680738432, 0.6829558559745891, 0.6856919285985245)
+
+
+@pytest.mark.parametrize("level", range(1, 10))
+def test_ladder_matches_order_320_and_direct_sums(level):
+    # level 9's band rule at order 80 has mass 1 + 4.6e-12; the Robin probe
+    # divides by it, so its capacity holds to order 320's too
+    model = G.solve_green(G.fat_cantor(level))
+    ref = G.solve_green(G.fat_cantor(level), quad_order=320)
+    assert abs(model.capacity / ref.capacity - 1.0) <= 5e-14
+    assert abs(G.pw_sum(model) - DIRECT_PW_SUMS[level - 1]) <= 1e-14
+    assert model.period_residual <= TOLERANCES["period_residual"]
+    assert model.mass_error <= TOLERANCES["quadrature_mass"]
