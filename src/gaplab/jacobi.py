@@ -437,23 +437,31 @@ def _check_size(J: JacobiCoeffs, N: int) -> None:
         raise ValidationError(f"truncation size {N} out of range for length {len(J)}")
 
 
+def _negative_pivots(J: JacobiCoeffs, x, last, shift=0.0) -> np.ndarray:
+    """Negative LDL^T pivots of rows 0..last of J - x, the last one less a_{last+1}^2 shift.
+
+    last and shift broadcast against x; one streamed sweep stops at the largest
+    last.  A zero pivot counts as negative (standard tie-break for the LDL signs).
+    """
+    rows = set(np.ravel(last).tolist())
+    top = max(rows)
+    b, a2 = J.b[: top + 1], np.r_[J.a[: top + 1], 0.0][: top + 1] ** 2  # a_{top+1} may not exist
+    tiny = 1e-290 * max(1.0, float(np.max(np.abs(b)) + np.max(a2)))
+    neg, out, d = np.zeros(x.shape, int), 0, b[0] - x
+    for i in range(top + 1):
+        d = np.where(np.abs(d) < tiny, -tiny, d)
+        if i in rows:
+            out = np.where(last == i, neg + (d - a2[i] * shift < 0), out)
+        if i < top:
+            neg += d < 0
+            d = b[i + 1] - x - a2[i] / d
+    return out
+
+
 def sturm_count(J: JacobiCoeffs, N: int, x) -> np.ndarray:
     """Number of eigenvalues of the N x N truncation strictly below each x."""
     _check_size(J, N)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    a2 = J.a[: N - 1] ** 2
-    b = J.b[:N]
-    scale = max(1.0, float(np.max(np.abs(b))) + (float(np.max(a2)) if N > 1 else 0.0))
-    tiny = 1e-290 * scale
-    # zero pivots count as negative (standard tie-break for the LDL signs)
-    d = b[0] - xs
-    d = np.where(np.abs(d) < tiny, -tiny, d)
-    count = (d < 0).astype(int)
-    for i in range(1, N):
-        d = b[i] - xs - a2[i - 1] / d
-        d = np.where(np.abs(d) < tiny, -tiny, d)
-        count += d < 0
-    return count
+    return _negative_pivots(J, np.atleast_1d(x), N - 1)
 
 
 def _gershgorin(J: JacobiCoeffs, N: int):
@@ -520,6 +528,16 @@ def truncation_eigenvalues(J: JacobiCoeffs, N: int) -> np.ndarray:
     )
 
 
+def _component_brackets(s: GapSet, ends, counts):
+    """(global index, lo, hi, location) per eigenvalue on the components of R \\ E, in order.
+
+    counts[i] eigenvalues lie below ends[i], and ends = [outer, *s.edges, outer].
+    """
+    locs = [Location("left"), *(Location("gap", j) for j in range(len(s.gaps))), Location("right")]
+    pairs = zip(locs, np.reshape(ends, (-1, 2)).tolist(), np.reshape(counts, (-1, 2)).tolist())
+    return [(k, lo, hi, loc) for loc, (lo, hi), (c_lo, c_hi) in pairs for k in range(c_lo, c_hi)]
+
+
 def _off_set_brackets(J: JacobiCoeffs, model: GreenModel, N: int):
     """Global index, component bracket and location of every eigenvalue off the set.
 
@@ -528,15 +546,8 @@ def _off_set_brackets(J: JacobiCoeffs, model: GreenModel, N: int):
     """
     s = model.set
     glo, ghi = _gershgorin(J, N)
-    brackets = [(min(glo, s.alpha) - 1.0, s.alpha, Location("left"))]
-    brackets += [(lo, hi, Location("gap", j)) for j, (lo, hi) in enumerate(s.gaps)]
-    brackets.append((s.beta, max(ghi, s.beta) + 1.0, Location("right")))
-    counts = sturm_count(J, N, np.ravel([b[:2] for b in brackets])).reshape(-1, 2)
-    return [
-        (k, lo, hi, loc)
-        for (lo, hi, loc), (c_lo, c_hi) in zip(brackets, counts)
-        for k in range(int(c_lo), int(c_hi))
-    ]
+    ends = np.r_[min(glo, s.alpha) - 1.0, s.edges, max(ghi, s.beta) + 1.0]
+    return _component_brackets(s, ends, sturm_count(J, N, ends))
 
 
 def gap_eigenvalues(
@@ -604,32 +615,17 @@ def glued_eigenvalues(J: JacobiCoeffs, model: GreenModel, sizes) -> dict[int, li
     if not sizes or sizes[0] < 1 or sizes[-1] > len(J.a):
         raise ValidationError(f"head sizes {sizes} must lie in 1..{len(J.a)}, J's couplings")
     s, a, b = model.set, J.a[: sizes[-1]], J.b[: sizes[-1]]
-    a2, b_next = a * a, np.r_[b[1:], 0.0]
-    tiny = 1e-290 * max(1.0, float(np.max(np.abs(b)) + np.max(a2)))
-
-    def count(rows, x, m):  # negative pivots at x[i] of head rows[i] + 1, its last less a_n^2 m[i]
-        neg, out, d = np.zeros(x.shape, int), 0, b[0] - x
-        for i in range(rows.max() + 1):  # streamed: stop at the largest head
-            d = np.where(np.abs(d) < tiny, -tiny, d)  # a zero pivot counts as negative
-            if i + 1 in sizes:
-                out = np.where(rows == i, neg + (d - a2[i] * m < 0), out)
-            neg += d < 0
-            d = b_next[i] - x - a2[i] / d
-        return out
-
     # the glued norm is at most max(|head|, |alpha|, |beta|) + a_n
     reach = max(np.max(np.abs(b) + a + np.r_[0.0, a[:-1]]), -s.alpha, s.beta) + np.max(a) + 1.0
     ends = np.r_[-reach, s.edges, reach]  # m_E's limits at alpha, gap ends and beta in between
     m_ends = np.r_[_m_e(model, [-reach]), [np.inf, -np.inf] * len(s.bands), _m_e(model, [reach])]
-    heads = np.repeat(sizes, len(ends))
-    counts = count(heads - 1, np.tile(ends, len(sizes)), np.tile(m_ends, len(sizes))).reshape(-1, 2)
-    found = [(heads[2 * p], k, p % (len(ends) // 2))
-             for p, (lo, hi) in enumerate(counts.tolist()) for k in range(lo, hi)]
-    row, idx, comp = np.array(found, dtype=int).reshape(-1, 3).T
-    vals = _bisect(lambda x: count(row - 1, x, _m_e(model, x.ravel()).reshape(x.shape)),
-                   idx, *ends.reshape(-1, 2)[comp].T)
-    locs = [Location("left"), *(Location("gap", j) for j in range(len(s.gaps))), Location("right")]
-    return {n: [(v, locs[c]) for h, v, c in zip(row, vals.tolist(), comp) if h == n] for n in sizes}
+    counts = _negative_pivots(J, ends, np.array(sizes)[:, None] - 1, m_ends)
+    found = [(n, *br) for n, c in zip(sizes, counts) for br in _component_brackets(s, ends, c)]
+    heads, idx, los, his, locs = zip(*found)  # m_E(alpha-) = +inf: the left holds one or more
+    last = np.array(heads) - 1
+    vals = _bisect(lambda x: _negative_pivots(J, x, last, _m_e(model, x.ravel()).reshape(x.shape)),
+                   np.array(idx), np.array(los), np.array(his))
+    return {n: [(v, loc) for h, v, loc in zip(heads, vals.tolist(), locs) if h == n] for n in sizes}
 
 
 def eigenvalue_green_sum(eigs: Sequence[float], model: GreenModel) -> float:

@@ -9,8 +9,8 @@ with g the Green's function, x_k / x_{n,k} the eigenvalues of the matrix
 and its n-fold strip off the set, and S the relative entropy against the
 equilibrium measure.  The matrix is mu's, so the x_k are its point masses;
 the left side comes from Lanczos coefficients, the right side from the
-strip's certified gap eigenvalues and boundary-value stripping, so the
-residual is a genuine cross-validation of independent numerical paths.
+strip's certified gap eigenvalues and the stripping factors a_k^2 |m_{k-1}|^2
+at t + i0, so the residual cross-validates independent numerical paths.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .jacobi import (
     stable_gap_eigenvalues,
     strip,
 )
-from .potential import EquilibriumQuadrature, GreenModel, _log_f_e, equilibrium_quadrature, pw_sum
+from .potential import EquilibriumQuadrature, GreenModel, equilibrium_quadrature, pw_sum
 
 NEG_INF = float("-inf")
 
@@ -132,12 +132,17 @@ def _log_integral(model: GreenModel, quad: EquilibriumQuadrature, band_logs):
     return total, total - float(np.sum(lowest))
 
 
-def _log_ratio(mu: MeasureModel, quad: EquilibriumQuadrature):
-    """Per-band node values of log(f/f_E), f mu's a.c. density; None if f vanishes at one.
+def _log_f_e_integral(model: GreenModel) -> float:
+    """integral of log f_E dmu_E = sum_j g(c_j) + robin - log pi, finite iff the PW sum is.
 
-    f = norm * w * f_E in relative mode, so there the ratio is norm * w and
-    f_E is never evaluated; absolute mode subtracts log f_E.
+    f_E = |prod_j (t - c_j)| / (pi sqrt|prod_k (t - e_k)|) and int log|t - x| dmu_E
+    = g(x) - robin: the N c_j give pw - N robin, the 2N + 2 edges (N + 1) robin.
     """
+    return pw_sum(model) + model.robin - math.log(math.pi)
+
+
+def _log_ratio(mu: MeasureModel, quad: EquilibriumQuadrature):
+    """Per-band node values of log(norm * w), log(f/f_E) or log f by mode; None at a zero."""
     logs = []
     for t in quad.nodes:
         h = np.broadcast_to(mu.normalization * mu.weight_value(t), t.shape)  # w may be a scalar
@@ -145,18 +150,18 @@ def _log_ratio(mu: MeasureModel, quad: EquilibriumQuadrature):
             raise ValidationError("density is negative at a quadrature node")
         if np.any(h == 0):
             return None
-        logs.append(np.log(h) if mu.mode == "relative" else np.log(h) - _log_f_e(mu.model, t))
+        logs.append(np.log(h))
     return logs
 
 
 def relative_entropy(mu: MeasureModel) -> float:
     """S(mu_E | mu) = -integral of log(f_E / f) dmu_E; nonpositive, -inf allowed.
 
-    The value is the edge-fitted integral at mu.quad's order n.  It is -inf
-    when the density vanishes at a node of order n, 2n or 4n, or when,
-    unsettled at 2n and 4n, the trimmed sums drop by a steady amount per
-    doubling (CLASS_TRIM).  Point masses never enter the integrand, but
-    they do rescale the a.c. density through the unit-mass normalization.
+    The value is the edge-fitted integral of log(norm * w) at mu.quad's order
+    n, less _log_f_e_integral in absolute mode.  It is -inf when the density
+    vanishes at a node of order n, 2n or 4n, or when, unsettled at 2n and 4n,
+    the trimmed sums drop by a steady amount per doubling (CLASS_TRIM).  Point
+    masses only rescale the a.c. density through the unit-mass normalization.
     """
     values, trimmed = [], []
     for k in range(3):
@@ -173,19 +178,15 @@ def relative_entropy(mu: MeasureModel) -> float:
         drop = trimmed[0] - trimmed[1]
         if drop > 0 and trimmed[1] - trimmed[2] >= CLASS_RATIO * drop:
             return NEG_INF
-    if values[0] > 1e-6:
-        raise NumericalError(f"relative entropy came out positive ({values[0]}); check weights")
-    return values[0]
+    s = values[0] if mu.mode == "relative" else values[0] - _log_f_e_integral(mu.model)
+    if s > 1e-6:
+        raise NumericalError(f"relative entropy came out positive ({s}); check weights")
+    return s
 
 
 def szego_integral(mu: MeasureModel) -> float:
-    """integral of log f against the equilibrium measure; -inf when divergent.
-
-    It is relative_entropy(mu) plus the equilibrium measure's own
-    integral of log f_E at the same nodes, so both read one class decision.
-    """
-    own = _log_integral(mu.model, mu.quad, [_log_f_e(mu.model, t) for t in mu.quad.nodes])[0]
-    return relative_entropy(mu) + own
+    """integral of log f dmu_E = relative_entropy(mu) + _log_f_e_integral; -inf when divergent."""
+    return relative_entropy(mu) + _log_f_e_integral(mu.model)
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +209,22 @@ def _eval_size(J: JacobiCoeffs, used: int) -> int:
 
 
 def _stripped_densities(mu: MeasureModel, J: JacobiCoeffs, n: int):
-    """Node values of log(f_n/f_E): n stripping steps of m(t+i0), one array per band.
+    """Node values of log(f_n/f) = -sum_{k<n} log(a_{k+1}^2 |m_k(t+i0)|^2), one array per band.
 
-    A step that leaves Im m <= 0 anywhere is a numerical failure; f > 0 at
-    every node, which a finite S(mu) guarantees, starts the recursion.
+    Each step's Im m_{k+1} = Im(-1/m_k) / a_{k+1}^2 = Im m_k / (a_{k+1}^2 |m_k|^2); one
+    that leaves Im m <= 0 anywhere is a numerical failure.  A finite S(mu) makes f > 0.
     """
     logs = []
     for t in mu.quad.nodes:
-        m = measure_m_boundary(mu, t)
+        m, log_ratio = measure_m_boundary(mu, t), 0.0
         for k in range(n):
+            log_ratio -= np.log(J.a[k] ** 2 * (m.real ** 2 + m.imag ** 2))
             m = (J.b[k] - t - 1.0 / m) / (J.a[k] ** 2)
             if np.any(m.imag <= 0):
                 raise NumericalError(
                     f"stripping step {k + 1} produced a non-Herglotz boundary value"
                 )
-        logs.append(np.log(m.imag / math.pi) - _log_f_e(mu.model, t))
+        logs.append(log_ratio)
     return logs
 
 
@@ -250,7 +252,7 @@ def n_step_sum_rule(J: JacobiCoeffs, mu: MeasureModel, n: int) -> SumRuleReport:
             entropy_mu=NEG_INF, entropy_strip=NEG_INF, rhs=float("nan"),
             residual=float("nan"), status="inapplicable", **common,
         )
-    s_mun = _log_integral(model, quad, _stripped_densities(mu, J, n))[0]
+    s_mun = s_mu + _log_integral(model, quad, _stripped_densities(mu, J, n))[0]
     rhs = (gsum_J - gsum_n) + 0.5 * (s_mu - s_mun)
     return SumRuleReport(
         entropy_mu=s_mu, entropy_strip=s_mun, rhs=rhs, residual=lhs - rhs, **common

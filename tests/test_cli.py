@@ -199,6 +199,64 @@ def test_validation_exit_code(tmp_path, capsys):
     assert cli.main(["--config", str(cfg)]) == 1
 
 
+def test_numerical_failure_exit_code(monkeypatch, capsys):
+    # a period gate no solve can pass: exit 2 with the message, no traceback
+    monkeypatch.setitem(G.potential.TOLERANCES, "period_residual", 0.0)
+    code = cli.main(["--command", "capacity", "--set",
+                     '{"alpha": -2, "beta": 2, "gaps": [[-0.5, 1]]}'])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab: numerical failure:") and "Traceback" not in err
+
+
+TWO_BAND = '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}'
+
+
+def _plot_block(path, name):
+    head, *lines = path.read_text().splitlines()
+    assert head == f"# {name}"
+    index, values = zip(*((int(i), float(v)) for i, v in (line.split() for line in lines)))
+    assert list(index) == list(range(len(lines)))
+    return list(values)
+
+
+def test_cantor_plot_is_the_pw_sum_column(tmp_path):
+    plot = tmp_path / "plot.dat"
+    code, data = run_cli(["--command", "cantor", "--n", "2", "--format", "json",
+                          "--plot", str(plot)], tmp_path)
+    assert code == 0
+    obj = json.loads(data)
+    want = [row[obj["columns"].index("pw_sum")] for row in obj["rows"]]
+    assert _plot_block(plot, "pw_sum") == pytest.approx(want, rel=1e-15)
+
+
+def test_theorem_plot_is_the_szego_product(tmp_path):
+    # mu_E of [-2,-1] u [1,2] pulls back the arcsine measure, whose u_n is
+    # sqrt(2): every even u_n is sqrt(2); the window is the last quarter
+    plot = tmp_path / "plot.dat"
+    code, data = run_cli(["--command", "theorem", "--set", TWO_BAND, "--n", "12",
+                          "--format", "json", "--plot", str(plot)], tmp_path)
+    assert code == 0
+    u = _plot_block(plot, "szego_product")
+    obj = json.loads(data)
+    row = dict(zip(obj["columns"], obj["rows"][0]))
+    assert len(u) == 12 and u[1::2] == pytest.approx([math.sqrt(2)] * 6, abs=1e-10)
+    assert max(u[-3:]) == pytest.approx(row["window_max"], rel=1e-15)
+    assert min(u[-3:]) == pytest.approx(row["window_min"], rel=1e-15)
+
+
+def test_lebesgue_measure_spec(tmp_path):
+    # normalized Lebesgue measure on [-2,-1] u [1,2], absolute mode: S = log(pi/4)
+    code, data = run_cli(["--command", "sumrule", "--set", TWO_BAND, "--measure", "lebesgue",
+                          "--n", "1", "--format", "json"], tmp_path)
+    assert code == 0
+    obj = json.loads(data)
+    row = dict(zip(obj["columns"], obj["rows"][0]))
+    assert row["status"] == "ok"
+    assert row["entropy_mu"] == pytest.approx(math.log(math.pi / 4), abs=1e-12)
+    assert obj["meta"]["measure"] == "lebesgue"
+
+
 def test_emit_plotdata_validation(tmp_path):
     with pytest.raises(Exception):
         cli.emit_plotdata({"a": [1, 2], "b": [1]}, str(tmp_path / "x.dat"))
@@ -207,7 +265,11 @@ def test_emit_plotdata_validation(tmp_path):
 @pytest.mark.parametrize("args", [
     ["--command", "capacity", "--set", "fat_cantor:x"],
     ["--command", "capacity", "--set", "[1,2]"],
+    ["--command", "capacity", "--set", "{alpha"],
     ["--command", "green", "--set", '{"alpha": -2, "beta": 2}', "--points", "0.5,abc"],
+    ["--command", "green", "--set", '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}'],
+    ["--command", "green", "--set", '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}',
+     "--gap-index", "1"],
     *[
         ["--command", "coeffs", "--set", '{"alpha": -2, "beta": 2}', "--n", "3", "--measure", m]
         for m in (
@@ -219,7 +281,8 @@ def test_emit_plotdata_validation(tmp_path):
             '{"factor": {"form": "indicator", "support": [1, 2]}}',
         )
     ],
-], ids=["cantor_level", "set_not_object", "points_not_numbers", "factor_string",
+], ids=["cantor_level", "set_not_object", "set_not_json", "points_not_numbers",
+        "green_no_points", "gap_index_out_of_range", "factor_string",
         "factor_number", "mass_one_entry", "mass_not_number", "masses_number",
         "poly_coef_string", "poly_coef_empty", "const_value_string", "indicator_flat"])
 def test_malformed_inputs_are_validation_errors(args, capsys):
@@ -256,7 +319,7 @@ def test_config_file_json_objects(key, spec, tmp_path):
             "gap_index": 0, "n": -2}),
     (None, {"command": "cantor", "n": 0}),
     (None, {"command": "homogeneity", "set": "fat_cantor:2", "n": -1}),
-    ("quad-order", 400),
+    ("quad-order", 400), ("format", "xml"),
 ])
 def test_config_file_bad_specs_are_validation_errors(key, spec, tmp_path, capsys):
     # key None: spec is the whole file; the integer fields take JSON integers

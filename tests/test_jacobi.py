@@ -112,6 +112,31 @@ def test_degenerate_measure_errors(model_m22):
     mu = G.make_measure(model_m22, None)
     with pytest.raises(ValidationError):
         G.coefficients_from_measure(mu, 500, quad_order=64)
+    with pytest.raises(ValidationError, match="at least 1"):
+        G.coefficients_from_measure(mu, 0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"a": [1.0, 1.0, 1.0], "b": [0.0]},
+    {"a": [1.0, 0.0], "b": [0.0, 0.0]},
+    {"a": [1.0], "b": [0.0, float("nan")]},
+    {"a": [1.0], "b": [0.0, 0.0], "tail": "mirror"},
+    {"a": [1.0], "b": [0.0, 0.0], "tail": "equilibrium"},
+], ids=["length_mismatch", "a_not_positive", "not_finite", "unknown_tail", "no_tail_interval"])
+def test_malformed_jacobi_coeffs_are_validation_errors(kwargs):
+    with pytest.raises(ValidationError):
+        G.JacobiCoeffs(**kwargs)
+
+
+def test_make_measure_validation(model_m22):
+    with pytest.raises(ValidationError, match="mode"):
+        G.make_measure(model_m22, None, mode="singular")
+    with pytest.raises(ValidationError, match="nonnegative"):
+        G.make_measure(model_m22, G.WeightSpec("const", {"value": -1.0}))
+    with pytest.raises(ValidationError, match="neither"):
+        G.make_measure(model_m22, G.WeightSpec("const", {"value": 0.0}))
+    with pytest.raises(ValidationError, match="must be a dict"):
+        G.WeightSpec("const", [1.0])
 
 
 @pytest.mark.parametrize("spec,pairs", [("two_band", 399), ("fat_cantor_3", 790)])
@@ -210,6 +235,8 @@ def test_point_mass_validation(model_m22):
         G.make_measure(model_m22, None, point_masses=[(3.0, -0.1)])
     with pytest.raises(ValidationError):
         G.make_measure(model_m22, None, point_masses=[(3.0, 0.6), (4.0, 0.7)])
+    with pytest.raises(ValidationError, match="duplicate"):
+        G.make_measure(model_m22, None, point_masses=[(3.0, 0.1), (3.0, 0.2)])
 
 
 @pytest.mark.parametrize("form,params", [
@@ -297,7 +324,9 @@ def test_glued_eigenvalues_match_long_glue(glued_case):
 
 def test_glued_gap_counts_are_corner_counts_plus_one(glued_case):
     # m_E runs from -inf to +inf across a gap, so the shifted last pivot adds
-    # exactly one eigenvalue to the (n-1)-corner's count there
+    # exactly one eigenvalue to the (n-1)-corner's count there; m_E is +inf
+    # at alpha and -inf at beta, so the same holds left and right of E, and
+    # no head's list is empty
     model, J, *_ = glued_case
     s = model.set
     for n, eigs in G.glued_eigenvalues(J, model, [1, *HEADS]).items():
@@ -305,6 +334,8 @@ def test_glued_gap_counts_are_corner_counts_plus_one(glued_case):
         for j in range(len(s.gaps)):
             got = sum(loc == G.Location("gap", j) for _, loc in eigs)
             assert got == corner[2 * j + 2] - corner[2 * j + 1] + 1, (n, j)
+        assert sum(loc.kind == "left" for _, loc in eigs) == corner[0] + 1, n
+        assert sum(loc.kind == "right" for _, loc in eigs) == n - corner[-1], n
 
 
 def test_glued_long_heads_keep_their_junction_states(model_pm12):
@@ -392,6 +423,11 @@ def test_truncation_size_beyond_length_is_validation_error(model_m22, j_free):
         for N in (0, len(j_free) + 1):
             with pytest.raises(ValidationError, match="out of range"):
                 call(N)
+    # certifying at N reads the truncation at 2N
+    with pytest.raises(ValidationError, match="need length"):
+        G.stable_gap_eigenvalues(j_free, model_m22, len(j_free) // 2 + 1)
+    with pytest.raises(ValidationError, match="epsilon"):
+        G.interlacing_profile(j_free, model_m22, 10, epsilon=0.0)
 
 
 def test_eigenvalue_green_sum_validation(model_m22):
@@ -660,6 +696,10 @@ def test_m_function_validation(j_free):
         G.m_function(j_free, 1.5)  # real point inside the spectral bound
     with pytest.raises(ValidationError):
         G.m_function(j_free, 1j, 0)
+    # a periodic tail repeats the final pair, so it needs the final coupling
+    short = G.JacobiCoeffs(np.ones(3), np.zeros(4), tail="periodic")
+    with pytest.raises(ValidationError, match="final coupling"):
+        G.m_function(short, 1j)
 
 
 # ---------------------------------------------------------------------------

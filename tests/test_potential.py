@@ -476,9 +476,16 @@ def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_expl
     assert 2 <= m8.solve_passes < 6 and m8.root_move <= 1e-14 * m8.set.diameter
 
 
-def test_solver_validation():
+def test_solver_validation(model_m22, model_pm12):
     with pytest.raises(ValidationError):
         G.solve_green(G.make_gapset(-2, 2), quad_order=16)
+    with pytest.raises(ValidationError, match="at least 16"):
+        G.equilibrium_quadrature(model_m22, 8)
+    for j in (-1, 1):
+        with pytest.raises(ValidationError, match="out of range"):
+            G.gap_derivative_l1(model_pm12, j)
+    # a gapless set has no period conditions
+    assert G.period_residuals(model_m22).shape == (0,)
 
 
 SCALE_SWEEP_SETS = {

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,17 @@ def test_invalid_gaps_rejected(gaps):
         G.make_gapset(0, 1, gaps)
     with pytest.raises(ValidationError):
         G.GapSet.from_json(json.dumps({"alpha": 0, "beta": 1, "gaps": gaps}))
+
+
+def test_invalid_endpoints_json_and_levels_rejected():
+    for alpha, beta, gaps in ((0.0, math.inf, []), (math.nan, 1.0, []), (0.0, 1.0, [(0.2, math.nan)])):
+        with pytest.raises(ValidationError, match="finite"):
+            G.make_gapset(alpha, beta, gaps)
+    for text in ("{not json", '{"alpha": 0, "beta": 1}'):
+        with pytest.raises(ValidationError, match="malformed"):
+            G.GapSet.from_json(text)
+    with pytest.raises(ValidationError, match=">= 0"):
+        G.fat_cantor(-1)
 
 
 def test_gaps_sorted_any_input_order():

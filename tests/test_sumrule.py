@@ -51,10 +51,13 @@ def test_relative_entropy_mass_rescaling(model_m22, mu_semicircle):
     assert G.relative_entropy(with_mass) == pytest.approx(base + math.log(0.8), abs=1e-8)
 
 
-def test_relative_entropy_absolute_mode(model_m22):
+def test_relative_entropy_absolute_mode(model_m22, model_pm12):
     # normalized Lebesgue weight on [-2, 2]: S = log(pi) - log(4)
     mu = G.make_measure(model_m22, G.WeightSpec("const", {"value": 1.0}), mode="absolute")
     assert G.relative_entropy(mu) == pytest.approx(math.log(math.pi / 4), abs=1e-8)
+    # on [-2,-1] u [1,2] the density is 1/2 and int log f_E dmu_E = log(2/pi)
+    mu = G.make_measure(model_pm12, G.WeightSpec("const", {"value": 1.0}), mode="absolute")
+    assert abs(G.relative_entropy(mu) - math.log(math.pi / 4)) <= 1e-15
 
 
 def test_entropy_sign_battery(model_m22, model_pm12):
@@ -78,7 +81,9 @@ def test_szego_entropy_offset(model_m22, mu_semicircle, mu_arcsine):
 
 
 # (relative_entropy, szego_integral) as computed when the integrands were
-# ratios of densities; reading logs may move them by rounding only
+# ratios of densities; reading logs may move them by rounding only.  fat3's
+# Szego value is the Parreau-Widom identity's, which the node integral of
+# log f_E matched only to 8 robin roundings
 ENTROPY_RECORD = {
     "arcsine": (2.220446049250312e-16, -1.1447298858493997),
     "semicircle": (-0.6931471805599416, -1.8378770664093416),
@@ -88,7 +93,7 @@ ENTROPY_RECORD = {
     "poly_pm12": (-0.016956247344876517, -0.46853895263433126),
     "linear_pm12": (-0.05323674160332109, -0.5048194468927758),
     "exprat": (-0.06154971918548138, -1.2062796050348814),
-    "fat3": (0.0, 0.8318319501573104),
+    "fat3": (0.0, 0.8318319501573141),
 }
 
 
@@ -122,16 +127,21 @@ def test_relative_mode_entropy_never_evaluates_f_e(
     model_m22, model_pm12, model_fat3, monkeypatch
 ):
     # f = norm * w * f_E in relative mode, so log(f/f_E) is log(norm * w);
-    # a weight callable may return a scalar
+    # absolute mode and the Szego integral subtract or add f_E's integral
+    # from the Parreau-Widom sum.  A weight callable may return a scalar
     measures = _entropy_battery(model_m22, model_pm12, model_fat3)
-    measures["arcsine"] = G.make_measure(model_m22, lambda t: 2.0)
+    measures["scalar"] = G.make_measure(model_m22, lambda t: 2.0)
 
     def no_f_e(model, t):
-        raise AssertionError("relative-mode entropy evaluated f_E")
+        raise AssertionError("an entropy integral evaluated f_E")
 
-    monkeypatch.setattr(sumrule, "_log_f_e", no_f_e)
-    for name in ("arcsine", "poly_pm12", "fat3"):
-        assert abs(G.relative_entropy(measures[name]) - ENTROPY_RECORD[name][0]) <= 1e-15
+    assert not hasattr(sumrule, "_log_f_e")
+    for mod in (G.potential, G.jacobi):
+        monkeypatch.setattr(mod, "_log_f_e", no_f_e)
+    for name, mu in measures.items():
+        s, szego = ENTROPY_RECORD["arcsine" if name == "scalar" else name]
+        assert abs(G.relative_entropy(mu) - s) <= 1e-15, name
+        assert abs(G.szego_integral(mu) - szego) <= 1e-15, name
 
 
 def test_log_integral_product_matches_per_edge_loop(model_fat4):
@@ -139,7 +149,7 @@ def test_log_integral_product_matches_per_edge_loop(model_fat4):
     # per band against the loop over every fitted edge inside every band
     model = model_fat4
     quad, edges = model.quad, model.edges
-    logs = [sumrule._log_f_e(model, t) for t in quad.nodes]
+    logs = [G.potential._log_f_e(model, t) for t in quad.nodes]
     exps = {}
     for k, (t, l) in enumerate(zip(quad.nodes, logs)):
         lo, hi = model.set.bands[k]
@@ -158,6 +168,46 @@ def test_log_integral_product_matches_per_edge_loop(model_fat4):
     got, got_trimmed = sumrule._log_integral(model, quad, logs)
     assert abs(got - total) <= 1e-14
     assert abs(got_trimmed - (total - float(np.sum(lowest)))) <= 1e-14
+
+
+def _cubic_preimage(shift=0.3, c=1.5):
+    """E = T^{-1}([-c, c]) for T(x) = x^3 - 3x + shift: three bands, cap = (c/2)^(1/3)."""
+    lower = np.sort(np.roots([1.0, 0.0, -3.0, shift + c]).real)
+    upper = np.sort(np.roots([1.0, 0.0, -3.0, shift - c]).real)
+    edges = np.sort(np.concatenate([lower, upper]))
+    return G.make_gapset(edges[0], edges[5], [(edges[1], edges[2]), (edges[3], edges[4])])
+
+
+# (set, capacity, pw_sum) in closed form: the interval, the pull-back of
+# [-2, 2] by (4x^2 - 10)/3 and the cubic preimage, where g = acosh(|T|/c)/3
+LOG_F_E_FAMILIES = {
+    "interval": (G.make_gapset(-2, 2), 1.0, 0.0),
+    "two_band": (G.make_gapset(-2, 2, [(-1, 1)]), math.sqrt(3) / 2, 0.5 * math.log(3)),
+    "cubic": (_cubic_preimage(), 0.75 ** (1 / 3), (math.acosh(2.3 / 1.5) + math.acosh(1.7 / 1.5)) / 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOG_F_E_FAMILIES))
+def test_log_f_e_integral_matches_closed_forms(name):
+    # int log f_E dmu_E = sum_j g(c_j) - log(pi cap): what szego_integral adds
+    # to relative_entropy, at every scale the Robin probe has to follow
+    s, cap, pw = LOG_F_E_FAMILIES[name]
+    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        for shift in (0.0, 0.37 * scale):
+            mu = G.make_measure(G.solve_green(G.scale_shift(s, scale, shift)))
+            got = G.szego_integral(mu) - G.relative_entropy(mu)
+            assert abs(got - (pw - math.log(math.pi * cap * scale))) <= 1e-14, (scale, shift)
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_log_f_e_integral_matches_node_integral(level):
+    # the identity against the edge-fitted integral of log f_E at the band
+    # rule's nodes, which it replaced
+    model = G.solve_green(G.fat_cantor(level))
+    mu = G.make_measure(model)
+    logs = [G.potential._log_f_e(model, t) for t in model.quad.nodes]
+    nodes = sumrule._log_integral(model, model.quad, logs)[0]
+    assert abs(G.szego_integral(mu) - G.relative_entropy(mu) - nodes) <= 2e-13
 
 
 def test_step_sum_rule_chebyshev(j_chebyshev, mu_arcsine):
@@ -227,12 +277,7 @@ def test_n_step_three_band_asymmetric():
     # n = 8 one strip eigenvalue sits ~3e-4 off a band edge (g ~ 8e-3) and
     # converges too slowly for certification, so the residual reflects the
     # section-size resolution floor rather than quadrature error.
-    shift, c = 0.3, 1.5
-    lower = np.sort(np.roots([1.0, 0.0, -3.0, shift + c]).real)
-    upper = np.sort(np.roots([1.0, 0.0, -3.0, shift - c]).real)
-    edges = np.sort(np.concatenate([lower, upper]))
-    s = G.make_gapset(edges[0], edges[5], [(edges[1], edges[2]), (edges[3], edges[4])])
-    model = G.solve_green(s, quad_order=300)
+    model = G.solve_green(_cubic_preimage(), quad_order=300)
     mu = G.make_measure(model, None, mode="relative", quad_order=700)
     J = G.coefficients_from_measure(mu, 400)
     for n in (1, 4):
@@ -436,6 +481,21 @@ def test_theorem_heads_start_at_one_pair(model_pm12):
         rep = G.theorem_upper_bound(J, mu, n_max)
         assert min(rep.glued_sums) == 1
         assert rep.bound_C == pytest.approx(2.4467381033708886, abs=1e-12)
+
+
+def test_sum_rule_argument_validation(j_chebyshev, mu_arcsine, model_m22):
+    for n in (0, len(j_chebyshev) + 1):
+        with pytest.raises(ValidationError, match="out of range"):
+            G.n_step_sum_rule(j_chebyshev, mu_arcsine, n)
+    with pytest.raises(ValidationError, match="positive"):
+        G.eigenvalue_bound_check(j_chebyshev, model_m22, [0])
+
+
+def test_equilibrium_coefficients_arcsine(model_m22):
+    # mu_E of [-2, 2] is the arcsine measure: a = sqrt(2), 1, 1, ... and b = 0
+    J = G.equilibrium_coefficients(model_m22, 12)
+    assert np.max(np.abs(J.a - np.r_[math.sqrt(2), np.ones(11)])) <= 1e-12
+    assert np.max(np.abs(J.b)) <= 1e-12
 
 
 def test_report_serialization(j_chebyshev, mu_arcsine):
