@@ -27,17 +27,13 @@ Every weight, density and Green integral is g' itself with the edge
 factors its substitution cancels left out, from log-sums: the root and
 edge log-sums meet in a single exp, so the quotient stays in range where
 either product alone over- or underflows.  The period weights, which have
-no root factors, stay logs until they meet log|P| or log|B_j|.  At
-arbitrary points (rays, gap arcs, densities, m_E) the sums are
-_log_g_prime's, one direct sum over every root and edge.  At the cosine
-nodes of whole interval families (the band rule, the period tables and
-rows, the residual gate) they are _log_sums's: the sources within _FAR
-half-lengths of an interval are summed directly, the rest at p <= 9
-Chebyshev proxy points sized by the Bernstein ellipse through the
-nearest of them and interpolated, and intervals sharing (order, p) go
-as one batch of _ARC_BLOCK-entry pieces (a one-level fast-multipole
-split, Greengard and Rokhlin, J. Comput. Phys. 73, 1987).  An interval
-with no far source is _log_g_prime's sum, bit for bit.  Singular integrals
+no root factors, stay logs until they meet log|P| or log|B_j|.  At the
+nodes of interval families (the band rule, the period tables and rows,
+the residual gate, the gap arcs) the sums are _log_sums's, a one-level
+fast-multipole split (Greengard and Rokhlin, J. Comput. Phys. 73, 1987):
+sources within _FAR half-lengths summed directly, the rest at p <= 9
+Chebyshev proxy points and interpolated.  Elsewhere (rays, densities,
+m_E) they are _log_g_prime's direct sums.  Singular integrals
 are tamed by the cosine substitution t = c + r*cos(theta) (gap and band
 versions), which cancels the inverse-square-root edge behaviour exactly,
 and on the unbounded components by t = e +/- s^2.  After the substitution
@@ -55,6 +51,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -117,8 +114,8 @@ def _ellipse_orders(log_rho):
     return np.minimum(np.maximum(n, GAP_ORDER_FLOOR), _GAP_ORDER_CAP).astype(int)
 
 
-def _log_g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()):
-    """sign and log|g'(t)| with the edge factors in skip left out.
+def _log_g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = (), signed: bool = True):
+    """sign (None unless signed) and log|g'(t)| with the edge factors in skip left out.
 
     log|g'| = sum_j log|t - c_j| - 1/2 sum_{k not in skip} log|t - e_k|,
     vectorized over t; -inf at a root.  With no edges this is P.
@@ -136,21 +133,21 @@ def _log_g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()):
         if (diffs == 0.0).any():
             raise NumericalError("quadrature node collided with a band edge")
         logmag = logmag - 0.5 * np.log(diffs).sum(axis=1)
-    return np.sign(d).prod(axis=1), logmag
+    return (np.sign(d).prod(axis=1) if signed else None), logmag
 
 
 def _near_sums(x: np.ndarray, src: np.ndarray, coef: np.ndarray, start, stop, own) -> np.ndarray:
     """sum_k coef_k log|x[i] - src_k| over src[start[i]:stop[i]] but src[own[i]].
 
-    A left-out source reads log 1 = 0, so a node on it does no harm; a node
-    on a kept root reads -inf.  Temporaries are _ARC_BLOCK entries a piece.
+    All windows have one width.  A left-out source reads log 1 = 0, so a
+    node on it does no harm; a node on a kept root reads -inf.
+    Temporaries are _ARC_BLOCK entries a piece.
     """
     width = int(np.max(stop - start))
     out = np.empty(x.shape)
     for b, e in _blocks(*x.shape, width):
         win = start[b, None] + np.arange(width)
-        keep = (win < stop[b, None]) & np.all(win[:, :, None] != own[b, None, :], axis=2)
-        np.minimum(win, len(src) - 1, out=win)
+        keep = np.all(win[:, :, None] != own[b, None, :], axis=2)
         a = x[b, e, None] - src[win][:, None, :]
         np.abs(a, out=a)
         np.copyto(a, 1.0, where=~keep[:, None, :])
@@ -198,52 +195,51 @@ def _blocks(rows: int, cols: int, width: int):
             yield slice(a, a + step_r), slice(b, b + step_c)
 
 
-@lru_cache(maxsize=64)
-def _cheb_interp(p: int, n: int):
-    """(n x p) barycentric matrices from p to n first-kind Chebyshev points:
-    the interpolant's values and its derivatives at the nodes.
-
-    Both point sets are cos((i + 1/2) pi/count) on [-1, 1], so the matrices
-    depend on (p, n) alone.  A node on a proxy point, where (2i + 1) p =
-    (2k + 1) n, gets that point's unit row and the derivative row of the
-    Lagrange basis there.
-    """
-    i, k = np.arange(n)[:, None], np.arange(p)[None, :]
-    hit = (2 * i + 1) * p == (2 * k + 1) * n
-    d = _cos_points(n)[:, None] - _cos_points(p)
+def _barycentric(p: int, x: np.ndarray, hit=None, slopes: bool = False):
+    """Barycentric rows (with slopes, derivative rows too) from the p
+    first-kind Chebyshev points to the points x; a point on a proxy point
+    (hit, else an exact match) gets that point's unit row."""
+    k = np.arange(p)
+    d = x[..., None] - _cos_points(p)
+    hit = d == 0.0 if hit is None else hit
     d[hit] = 1.0
     w = (-1.0) ** k * np.sin((k + 0.5) * np.pi / p)
     c = w / d
-    total = np.sum(c, axis=1, keepdims=True)
+    total = np.sum(c, axis=-1, keepdims=True)
     values = c / total
-    slopes = values * (np.sum(c / d, axis=1, keepdims=True) / total - 1.0 / d)
-    rows = np.any(hit, axis=1)
+    rows = np.any(hit, axis=-1)
     values[rows] = hit[rows]
-    own = np.where(hit[rows], 0.0, c[rows] / np.sum(w * hit[rows], axis=1, keepdims=True))
-    slopes[rows] = np.where(hit[rows], -np.sum(own, axis=1, keepdims=True), own)
+    if not slopes:
+        return values
+    slope = values * (np.sum(c / d, axis=-1, keepdims=True) / total - 1.0 / d)
+    own = np.where(hit[rows], 0.0, c[rows] / np.sum(w * hit[rows], axis=-1, keepdims=True))
+    slope[rows] = np.where(hit[rows], -np.sum(own, axis=-1, keepdims=True), own)
+    return values, slope
+
+
+@lru_cache(maxsize=64)
+def _cheb_interp(p: int, n: int):
+    """_barycentric's values and slopes at the n first-kind Chebyshev
+    points, node i meeting proxy point k where (2i + 1) p = (2k + 1) n."""
+    i, k = np.arange(n)[:, None], np.arange(p)[None, :]
+    values, slopes = _barycentric(p, _cos_points(n), (2 * i + 1) * p == (2 * k + 1) * n, True)
     values.flags.writeable = slopes.flags.writeable = False  # shared through the cache
     return values, slopes
 
 
-def _log_sums(lo, hi, orders, roots, edges, skip):
-    """_log_g_prime at the cosine nodes of many intervals at once: the near
-    field summed, the far field interpolated from proxy points.
+def _log_sums(lo, hi, orders, roots, edges, skip, rows=None, u=None):
+    """_log_g_prime at rows of nodes on intervals (lo[i], hi[i]) = c -/+ r,
+    factors skip[i] (indices into roots ++ edges) left out; the flat nodes
+    and log-sums.  Row k has orders[k] nodes: row i on interval i at the
+    cosine points, or, given rows and u, on interval rows[k] at c + r u.
 
-    Interval i is (lo[i], hi[i]) with orders[i] nodes c + r cos(theta); the
-    factors skip[i] (indices into roots ++ edges: its own edges, or its own
-    root) are left out.  Returns the nodes and the log-sums, each flat,
-    interval after interval.
-
-    A source within _FAR r of the interval is near.  An interval with
-    every source near is _log_g_prime itself, bit for bit; that is every
-    interval of a set of a few comparable bands.  For the others the sources are
-    sorted once, the near ones are a contiguous range found by
-    searchsorted and summed at the nodes, and the far ones, analytic inside
-    the Bernstein ellipse through the nearest of them (rho > 2 _FAR), are
-    summed at p first-kind Chebyshev proxy points, rho^-p <=
-    _GAP_RULE_TARGET, and carried to the nodes by _cheb_interp, with one
-    step along its derivative for the nodes' own rounding.  Intervals
-    sharing (order, p) are one batch.
+    An interval with every source within _FAR r is _log_g_prime, bit for
+    bit, tested before any sort.  Otherwise near sources are summed at the
+    nodes, far ones once per interval at p Chebyshev proxies (rho^-p <=
+    _GAP_RULE_TARGET on the ellipse through the nearest) and interpolated
+    by _cheb_interp with a derivative step for the nodes' rounding, or by
+    _barycentric rows at each node's (t - c)/r.  Rows sharing (order, p,
+    near width) are one unpadded batch: a row's bits ignore its batch.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     orders, skip = np.asarray(orders, dtype=int), np.asarray(skip, dtype=int)
@@ -253,48 +249,67 @@ def _log_sums(lo, hi, orders, roots, edges, skip):
     t, logsum = np.empty(sum(sizes)), np.empty(sum(sizes))
     if not sizes:
         return t, logsum
+    cosine = u is None
+    heads = range(len(sizes)) if cosine else np.asarray(rows).tolist()
+    cuts = [k for k in range(1, len(sizes)) if heads[k] != heads[k - 1]]
     lowest, highest, n_roots = src.min(), src.max(), len(roots)
+    lows, highs, skips, ends = lo.tolist(), hi.tolist(), skip.tolist(), list(accumulate(sizes))
+    batch, runs = [], []
+    for a, b in zip([0, *cuts], [*cuts, len(sizes)]):  # rows a..b-1 lie on interval i
+        i = heads[a]
+        reach = _FAR * ((highs[i] - lows[i]) / 2)
+        if lows[i] - reach > lowest or highs[i] + reach < highest:
+            batch.extend(range(a, b))
+        else:
+            runs.append((i, ends[a] - sizes[a], ends[b - 1]))
     step = max(1, _ARC_BLOCK // len(src))  # nodes per _log_g_prime call
-    batch, end = [], 0
-    for i, (a, b, n, own) in enumerate(zip(lo.tolist(), hi.tolist(), sizes, skip.tolist())):
-        reach, end = _FAR * ((b - a) / 2), end + n
-        if a - reach > lowest or b + reach < highest:
-            batch.append(i)
-            continue
-        # every source is near: _log_g_prime itself, in pieces of at most _ARC_BLOCK entries
+    for i, begin, end in runs:
+        own = skips[i]
         kept = roots[np.arange(n_roots) != own[0]] if own and own[0] < n_roots else roots  # own root
         skipped = [j - n_roots for j in own if j >= n_roots]
-        t[end - n:end] = _cosine_nodes(a, b, n)
-        for e in range(end - n, end, step):
+        a, b = lows[i], highs[i]
+        t[begin:end] = (a + b) / 2 + (b - a) / 2 * (_cos_points(end - begin) if cosine else u[begin:end])
+        for e in range(begin, end, step):
             piece = slice(e, min(e + step, end))
-            logsum[piece] = _log_g_prime(t[piece], kept, edges, skipped)[1]
-    if batch:
-        batch, first = np.array(batch), np.cumsum(orders) - orders
-        c, r = (lo + hi) / 2, (hi - lo) / 2
-        perm = np.argsort(src, kind="stable")
-        rank = np.empty_like(perm)
-        rank[perm] = np.arange(len(src))
-        own, src, coef = rank[skip], src[perm], np.where(perm < len(roots), 1.0, -0.5)
-        start = np.searchsorted(src, lo - _FAR * r, side="left")
-        stop = np.searchsorted(src, hi + _FAR * r, side="right")
-        padded = np.concatenate([[-np.inf], src, [np.inf]])
-        u = np.minimum(lo - padded[start], padded[stop + 1] - hi) / r  # a - 1 at the nearest far source
-        p = np.ceil(-math.log(_GAP_RULE_TARGET) / np.log1p(u + np.sqrt(u * (u + 2.0)))).astype(int)
-        for n, q in sorted(set(zip(orders[batch].tolist(), p[batch].tolist()))):
-            idx = batch[(orders[batch] == n) & (p[batch] == q)]
-            nodes = _cosine_nodes(lo[idx, None], hi[idx, None], n)
-            with np.errstate(divide="ignore"):
-                total = _near_sums(nodes, src, coef, start[idx], stop[idx], own[idx])
-            base, var = _far_sums(c[idx], r[idx, None] * _cos_points(q), src, coef, start[idx], stop[idx])
+            logsum[piece] = _log_g_prime(t[piece], kept, edges, skipped, False)[1]
+    if not batch:
+        return t, logsum
+    batch, owner = np.array(batch), np.asarray(heads)
+    first, c, r = np.cumsum(orders) - orders, (lo + hi) / 2, (hi - lo) / 2
+    perm = np.argsort(src, kind="stable")
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(len(src))
+    own, src, coef = rank[skip], src[perm], np.where(perm < len(roots), 1.0, -0.5)
+    start = np.searchsorted(src, lo - _FAR * r, side="left")
+    stop = np.searchsorted(src, hi + _FAR * r, side="right")
+    padded = np.concatenate([[-np.inf], src, [np.inf]])
+    a1 = np.minimum(lo - padded[start], padded[stop + 1] - hi) / r  # a - 1 at the nearest far source
+    p = np.ceil(-math.log(_GAP_RULE_TARGET) / np.log1p(a1 + np.sqrt(a1 * (a1 + 2.0)))).astype(int)
+    used, pos, far = np.flatnonzero(np.bincount(owner[batch], minlength=len(lo))), np.empty_like(p), {}
+    for q in sorted(set(p[used].tolist())):
+        ids = used[p[used] == q]
+        pos[ids] = np.arange(len(ids))
+        far[q] = _far_sums(c[ids], r[ids, None] * _cos_points(q), src, coef, start[ids], stop[ids])
+    key = orders[batch], p[owner[batch]], (stop - start)[owner[batch]]
+    for n, q, w in sorted(set(zip(*(part.tolist() for part in key)))):
+        idx = batch[(key[0] == n) & (key[1] == q) & (key[2] == w)]
+        cols, ii = first[idx, None] + np.arange(n), owner[idx]
+        nodes = c[ii, None] + r[ii, None] * (_cos_points(n) if cosine else u[cols])
+        with np.errstate(divide="ignore"):
+            total = _near_sums(nodes, src, coef, start[ii], stop[ii], own[ii])
+        base, var = far[q][0][pos[ii]], far[q][1][pos[ii]]
+        total += base
+        at = (nodes - c[ii, None]) / r[ii, None]  # the nodes' own u
+        if cosine:
             values, slopes = _cheb_interp(q, n)
-            # the nodes sit off c + r cos(theta) by their rounding: one derivative step
-            shift = (nodes - c[idx, None]) / r[idx, None] - _cos_points(n)
-            shift *= var @ slopes.T
-            total += base
+            at -= _cos_points(n)  # their rounding: one step along the derivative
+            at *= var @ slopes.T
             total += var @ values.T
-            total += shift
-            out = (first[idx, None] + np.arange(n)).ravel()
-            t[out], logsum[out] = nodes.ravel(), total.ravel()
+            total += at
+        else:
+            for b, e in _blocks(len(idx), n, 4 * q):  # _barycentric's four (rows, n, q) temporaries
+                total[b, e] += np.sum(_barycentric(q, at[b, e]) * var[b, None, :], axis=-1)
+        t[cols], logsum[cols] = nodes, total
     return t, logsum
 
 
@@ -302,14 +317,6 @@ def _g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()) -> np.ndar
     """g'(t) = P(t)/sqrt|R(t)| from one exp of _log_g_prime; exactly zero at a root."""
     sign, logmag = _log_g_prime(t, roots, edges, skip)
     return sign * np.exp(logmag)
-
-
-def _cosine_nodes(lo, hi, order: int) -> np.ndarray:
-    """t = c + r cos(theta_i) over [lo, hi], theta_i = (i + 1/2) pi/order.
-
-    Columns lo, hi give one row of nodes per interval.
-    """
-    return (lo + hi) / 2 + (hi - lo) / 2 * _cos_points(order)
 
 
 @lru_cache(maxsize=256)
@@ -604,38 +611,47 @@ def _period_residuals(roots, lo, hi, orders, log_w) -> np.ndarray:
     return np.add.reduceat(terms, np.cumsum(orders) - orders)
 
 
-def _gap_arc(model: GreenModel, j: int, th0: np.ndarray, th1: np.ndarray) -> np.ndarray:
-    """|integral of g'| over each gap-j arc theta in [th0[i], th1[i]] of t = c + r cos(theta).
+def _gap_arcs(model: GreenModel, gap: np.ndarray, th0: np.ndarray, th1: np.ndarray) -> np.ndarray:
+    """|integral of g'| over each arc theta in [th0[i], th1[i]] of gap gap[i]
+    (t = c + r cos(theta)), by gap_orders[gap[i]] Gauss-Legendre nodes.
 
-    Each arc is one row of gap_orders[j] Gauss-Legendre nodes; the rows go
-    through _g_prime with the gap's own edges skipped, in chunks of rows
-    whose (nodes x factors) temporaries stay within _ARC_BLOCK entries (a
-    chunk holds at least one row).
+    The arcs, by order and gap (callers pass a gap's arcs together), go to
+    one _log_sums call per _ARC_BLOCK nodes.  g' keeps one sign on an arc,
+    which c_j ends or misses, so |g'| = exp(log|g'|).
     """
-    lo, hi = model.set.gaps[j]
-    c, r = (lo + hi) / 2, (hi - lo) / 2
-    xg, wg = _leggauss(model.gap_orders[j])
-    half = 0.5 * (th1 - th0)
-    rows = max(1, _ARC_BLOCK // (len(xg) * (len(model.edges) + len(model.critical_points))))
-    out = np.empty(len(half))
-    for i in range(0, len(half), rows):
-        h, a = half[i:i + rows, None], th0[i:i + rows, None]
-        t = c + r * np.cos(h * (xg + 1.0) + a)
-        g = _g_prime(t.ravel(), model.critical_points, model.edges, (2 * j + 1, 2 * j + 2))
-        out[i:i + rows] = np.abs((h * wg * g.reshape(t.shape)).sum(axis=1))
+    roots, edges = model.critical_points, model.edges
+    orders, perm = np.asarray(model.gap_orders)[gap], slice(None)
+    if orders.min() < orders.max():
+        perm = np.argsort(orders * len(roots) + gap, kind="stable")
+    gap, orders, th0, half = gap[perm], orders[perm], th0[perm], 0.5 * (th1 - th0)[perm]
+    own = np.arange(len(roots) + 1, 3 * len(roots) + 1).reshape(-1, 2)
+    sizes, out, a = orders.tolist(), np.empty(len(gap)), 0
+    ends = list(accumulate(sizes))
+    while a < len(sizes):  # whole arcs, _ARC_BLOCK nodes a call where they fit
+        b = max(a + 1, bisect.bisect_right(ends, ends[a] - sizes[a] + _ARC_BLOCK))
+        cuts = [k for k in range(a + 1, b) if sizes[k] != sizes[k - 1]]
+        runs = [(k, m, sizes[k]) for k, m in zip([a, *cuts], [*cuts, b])]  # arcs of one order
+        u = [np.cos(half[k:m, None] * (_leggauss(n)[0] + 1.0) + th0[k:m, None]) for k, m, n in runs]
+        g = np.exp(_log_sums(edges[1:-1:2], edges[2:-1:2], orders[a:b], roots, edges, own, gap[a:b],
+                             np.concatenate([x.ravel() for x in u]))[1])
+        for k, m, n in runs:
+            rows, g = g[:(m - k) * n].reshape(m - k, n), g[(m - k) * n:]
+            out[k:m] = (half[k:m, None] * _leggauss(n)[1] * rows).sum(axis=1)
+        a = b
+    out[perm] = out.copy()
     return out
 
 
 def green_value(model: GreenModel, x):
     """g(x): a float for a float, else an array of x's shape; zero on the set.
 
-    The points of gap j, found by edge_slots, go to one _gap_arc call, each
-    on the arc from x to the edge on its side of the maximum c_j.  A point
-    outside [alpha, beta] by less than the diameter takes its own edge ray,
-    sized from its length.  The points farther out read the Robin probe's
-    identity g(x) = robin + int log|x - t| dmu_E on the band rule over its
-    mass, in one batch: a ray that long needs more nodes than any rule
-    order allows.
+    The points in gaps, found by edge_slots, go to one _gap_arcs call, each
+    on the arc from x to the edge on its side of its gap's maximum c_j.  A
+    point outside [alpha, beta] by less than the diameter takes its own
+    edge ray, sized from its length.  The points farther out read the Robin
+    probe's identity g(x) = robin + int log|x - t| dmu_E on the band rule
+    over its mass, in one batch: a ray that long needs more nodes than any
+    rule order allows.  A point's bits ignore its batch.
     """
     s, edges, roots = model.set, model.edges, model.critical_points
     xs = np.asarray(x, dtype=float).ravel()
@@ -644,9 +660,9 @@ def green_value(model: GreenModel, x):
     groups = {}  # point indices by slot, in input order
     for i, slot in enumerate(slots.tolist()):
         groups.setdefault(slot, []).append(i)
-    out = np.zeros(len(xs))
+    out, arcs = np.zeros(len(xs)), []
     for slot, idx in groups.items():
-        if slot == -1:  # row sums in ~_ARC_BLOCK chunks: a point's bits ignore its batch
+        if slot == -1:  # row sums in ~_ARC_BLOCK chunks
             t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
             mass = np.sum(w)  # as in the Robin probe
             chunks = min(len(idx), math.ceil(len(idx) * len(t) / _ARC_BLOCK))
@@ -659,9 +675,11 @@ def green_value(model: GreenModel, x):
         elif slot % 2 == 0:
             j, (lo, hi) = slot // 2 - 1, s.gaps[slot // 2 - 1]
             c = float(roots[j])  # arc [0, theta] from the right edge, else [theta, pi]
-            arcs = [(0.0, _theta(lo, hi, v)) if v >= c else (_theta(lo, hi, v), np.pi)
-                    for v in xs[idx].tolist()]
-            out[idx] = _gap_arc(model, j, *np.array(arcs).T)
+            arcs += [(i, j, 0.0, _theta(lo, hi, v)) if v >= c else (i, j, _theta(lo, hi, v), np.pi)
+                     for i, v in zip(idx, xs[idx].tolist())]
+    if arcs:
+        idx, gap, th0, th1 = (np.array(col) for col in zip(*arcs))
+        out[idx] = _gap_arcs(model, gap, th0, th1)
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
@@ -685,7 +703,8 @@ def gap_derivative_l1(model: GreenModel, j: int) -> float:
     if not 0 <= j < len(model.set.gaps):
         raise ValidationError(f"gap index {j} out of range")
     theta_c = _theta(*model.set.gaps[j], model.critical_points[j])
-    return float(sum(_gap_arc(model, j, np.array([0.0, theta_c]), np.array([theta_c, np.pi]))))
+    arcs = _gap_arcs(model, np.array([j, j]), np.array([0.0, theta_c]), np.array([theta_c, np.pi]))
+    return float(sum(arcs.tolist()))
 
 
 def equilibrium_density(model: GreenModel, t: float) -> float:
@@ -700,7 +719,7 @@ def equilibrium_density(model: GreenModel, t: float) -> float:
 
 def _log_f_e(model: GreenModel, t: np.ndarray) -> np.ndarray:
     """log f_E = log|g'| - log pi at band points, vectorized over t."""
-    return _log_g_prime(t, model.critical_points, model.edges)[1] - math.log(math.pi)
+    return _log_g_prime(t, model.critical_points, model.edges, (), False)[1] - math.log(math.pi)
 
 
 def _m_e(model: GreenModel, x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from gaplab import cli, potential
 from gaplab.errors import NumericalError, ValidationError
 from gaplab.realset import edge_slots
 from gaplab.potential import (
-    _cosine_nodes,
+    _cos_points,
     _g_prime,
     _deflated_numerator,
     _edge_ray,
@@ -23,6 +23,11 @@ from gaplab.potential import (
     _period_correction,
     _period_roots,
 )
+
+
+def _cosine_nodes(lo, hi, order):
+    """t = c + r cos(theta_i) over [lo, hi], theta_i = (i + 1/2) pi/order: the kernel's nodes."""
+    return (lo + hi) / 2 + (hi - lo) / 2 * _cos_points(order)
 
 
 # closed forms used as oracles:
@@ -120,24 +125,38 @@ def test_gap_area_identity(model_pm12):
     )
 
 
-def _arc_reference(model, j, th0, th1):
-    """One gap arc as a lone point takes it: one Gauss-Legendre row through _g_prime."""
+def _arc_reference(model, j, th0, th1, dtype=float):
+    """One gap arc alone: one Gauss-Legendre row in theta, through _g_prime
+    (the direct sum), or its double nodes summed in dtype (np.longdouble)."""
     lo, hi = model.set.gaps[j]
     xg, wg = _leggauss(model.gap_orders[j])
     th = 0.5 * (th1 - th0) * (xg + 1.0) + th0
     t = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(th)
-    g = _g_prime(t, model.critical_points, model.edges, (2 * j + 1, 2 * j + 2))
-    return abs(float(np.sum(0.5 * (th1 - th0) * wg * g)))
+    if dtype is float:
+        g = _g_prime(t, model.critical_points, model.edges, (2 * j + 1, 2 * j + 2))
+        return abs(float(np.sum(0.5 * (th1 - th0) * wg * g)))
+    x = t.astype(dtype)[:, None]
+    edges = np.delete(model.edges, [2 * j + 1, 2 * j + 2]).astype(dtype)
+    log_g = (np.log(np.abs(x - model.critical_points.astype(dtype))).sum(axis=1)
+             - np.log(np.abs(x - edges)).sum(axis=1) / 2)
+    return abs(np.sum((dtype(th1) - dtype(th0)) / 2 * wg.astype(dtype) * np.exp(log_g)))
+
+
+def _far_gaps(model):
+    """Gaps with a source beyond _FAR half-lengths: the kernel's near/far path."""
+    lo, hi = model.edges[1:-1:2], model.edges[2:-1:2]
+    reach = potential._FAR * ((hi - lo) / 2)
+    return set(np.flatnonzero((lo - reach > model.edges[0]) | (hi + reach < model.edges[-1])).tolist())
 
 
 def _theta_of(lo, hi, x):
     return math.acos(min(1.0, max(-1.0, (x - (lo + hi) / 2) / ((hi - lo) / 2))))
 
 
-def _green_reference(model, x):
+def _green_reference(model, x, dtype=float):
     """g at one point: robin plus the band rule's log potential one diameter
     or more outside [alpha, beta], an edge ray nearer, else the gap arc from
-    x to the edge on its side of c_j, else zero."""
+    x to the edge on its side of c_j (summed in dtype), else zero."""
     s, roots, edges = model.set, model.critical_points, model.edges
     if max(s.alpha - x, x - s.beta) >= s.diameter:
         t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
@@ -150,16 +169,26 @@ def _green_reference(model, x):
         if lo < x < hi:
             theta = _theta_of(lo, hi, x)
             if x >= roots[j]:
-                return _arc_reference(model, j, 0.0, theta)
-            return _arc_reference(model, j, theta, math.pi)
+                return _arc_reference(model, j, 0.0, theta, dtype)
+            return _arc_reference(model, j, theta, math.pi, dtype)
     return 0.0
+
+
+def _gap_of(model, x):
+    return next((j for j, (lo, hi) in enumerate(model.set.gaps) if lo < x < hi), None)
+
+
+# relative error of a gap arc off the direct path against its long-double sum
+ARC_REL_ERROR = 2.5e-14
 
 
 @pytest.mark.parametrize("name", ["model_pm12", "model_fat3"])
 def test_green_value_array_matches_per_point(name, request):
     # unsorted points in gaps and bands, on edges, repeated, and on both
     # sides of [alpha, beta] out to 1e300 diameters (several far-field chunks),
-    # in one call, bit for bit against each point alone
+    # in one call, bit for bit against each point alone, and against the
+    # direct reference but in the gaps the kernel splits into near and far
+    # (4 of fat_cantor(3)'s 7), there within ARC_REL_ERROR of the long double
     model = request.getfixturevalue(name)
     s = model.set
     rng = np.random.default_rng(14)
@@ -171,11 +200,20 @@ def test_green_value_array_matches_per_point(name, request):
         s.beta + s.diameter * np.geomspace(1.0, 1e300, 100),
     ])
     rng.shuffle(pts)
-    want = np.array([_green_reference(model, x) for x in pts.tolist()])
-    assert G.green_value(model, pts).tobytes() == want.tobytes()
-    assert np.count_nonzero(want) > 100
+    got = G.green_value(model, pts)
+    assert got.tobytes() == np.array([G.green_value(model, x) for x in pts.tolist()]).tobytes()
+    far = _far_gaps(model)
+    split = [_gap_of(model, x) in far for x in pts.tolist()]
+    assert (sum(split) > 0) == (name == "model_fat3")
+    for x, g, off_direct in zip(pts.tolist(), got.tolist(), split):
+        if off_direct:
+            want = _green_reference(model, x, np.longdouble)
+            assert abs(g - want) <= ARC_REL_ERROR * want, x
+        else:
+            assert g == _green_reference(model, x), x
+    assert np.count_nonzero(got) > 100
     for i in (0, 1, 2):
-        assert G.green_value(model, pts[i : i + 1].reshape(())) == want[i]
+        assert G.green_value(model, pts[i : i + 1].reshape(())) == got[i]
     assert G.green_value(model, np.array([])).shape == (0,)
 
 
@@ -218,51 +256,102 @@ def test_green_value_non_finite_is_validation_error(model_fat3, bad):
 
 
 def test_pw_sum_is_the_per_gap_sum(model_fat8):
+    # pw_sum adds g(c_j) left to right; a gap the kernel sums directly is the
+    # lone Gauss-Legendre row bit for bit, the others are within
+    # ARC_REL_ERROR of that row in long double
     models = [G.solve_green(G.fat_cantor(level)) for level in range(1, 8)] + [model_fat8]
     for model in models:
-        want = 0.0
+        got, far, want = G.green_value(model, model.critical_points).tolist(), _far_gaps(model), 0.0
         for j, ((lo, hi), c) in enumerate(zip(model.set.gaps, model.critical_points)):
-            want += _arc_reference(model, j, 0.0, _theta_of(lo, hi, c))
+            theta = _theta_of(lo, hi, c)
+            if j in far:
+                ref = _arc_reference(model, j, 0.0, theta, np.longdouble)
+                assert abs(got[j] - ref) <= ARC_REL_ERROR * ref
+            else:
+                assert got[j] == _arc_reference(model, j, 0.0, theta)
+            want += got[j]
         assert G.pw_sum(model) == want
 
 
-def _count_g_prime(monkeypatch):
-    """Record the (nodes x factors) size of every _g_prime call."""
-    sizes = []
-    g_prime = potential._g_prime
+@pytest.mark.parametrize("level", [6, 7, 8])
+def test_gap_arcs_against_long_double(level, model_fat8):
+    # g(c_j) on every gap against its Gauss-Legendre row summed in long
+    # double: worst 1.8e-14 and mean 2.3e-15 relative at level 8, where one
+    # direct sum per gap read 3.0e-14 and 8.0e-15
+    model = model_fat8 if level == 8 else G.solve_green(G.fat_cantor(level))
+    got = G.green_value(model, model.critical_points).tolist()
+    errors = []
+    for j, ((lo, hi), c) in enumerate(zip(model.set.gaps, model.critical_points)):
+        ref = _arc_reference(model, j, 0.0, _theta_of(lo, hi, c), np.longdouble)
+        errors.append(float(abs(got[j] - ref) / ref))
+    assert max(errors) <= ARC_REL_ERROR
+    assert sum(errors) / len(errors) <= 4e-15
 
-    def spy(t, roots, edges, skip=()):
-        sizes.append(len(t) * (len(roots) + len(edges)))
-        return g_prime(t, roots, edges, skip)
 
-    monkeypatch.setattr(potential, "_g_prime", spy)
-    return sizes
+@pytest.mark.parametrize("level", range(4, 9))
+def test_gap_area_identity_on_every_gap(level, model_fat8):
+    # int |g'| across gap j is 2 g(c_j): two arcs against one, all through
+    # the kernel (the worst gap reads 5.3e-15)
+    model = model_fat8 if level == 8 else G.solve_green(G.fat_cantor(level))
+    g = G.green_value(model, model.critical_points)
+    for j in range(len(model.set.gaps)):
+        assert abs(G.gap_derivative_l1(model, j) - 2 * g[j]) <= 1e-14
+
+
+def test_green_value_bits_ignore_the_batch(model_fat8):
+    # all 255 critical points in one call read the bits of 255 lone calls:
+    # batches share (order, p, near width), so no near window is padded
+    c = model_fat8.critical_points
+    assert G.green_value(model_fat8, c).tobytes() == np.array([G.green_value(model_fat8, x) for x in c]).tobytes()
 
 
 def test_green_value_chunks_match_small_calls(model_fat8, monkeypatch):
-    # 5,000 points on one level-8 gap: the chunks stay within _ARC_BLOCK
-    # entries, fill at least half of it, and give the bits of 100-point calls
+    # 5,000 points on one level-8 gap, off the direct path: every kernel
+    # piece stays within _ARC_BLOCK entries, and the bits are those of
+    # 100-point calls
     lo, hi = model_fat8.set.gaps[100]
+    assert 100 in _far_gaps(model_fat8)
     x = np.linspace(lo, hi, 5002)[1:-1]
-    sizes = _count_g_prime(monkeypatch)
+    pieces, blocks = [], potential._blocks
+
+    def count_pieces(rows, cols, width):
+        for b, e in blocks(rows, cols, width):
+            pieces.append(len(range(rows)[b]) * len(range(cols)[e]) * width)
+            yield b, e
+
+    monkeypatch.setattr(potential, "_blocks", count_pieces)
     whole = G.green_value(model_fat8, x)
-    assert potential._ARC_BLOCK / 2 < max(sizes) <= potential._ARC_BLOCK
+    assert potential._ARC_BLOCK / 2 < max(pieces) <= potential._ARC_BLOCK
     parts = [G.green_value(model_fat8, x[i : i + 100]) for i in range(0, len(x), 100)]
     assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
-def test_one_g_prime_call_per_gap(model_fat3, monkeypatch):
-    # a deterministic guard against per-point loops: a profile on one gap is
-    # one _g_prime call, and pw_sum one call per gap
+def test_one_kernel_call_for_all_gaps(model_fat3, monkeypatch):
+    # a deterministic guard against per-gap and per-point loops: a profile
+    # on one gap, pw_sum, green_value at points of every gap and
+    # gap_derivative_l1 are one _log_sums call each
     s = G.make_gapset(-2, 2, [(-1, 1)])
     model = G.solve_green(s)
     monkeypatch.setattr(cli, "solve_green", lambda s, quad_order=None: model)
-    sizes = _count_g_prime(monkeypatch)
+    calls, log_sums = [], potential._log_sums
+
+    def count_rows(lo, hi, orders, *rest):
+        calls.append(len(orders))
+        return log_sums(lo, hi, orders, *rest)
+
+    monkeypatch.setattr(potential, "_log_sums", count_rows)
     cli.run({"command": "green", "set": s.to_json(), "gap_index": 0, "n": 101})
-    assert len(sizes) == 1
-    sizes.clear()
+    assert calls == [101]
+    calls.clear()
     G.pw_sum(model_fat3)
-    assert len(sizes) == len(model_fat3.set.gaps) == 7
+    assert calls == [len(model_fat3.set.gaps)] == [7]
+    calls.clear()
+    mid = [(lo + hi) / 2 for lo, hi in model_fat3.set.gaps]
+    G.green_value(model_fat3, np.concatenate([mid, model_fat3.critical_points, [-1.0, 0.0, 2.0]]))
+    assert calls == [14]
+    calls.clear()
+    G.gap_derivative_l1(model_fat3, 3)
+    assert calls == [2]
 
 
 def test_equilibrium_density_interval(model_m22):
@@ -840,16 +929,18 @@ def test_log_sums_match_direct_sums(s):
 def test_solve_log_sum_work_and_pieces(monkeypatch):
     # solve_green(fat_cantor(8)) takes its logs in _log_g_prime (rays,
     # intervals with no far source), _near_sums (near windows at the nodes)
-    # and _far_sums (far sources at c and the proxies): 7.2M in all, where
-    # per-interval direct sums took 22.1M, and every call or _blocks piece
-    # holds at most _ARC_BLOCK entries
+    # and _far_sums (far sources at c and the proxies): 6.5M in all, where
+    # per-interval direct sums took 22.1M (7.8M with near windows padded
+    # across (order, p) batches); its pw_sum takes 1.9M, where one direct
+    # sum per gap arc took 6.3M; and every call or _blocks piece holds at
+    # most _ARC_BLOCK entries
     entries, calls, pieces = [], [], []
     log_g_prime, near, far, blocks = (potential._log_g_prime, potential._near_sums,
                                       potential._far_sums, potential._blocks)
 
-    def count_log_g_prime(t, roots, edges, skip=()):
+    def count_log_g_prime(t, roots, edges, skip=(), signed=True):
         calls.append(len(t) * (len(roots) + len(edges)))
-        return log_g_prime(t, roots, edges, skip)
+        return log_g_prime(t, roots, edges, skip, signed)
 
     def count_near(x, src, coef, start, stop, own):
         entries.append(x.size * int(np.max(stop - start)))
@@ -867,8 +958,13 @@ def test_solve_log_sum_work_and_pieces(monkeypatch):
     for name, spy in (("_log_g_prime", count_log_g_prime), ("_near_sums", count_near),
                       ("_far_sums", count_far), ("_blocks", count_pieces)):
         monkeypatch.setattr(potential, name, spy)
-    G.solve_green(G.fat_cantor(8))
-    assert sum(calls) + sum(entries) <= 8.0e6
+    model = G.solve_green(G.fat_cantor(8))
+    assert sum(calls) + sum(entries) <= 7.0e6
+    assert max(calls) <= potential._ARC_BLOCK and max(pieces) <= potential._ARC_BLOCK
+    for spied in (calls, entries, pieces):
+        spied.clear()
+    G.pw_sum(model)
+    assert sum(calls) + sum(entries) <= 2.2e6
     assert max(calls) <= potential._ARC_BLOCK and max(pieces) <= potential._ARC_BLOCK
 
 
@@ -876,11 +972,15 @@ def test_solve_log_sum_work_and_pieces(monkeypatch):
 def test_cheb_interp_matrices(p, n):
     # built without a warning, also when nodes meet proxy points (n/p odd);
     # a node on a proxy point reads its value exactly, and polynomials of
-    # degree below p and their derivatives come through to rounding
+    # degree below p and their derivatives come through to rounding; the
+    # rows _barycentric builds at arbitrary points (the gap arcs') too
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values, slopes = potential._cheb_interp.__wrapped__(p, n)
-    x, xp = potential._cos_points(n), potential._cos_points(p)
+        x, xp = potential._cos_points(n), potential._cos_points(p)
+        arcs = np.concatenate([np.cos(np.linspace(0.0, np.pi, 2 * n)), xp])
+        arcs = np.stack([arcs, arcs[::-1]])  # rows of points, as the arcs pass them
+        at_arcs = potential._barycentric(p, arcs)
     f = np.polynomial.Polynomial(np.linspace(1.0, -0.5, p))
     hits = [(i, k) for i in range(n) for k in range(p) if (2 * i + 1) * p == (2 * k + 1) * n]
     assert len(hits) == (p if (n // p) % 2 and n % p == 0 else 0)
@@ -888,6 +988,8 @@ def test_cheb_interp_matrices(p, n):
         assert values[i] @ f(xp) == f(xp)[k]
     assert np.max(np.abs(values @ f(xp) - f(x))) <= 1e-14
     assert np.max(np.abs(slopes @ f(xp) - f.deriv()(x))) <= 1e-11
+    assert np.max(np.abs(at_arcs @ f(xp) - f(arcs))) <= 1e-14
+    assert np.array_equal(at_arcs[0, 2 * n:] @ f(xp), f(xp))
 
 
 # pw_sum of fat_cantor(1..9) from per-interval direct sums, before the proxies
