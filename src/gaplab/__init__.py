@@ -8,7 +8,6 @@ from .realset import (
     Location,
     fat_cantor,
     homogeneity_margin,
-    intersection_length,
     lebesgue_measure,
     locate,
     make_gapset,
@@ -17,7 +16,6 @@ from .realset import (
 from .potential import (
     EquilibriumQuadrature,
     GreenModel,
-    critical_points,
     equilibrium_density,
     equilibrium_quadrature,
     gap_derivative_l1,
@@ -34,11 +32,7 @@ from .jacobi import (
     JacobiCoeffs,
     MeasureModel,
     WeightSpec,
-    coefficient_stability,
     coefficients_from_measure,
-    coeffs_from_json,
-    coeffs_to_csv,
-    coeffs_to_json,
     eigenvalue_green_sum,
     gap_eigenvalues,
     glue_head,
@@ -50,7 +44,6 @@ from .jacobi import (
     measure_to_json,
     stable_gap_eigenvalues,
     strip,
-    stripped_boundary_density,
     sturm_count,
     truncation_eigenvalues,
 )

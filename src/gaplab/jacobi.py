@@ -391,15 +391,6 @@ def coefficients_from_measure(
     )
 
 
-def coefficient_stability(mu: MeasureModel, n: int, quad_order: int) -> float:
-    """Max coefficient deviation when the discretization order doubles."""
-    j1 = coefficients_from_measure(mu, n, quad_order)
-    j2 = coefficients_from_measure(mu, n, 2 * quad_order)
-    return float(
-        max(np.max(np.abs(j1.a - j2.a)), np.max(np.abs(j1.b - j2.b)))
-    )
-
-
 # ---------------------------------------------------------------------------
 # structural operations
 
@@ -685,20 +676,6 @@ def m_function(J: JacobiCoeffs, x: complex, depth: int | None = None) -> complex
     return m
 
 
-def stripped_boundary_density(
-    m_boundary: complex, a1: float, b1: float, t: float
-) -> tuple[complex, float]:
-    """One coefficient-stripping step applied to a boundary value.
-
-    m1(t+i0) = (b1 - t - 1/m) / a1^2 and f1 = Im m1 / pi.  Requires an a.c.
-    point (Im m > 0); stripping is undefined pointwise where m is real.
-    """
-    if m_boundary.imag <= 0:
-        raise ValidationError("boundary value must have positive imaginary part")
-    m1 = (b1 - t - 1.0 / m_boundary) / (a1 * a1)
-    return m1, m1.imag / math.pi
-
-
 def measure_m_boundary(mu: MeasureModel, t):
     """Boundary values m_mu(t + i0) at interior points of one band.
 
@@ -807,34 +784,4 @@ def interlacing_profile(
     ends = [np.inf if loc.kind == "right" else hi for hi, loc in zip(his, locs)]
     return InterlacingProfile(
         poles=poles, zeros=np.minimum(zeros, ends), locations=locs, epsilon=epsilon
-    )
-
-
-# ---------------------------------------------------------------------------
-# exchange formats
-
-
-def coeffs_to_csv(J: JacobiCoeffs) -> str:
-    lines = ["n,a_n,b_n"]
-    for i in range(len(J)):
-        a_i = repr(float(J.a[i])) if i < len(J.a) else ""
-        lines.append(f"{i + 1},{a_i},{float(J.b[i])!r}")
-    return "\n".join(lines) + "\n"
-
-
-def coeffs_to_json(J: JacobiCoeffs) -> str:
-    obj = {"a": list(map(float, J.a)), "b": list(map(float, J.b)), "tail": J.tail}
-    if J.tail_interval is not None:
-        obj["tail_interval"] = list(J.tail_interval)
-    return json.dumps(obj, sort_keys=True)
-
-
-def coeffs_from_json(text: str) -> JacobiCoeffs:
-    obj = json.loads(text)
-    ti = tuple(obj["tail_interval"]) if "tail_interval" in obj else None
-    return JacobiCoeffs(
-        np.asarray(obj["a"], dtype=float),
-        np.asarray(obj["b"], dtype=float),
-        tail=obj.get("tail", "truncate"),
-        tail_interval=ti,
     )

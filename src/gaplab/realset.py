@@ -90,14 +90,6 @@ class GapSet:
             {"alpha": self.alpha, "beta": self.beta, "gaps": [list(g) for g in self.gaps]}
         )
 
-    @staticmethod
-    def from_json(text: str) -> "GapSet":
-        try:
-            obj = json.loads(text) if isinstance(text, str) else text
-            return make_gapset(obj["alpha"], obj["beta"], obj["gaps"])
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"malformed GapSet JSON: {exc}") from exc
-
 
 def make_gapset(alpha: float, beta: float, gaps: Iterable[Sequence[float]] = ()) -> GapSet:
     """Validate and sort the gap list into a GapSet."""
@@ -154,16 +146,6 @@ def locate(s: GapSet, x: float) -> Location:
     if slot == len(s.edges):
         return Location("right")
     return Location("band", slot // 2) if slot % 2 else Location("gap", slot // 2 - 1)
-
-
-def intersection_length(s: GapSet, lo: float, hi: float) -> float:
-    """Exact length of (lo, hi) intersected with the set."""
-    if hi <= lo:
-        return 0.0
-    total = 0.0
-    for a, b in s.bands:
-        total += max(0.0, min(b, hi) - max(a, lo))
-    return total
 
 
 def scale_shift(s: GapSet, scale: float, shift: float = 0.0) -> GapSet:

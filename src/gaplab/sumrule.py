@@ -16,9 +16,8 @@ at t + i0, so the residual cross-validates independent numerical paths.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,9 +72,6 @@ class SumRuleReport:
     set_hash: str = ""
     measure_hash: str = ""
     quad_order: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _provenance(mu: MeasureModel):

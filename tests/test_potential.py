@@ -70,10 +70,10 @@ def test_green_zero_on_all_edges(model_fat4):
 
 
 def test_critical_points(model_m22, model_pm12):
-    assert len(G.critical_points(model_m22)) == 0
-    assert G.critical_points(model_pm12) == pytest.approx([0.0], abs=1e-12)
+    assert len(model_m22.critical_points) == 0
+    assert model_pm12.critical_points == pytest.approx([0.0], abs=1e-12)
     m1 = G.solve_green(G.fat_cantor(1))
-    assert G.critical_points(m1) == pytest.approx([0.5], abs=1e-12)
+    assert m1.critical_points == pytest.approx([0.5], abs=1e-12)
 
 
 def test_critical_points_inside_gaps(model_fat4):
@@ -540,13 +540,37 @@ def test_model_json_keeps_solve_diagnostics(name, request):
     assert rebuilt.period_residual == np.max(np.abs(G.period_residuals(model)), initial=0.0)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda obj: "{}", lambda obj: "[]", lambda obj: "not json",
+    lambda obj: json.dumps({k: v for k, v in obj.items() if k != "numerator"}),
+    lambda obj: json.dumps(dict(obj, quad_order="x")),
+], ids=["empty_object", "list", "not_json", "no_numerator", "quad_order_string"])
+def test_model_json_malformed_is_validation_error(model_pm12, edit):
+    text = edit(json.loads(G.model_to_json(model_pm12)))
+    with pytest.raises(ValidationError, match="malformed GreenModel JSON"):
+        G.model_from_json(text)
+
+
 def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_explicit):
-    # an explicit quad_order sets every gap and band; the default sizes each
-    # gap from the Bernstein ellipse through its nearest foreign edge
+    # the default sizes each gap from the Bernstein ellipse through its
+    # nearest foreign edge; an explicit quad_order sets the band order and
+    # is a floor on every gap's, here above each ellipse order
     for model, order in ((model_pm12, 240), (model_fat3_explicit, 64)):
         assert model.quad_order == order
         assert model.gap_orders == (order,) * len(model.set.gaps)
         assert {len(t) for t in _per_gap(_gap_tables(model.set, model.gap_orders))[0]} == {order}
+    # a tiny band needs more than these quad_orders: they lower no gap order,
+    # where replacing the orders read capacity 2.4e-2 .. 4.5e-9 off at a
+    # period residual below 1e-15
+    s = G.make_gapset(-2, 2, [(-1, 1), (1.0002, 1.5)])
+    ref = G.solve_green(s)
+    assert ref.gap_orders == (864, 432)
+    for order in (32, 80, 200, 400):
+        model = G.solve_green(s, order)
+        assert model.gap_orders == ref.gap_orders
+        assert abs(model.capacity / ref.capacity - 1) <= 2e-15
+        assert G.pw_sum(model) == G.pw_sum(ref)
+    assert G.solve_green(s, 1000).gap_orders == (1000, 1000)
     m8 = G.solve_green(G.fat_cantor(8))
     for model in (model_fat4, m8):
         bands = model.set.bands

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -498,9 +499,11 @@ def test_equilibrium_coefficients_arcsine(model_m22):
     assert np.max(np.abs(J.b)) <= 1e-12
 
 
-def test_report_serialization(j_chebyshev, mu_arcsine):
-    rep = G.step_sum_rule(j_chebyshev, mu_arcsine)
-    obj = json.loads(rep.to_json())
+def test_report_serialization():
+    config = {"command": "sumrule", "set": '{"alpha": -2, "beta": 2}', "format": "json"}
+    out = json.loads(cli.run(config))
+    obj = dict(zip(out["columns"], out["rows"][0]))
+    assert list(obj) == [f.name for f in fields(G.SumRuleReport)]
     assert obj["n"] == 1 and obj["status"] == "ok"
     assert obj["set_hash"] and obj["measure_hash"]
 
