@@ -20,7 +20,6 @@ from .potential import (
     equilibrium_quadrature,
     gap_derivative_l1,
     green_value,
-    interval_stieltjes,
     model_from_json,
     model_to_json,
     period_residuals,

@@ -89,18 +89,11 @@ def parse_measure_spec(spec, model):
         raise ValidationError(f"malformed measure spec {spec!r}: {exc!r}") from exc
 
 
-def emit_plotdata(series: dict, path: str) -> None:
-    """Write gnuplot-style blocks: '# name' then 'index value' lines."""
-    names = list(series)
-    lengths = {len(series[k]) for k in names}
-    if len(lengths) > 1:
-        raise ValidationError("all plot series must have equal length")
-    chunks = []
-    for name in names:
-        rows = "\n".join(f"{i} {_fmt(float(v))}" for i, v in enumerate(series[name]))
-        chunks.append(f"# {name}\n{rows}\n")
+def emit_plotdata(name: str, values, path: str) -> None:
+    """Write a gnuplot-style block: '# name' then 'index value' lines."""
+    rows = "\n".join(f"{i} {_fmt(float(v))}" for i, v in enumerate(values))
     with open(path, "w") as fh:
-        fh.write("\n".join(chunks))
+        fh.write(f"# {name}\n{rows}\n")
 
 
 def _table(command: str, columns: list[str], rows: list[list], meta: dict, fmt: str) -> str:
@@ -164,16 +157,14 @@ def run(config: dict) -> str:
     if command == "cantor":
         n = config.get("n", 6)
         rows = []
-        pws = []
         for level in range(1, n + 1):
             s = fat_cantor(level)
             model = solve_green(s, quad_order)
             rows.append([level, len(s.gaps), lebesgue_measure(s), model.capacity, pw_sum(model)])
-            pws.append(rows[-1][4])
             for key in SOLVE_DIAGNOSTICS:  # one entry per level
                 meta.setdefault(key, []).append(getattr(model, key))
         if config.get("plot"):
-            emit_plotdata({"pw_sum": pws}, config["plot"])
+            emit_plotdata("pw_sum", [r[4] for r in rows], config["plot"])
         return _table(command, ["level", "gap_count", "measure", "capacity", "pw_sum"], rows, meta, fmt)
 
     s = parse_set_spec(config.get("set"))
@@ -214,7 +205,7 @@ def run(config: dict) -> str:
             raise ValidationError("green needs --points or --gap-index")
         rows = [[x, g] for x, g in zip(pts, green_value(model, pts).tolist())]
         if config.get("plot"):
-            emit_plotdata({"green": [r[1] for r in rows]}, config["plot"])
+            emit_plotdata("green", [r[1] for r in rows], config["plot"])
         return _table(command, ["x", "green"], rows, meta, fmt)
 
     mu = parse_measure_spec(config.get("measure", "equilibrium"), model)
@@ -235,9 +226,8 @@ def run(config: dict) -> str:
         J = _coefficients(mu, n_max, meta)
         report = theorem_upper_bound(J, mu, n_max)
         meta["glued_sums"] = report.glued_sums  # JSON keys are the head sizes as strings
-        u = szego_product(J, model.capacity, n_max)
         if config.get("plot"):
-            emit_plotdata({"szego_product": list(map(float, u))}, config["plot"])
+            emit_plotdata("szego_product", szego_product(J, model.capacity, n_max), config["plot"])
         return _report_table(command, report, meta, fmt)
 
     raise AssertionError("unreachable")

@@ -22,7 +22,8 @@ a bracket narrower than 1e-13 * max(1, |x|) around every seed, and
 multisection from the component bracket takes over where a seed fails.  The
 zeros of the truncated m-function are the eigenvalues of a rank-one shift
 of b_1, so the same certification finds poles and zeros; m_function is the
-only continued fraction.
+only continued fraction, evaluated on J as given (its N x N corner is J's
+first N pairs).
 """
 
 from __future__ import annotations
@@ -45,27 +46,19 @@ from .potential import (
     _m_e,
     equilibrium_quadrature,
     green_value,
-    interval_stieltjes,
 )
 from .realset import GapSet, Location, edge_slots, locate
 
-TAIL_POLICIES = ("truncate", "periodic", "equilibrium")
 _SWEEP_POINTS = 512  # midpoints per multisection count sweep, all brackets together
+_INTERLACING_EPS = 1e-6  # interlacing_profile's zeros are the roots of m + this
 
 
 @dataclass(frozen=True)
 class JacobiCoeffs:
-    """Finite prefix (a_n > 0, b_n) of a Jacobi matrix plus a tail policy.
-
-    tail "truncate" reads the matrix as its upper-left corner; "periodic"
-    extends the final coefficient pair periodically; "equilibrium" refers
-    the tail to the arcsine matrix of tail_interval (a gapless set).
-    """
+    """Finite Jacobi matrix (a_n > 0, b_n), read as given: no tail beyond b_n."""
 
     a: np.ndarray
     b: np.ndarray
-    tail: str = "truncate"
-    tail_interval: tuple[float, float] | None = None
     # Lanczos diagnostics, set only by coefficients_from_measure
     reorth_steps: int | None = field(default=None, compare=False)
     breakdown_margin: float | None = field(default=None, compare=False)
@@ -80,10 +73,6 @@ class JacobiCoeffs:
             raise ValidationError(f"off-diagonal entries must be positive, min={np.min(a)}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValidationError("coefficients must be finite")
-        if self.tail not in TAIL_POLICIES:
-            raise ValidationError(f"unknown tail policy {self.tail!r}")
-        if self.tail == "equilibrium" and self.tail_interval is None:
-            raise ValidationError("equilibrium tail policy needs tail_interval")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -399,7 +388,7 @@ def strip(J: JacobiCoeffs, k: int) -> JacobiCoeffs:
     """Drop the first k coefficient pairs (the k-times stripped matrix)."""
     if k < 0 or k >= len(J):
         raise ValidationError(f"strip count {k} out of range for length {len(J)}")
-    return JacobiCoeffs(J.a[k:], J.b[k:], tail=J.tail, tail_interval=J.tail_interval)
+    return JacobiCoeffs(J.a[k:], J.b[k:])
 
 
 def glue_head(head: JacobiCoeffs, junction_a: float, tail: JacobiCoeffs) -> JacobiCoeffs:
@@ -416,7 +405,7 @@ def glue_head(head: JacobiCoeffs, junction_a: float, tail: JacobiCoeffs) -> Jaco
         raise ValidationError(f"junction coupling must be positive, got {junction_a}")
     a = np.concatenate([head.a[: n - 1], [float(junction_a)], tail.a])
     b = np.concatenate([head.b, tail.b])
-    return JacobiCoeffs(a, b, tail=tail.tail, tail_interval=tail.tail_interval)
+    return JacobiCoeffs(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -631,43 +620,19 @@ def eigenvalue_green_sum(eigs: Sequence[float], model: GreenModel) -> float:
 # m-functions
 
 
-def _tail_seed(J: JacobiCoeffs, depth: int, x: complex) -> complex:
-    if J.tail == "truncate":
-        return 0.0 + 0.0j
-    if J.tail == "equilibrium":
-        lo, hi = J.tail_interval
-        return interval_stieltjes(lo, hi, x)
-    # periodic extension of the final pair: solve a^2 m^2 - (b - x) m + 1 = 0
-    # picking the decaying (|a m| < 1) branch
-    a = float(J.a[depth - 1])
-    b = float(J.b[depth - 1])
-    w = np.sqrt(complex((b - x) ** 2 - 4 * a * a))
-    m1 = ((b - x) + w) / (2 * a * a)
-    m2 = ((b - x) - w) / (2 * a * a)
-    return m1 if abs(a * m1) <= abs(a * m2) else m2
+def m_function(J: JacobiCoeffs, x: complex) -> complex:
+    """Stieltjes transform of J as given, by the bottom-up continued fraction.
 
-
-def m_function(J: JacobiCoeffs, x: complex, depth: int | None = None) -> complex:
-    """Stieltjes transform via the bottom-up continued fraction.
-
-    The recursion m_{k-1} = 1 / (b_k - x - a_k^2 m_k) is seeded at the
-    requested depth by the tail policy.  Real x must lie beyond the
-    truncation's spectral-radius bound; in gaps the truncation has poles.
+    The recursion m_{k-1} = 1 / (b_k - x - a_k^2 m_k) starts from m = 0 below
+    the last row.  Real x must lie beyond the spectral-radius bound; in gaps
+    the matrix has poles.
     """
-    depth = len(J) if depth is None else int(depth)
-    if depth < 1 or depth > len(J):
-        raise ValidationError(f"depth {depth} out of range for length {len(J)}")
-    if depth > len(J.a) and J.tail != "truncate":
-        raise ValidationError("non-truncate tails need the final coupling a_n")
     xc = complex(x)
-    if xc.imag == 0.0:
-        lo, hi = _gershgorin(J, depth)
-        if lo <= xc.real <= hi:
-            raise ValidationError(
-                "real evaluation points must lie beyond the spectral-radius bound"
-            )
-    m = _tail_seed(J, depth, xc)
-    for k in range(depth - 1, -1, -1):
+    lo, hi = _gershgorin(J, len(J))  # an empty J is a ValidationError here
+    if xc.imag == 0.0 and lo <= xc.real <= hi:
+        raise ValidationError("real evaluation points must lie beyond the spectral-radius bound")
+    m = 0.0 + 0.0j
+    for k in range(len(J) - 1, -1, -1):
         coupling = (J.a[k] ** 2) * m if k < len(J.a) else 0.0
         denom = J.b[k] - xc - coupling
         if denom == 0:
@@ -740,10 +705,10 @@ def measure_m_boundary(mu: MeasureModel, t):
 class InterlacingProfile:
     """Paired poles and zeros of the truncation's m-function off the set.
 
-    Zeros are roots of m + eps for a small regularizing eps > 0: the shift
-    guarantees every pole, including the last one in the right unbounded
-    component where m itself stays negative, is followed by a zero.  As
-    eps decreases that last zero escapes to +infinity.
+    Zeros are roots of m + eps for a small regularizing eps > 0 (1e-6, kept
+    in epsilon): the shift guarantees every pole, including the last one in
+    the right unbounded component where m itself stays negative, is followed
+    by a zero.  As eps decreases that last zero escapes to +infinity.
     """
 
     poles: np.ndarray
@@ -760,9 +725,7 @@ class InterlacingProfile:
         return out
 
 
-def interlacing_profile(
-    J: JacobiCoeffs, model: GreenModel, N: int, epsilon: float = 1e-6
-) -> InterlacingProfile:
+def interlacing_profile(J: JacobiCoeffs, model: GreenModel, N: int) -> InterlacingProfile:
     """Pair each off-set pole of the truncation with the next zero right of it.
 
     det(J + c e1 e1^T - x) = det(J - x)(1 + c m(x)), so with c = 1/eps the
@@ -771,17 +734,15 @@ def interlacing_profile(
     finds them at the pole indices.  A zero that escaped into the next band is
     recorded at the right end of its pole's component.
     """
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
     found = _off_set_brackets(J, model, N)
     if not found:
-        return InterlacingProfile(np.empty(0), np.empty(0), (), epsilon)
+        return InterlacingProfile(np.empty(0), np.empty(0), (), _INTERLACING_EPS)
     idx, los, his, locs = zip(*found)
     poles = _batch_bisect(J, N, idx, los, his)
-    shifted = replace(J, b=np.concatenate([[J.b[0] + 1.0 / epsilon], J.b[1:]]))
+    shifted = replace(J, b=np.concatenate([[J.b[0] + 1.0 / _INTERLACING_EPS], J.b[1:]]))
     top = np.full(len(idx), _gershgorin(shifted, N)[1])
     zeros = _batch_bisect(shifted, N, idx, los, top)
     ends = [np.inf if loc.kind == "right" else hi for hi, loc in zip(his, locs)]
     return InterlacingProfile(
-        poles=poles, zeros=np.minimum(zeros, ends), locations=locs, epsilon=epsilon
+        poles=poles, zeros=np.minimum(zeros, ends), locations=locs, epsilon=_INTERLACING_EPS
     )

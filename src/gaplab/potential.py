@@ -396,13 +396,25 @@ class GreenModel:
 
 
 def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
-    """Solve the period conditions and assemble all derived quantities."""
-    n_gaps = len(s.gaps)
-    order = _default_order(n_gaps) if quad_order is None else int(quad_order)
+    """Solve the period conditions and assemble all derived quantities.
+
+    A float overflow or invalid operation in the solve, as on sets that
+    span most of the float range, is a NumericalError, never an inf or nan.
+    """
+    order = _default_order(len(s.gaps)) if quad_order is None else int(quad_order)
     if order < GAP_ORDER_FLOOR:
         raise ValidationError(f"quad_order must be at least {GAP_ORDER_FLOOR}")
     # an explicit quad_order is a floor: it never lowers a gap below its ellipse order
     floor = 0 if quad_order is None else order
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _solve(s, order, floor)
+    except FloatingPointError as exc:
+        raise NumericalError(f"solve left the float range: {exc}") from exc
+
+
+def _solve(s: GapSet, order: int, floor: int) -> GreenModel:
+    n_gaps = len(s.gaps)
     gap_orders = tuple(max(n, floor) for n in _gap_orders(s))
     # relinearize until the roots settle; small gap counts stop after two
     roots = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
@@ -418,7 +430,7 @@ def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
             if moved <= 1e-14 * (s.beta - s.alpha):
                 break
         worst = float(np.max(np.abs(_period_residuals(roots, *tables))))
-        if worst > TOLERANCES["period_residual"]:
+        if not worst <= TOLERANCES["period_residual"]:  # NaN fails too
             raise NumericalError(
                 f"period residual {worst!r} exceeds {TOLERANCES['period_residual']!r}"
             )
@@ -561,7 +573,7 @@ def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
     w /= order
     quad = EquilibriumQuadrature(tuple(t.reshape(bands, order)), tuple(w.reshape(bands, order)), order)
     total = float(w.sum())
-    if abs(total - 1.0) > TOLERANCES["quadrature_mass"]:
+    if not abs(total - 1.0) <= TOLERANCES["quadrature_mass"]:  # NaN fails too
         raise NumericalError(
             f"equilibrium weights sum to {total!r}, expected 1; raise quad_order"
         )
@@ -731,16 +743,6 @@ def equilibrium_quadrature(model: GreenModel, order: int) -> EquilibriumQuadratu
     return _band_rule(model.set, model.critical_points, order)
 
 
-def interval_stieltjes(alpha: float, beta: float, x: complex) -> complex:
-    """Stieltjes transform of the equilibrium (arcsine) measure of [alpha, beta].
-
-    m(x) = -1 / sqrt((x - alpha)(x - beta)) with the branch that is
-    Herglotz off the real axis and negative to the right of beta.
-    """
-    w = np.sqrt(complex(x - alpha)) * np.sqrt(complex(x - beta))
-    return complex(-1.0 / w)
-
-
 def model_to_json(model: GreenModel) -> str:
     """Summary sufficient to re-evaluate g after a table rebuild (no re-solve)."""
     return json.dumps(
@@ -768,14 +770,17 @@ def model_from_json(text: str) -> GreenModel:
         obj = json.loads(text)
         s = make_gapset(obj["set"]["alpha"], obj["set"]["beta"], obj["set"]["gaps"])
         order = int(obj["quad_order"])
-        # JSON from before per-gap orders used the band order on every gap
-        gap_orders = tuple(int(n) for n in obj.get("gap_orders", [order] * len(s.gaps)))
+        gap_orders = tuple(int(n) for n in obj["gap_orders"])
         roots = np.asarray(obj["numerator"]["roots"], dtype=float)
-        passes, moved = int(obj.get("solve_passes", 0)), float(obj.get("root_move", 0.0))
-        residual = float(obj["period_residual"]) if "period_residual" in obj else None
+        passes, moved = int(obj["solve_passes"]), float(obj["root_move"])
+        residual = float(obj["period_residual"])
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValidationError(f"malformed GreenModel JSON: {exc!r}") from exc
-    if residual is None:  # JSON from before the solve diagnostics
-        residuals = _period_residuals(roots, *_gap_tables(s, gap_orders))
-        residual = float(np.max(np.abs(residuals), initial=0.0))
+    # what solve_green writes: one root in each gap (a NaN fails) and orders >= the floor
+    lo, hi = np.reshape(s.gaps, (-1, 2)).T
+    shaped = roots.shape == lo.shape and len(gap_orders) == len(lo)
+    if not (shaped and np.all((lo <= roots) & (roots <= hi))
+            and min((order, *gap_orders)) >= GAP_ORDER_FLOOR):
+        raise ValidationError("malformed GreenModel JSON: need one root in and one order per gap, "
+                              f"orders at least {GAP_ORDER_FLOOR}")
     return _assemble(s, roots, order, gap_orders, passes, moved, residual)

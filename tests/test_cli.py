@@ -209,6 +209,23 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert err.startswith("gaplab: numerical failure:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("alpha, beta, code", [
+    (0, 1e308, 2), (-1e308, 1e308, 2), (-1e308, 0, 2), (8e307, 1e308, 2),
+    (0, 1e307, 0), (5e307, 1e308, 0),
+])
+def test_sets_near_the_float_range(alpha, beta, code, capsys):
+    # a solve that overflows exits 2, with no warning (warnings are errors
+    # here); sets just inside the range still solve to cap = diameter/4
+    spec = json.dumps({"alpha": alpha, "beta": beta})
+    assert cli.main(["--command", "capacity", "--set", spec]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("gaplab: numerical failure:")
+    else:
+        cap = float(out.splitlines()[1].split(",")[1])
+        assert cap == pytest.approx((beta - alpha) / 4, rel=1e-14)
+
+
 TWO_BAND = '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}'
 
 
@@ -255,11 +272,6 @@ def test_lebesgue_measure_spec(tmp_path):
     assert row["status"] == "ok"
     assert row["entropy_mu"] == pytest.approx(math.log(math.pi / 4), abs=1e-12)
     assert obj["meta"]["measure"] == "lebesgue"
-
-
-def test_emit_plotdata_validation(tmp_path):
-    with pytest.raises(Exception):
-        cli.emit_plotdata({"a": [1, 2], "b": [1]}, str(tmp_path / "x.dat"))
 
 
 @pytest.mark.parametrize("args", [

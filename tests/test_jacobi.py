@@ -123,9 +123,7 @@ def test_degenerate_measure_errors(model_m22):
     {"a": [1.0, 1.0, 1.0], "b": [0.0]},
     {"a": [1.0, 0.0], "b": [0.0, 0.0]},
     {"a": [1.0], "b": [0.0, float("nan")]},
-    {"a": [1.0], "b": [0.0, 0.0], "tail": "mirror"},
-    {"a": [1.0], "b": [0.0, 0.0], "tail": "equilibrium"},
-], ids=["length_mismatch", "a_not_positive", "not_finite", "unknown_tail", "no_tail_interval"])
+], ids=["length_mismatch", "a_not_positive", "not_finite"])
 def test_malformed_jacobi_coeffs_are_validation_errors(kwargs):
     with pytest.raises(ValidationError):
         G.JacobiCoeffs(**kwargs)
@@ -428,8 +426,6 @@ def test_truncation_size_beyond_length_is_validation_error(model_m22, j_free):
     # certifying at N reads the truncation at 2N
     with pytest.raises(ValidationError, match="need length"):
         G.stable_gap_eigenvalues(j_free, model_m22, len(j_free) // 2 + 1)
-    with pytest.raises(ValidationError, match="epsilon"):
-        G.interlacing_profile(j_free, model_m22, 10, epsilon=0.0)
 
 
 def test_eigenvalue_green_sum_validation(model_m22):
@@ -619,51 +615,27 @@ def test_m_function_free_closed_form(j_free):
     assert got == pytest.approx(1j * (math.sqrt(5) - 1) / 2, abs=1e-10)
 
 
-def semicircle_m(x):
-    """Free-matrix m-function; branch fixed by |m| < 1 (the roots multiply to 1)."""
-    s = complex(x * x - 4) ** 0.5
-    m1, m2 = (-x + s) / 2, (-x - s) / 2
-    return m1 if abs(m1) < abs(m2) else m2
-
-
-def test_m_function_periodic_seed_exact():
-    # the periodic extension of (a, b) = (1, 0) is the free matrix, so the
-    # seeded fraction is exact at every depth, including near the band edge
-    # where a truncated fraction would converge hopelessly slowly
-    J = G.JacobiCoeffs(np.ones(3), np.zeros(3), tail="periodic")
-    for x in (3.0, 2.0001, -5.0, 1 + 1j):
-        for depth in (1, 3):
-            assert abs(G.m_function(J, x, depth) - semicircle_m(x)) <= 1e-12
-
-
-def test_m_function_equilibrium_seed(mu_arcsine):
-    # the equilibrium seed at depth d stands for the arcsine matrix glued on
-    # beyond position d; cross-check against an explicit long glue
-    head = G.JacobiCoeffs(np.array([0.9, 1.1]), np.array([0.3, -0.2]),
-                          tail="equilibrium", tail_interval=(-2.0, 2.0))
-    tail = G.coefficients_from_measure(mu_arcsine, 400, quad_order=1000)
-    explicit = G.glue_head(G.JacobiCoeffs(head.a, head.b), float(head.a[1]), tail)
-    for x in (2.5 + 0.3j, -0.4 + 1.2j, 4.0):
-        got = G.m_function(head, x, 2)
-        ref = G.m_function(explicit, x)
-        assert abs(got - ref) <= 1e-10
+def corner(J, n):
+    """The n x n upper-left corner of J."""
+    return G.JacobiCoeffs(J.a[:n], J.b[:n])
 
 
 def test_m_function_herglotz_and_conjugate(j_perturbed):
+    J = corner(j_perturbed, 300)
     for x in (0.4 + 0.7j, -1.2 + 0.05j, 3 + 1j):
-        m = G.m_function(j_perturbed, x, 300)
+        m = G.m_function(J, x)
         assert m.imag > 0
-        assert G.m_function(j_perturbed, x.conjugate(), 300) == pytest.approx(m.conjugate())
+        assert G.m_function(J, x.conjugate()) == pytest.approx(m.conjugate())
 
 
 def test_m_function_resolvent_quadrature(j_perturbed):
-    # spectral-decomposition oracle for the depth-truncation
+    # spectral-decomposition oracle for the N x N corner
     N = 120
     T = dense_tridiagonal(j_perturbed, N)
     w, V = np.linalg.eigh(T)
     for x in (0.3 + 0.1j, -1.5 + 0.25j, 2.2 + 0.1j):
         oracle = complex(np.sum(V[0, :] ** 2 / (w - x)))
-        assert abs(G.m_function(j_perturbed, x, N) - oracle) <= 1e-10
+        assert abs(G.m_function(corner(j_perturbed, N), x) - oracle) <= 1e-10
 
 
 def test_m_function_tail_expansion(j_free):
@@ -673,9 +645,10 @@ def test_m_function_tail_expansion(j_free):
 
 def test_m_function_stripping_identity(j_perturbed):
     x = 0.7 + 0.9j
-    m0 = G.m_function(j_perturbed, x, 300)
-    m1_direct = G.m_function(G.strip(j_perturbed, 1), x, 299)
-    m1_mobius = (j_perturbed.b[0] - x - 1 / m0) / j_perturbed.a[0] ** 2
+    J = corner(j_perturbed, 300)
+    m0 = G.m_function(J, x)
+    m1_direct = G.m_function(G.strip(J, 1), x)
+    m1_mobius = (J.b[0] - x - 1 / m0) / J.a[0] ** 2
     assert abs(m1_direct - m1_mobius) <= 1e-10
 
 
@@ -696,12 +669,8 @@ def test_m_function_random_battery():
 def test_m_function_validation(j_free):
     with pytest.raises(ValidationError):
         G.m_function(j_free, 1.5)  # real point inside the spectral bound
-    with pytest.raises(ValidationError):
-        G.m_function(j_free, 1j, 0)
-    # a periodic tail repeats the final pair, so it needs the final coupling
-    short = G.JacobiCoeffs(np.ones(3), np.zeros(4), tail="periodic")
-    with pytest.raises(ValidationError, match="final coupling"):
-        G.m_function(short, 1j)
+    with pytest.raises(ValidationError, match="out of range"):
+        G.m_function(G.JacobiCoeffs([], []), 1j)  # no rows, no continued fraction
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,12 @@ def _cosine_nodes(lo, hi, order):
 # closed forms used as oracles:
 #   cap([a,b]) = (b-a)/4 and g_{[-2,2]}(x) = log|(x + sqrt(x^2-4))/2|
 #   for E = -[a,b] u [a,b]:  g_E(x) = g_{[a^2,b^2]}(x^2) / 2 via y = x^2
+def interval_stieltjes(alpha, beta, x):
+    """Stieltjes transform of the arcsine measure of [alpha, beta]:
+    -1/sqrt((x - alpha)(x - beta)), Herglotz off the axis, negative right of beta."""
+    return -1.0 / (np.sqrt(complex(x - alpha)) * np.sqrt(complex(x - beta)))
+
+
 def g_interval(a, b, x):
     u = abs(2 * x - a - b) / (b - a)
     return math.log(u + math.sqrt(u * u - 1))
@@ -419,16 +425,16 @@ def test_gap_stieltjes_matches_green_derivative(model_pm12):
     h = 1e-6
     for x in (0.35, -0.6, 0.85):
         dg = (G.green_value(model_pm12, x + h) - G.green_value(model_pm12, x - h)) / (2 * h)
-        want = (x * G.interval_stieltjes(1, 4, x * x)).real
+        want = (x * interval_stieltjes(1, 4, x * x)).real
         assert -dg == pytest.approx(want, abs=1e-6)
 
 
 def test_interval_stieltjes_branches():
-    m3 = G.interval_stieltjes(-2, 2, 3.0)
+    m3 = interval_stieltjes(-2, 2, 3.0)
     assert m3.real == pytest.approx(-1 / math.sqrt(5), abs=1e-14)
-    mi = G.interval_stieltjes(-2, 2, 1j)
+    mi = interval_stieltjes(-2, 2, 1j)
     assert mi.imag > 0
-    mneg = G.interval_stieltjes(-2, 2, -3.0)
+    mneg = interval_stieltjes(-2, 2, -3.0)
     assert mneg.real == pytest.approx(1 / math.sqrt(5), abs=1e-14)
 
 
@@ -504,8 +510,8 @@ def model_fat3_explicit():
     return G.solve_green(G.fat_cantor(3), quad_order=64)
 
 
-@pytest.mark.parametrize("name", ["model_pm12", "model_fat4", "model_fat3_explicit"],
-                         ids=["pm12", "fat4_default", "fat3_explicit"])
+@pytest.mark.parametrize("name", ["model_m22", "model_pm12", "model_fat4", "model_fat3_explicit"],
+                         ids=["m22", "pm12", "fat4_default", "fat3_explicit"])
 def test_model_json_round_trip(name, request):
     model = request.getfixturevalue(name)
     rebuilt = G.model_from_json(G.model_to_json(model))
@@ -528,23 +534,34 @@ def _per_gap(tables):
 
 @pytest.mark.parametrize("name", ["model_pm12", "model_fat4", "model_fat3_explicit"])
 def test_model_json_keeps_solve_diagnostics(name, request):
-    # the gate readings round-trip; JSON without them recomputes the residual
+    # the gate readings round-trip
     model = request.getfixturevalue(name)
-    text = G.model_to_json(model)
-    rebuilt = G.model_from_json(text)
+    rebuilt = G.model_from_json(G.model_to_json(model))
     assert (rebuilt.period_residual, rebuilt.mass_error) == (model.period_residual, model.mass_error)
-    old = json.loads(text)
-    del old["period_residual"], old["mass_error"]
-    rebuilt = G.model_from_json(json.dumps(old))
-    assert rebuilt.mass_error == model.mass_error
-    assert rebuilt.period_residual == np.max(np.abs(G.period_residuals(model)), initial=0.0)
+
+
+def _without(key):
+    return lambda obj: json.dumps({k: v for k, v in obj.items() if k != key})
+
+
+def _roots(roots):
+    return lambda obj: json.dumps(dict(obj, numerator={"form": "monic-roots", "roots": roots}))
 
 
 @pytest.mark.parametrize("edit", [
     lambda obj: "{}", lambda obj: "[]", lambda obj: "not json",
-    lambda obj: json.dumps({k: v for k, v in obj.items() if k != "numerator"}),
+    _without("numerator"), _without("gap_orders"), _without("period_residual"),
+    _without("solve_passes"), _without("root_move"),
     lambda obj: json.dumps(dict(obj, quad_order="x")),
-], ids=["empty_object", "list", "not_json", "no_numerator", "quad_order_string"])
+    _roots([float("nan")]), _roots([float("inf")]), _roots([1e300]), _roots([]),
+    _roots([0.1, 0.2]),
+    lambda obj: json.dumps(dict(obj, gap_orders=[])),
+    lambda obj: json.dumps(dict(obj, gap_orders=[1])),
+    lambda obj: json.dumps(dict(obj, quad_order=-5)),
+], ids=["empty_object", "list", "not_json", "no_numerator", "no_gap_orders",
+        "no_period_residual", "no_solve_passes", "no_root_move", "quad_order_string",
+        "nan_root", "inf_root", "root_outside_gap", "no_root", "two_roots", "no_gap_order",
+        "gap_order_1", "quad_order_negative"])
 def test_model_json_malformed_is_validation_error(model_pm12, edit):
     text = edit(json.loads(G.model_to_json(model_pm12)))
     with pytest.raises(ValidationError, match="malformed GreenModel JSON"):
@@ -882,7 +899,7 @@ def test_m_e_is_the_band_rule_stieltjes_transform(name, request):
 
 def test_m_e_matches_interval_stieltjes(model_m22):
     x = np.r_[-np.geomspace(2.0 + 1e-9, 1e6, 60), np.geomspace(2.0 + 1e-9, 1e6, 60)]
-    want = [G.potential.interval_stieltjes(-2.0, 2.0, v).real for v in x]
+    want = [interval_stieltjes(-2.0, 2.0, v).real for v in x]
     assert _m_e(model_m22, x) == pytest.approx(want, rel=1e-14)
 
 

@@ -2,6 +2,7 @@
 CLI change cannot leave them stale."""
 
 import ast
+import inspect
 import pathlib
 import re
 import shlex
@@ -44,29 +45,77 @@ def _words(text: str) -> set[str]:
     return set(re.findall(r"\w+", text))
 
 
+PACKAGE = pathlib.Path(gaplab.__file__).parent
+
+
+def _exported() -> set[str]:
+    return {
+        alias.asname or alias.name
+        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def _modules():
+    """Parsed package modules other than __init__."""
+    return [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+
+
 def test_every_public_name_is_reached():
     # each exported name is used by the package itself (an identifier in code,
     # not its own def or class line, not a docstring), by the benchmark, or by
     # an executed README example; the tests alone do not keep a name alive
-    package = pathlib.Path(gaplab.__file__).parent
-    exported = {
-        alias.asname or alias.name
-        for node in ast.parse((package / "__init__.py").read_text()).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    exported = _exported()
     reached = set()
-    for path in package.glob("*.py"):
-        if path.name != "__init__.py":
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    reached.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    reached.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    reached.add(node.asname or node.name)
+    for tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reached.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+            elif isinstance(node, ast.alias):
+                reached.add(node.asname or node.name)
     for path in (README.parent / "bench").glob("*.py"):
         reached |= _words(path.read_text())
     for block in re.findall(r"```(?:python|sh)\n(.*?)```", README.read_text(), flags=re.S):
         reached |= _words(block)
     assert sorted(exported - reached) == []
+
+
+def _set_arguments(trees) -> dict:
+    """Called name -> what its calls set: keyword names, positional indices,
+    and None where a * or ** argument may set any parameter."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                hit = out.setdefault(name, set())
+                hit.update(range(len(node.args)))
+                hit.update(kw.arg for kw in node.keywords)  # a ** argument's arg is None
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    hit.add(None)
+    return out
+
+
+def test_every_parameter_default_is_overridden():
+    # each parameter with a default, of each exported function or class, is
+    # set by some call in the package, the benchmark, an executed README
+    # example or the acceptance tests (the spec's criteria); a value only
+    # the other tests set is an option no caller needs
+    sources = [p.read_text() for p in (README.parent / "bench").glob("*.py")]
+    sources += re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    sources.append((README.parent / "tests" / "test_acceptance.py").read_text())
+    calls = _set_arguments(_modules() + [ast.parse(text) for text in sources])
+    unset = []
+    for name in sorted(_exported()):
+        obj = getattr(gaplab, name)
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        hit = calls.get(name, set())
+        for i, p in enumerate(inspect.signature(obj).parameters.values()):
+            positional = p.kind is p.POSITIONAL_OR_KEYWORD and i in hit
+            if p.default is not p.empty and not (positional or p.name in hit or None in hit):
+                unset.append(f"{name}.{p.name}")
+    assert unset == []
