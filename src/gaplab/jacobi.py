@@ -308,7 +308,8 @@ def coefficients_from_measure(
     (399 pairs of mu_E on [-2,-1] u [1,2] at 200 nodes per band, 0.49).
     The result records reorth_steps, the number of steps that
     reorthogonalized, and breakdown_margin, min a_k over the breakdown
-    threshold 1e-14 * max|t|.
+    threshold 1e-14 * max|t|.  A float overflow or invalid operation in the
+    loop, as on sets spanning 1e200, is a NumericalError.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
@@ -334,47 +335,51 @@ def coefficients_from_measure(
     omega[0] = 1.0
     second = False
     reorth_steps = 0
-    for k in range(n):
-        u = t * q
-        alpha = float(q @ u)
-        r = u - alpha * q - beta * qm
-        beta_new = math.sqrt(r @ r)
-        b[k] = alpha
-        # Simon's recurrence for the orthogonality lost in this step, each
-        # entry padded by the rounding eps * max|t| of the matrix-vector step;
-        # the row of q_{k+1} overwrites the row of q_{k-1}, then they swap
-        ak, ok = a[:k], omega[:k]
-        lost = ak * omega[1 : k + 1] + (b[:k] - alpha) * ok - beta * omega_old[:k]
-        lost[1:] += ak[:-1] * ok[:-1]
-        omega_old[:k] = lost + np.copysign(eps * norm, lost)
-        omega_old[k] = eps * norm
-        omega_old[: k + 1] /= max(beta_new, tiny)
-        if second or np.abs(omega_old[: k + 1]).max() > math.sqrt(eps):
-            # semiorthogonality is about to go: two full passes now and on
-            # the next step, whose three-term update reuses the unrepaired q_k
-            if Q is None:  # replay q_0 .. q_k from the stored a and b, bit for bit
-                Q = np.concatenate([[q0], np.zeros((n + 1, len(t)))])  # row -1: q_{-1} = 0
-                for j in range(k):
-                    Q[j + 1] = (t * Q[j] - b[j] * Q[j] - (a[j - 1] if j else 0.0) * Q[j - 1]) / a[j]
-            for _ in range(2):
-                r -= Q[: k + 1].T @ (Q[: k + 1] @ r)
-            beta_new = math.sqrt(r @ r)
-            omega_old[: k + 1] = eps
-            second = not second
-            reorth_steps += 1
-        if beta_new <= tiny:
-            raise NumericalError(
-                f"Lanczos breakdown at step {k + 1}: increase quad_order or "
-                "reduce n (measure support nearly exhausted)"
-            )
-        a[k] = beta_new
-        omega_old[k + 1] = 1.0
-        omega, omega_old = omega_old, omega
-        qm = q
-        q = r / beta_new
-        if Q is not None:
-            Q[k + 1] = q
-        beta = beta_new
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(n):
+                u = t * q
+                alpha = float(q @ u)
+                r = u - alpha * q - beta * qm
+                beta_new = math.sqrt(r @ r)
+                b[k] = alpha
+                # Simon's recurrence for the orthogonality lost in this step, each
+                # entry padded by the rounding eps * max|t| of the matrix-vector step;
+                # the row of q_{k+1} overwrites the row of q_{k-1}, then they swap
+                ak, ok = a[:k], omega[:k]
+                lost = ak * omega[1 : k + 1] + (b[:k] - alpha) * ok - beta * omega_old[:k]
+                lost[1:] += ak[:-1] * ok[:-1]
+                omega_old[:k] = lost + np.copysign(eps * norm, lost)
+                omega_old[k] = eps * norm
+                omega_old[: k + 1] /= max(beta_new, tiny)
+                if second or np.abs(omega_old[: k + 1]).max() > math.sqrt(eps):
+                    # semiorthogonality is about to go: two full passes now and on
+                    # the next step, whose three-term update reuses the unrepaired q_k
+                    if Q is None:  # replay q_0 .. q_k from the stored a and b, bit for bit
+                        Q = np.concatenate([[q0], np.zeros((n + 1, len(t)))])  # row -1: q_{-1} = 0
+                        for j in range(k):
+                            Q[j + 1] = (t * Q[j] - b[j] * Q[j] - (a[j - 1] if j else 0.0) * Q[j - 1]) / a[j]
+                    for _ in range(2):
+                        r -= Q[: k + 1].T @ (Q[: k + 1] @ r)
+                    beta_new = math.sqrt(r @ r)
+                    omega_old[: k + 1] = eps
+                    second = not second
+                    reorth_steps += 1
+                if beta_new <= tiny:
+                    raise NumericalError(
+                        f"Lanczos breakdown at step {k + 1}: increase quad_order or "
+                        "reduce n (measure support nearly exhausted)"
+                    )
+                a[k] = beta_new
+                omega_old[k + 1] = 1.0
+                omega, omega_old = omega_old, omega
+                qm = q
+                q = r / beta_new
+                if Q is not None:
+                    Q[k + 1] = q
+                beta = beta_new
+    except FloatingPointError as exc:
+        raise NumericalError(f"Lanczos left the float range: {exc}") from exc
     return JacobiCoeffs(
         a, b, reorth_steps=reorth_steps, breakdown_margin=float(np.min(a)) / tiny
     )

@@ -29,7 +29,7 @@ edge log-sums meet in a single exp, so the quotient stays in range where
 either product alone over- or underflows.  The period weights, which have
 no root factors, stay logs until they meet log|P| or log|B_j|.  At the
 nodes of interval families (the band rule, the period tables and rows,
-the residual gate, the gap arcs) the sums are _log_sums's, a one-level
+the residual gate, the gap series) the sums are _log_sums's, a one-level
 fast-multipole split (Greengard and Rokhlin, J. Comput. Phys. 73, 1987):
 sources within _FAR half-lengths summed directly, the rest at p <= 9
 Chebyshev proxy points and interpolated.  Elsewhere (rays, densities,
@@ -37,9 +37,11 @@ m_E) they are _log_g_prime's direct sums.  Singular integrals
 are tamed by the cosine substitution t = c + r*cos(theta) (gap and band
 versions), which cancels the inverse-square-root edge behaviour exactly,
 and on the unbounded components by t = e +/- s^2.  After the substitution
-a gap integrand is analytic out to the nearest foreign edge, so each gap
-gets the order that edge's Bernstein ellipse needs for 1e-15 (at least
-32); an explicit quad_order raises the orders below it and lowers none.
+a gap integrand is analytic out to the nearest foreign edge, so each gap's
+period table gets the order that edge's Bernstein ellipse needs for 1e-15
+(at least 32); an explicit quad_order raises the orders below it and
+lowers none.  g in a gap is the termwise integral of one cosine series
+per gap, which interpolates the integrand at that ellipse's rho^(-n) order.
 An outer ray is sized from the edge one outer band inside, never below
 the band order.
 """
@@ -51,7 +53,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable
 
@@ -64,7 +66,7 @@ DEFAULT_ORDER_SMALL = 200  # nodes per band/gap for up to 15 gaps
 DEFAULT_ORDER_LARGE = 80  # above that, keep 255-gap levels affordable
 _GAP_COUNT_SWITCH = 15
 GAP_ORDER_FLOOR = 32  # smallest per-gap order; also the smallest quad_order
-_GAP_ORDER_CAP = 1024  # largest default per-gap order, to bound a table's size
+_GAP_ORDER_CAP = 1024  # largest default per-gap table order; a gap series may take twice it
 _GAP_RULE_TARGET = 1e-15  # error the per-gap orders are sized for
 _SOLVE_PASSES = 6  # cap on linearized period-solve passes
 _ROOT_SWEEPS = 100  # cap on Newton/bisection sweeps per pass
@@ -89,30 +91,33 @@ def _default_order(n_gaps: int) -> int:
     return DEFAULT_ORDER_SMALL if n_gaps <= _GAP_COUNT_SWITCH else DEFAULT_ORDER_LARGE
 
 
-def _gap_orders(s: GapSet) -> tuple[int, ...]:
-    """Cosine-rule order per gap for the period tables and the gap arcs.
+def _gap_orders(s: GapSet, power: int = 2) -> tuple[int, ...]:
+    """Cosine-point count per gap: for the period tables' integrals
+    (power 2) or the gap series' interpolants (power 1).
 
     Under t = c + r cos(theta) the gap's own edges cancel and P is a
     polynomial, so the integrand is analytic inside the Bernstein ellipse
     through the nearest foreign edge, at distance D (the shorter adjacent
-    band): rho = a + sqrt(a^2 - 1), a = 1 + D/r, and the error falls like
-    rho^(-2n).  n = ceil(ln(1/target) / (2 ln rho)), within
-    [GAP_ORDER_FLOOR, _GAP_ORDER_CAP].  The band order is no bound: a wide
-    gap beside a band ~1e-4 its size needs ~600 nodes, where 200 leave a
-    period residual of 2e-6 that no gate sees.
+    band): rho = a + sqrt(a^2 - 1), a = 1 + D/r.  A rule's error falls like
+    rho^(-2n) and an interpolant's like rho^(-n), so n = ceil(ln(1/target) /
+    (power ln rho)), within [GAP_ORDER_FLOOR, 2 _GAP_ORDER_CAP / power].
+    The band order is no bound: a wide gap beside a band ~1e-4 its size
+    needs ~600 nodes, where 200 leave a period residual of 2e-6 that no
+    gate sees.
     """
     if not s.gaps:
         return ()
     lengths = np.diff(s.edges)
     r = 0.5 * lengths[1::2]
     u = np.minimum(lengths[0:-1:2], lengths[2::2]) / r  # a - 1
-    return tuple(int(k) for k in _ellipse_orders(np.log1p(u + np.sqrt(u * (u + 2.0)))))
+    return tuple(int(k) for k in _ellipse_orders(np.log1p(u + np.sqrt(u * (u + 2.0))), power))
 
 
-def _ellipse_orders(log_rho):
-    """Rule orders for _GAP_RULE_TARGET inside Bernstein ellipses of radius exp(log_rho)."""
-    n = np.ceil(-math.log(_GAP_RULE_TARGET) / (2.0 * log_rho))
-    return np.minimum(np.maximum(n, GAP_ORDER_FLOOR), _GAP_ORDER_CAP).astype(int)
+def _ellipse_orders(log_rho, power: int = 2):
+    """Orders n with rho^(-power n) <= _GAP_RULE_TARGET inside Bernstein
+    ellipses of radius exp(log_rho), within [GAP_ORDER_FLOOR, 2 _GAP_ORDER_CAP / power]."""
+    n = np.ceil(-math.log(_GAP_RULE_TARGET) / (power * log_rho))
+    return np.minimum(np.maximum(n, GAP_ORDER_FLOOR), 2 * _GAP_ORDER_CAP // power).astype(int)
 
 
 def _log_g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = (), signed: bool = True):
@@ -196,13 +201,14 @@ def _blocks(rows: int, cols: int, width: int):
             yield slice(a, a + step_r), slice(b, b + step_c)
 
 
-def _barycentric(p: int, x: np.ndarray, hit=None, slopes: bool = False):
-    """Barycentric rows (with slopes, derivative rows too) from the p
-    first-kind Chebyshev points to the points x; a point on a proxy point
-    (hit, else an exact match) gets that point's unit row."""
+@lru_cache(maxsize=64)
+def _cheb_interp(p: int, n: int):
+    """Barycentric rows and their derivative rows from the p first-kind
+    Chebyshev points to the n ones; node i meets proxy point k where
+    (2i + 1) p = (2k + 1) n, and reads that point's unit row."""
     k = np.arange(p)
-    d = x[..., None] - _cos_points(p)
-    hit = d == 0.0 if hit is None else hit
+    d = _cos_points(n)[:, None] - _cos_points(p)
+    hit = (2 * np.arange(n)[:, None] + 1) * p == (2 * k + 1) * n
     d[hit] = 1.0
     w = (-1.0) ** k * np.sin((k + 0.5) * np.pi / p)
     c = w / d
@@ -210,106 +216,82 @@ def _barycentric(p: int, x: np.ndarray, hit=None, slopes: bool = False):
     values = c / total
     rows = np.any(hit, axis=-1)
     values[rows] = hit[rows]
-    if not slopes:
-        return values
-    slope = values * (np.sum(c / d, axis=-1, keepdims=True) / total - 1.0 / d)
+    slopes = values * (np.sum(c / d, axis=-1, keepdims=True) / total - 1.0 / d)
     own = np.where(hit[rows], 0.0, c[rows] / np.sum(w * hit[rows], axis=-1, keepdims=True))
-    slope[rows] = np.where(hit[rows], -np.sum(own, axis=-1, keepdims=True), own)
-    return values, slope
-
-
-@lru_cache(maxsize=64)
-def _cheb_interp(p: int, n: int):
-    """_barycentric's values and slopes at the n first-kind Chebyshev
-    points, node i meeting proxy point k where (2i + 1) p = (2k + 1) n."""
-    i, k = np.arange(n)[:, None], np.arange(p)[None, :]
-    values, slopes = _barycentric(p, _cos_points(n), (2 * i + 1) * p == (2 * k + 1) * n, True)
+    slopes[rows] = np.where(hit[rows], -np.sum(own, axis=-1, keepdims=True), own)
     values.flags.writeable = slopes.flags.writeable = False  # shared through the cache
     return values, slopes
 
 
-def _log_sums(lo, hi, orders, roots, edges, skip, rows=None, u=None):
-    """_log_g_prime at rows of nodes on intervals (lo[i], hi[i]) = c -/+ r,
-    factors skip[i] (indices into roots ++ edges) left out; the flat nodes
-    and log-sums.  Row k has orders[k] nodes: row i on interval i at the
-    cosine points, or, given rows and u, on interval rows[k] at c + r u.
+def _log_sums(lo, hi, orders, roots, edges, skip):
+    """_log_g_prime at orders[i] cosine points on each interval (lo[i], hi[i])
+    = c -/+ r, factors skip[i] (indices into roots ++ edges) left out; the
+    flat nodes and log-sums.
 
     An interval with every source within _FAR r is _log_g_prime, bit for
     bit, tested before any sort.  Otherwise near sources are summed at the
     nodes, far ones once per interval at p Chebyshev proxies (rho^-p <=
     _GAP_RULE_TARGET on the ellipse through the nearest) and interpolated
-    by _cheb_interp with a derivative step for the nodes' rounding, or by
-    _barycentric rows at each node's (t - c)/r.  Rows sharing (order, p,
-    near width) are one unpadded batch: a row's bits ignore its batch.
+    by _cheb_interp with a derivative step for the nodes' rounding.
+    Intervals sharing (order, p, near width) are one unpadded batch: an
+    interval's bits ignore its batch.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     orders, skip = np.asarray(orders, dtype=int), np.asarray(skip, dtype=int)
     roots = np.asarray(roots, dtype=float)
     src = np.concatenate([roots, edges])
-    sizes = orders.tolist()
+    sizes, n_roots = orders.tolist(), len(roots)
+    ends = list(accumulate(sizes))
     t, logsum = np.empty(sum(sizes)), np.empty(sum(sizes))
     if not sizes:
         return t, logsum
-    cosine = u is None
-    heads = range(len(sizes)) if cosine else np.asarray(rows).tolist()
-    cuts = [k for k in range(1, len(sizes)) if heads[k] != heads[k - 1]]
-    lowest, highest, n_roots = src.min(), src.max(), len(roots)
-    lows, highs, skips, ends = lo.tolist(), hi.tolist(), skip.tolist(), list(accumulate(sizes))
-    batch, runs = [], []
-    for a, b in zip([0, *cuts], [*cuts, len(sizes)]):  # rows a..b-1 lie on interval i
-        i = heads[a]
-        reach = _FAR * ((highs[i] - lows[i]) / 2)
-        if lows[i] - reach > lowest or highs[i] + reach < highest:
-            batch.extend(range(a, b))
-        else:
-            runs.append((i, ends[a] - sizes[a], ends[b - 1]))
+    lowest, highest, lows, highs = src.min(), src.max(), lo.tolist(), hi.tolist()
+    reach = [_FAR * ((b - a) / 2) for a, b in zip(lows, highs)]  # floats: an overflow is inf, no error
+    direct = [a - x <= lowest and b + x >= highest for a, b, x in zip(lows, highs, reach)]
     step = max(1, _ARC_BLOCK // len(src))  # nodes per _log_g_prime call
-    for i, begin, end in runs:
-        own = skips[i]
+    for i in (i for i, near in enumerate(direct) if near):
+        own = skip[i].tolist()
         kept = roots[np.arange(n_roots) != own[0]] if own and own[0] < n_roots else roots  # own root
         skipped = [j - n_roots for j in own if j >= n_roots]
-        a, b = lows[i], highs[i]
-        t[begin:end] = (a + b) / 2 + (b - a) / 2 * (_cos_points(end - begin) if cosine else u[begin:end])
+        a, b, end = lows[i], highs[i], ends[i]
+        begin = end - sizes[i]
+        t[begin:end] = (a + b) / 2 + (b - a) / 2 * _cos_points(sizes[i])
         for e in range(begin, end, step):
             piece = slice(e, min(e + step, end))
             logsum[piece] = _log_g_prime(t[piece], kept, edges, skipped, False)[1]
-    if not batch:
+    batch = np.flatnonzero(np.logical_not(direct))
+    if not len(batch):
         return t, logsum
-    batch, owner = np.array(batch), np.asarray(heads)
     first, c, r = np.cumsum(orders) - orders, (lo + hi) / 2, (hi - lo) / 2
     perm = np.argsort(src, kind="stable")
     rank = np.empty_like(perm)
     rank[perm] = np.arange(len(src))
-    own, src, coef = rank[skip], src[perm], np.where(perm < len(roots), 1.0, -0.5)
+    own, src, coef = rank[skip], src[perm], np.where(perm < n_roots, 1.0, -0.5)
     start = np.searchsorted(src, lo - _FAR * r, side="left")
     stop = np.searchsorted(src, hi + _FAR * r, side="right")
     padded = np.concatenate([[-np.inf], src, [np.inf]])
     a1 = np.minimum(lo - padded[start], padded[stop + 1] - hi) / r  # a - 1 at the nearest far source
     p = np.ceil(-math.log(_GAP_RULE_TARGET) / np.log1p(a1 + np.sqrt(a1 * (a1 + 2.0)))).astype(int)
-    used, pos, far = np.flatnonzero(np.bincount(owner[batch], minlength=len(lo))), np.empty_like(p), {}
-    for q in sorted(set(p[used].tolist())):
-        ids = used[p[used] == q]
+    pos, far = np.empty_like(p), {}
+    for q in sorted(set(p[batch].tolist())):
+        ids = batch[p[batch] == q]
         pos[ids] = np.arange(len(ids))
         far[q] = _far_sums(c[ids], r[ids, None] * _cos_points(q), src, coef, start[ids], stop[ids])
-    key = orders[batch], p[owner[batch]], (stop - start)[owner[batch]]
+    key = orders[batch], p[batch], (stop - start)[batch]
     for n, q, w in sorted(set(zip(*(part.tolist() for part in key)))):
-        idx = batch[(key[0] == n) & (key[1] == q) & (key[2] == w)]
-        cols, ii = first[idx, None] + np.arange(n), owner[idx]
-        nodes = c[ii, None] + r[ii, None] * (_cos_points(n) if cosine else u[cols])
+        ii = batch[(key[0] == n) & (key[1] == q) & (key[2] == w)]
+        nodes = c[ii, None] + r[ii, None] * _cos_points(n)
         with np.errstate(divide="ignore"):
             total = _near_sums(nodes, src, coef, start[ii], stop[ii], own[ii])
         base, var = far[q][0][pos[ii]], far[q][1][pos[ii]]
         total += base
+        values, slopes = _cheb_interp(q, n)
         at = (nodes - c[ii, None]) / r[ii, None]  # the nodes' own u
-        if cosine:  # the cached rows keep the solve ~20% faster than per-node _barycentric
-            values, slopes = _cheb_interp(q, n)
-            at -= _cos_points(n)  # their rounding: one step along the derivative
-            at *= var @ slopes.T
-            total += var @ values.T
-            total += at
-        else:
-            for b, e in _blocks(len(idx), n, 4 * q):  # _barycentric's four (rows, n, q) temporaries
-                total[b, e] += np.sum(_barycentric(q, at[b, e]) * var[b, None, :], axis=-1)
+        at -= _cos_points(n)  # their rounding: one step along the derivative
+        at *= var @ slopes.T
+        total += var @ values.T
+        total += at
+        cols = first[ii, None] + np.arange(n)
         t[cols], logsum[cols] = nodes, total
     return t, logsum
 
@@ -326,11 +308,6 @@ def _cos_points(n: int) -> np.ndarray:
     x = np.cos((np.arange(n) + 0.5) * np.pi / n)
     x.flags.writeable = False
     return x
-
-
-def _theta(lo: float, hi: float, x: float) -> float:
-    """Angle of x under t = c + r cos(theta) over [lo, hi]."""
-    return math.acos(min(1.0, max(-1.0, (x - (lo + hi) / 2) / ((hi - lo) / 2))))
 
 
 def _edge_ray(roots, edges, k: int, length: float, order: int) -> float:
@@ -378,7 +355,8 @@ class GreenModel:
     The numerator polynomial is monic with one root per gap; those roots
     are the critical points, so critical_points doubles as the polynomial
     representation.  The band rule is precomputed; the period tables are
-    rebuilt from gap_orders by period_residuals, their only later reader.
+    rebuilt from gap_orders by period_residuals, and the gap series on
+    first use.
     """
 
     set: GapSet
@@ -388,11 +366,47 @@ class GreenModel:
     capacity: float
     quad_order: int
     quad: EquilibriumQuadrature  # the band rule at quad_order
-    gap_orders: tuple[int, ...]  # per-gap order of the period tables and gap arcs
+    gap_orders: tuple[int, ...]  # per-gap order of the period tables, a floor on the series'
     solve_passes: int  # linearized period-solve passes run (0: roots given)
     root_move: float  # largest root change in the last pass; above 1e-14 * diam the cap was hit
-    period_residual: float  # largest |period residual|, what the solve's gate read
+    period_residual: float  # largest |period residual|, what the period gate read
     mass_error: float  # |band-rule mass - 1|, what the mass gate read
+
+    @cached_property
+    def _gap_series(self):
+        """Per gap, the order n of its series and its row in coefs[n]:
+        a_0, a_1/1, ..., a_(n-1)/(n-1), the coefficients of
+
+            A(theta) = a_0 theta + sum_{m >= 1} a_m sin(m theta)/m,
+
+        the integral from 0 to theta of sum_m a_m cos(m theta), a_0 halved,
+        which interpolates f = +-|g'| r sin(theta) (+ right of c_j) at the
+        cosine points of t = c + r cos(theta).  f is analytic, so n is the
+        interpolant's ellipse order, _gap_orders(s, 1), and at least
+        gap_orders[j].  The samples are one _log_sums call over all gaps;
+        the coefficients are a DCT-II by FFT.  The nodes are rounded, up to
+        ~1e-11 off their angles in a level-9 gap, so one step along the
+        series' own derivative moves the samples onto the angles before
+        the transform is redone.
+        """
+        roots, edges = self.critical_points, self.edges
+        lo, hi = edges[1:-1:2], edges[2:-1:2]
+        c, r = (lo + hi) / 2, (hi - lo) / 2
+        orders = np.maximum(self.gap_orders, _gap_orders(self.set, 1))
+        own = len(roots) + np.arange(1, len(edges) - 1).reshape(-1, 2)
+        t, log_f = _log_sums(lo, hi, orders, roots, edges, own)
+        f = np.where(t > np.repeat(roots, orders), 1.0, -1.0) * np.exp(log_f)
+        first, rows, coefs = np.cumsum(orders) - orders, np.empty_like(orders), {}
+        for n in sorted(set(orders.tolist())):
+            ids, m = np.flatnonzero(orders == n), np.arange(n)
+            rows[ids], cols, theta = np.arange(len(ids)), first[ids, None] + m, (m + 0.5) * np.pi / n
+            twiddle = np.exp(-0.5j * np.pi * m / n)  # e^(-i m theta_0)
+            a = (np.fft.rfft(f[cols], 2 * n)[:, :n] * twiddle).real * (2.0 / n)  # a_0 not yet halved
+            shift = ((t[cols] - c[ids, None]) / r[ids, None] - np.cos(theta)) / np.sin(theta)
+            moved = f[cols] + shift * np.fft.fft(m * a * twiddle, 2 * n)[:, :n].imag  # f at the angles
+            a = (np.fft.rfft(moved, 2 * n)[:, :n] * twiddle).real * (2.0 / n)
+            coefs[n] = a / np.where(m, m, 2)  # a_0 halved, a_m/m
+        return orders, rows, coefs
 
 
 def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
@@ -414,27 +428,20 @@ def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
 
 
 def _solve(s: GapSet, order: int, floor: int) -> GreenModel:
-    n_gaps = len(s.gaps)
     gap_orders = tuple(max(n, floor) for n in _gap_orders(s))
+    tables = _gap_tables(s, gap_orders) if s.gaps else ()
     # relinearize until the roots settle; small gap counts stop after two
     roots = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
-    passes, moved, worst = 0, 0.0, 0.0
-    if n_gaps:
-        tables = _gap_tables(s, gap_orders)
-        while passes < _SOLVE_PASSES:
-            delta = _period_correction(roots, *tables)
-            new_roots = _period_roots(s.gaps, roots, delta)
-            moved = float(np.max(np.abs(new_roots - roots)))
-            roots = new_roots
-            passes += 1
-            if moved <= 1e-14 * (s.beta - s.alpha):
-                break
-        worst = float(np.max(np.abs(_period_residuals(roots, *tables))))
-        if not worst <= TOLERANCES["period_residual"]:  # NaN fails too
-            raise NumericalError(
-                f"period residual {worst!r} exceeds {TOLERANCES['period_residual']!r}"
-            )
-    return _assemble(s, roots, order, gap_orders, passes, moved, worst)
+    passes, moved = 0, 0.0
+    while s.gaps and passes < _SOLVE_PASSES:
+        delta = _period_correction(roots, *tables)
+        new_roots = _period_roots(s.gaps, roots, delta)
+        moved = float(np.max(np.abs(new_roots - roots)))
+        roots = new_roots
+        passes += 1
+        if moved <= 1e-14 * (s.beta - s.alpha):
+            break
+    return _assemble(s, roots, order, gap_orders, passes, moved, tables)
 
 
 def _gap_tables(s: GapSet, gap_orders):
@@ -580,7 +587,16 @@ def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
     return quad
 
 
-def _assemble(s, roots, order, gap_orders, passes, moved, residual) -> GreenModel:
+def _assemble(s, roots, order, gap_orders, passes, moved, tables) -> GreenModel:
+    """The gated model: the period gate on the period tables (the solve's,
+    or for a load rebuilt from gap_orders), then the band rule and Robin probe."""
+    residual = 0.0
+    if len(roots):
+        residual = float(np.max(np.abs(_period_residuals(roots, *tables))))
+        if not residual <= TOLERANCES["period_residual"]:  # NaN fails too
+            raise NumericalError(
+                f"period residual {residual!r} exceeds {TOLERANCES['period_residual']!r}"
+            )
     quad = _band_rule(s, roots, order)
     # Robin constant via the potential identity at the probe x0 = beta + diam,
     # one diameter out so the identity is scale-covariant: g(x0) by edge
@@ -622,75 +638,56 @@ def _period_residuals(roots, lo, hi, orders, log_w) -> np.ndarray:
     return np.add.reduceat(terms, np.cumsum(orders) - orders)
 
 
-def _gap_arcs(model: GreenModel, gap: np.ndarray, th0: np.ndarray, th1: np.ndarray) -> np.ndarray:
-    """|integral of g'| over each arc theta in [th0[i], th1[i]] of gap gap[i]
-    (t = c + r cos(theta)), by gap_orders[gap[i]] Gauss-Legendre nodes.
-
-    The arcs, by order and gap (callers pass a gap's arcs together), go to
-    one _log_sums call per _ARC_BLOCK nodes.  g' keeps one sign on an arc,
-    which c_j ends or misses, so |g'| = exp(log|g'|).
+def _gap_integrals(model: GreenModel, gap: np.ndarray, x: np.ndarray):
+    """A(theta_x) of gap gap[i]'s series at x[i] (GreenModel._gap_series),
+    and A(pi) = a_0 pi: g(x) from the right edge, and the edge-to-edge
+    integral, zero by the period condition.  Row sums in _blocks pieces,
+    so a point's bits ignore its batch.
     """
-    roots, edges = model.critical_points, model.edges
-    orders, perm = np.asarray(model.gap_orders)[gap], slice(None)
-    if orders.min() < orders.max():
-        perm = np.argsort(orders * len(roots) + gap, kind="stable")
-    gap, orders, th0, half = gap[perm], orders[perm], th0[perm], 0.5 * (th1 - th0)[perm]
-    own = np.arange(len(roots) + 1, 3 * len(roots) + 1).reshape(-1, 2)
-    sizes, out, a = orders.tolist(), np.empty(len(gap)), 0
-    ends = list(accumulate(sizes))
-    while a < len(sizes):  # whole arcs, _ARC_BLOCK nodes a call where they fit
-        b = max(a + 1, bisect.bisect_right(ends, ends[a] - sizes[a] + _ARC_BLOCK))
-        cuts = [k for k in range(a + 1, b) if sizes[k] != sizes[k - 1]]
-        runs = [(k, m, sizes[k]) for k, m in zip([a, *cuts], [*cuts, b])]  # arcs of one order
-        u = [np.cos(half[k:m, None] * (_leggauss(n)[0] + 1.0) + th0[k:m, None]) for k, m, n in runs]
-        g = np.exp(_log_sums(edges[1:-1:2], edges[2:-1:2], orders[a:b], roots, edges, own, gap[a:b],
-                             np.concatenate([x.ravel() for x in u]))[1])
-        for k, m, n in runs:
-            rows, g = g[:(m - k) * n].reshape(m - k, n), g[(m - k) * n:]
-            out[k:m] = (half[k:m, None] * _leggauss(n)[1] * rows).sum(axis=1)
-        a = b
-    out[perm] = out.copy()
-    return out
+    orders, rows, coefs = model._gap_series
+    lo, hi = model.edges[1:-1:2][gap], model.edges[2:-1:2][gap]
+    theta = np.arccos(np.clip((x - (lo + hi) / 2) / ((hi - lo) / 2), -1.0, 1.0))
+    at, whole = np.empty(len(x)), np.empty(len(x))
+    for n in sorted(set(orders[gap].tolist())):
+        sel = np.flatnonzero(orders[gap] == n)
+        for b, _ in _blocks(len(sel), 1, n):
+            i = sel[b]
+            a, terms = coefs[n][rows[gap[i]]], np.sin(np.multiply.outer(theta[i], np.arange(1, n)))
+            terms *= a[:, 1:]
+            at[i], whole[i] = a[:, 0] * theta[i] + np.sum(terms, axis=1), a[:, 0] * np.pi
+    return at, whole
 
 
 def green_value(model: GreenModel, x):
     """g(x): a float for a float, else an array of x's shape; zero on the set.
 
-    The points in gaps, found by edge_slots, go to one _gap_arcs call, each
-    on the arc from x to the edge on its side of its gap's maximum c_j.  A
-    point outside [alpha, beta] by less than the diameter takes its own
-    edge ray, sized from its length.  The points farther out read the Robin
-    probe's identity g(x) = robin + int log|x - t| dmu_E on the band rule
-    over its mass, in one batch: a ray that long needs more nodes than any
-    rule order allows.  A point's bits ignore its batch.
+    The points in gaps, found by edge_slots, read their gap's series:
+    |A(theta_x)| right of c_j and |A(theta_x) - a_0 pi| left of it, the
+    integral from the edge on x's side.  A point outside [alpha, beta] by
+    less than the diameter takes its own edge ray, sized from its length.
+    The points farther out read the Robin probe's identity g(x) = robin +
+    int log|x - t| dmu_E on the band rule over its mass, in one batch: a
+    ray that long needs more nodes than any rule order allows.  A point's
+    bits ignore its batch.
     """
     s, edges, roots = model.set, model.edges, model.critical_points
     xs = np.asarray(x, dtype=float).ravel()
     slots = edge_slots(s, xs)
-    slots[np.maximum(s.alpha - xs, xs - s.beta) >= s.diameter] = -1  # far field
-    groups = {}  # point indices by slot, in input order
-    for i, slot in enumerate(slots.tolist()):
-        groups.setdefault(slot, []).append(i)
-    out, arcs = np.zeros(len(xs)), []
-    for slot, idx in groups.items():
-        if slot == -1:  # row sums in ~_ARC_BLOCK chunks
-            t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
-            mass = np.sum(w)  # as in the Robin probe
-            chunks = min(len(idx), math.ceil(len(idx) * len(t) / _ARC_BLOCK))
-            for rows in np.array_split(idx, chunks):
-                out[rows] = model.robin + np.sum(w * np.log(np.abs(xs[rows, None] - t)), axis=1) / mass
-        elif slot in (0, len(edges)):
-            k = 0 if slot == 0 else len(edges) - 1
-            for i in idx:
-                out[i] = abs(_edge_ray(roots, edges, k, abs(xs[i] - edges[k]), model.quad_order))
-        elif slot % 2 == 0:
-            j, (lo, hi) = slot // 2 - 1, s.gaps[slot // 2 - 1]
-            c = float(roots[j])  # arc [0, theta] from the right edge, else [theta, pi]
-            arcs += [(i, j, 0.0, _theta(lo, hi, v)) if v >= c else (i, j, _theta(lo, hi, v), np.pi)
-                     for i, v in zip(idx, xs[idx].tolist())]
-    if arcs:
-        idx, gap, th0, th1 = (np.array(col) for col in zip(*arcs))
-        out[idx] = _gap_arcs(model, gap, th0, th1)
+    far = np.maximum(s.alpha - xs, xs - s.beta) >= s.diameter
+    out, idx = np.zeros(len(xs)), np.flatnonzero(far)
+    if len(idx):  # row sums in ~_ARC_BLOCK chunks
+        t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
+        mass = np.sum(w)  # as in the Robin probe
+        for rows in np.array_split(idx, min(len(idx), math.ceil(len(idx) * len(t) / _ARC_BLOCK))):
+            out[rows] = model.robin + np.sum(w * np.log(np.abs(xs[rows, None] - t)), axis=1) / mass
+    for k, slot in ((0, 0), (len(edges) - 1, len(edges))):
+        for i in np.flatnonzero((slots == slot) & ~far).tolist():
+            out[i] = abs(_edge_ray(roots, edges, k, abs(xs[i] - edges[k]), model.quad_order))
+    idx = np.flatnonzero((slots % 2 == 0) & (slots > 0) & (slots < len(edges)))
+    if len(idx):
+        gap = slots[idx] // 2 - 1
+        at, whole = _gap_integrals(model, gap, xs[idx])
+        out[idx] = np.abs(np.where(xs[idx] >= roots[gap], at, at - whole))
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
@@ -702,15 +699,14 @@ def pw_sum(model: GreenModel) -> float:
 def gap_derivative_l1(model: GreenModel, j: int) -> float:
     """Integral of |g'| across gap j (equals 2 g(c_j) analytically).
 
-    |g'| has a kink at the critical point, so the integral is split there
-    and each single-signed half is integrated by Gauss-Legendre in the
-    cosine variable.
+    From the gap's series: A(theta_c) from the right edge to c_j plus
+    |A(theta_c) - a_0 pi| from c_j to the left edge, so it differs from
+    2 g(c_j) by the period residual at the series' order.
     """
     if not 0 <= j < len(model.set.gaps):
         raise ValidationError(f"gap index {j} out of range")
-    theta_c = _theta(*model.set.gaps[j], model.critical_points[j])
-    arcs = _gap_arcs(model, np.array([j, j]), np.array([0.0, theta_c]), np.array([theta_c, np.pi]))
-    return float(sum(arcs.tolist()))
+    at, whole = _gap_integrals(model, np.array([j]), model.critical_points[j:j + 1])
+    return float(at[0] + abs(at[0] - whole[0]))
 
 
 def equilibrium_density(model: GreenModel, t: float) -> float:
@@ -758,7 +754,6 @@ def model_to_json(model: GreenModel) -> str:
             "gap_orders": list(model.gap_orders),
             "solve_passes": model.solve_passes,
             "root_move": model.root_move,
-            "period_residual": model.period_residual,
             "mass_error": model.mass_error,
         },
         sort_keys=True,
@@ -773,7 +768,6 @@ def model_from_json(text: str) -> GreenModel:
         gap_orders = tuple(int(n) for n in obj["gap_orders"])
         roots = np.asarray(obj["numerator"]["roots"], dtype=float)
         passes, moved = int(obj["solve_passes"]), float(obj["root_move"])
-        residual = float(obj["period_residual"])
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValidationError(f"malformed GreenModel JSON: {exc!r}") from exc
     # what solve_green writes: one root in each gap (a NaN fails) and orders >= the floor
@@ -783,4 +777,4 @@ def model_from_json(text: str) -> GreenModel:
             and min((order, *gap_orders)) >= GAP_ORDER_FLOOR):
         raise ValidationError("malformed GreenModel JSON: need one root in and one order per gap, "
                               f"orders at least {GAP_ORDER_FLOOR}")
-    return _assemble(s, roots, order, gap_orders, passes, moved, residual)
+    return _assemble(s, roots, order, gap_orders, passes, moved, _gap_tables(s, gap_orders))

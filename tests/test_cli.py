@@ -229,6 +229,20 @@ def test_sets_near_the_float_range(alpha, beta, code, capsys):
 TWO_BAND = '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}'
 
 
+@pytest.mark.parametrize("args", [
+    ["sumrule", "--set", TWO_BAND, "--measure", '{"masses": [[1e200, 0.1]]}', "--n", "4"],
+    ["theorem", "--set", '{"alpha": -1e200, "beta": 1e200}', "--n", "10"],
+    ["coeffs", "--set", '{"alpha": -1e300, "beta": 1e300, "gaps": [[-1e299, 1e299]]}',
+     "--measure", "lebesgue", "--n", "10"],
+    ["coeffs", "--set", '{"alpha": -1e200, "beta": 1e200}', "--n", "10"],
+], ids=["point_mass_1e200", "theorem_1e200", "lebesgue_1e300", "coeffs_1e200"])
+def test_lanczos_overflow_exit_code(args, capsys):
+    # a Lanczos run that leaves the float range exits 2, with no warning
+    # (warnings are errors here); it exited 1, "coefficients must be finite"
+    assert cli.main(["--command", *args]) == 2
+    assert capsys.readouterr().err.startswith("gaplab: numerical failure: Lanczos")
+
+
 def _plot_block(path, name):
     head, *lines = path.read_text().splitlines()
     assert head == f"# {name}"

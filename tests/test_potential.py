@@ -16,7 +16,6 @@ from gaplab.potential import (
     _deflated_numerator,
     _edge_ray,
     _gap_tables,
-    _leggauss,
     _log_g_prime,
     _log_sums,
     _m_e,
@@ -131,38 +130,37 @@ def test_gap_area_identity(model_pm12):
     )
 
 
-def _arc_reference(model, j, th0, th1, dtype=float):
-    """One gap arc alone: one Gauss-Legendre row in theta, through _g_prime
-    (the direct sum), or its double nodes summed in dtype (np.longdouble)."""
+LD_PI = 4 * np.arctan(np.longdouble(1))
+
+
+def _series_reference(model, j):
+    """g on gap j from a test-local long-double series: the integrand
+    +-|g'| r sin(theta) at exact angles and twice the model's series order,
+    its cosine coefficients by direct sums, and their termwise integral
+    from the edge on x's side of c_j."""
+    ld = np.longdouble
     lo, hi = model.set.gaps[j]
-    xg, wg = _leggauss(model.gap_orders[j])
-    th = 0.5 * (th1 - th0) * (xg + 1.0) + th0
-    t = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(th)
-    if dtype is float:
-        g = _g_prime(t, model.critical_points, model.edges, (2 * j + 1, 2 * j + 2))
-        return abs(float(np.sum(0.5 * (th1 - th0) * wg * g)))
-    x = t.astype(dtype)[:, None]
-    edges = np.delete(model.edges, [2 * j + 1, 2 * j + 2]).astype(dtype)
-    log_g = (np.log(np.abs(x - model.critical_points.astype(dtype))).sum(axis=1)
-             - np.log(np.abs(x - edges)).sum(axis=1) / 2)
-    return abs(np.sum((dtype(th1) - dtype(th0)) / 2 * wg.astype(dtype) * np.exp(log_g)))
+    n = 2 * int(model._gap_series[0][j])
+    c, r = (ld(lo) + ld(hi)) / 2, (ld(hi) - ld(lo)) / 2
+    m, theta = np.arange(n, dtype=ld), (np.arange(n, dtype=ld) + ld(0.5)) * LD_PI / n
+    t = c + r * np.cos(theta)
+    roots, edges = model.critical_points.astype(ld), np.delete(model.edges, [2 * j + 1, 2 * j + 2]).astype(ld)
+    log_f = np.log(np.abs(t[:, None] - roots)).sum(axis=1) - np.log(np.abs(t[:, None] - edges)).sum(axis=1) / 2
+    a = 2 / ld(n) * (np.cos(np.outer(m, theta)) @ (np.where(t > roots[j], ld(1), ld(-1)) * np.exp(log_f)))
+    a[0] /= 2
+
+    def g(x):
+        th = np.arccos(np.clip((ld(x) - c) / r, -1, 1))
+        at = a[0] * th + np.sum(a[1:] / m[1:] * np.sin(m[1:] * th))
+        return abs(at) if x >= model.critical_points[j] else abs(at - a[0] * LD_PI)
+
+    return g
 
 
-def _far_gaps(model):
-    """Gaps with a source beyond _FAR half-lengths: the kernel's near/far path."""
-    lo, hi = model.edges[1:-1:2], model.edges[2:-1:2]
-    reach = potential._FAR * ((hi - lo) / 2)
-    return set(np.flatnonzero((lo - reach > model.edges[0]) | (hi + reach < model.edges[-1])).tolist())
-
-
-def _theta_of(lo, hi, x):
-    return math.acos(min(1.0, max(-1.0, (x - (lo + hi) / 2) / ((hi - lo) / 2))))
-
-
-def _green_reference(model, x, dtype=float):
+def _green_reference(model, x, series):
     """g at one point: robin plus the band rule's log potential one diameter
-    or more outside [alpha, beta], an edge ray nearer, else the gap arc from
-    x to the edge on its side of c_j (summed in dtype), else zero."""
+    or more outside [alpha, beta], an edge ray nearer, else series[j](x) in
+    gap j, else zero."""
     s, roots, edges = model.set, model.critical_points, model.edges
     if max(s.alpha - x, x - s.beta) >= s.diameter:
         t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
@@ -171,20 +169,15 @@ def _green_reference(model, x, dtype=float):
         return abs(_edge_ray(roots, edges, 0, s.alpha - x, model.quad_order))
     if x > s.beta:
         return abs(_edge_ray(roots, edges, len(edges) - 1, x - s.beta, model.quad_order))
-    for j, (lo, hi) in enumerate(s.gaps):
-        if lo < x < hi:
-            theta = _theta_of(lo, hi, x)
-            if x >= roots[j]:
-                return _arc_reference(model, j, 0.0, theta, dtype)
-            return _arc_reference(model, j, theta, math.pi, dtype)
-    return 0.0
+    j = _gap_of(model, x)
+    return 0.0 if j is None else series[j](x)
 
 
 def _gap_of(model, x):
     return next((j for j, (lo, hi) in enumerate(model.set.gaps) if lo < x < hi), None)
 
 
-# relative error of a gap arc off the direct path against its long-double sum
+# relative error of g in a gap against the long-double series
 ARC_REL_ERROR = 2.5e-14
 
 
@@ -193,8 +186,8 @@ def test_green_value_array_matches_per_point(name, request):
     # unsorted points in gaps and bands, on edges, repeated, and on both
     # sides of [alpha, beta] out to 1e300 diameters (several far-field chunks),
     # in one call, bit for bit against each point alone, and against the
-    # direct reference but in the gaps the kernel splits into near and far
-    # (4 of fat_cantor(3)'s 7), there within ARC_REL_ERROR of the long double
+    # direct reference outside the gaps; in the gaps within ARC_REL_ERROR of
+    # the long-double series
     model = request.getfixturevalue(name)
     s = model.set
     rng = np.random.default_rng(14)
@@ -208,15 +201,13 @@ def test_green_value_array_matches_per_point(name, request):
     rng.shuffle(pts)
     got = G.green_value(model, pts)
     assert got.tobytes() == np.array([G.green_value(model, x) for x in pts.tolist()]).tobytes()
-    far = _far_gaps(model)
-    split = [_gap_of(model, x) in far for x in pts.tolist()]
-    assert (sum(split) > 0) == (name == "model_fat3")
-    for x, g, off_direct in zip(pts.tolist(), got.tolist(), split):
-        if off_direct:
-            want = _green_reference(model, x, np.longdouble)
-            assert abs(g - want) <= ARC_REL_ERROR * want, x
+    series = [_series_reference(model, j) for j in range(len(s.gaps))]
+    for x, g in zip(pts.tolist(), got.tolist()):
+        want = _green_reference(model, x, series)
+        if _gap_of(model, x) is None:
+            assert g == want, x
         else:
-            assert g == _green_reference(model, x), x
+            assert abs(g - want) <= ARC_REL_ERROR * want, x
     assert np.count_nonzero(got) > 100
     for i in (0, 1, 2):
         assert G.green_value(model, pts[i : i + 1].reshape(())) == got[i]
@@ -262,42 +253,34 @@ def test_green_value_non_finite_is_validation_error(model_fat3, bad):
 
 
 def test_pw_sum_is_the_per_gap_sum(model_fat8):
-    # pw_sum adds g(c_j) left to right; a gap the kernel sums directly is the
-    # lone Gauss-Legendre row bit for bit, the others are within
-    # ARC_REL_ERROR of that row in long double
+    # pw_sum adds g(c_j) left to right, and each term is within
+    # ARC_REL_ERROR of the long-double series
     models = [G.solve_green(G.fat_cantor(level)) for level in range(1, 8)] + [model_fat8]
     for model in models:
-        got, far, want = G.green_value(model, model.critical_points).tolist(), _far_gaps(model), 0.0
-        for j, ((lo, hi), c) in enumerate(zip(model.set.gaps, model.critical_points)):
-            theta = _theta_of(lo, hi, c)
-            if j in far:
-                ref = _arc_reference(model, j, 0.0, theta, np.longdouble)
-                assert abs(got[j] - ref) <= ARC_REL_ERROR * ref
-            else:
-                assert got[j] == _arc_reference(model, j, 0.0, theta)
+        got, want = G.green_value(model, model.critical_points).tolist(), 0.0
+        for j, c in enumerate(model.critical_points):
+            ref = _series_reference(model, j)(c)
+            assert abs(got[j] - ref) <= ARC_REL_ERROR * ref
             want += got[j]
         assert G.pw_sum(model) == want
 
 
 @pytest.mark.parametrize("level", [6, 7, 8])
-def test_gap_arcs_against_long_double(level, model_fat8):
-    # g(c_j) on every gap against its Gauss-Legendre row summed in long
-    # double: worst 1.8e-14 and mean 2.3e-15 relative at level 8, where one
-    # direct sum per gap read 3.0e-14 and 8.0e-15
+def test_gap_series_against_long_double(level, model_fat8):
+    # g(c_j) on every gap against the long-double series: worst 8.0e-15 and
+    # mean 2.3e-15 relative at level 8
     model = model_fat8 if level == 8 else G.solve_green(G.fat_cantor(level))
     got = G.green_value(model, model.critical_points).tolist()
-    errors = []
-    for j, ((lo, hi), c) in enumerate(zip(model.set.gaps, model.critical_points)):
-        ref = _arc_reference(model, j, 0.0, _theta_of(lo, hi, c), np.longdouble)
-        errors.append(float(abs(got[j] - ref) / ref))
+    errors = [float(abs(g - ref) / ref) for g, ref in
+              ((got[j], _series_reference(model, j)(c)) for j, c in enumerate(model.critical_points))]
     assert max(errors) <= ARC_REL_ERROR
     assert sum(errors) / len(errors) <= 4e-15
 
 
 @pytest.mark.parametrize("level", range(4, 9))
 def test_gap_area_identity_on_every_gap(level, model_fat8):
-    # int |g'| across gap j is 2 g(c_j): two arcs against one, all through
-    # the kernel (the worst gap reads 5.3e-15)
+    # int |g'| across gap j is 2 g(c_j): both halves of the gap's series
+    # against one, which differ by its period residual
     model = model_fat8 if level == 8 else G.solve_green(G.fat_cantor(level))
     g = G.green_value(model, model.critical_points)
     for j in range(len(model.set.gaps)):
@@ -312,12 +295,11 @@ def test_green_value_bits_ignore_the_batch(model_fat8):
 
 
 def test_green_value_chunks_match_small_calls(model_fat8, monkeypatch):
-    # 5,000 points on one level-8 gap, off the direct path: every kernel
-    # piece stays within _ARC_BLOCK entries, and the bits are those of
-    # 100-point calls
+    # 5,000 points on one level-8 gap: every series-evaluation piece stays
+    # within _ARC_BLOCK entries, and the bits are those of 100-point calls
     lo, hi = model_fat8.set.gaps[100]
-    assert 100 in _far_gaps(model_fat8)
     x = np.linspace(lo, hi, 5002)[1:-1]
+    G.green_value(model_fat8, x[:1])  # the series is built
     pieces, blocks = [], potential._blocks
 
     def count_pieces(rows, cols, width):
@@ -327,17 +309,18 @@ def test_green_value_chunks_match_small_calls(model_fat8, monkeypatch):
 
     monkeypatch.setattr(potential, "_blocks", count_pieces)
     whole = G.green_value(model_fat8, x)
-    assert potential._ARC_BLOCK / 2 < max(pieces) <= potential._ARC_BLOCK
+    assert len(pieces) > 1 and potential._ARC_BLOCK / 2 < max(pieces) <= potential._ARC_BLOCK
     parts = [G.green_value(model_fat8, x[i : i + 100]) for i in range(0, len(x), 100)]
     assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
-def test_one_kernel_call_for_all_gaps(model_fat3, monkeypatch):
-    # a deterministic guard against per-gap and per-point loops: a profile
-    # on one gap, pw_sum, green_value at points of every gap and
-    # gap_derivative_l1 are one _log_sums call each
+def test_one_kernel_call_for_all_gaps(monkeypatch):
+    # a deterministic guard against per-gap and per-point loops: a model's
+    # first g evaluation builds every gap's series from one _log_sums call;
+    # a profile on one gap, pw_sum, points in every gap and
+    # gap_derivative_l1 then make none
     s = G.make_gapset(-2, 2, [(-1, 1)])
-    model = G.solve_green(s)
+    model, fat3 = G.solve_green(s), G.solve_green(G.fat_cantor(3))
     monkeypatch.setattr(cli, "solve_green", lambda s, quad_order=None: model)
     calls, log_sums = [], potential._log_sums
 
@@ -346,18 +329,18 @@ def test_one_kernel_call_for_all_gaps(model_fat3, monkeypatch):
         return log_sums(lo, hi, orders, *rest)
 
     monkeypatch.setattr(potential, "_log_sums", count_rows)
-    cli.run({"command": "green", "set": s.to_json(), "gap_index": 0, "n": 101})
-    assert calls == [101]
+    profile = {"command": "green", "set": s.to_json(), "gap_index": 0, "n": 101}
+    cli.run(profile)
+    assert calls == [1]
+    G.pw_sum(fat3)
+    assert calls == [1, 7]
     calls.clear()
-    G.pw_sum(model_fat3)
-    assert calls == [len(model_fat3.set.gaps)] == [7]
-    calls.clear()
-    mid = [(lo + hi) / 2 for lo, hi in model_fat3.set.gaps]
-    G.green_value(model_fat3, np.concatenate([mid, model_fat3.critical_points, [-1.0, 0.0, 2.0]]))
-    assert calls == [14]
-    calls.clear()
-    G.gap_derivative_l1(model_fat3, 3)
-    assert calls == [2]
+    mid = [(lo + hi) / 2 for lo, hi in fat3.set.gaps]
+    G.green_value(fat3, np.concatenate([mid, fat3.critical_points, [-1.0, 0.0, 2.0]]))
+    G.gap_derivative_l1(fat3, 3)
+    G.pw_sum(fat3)
+    cli.run(profile)
+    assert calls == []
 
 
 def test_equilibrium_density_interval(model_m22):
@@ -534,9 +517,12 @@ def _per_gap(tables):
 
 @pytest.mark.parametrize("name", ["model_pm12", "model_fat4", "model_fat3_explicit"])
 def test_model_json_keeps_solve_diagnostics(name, request):
-    # the gate readings round-trip
+    # the gate readings round-trip: the load reruns both gates on the same
+    # rules, so the JSON stores neither reading
     model = request.getfixturevalue(name)
-    rebuilt = G.model_from_json(G.model_to_json(model))
+    text = G.model_to_json(model)
+    assert "period_residual" not in json.loads(text)
+    rebuilt = G.model_from_json(text)
     assert (rebuilt.period_residual, rebuilt.mass_error) == (model.period_residual, model.mass_error)
 
 
@@ -550,7 +536,7 @@ def _roots(roots):
 
 @pytest.mark.parametrize("edit", [
     lambda obj: "{}", lambda obj: "[]", lambda obj: "not json",
-    _without("numerator"), _without("gap_orders"), _without("period_residual"),
+    _without("numerator"), _without("gap_orders"),
     _without("solve_passes"), _without("root_move"),
     lambda obj: json.dumps(dict(obj, quad_order="x")),
     _roots([float("nan")]), _roots([float("inf")]), _roots([1e300]), _roots([]),
@@ -559,13 +545,22 @@ def _roots(roots):
     lambda obj: json.dumps(dict(obj, gap_orders=[1])),
     lambda obj: json.dumps(dict(obj, quad_order=-5)),
 ], ids=["empty_object", "list", "not_json", "no_numerator", "no_gap_orders",
-        "no_period_residual", "no_solve_passes", "no_root_move", "quad_order_string",
+        "no_solve_passes", "no_root_move", "quad_order_string",
         "nan_root", "inf_root", "root_outside_gap", "no_root", "two_roots", "no_gap_order",
         "gap_order_1", "quad_order_negative"])
 def test_model_json_malformed_is_validation_error(model_pm12, edit):
     text = edit(json.loads(G.model_to_json(model_pm12)))
     with pytest.raises(ValidationError, match="malformed GreenModel JSON"):
         G.model_from_json(text)
+
+
+@pytest.mark.parametrize("root", [0.5, 0.999])
+def test_model_json_root_off_its_period_condition_is_numerical_error(model_pm12, root):
+    # a load reruns the period gate on tables rebuilt from gap_orders, so an
+    # edited root fails it (residuals 0.843 and 1.684) instead of loading
+    # with a wrong capacity
+    with pytest.raises(NumericalError, match="period residual"):
+        G.model_from_json(_roots([root])(json.loads(G.model_to_json(model_pm12))))
 
 
 def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_explicit):
@@ -880,6 +875,32 @@ def test_polynomial_preimage_battery(d):
                 assert G.green_value(model, x) == pytest.approx(green(x), rel=1e-11, abs=1e-14)
 
 
+def _julia_preimages(c, levels):
+    """beta and E_L = T^-L([-beta, beta]) for T(x) = x^2 - c, L = 1..levels:
+    2^L bands, whose edges are nested square roots sqrt(c +- ...)."""
+    beta = (1 + math.sqrt(1 + 4 * c)) / 2  # T(beta) = beta
+    bands = [(-beta, beta)]
+    for _ in range(levels):
+        half = [(math.sqrt(c + a), math.sqrt(c + b)) for a, b in bands]
+        bands = [(-b, -a) for a, b in reversed(half)] + half
+        yield beta, G.make_gapset(bands[0][0], bands[-1][1], [(b0[1], b1[0]) for b0, b1 in zip(bands, bands[1:])])
+
+
+@pytest.mark.parametrize("c", [2.5, 3.0, 4.0])
+def test_julia_preimage_oracles(c):
+    # E_L = T^-L([-beta, beta]): cap = (beta/2)^(2^-L), and g = g_[-beta,beta](T^L)/2^L
+    # peaks where T^k = 0 (k < L), so pw_sum = sum_{j <= L} acosh(|T^j(0)|/beta)/2^j;
+    # the worst reads 2.8e-13 (c = 4, L = 8), where gap series of at most
+    # 1,024 terms read 7.8e-10 off
+    orbit = pw = 0.0
+    for level, (beta, s) in enumerate(_julia_preimages(c, 8), start=1):
+        orbit = orbit * orbit - c
+        pw += math.acosh(abs(orbit) / beta) / 2**level
+        model = G.solve_green(s)
+        assert abs(model.capacity / (beta / 2) ** (2.0**-level) - 1) <= 5e-13, level
+        assert abs(G.pw_sum(model) - pw) <= 5e-13, level
+
+
 @pytest.mark.parametrize("name", ["model_pm12", "model_fat3"])
 def test_m_e_is_the_band_rule_stieltjes_transform(name, request):
     # m_E = -g' off E: the band rule's sum w/(t - x) at points 1% of the
@@ -972,9 +993,9 @@ def test_solve_log_sum_work_and_pieces(monkeypatch):
     # intervals with no far source), _near_sums (near windows at the nodes)
     # and _far_sums (far sources at c and the proxies): 6.5M in all, where
     # per-interval direct sums took 22.1M (7.8M with near windows padded
-    # across (order, p) batches); its pw_sum takes 1.9M, where one direct
-    # sum per gap arc took 6.3M; and every call or _blocks piece holds at
-    # most _ARC_BLOCK entries
+    # across (order, p) batches); its pw_sum, which builds every gap's
+    # series, takes 2.0M; and every call or _blocks piece holds at most
+    # _ARC_BLOCK entries
     entries, calls, pieces = [], [], []
     log_g_prime, near, far, blocks = (potential._log_g_prime, potential._near_sums,
                                       potential._far_sums, potential._blocks)
@@ -1013,15 +1034,11 @@ def test_solve_log_sum_work_and_pieces(monkeypatch):
 def test_cheb_interp_matrices(p, n):
     # built without a warning, also when nodes meet proxy points (n/p odd);
     # a node on a proxy point reads its value exactly, and polynomials of
-    # degree below p and their derivatives come through to rounding; the
-    # rows _barycentric builds at arbitrary points (the gap arcs') too
+    # degree below p and their derivatives come through to rounding
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values, slopes = potential._cheb_interp.__wrapped__(p, n)
         x, xp = potential._cos_points(n), potential._cos_points(p)
-        arcs = np.concatenate([np.cos(np.linspace(0.0, np.pi, 2 * n)), xp])
-        arcs = np.stack([arcs, arcs[::-1]])  # rows of points, as the arcs pass them
-        at_arcs = potential._barycentric(p, arcs)
     f = np.polynomial.Polynomial(np.linspace(1.0, -0.5, p))
     hits = [(i, k) for i in range(n) for k in range(p) if (2 * i + 1) * p == (2 * k + 1) * n]
     assert len(hits) == (p if (n // p) % 2 and n % p == 0 else 0)
@@ -1029,8 +1046,6 @@ def test_cheb_interp_matrices(p, n):
         assert values[i] @ f(xp) == f(xp)[k]
     assert np.max(np.abs(values @ f(xp) - f(x))) <= 1e-14
     assert np.max(np.abs(slopes @ f(xp) - f.deriv()(x))) <= 1e-11
-    assert np.max(np.abs(at_arcs @ f(xp) - f(arcs))) <= 1e-14
-    assert np.array_equal(at_arcs[0, 2 * n:] @ f(xp), f(xp))
 
 
 # pw_sum of fat_cantor(1..9) from per-interval direct sums, before the proxies

@@ -119,3 +119,29 @@ def test_every_parameter_default_is_overridden():
             if p.default is not p.empty and not (positional or p.name in hit or None in hit):
                 unset.append(f"{name}.{p.name}")
     assert unset == []
+
+
+
+def test_every_private_helper_is_reached():
+    # each module-level _name (a function, class or constant) of the package
+    # is named in the package outside its own definition; a helper that only
+    # the tests call is dead code
+    defined, reached = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            else:
+                targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined |= {name for name in own if name.startswith("_") and not name.startswith("__")}
+            used = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.asname or node.name)
+            reached |= used - own
+    assert defined and sorted(defined - reached) == []
