@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ from .potential import (
     EquilibriumQuadrature,
     GreenModel,
     TOLERANCES,
-    _leggauss,
+    _dct,
     _log_f_e,
     _m_e,
     equilibrium_quadrature,
@@ -51,6 +51,12 @@ from .realset import GapSet, Location, edge_slots, locate
 
 _SWEEP_POINTS = 512  # midpoints per multisection count sweep, all brackets together
 _INTERLACING_EPS = 1e-6  # interlacing_profile's zeros are the roots of m + this
+
+
+@lru_cache(maxsize=64)
+def _leggauss(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]: absolute-mode measures' band rule."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 @dataclass(frozen=True)
@@ -186,17 +192,6 @@ class MeasureModel:
     @property
     def set(self) -> GapSet:
         return self.model.set
-
-    @cached_property
-    def _band_wphi_cheb(self) -> tuple[np.ndarray, ...]:
-        # relative mode: Chebyshev coefficients of w * f_E * r sin(theta) per
-        # band for the Glauert principal value, the interpolant at quad's nodes
-        # theta_i = (i + 1/2) pi/n, where the function is n/pi times the a.c.
-        # weight: c_m = (2/pi) sum_i w_i cos(m theta_i), c_0 halved, m < 400
-        n = self.quad.order
-        cosines = np.cos(np.arange(min(n, 400))[:, None] * ((np.arange(n) + 0.5) * np.pi / n))
-        cosines[0] /= 2.0
-        return tuple(2.0 / np.pi * (cosines @ w) for w in self.ac_weights)
 
     def weight_value(self, t):
         return np.asarray(self.weight(np.asarray(t, dtype=float)), dtype=float)
@@ -678,8 +673,11 @@ def measure_m_boundary(mu: MeasureModel, t):
             f"edge of or outside band {k} {model.set.bands[k]}"
         )
     if mu.mode == "relative":
-        theta = np.arccos(xt)
-        coefs = mu._band_wphi_cheb[k]
+        # Chebyshev coefficients of w f_E r sin(theta), the interpolant at the
+        # nodes' angles theta_i, where it is n/pi times the a.c. weight w_i:
+        # c_m = (2/pi) sum_i w_i cos(m theta_i), c_0 halved, m < 400
+        theta, coefs = np.arccos(xt), _dct(mu.ac_weights[k])[:400] * (mu.quad.order / np.pi)
+        coefs[0] /= 2.0
         sines = np.sin(theta[:, None] * np.arange(len(coefs)))
         re = mu.normalization * (np.pi / r * np.sum(coefs * sines, axis=1) / np.sin(theta))
     else:

@@ -32,18 +32,17 @@ nodes of interval families (the band rule, the period tables and rows,
 the residual gate, the gap series) the sums are _log_sums's, a one-level
 fast-multipole split (Greengard and Rokhlin, J. Comput. Phys. 73, 1987):
 sources within _FAR half-lengths summed directly, the rest at p <= 9
-Chebyshev proxy points and interpolated.  Elsewhere (rays, densities,
-m_E) they are _log_g_prime's direct sums.  Singular integrals
-are tamed by the cosine substitution t = c + r*cos(theta) (gap and band
-versions), which cancels the inverse-square-root edge behaviour exactly,
-and on the unbounded components by t = e +/- s^2.  After the substitution
-a gap integrand is analytic out to the nearest foreign edge, so each gap's
-period table gets the order that edge's Bernstein ellipse needs for 1e-15
-(at least 32); an explicit quad_order raises the orders below it and
-lowers none.  g in a gap is the termwise integral of one cosine series
-per gap, which interpolates the integrand at that ellipse's rho^(-n) order.
-An outer ray is sized from the edge one outer band inside, never below
-the band order.
+Chebyshev proxy points and interpolated; the densities and m_E take
+_log_g_prime's direct sums, the outer rays long-double ones.  Singular
+integrals are tamed by the cosine substitution t = c + r*cos(theta), which
+cancels the inverse-square-root edge factors exactly, and on the unbounded
+components by t = e +/- s^2.  A gap integrand is then analytic out to the
+nearest foreign edge, so each gap's period table gets the order that
+edge's Bernstein ellipse needs for 1e-15 (at least 32; an explicit
+quad_order raises the orders below it and lowers none).  g on each
+component of R minus E within one diameter of the set is the termwise
+integral of one cosine series (a gap, or an outer ray sized by the edge
+one outer band inside) at its interpolant's rho^(-n) order.
 """
 
 from __future__ import annotations
@@ -52,10 +51,9 @@ import bisect
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 
@@ -82,11 +80,6 @@ TOLERANCES = {
 }
 
 
-@lru_cache(maxsize=64)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _default_order(n_gaps: int) -> int:
     return DEFAULT_ORDER_SMALL if n_gaps <= _GAP_COUNT_SWITCH else DEFAULT_ORDER_LARGE
 
@@ -105,8 +98,6 @@ def _gap_orders(s: GapSet, power: int = 2) -> tuple[int, ...]:
     needs ~600 nodes, where 200 leave a period residual of 2e-6 that no
     gate sees.
     """
-    if not s.gaps:
-        return ()
     lengths = np.diff(s.edges)
     r = 0.5 * lengths[1::2]
     u = np.minimum(lengths[0:-1:2], lengths[2::2]) / r  # a - 1
@@ -131,11 +122,9 @@ def _log_g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = (), signed
     with np.errstate(divide="ignore"):
         logmag = np.log(np.abs(d)).sum(axis=1)
     if len(edges):
-        if len(skip):
-            keep = np.ones(len(edges), dtype=bool)
-            keep[list(skip)] = False
-            edges = edges[keep]
-        diffs = np.abs(t[:, None] - edges)
+        keep = np.ones(len(edges), dtype=bool)
+        keep[list(skip)] = False
+        diffs = np.abs(t[:, None] - edges[keep])
         if (diffs == 0.0).any():
             raise NumericalError("quadrature node collided with a band edge")
         logmag = logmag - 0.5 * np.log(diffs).sum(axis=1)
@@ -310,26 +299,37 @@ def _cos_points(n: int) -> np.ndarray:
     return x
 
 
-def _edge_ray(roots, edges, k: int, length: float, order: int) -> float:
-    """Integral of g' from the outer edge e_k (k = 0 or the last) outward by length.
+def _dct(f: np.ndarray) -> np.ndarray:
+    """Cosine coefficients a_m = (2/n) sum_i f_i cos(m theta_i), m < n (a_0 not halved), of
+    samples at the angles theta_i = (i + 1/2) pi/n of _cos_points(n), along f's last axis."""
+    n = f.shape[-1]
+    twiddle = np.exp(-0.5j * np.pi * np.arange(n) / n)  # e^(-i m theta_0)
+    return (np.fft.rfft(f, 2 * n)[..., :n] * twiddle).real * (2.0 / n)
 
-    Under t = e_k -/+ s^2, dt = 2s ds cancels the edge's own factor
-    sqrt|t - e_k| = s, leaving a smooth integrand in s.  The edge one outer
-    band (length eps) inside puts branch points at s = +/- i sqrt(eps), at
-    z = -1 + 2i sqrt(eps/length) in the rule's variable; the rule takes the
-    larger of order and the order of their Bernstein ellipse.  g' is
-    evaluated in calls of at most _ARC_BLOCK entries.
+
+def _ray_series(s: GapSet, roots, side: int) -> np.ndarray:
+    """c_1..c_n of g(x) = sum_m c_m sin^2(m theta_x/2), theta_x = 2 arcsin((|x - e|/diam)^(1/4)),
+    on the ray from e = alpha (side 0) or beta (side 1) out one diameter.
+
+    Under t = e -/+ s^2, s = sqrt(diam) sin^2(theta/2), F = 2|g'|s has e's own
+    factor cancelled; its interpolant sum_k a_k cos(k theta) takes the order of
+    the ellipse through the branch points cos(theta) = 1 -/+ 2i sqrt(eps/diam)
+    of the edge one outer band (eps) inside.  cos(k theta) sin(theta)
+    integrates to sin^2((k+1) theta/2)/(k+1) - sin^2((k-1) theta/2)/(k-1), so
+    every term vanishes at e (g keeps its relative accuracy there) and theta =
+    pi sums the odd m.  |t - source| = |e - source| + s^2 for every source; the
+    log-sums run in long double, as ~3N double logs carry ~1e-14 rounding.
     """
-    eps = abs(edges[k] - edges[1 if k == 0 else k - 1])
-    z = complex(-1.0, 2.0 * math.sqrt(eps / length))
-    w = cmath.sqrt(z * z - 1.0)
-    xg, wg = _leggauss(max(order, int(_ellipse_orders(math.log(max(abs(z + w), abs(z - w)))))))
-    smax = math.sqrt(length)
-    sq = 0.5 * smax * (xg + 1.0)
-    t = edges[k] + (-1.0 if k == 0 else 1.0) * (sq * sq)
-    step = max(1, _ARC_BLOCK // (len(roots) + len(edges)))  # nodes per _g_prime call
-    g = np.concatenate([_g_prime(t[i:i + step], roots, edges, (k,)) for i in range(0, len(t), step)])
-    return float(np.sum(0.5 * smax * wg * 2.0 * g))
+    k = len(s.edges) - 1 if side else 0
+    z = complex(1.0, 2.0 * math.sqrt(abs(s.edges[k] - s.edges[k - 1 if side else 1]) / s.diameter))
+    n = int(_ellipse_orders(math.log(abs(z + cmath.sqrt(z * z - 1.0))), 1))  # |z + w| >= |z - w| here
+    s2 = s.diameter * np.sin((np.arange(n) + 0.5) * (0.5 * np.pi / n)) ** 4
+    src = np.concatenate([roots, s.edges[:k], s.edges[k + 1:]]).astype(np.longdouble)
+    dist, coef = np.abs(s.edges[k] - src), np.where(np.arange(len(src)) < len(roots), 1.0, -0.5)
+    # two long-double temporaries a piece, together the bytes of one _ARC_BLOCK piece
+    log_f = np.concatenate([np.log(dist + s2[b, None]) @ coef for b, _ in _blocks(n, 1, 4 * len(src))])
+    a = np.concatenate([_dct(2.0 * np.exp(log_f).astype(float)), [0.0, 0.0]])
+    return math.sqrt(s.diameter) * (a[:-2] - a[2:]) / (2.0 * np.arange(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -344,9 +344,6 @@ class EquilibriumQuadrature:
     def all_weights(self) -> np.ndarray:
         return np.concatenate(self.weights)
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(sum(np.sum(w * f(t)) for t, w in zip(self.nodes, self.weights)))
-
 
 @dataclass(frozen=True)
 class GreenModel:
@@ -355,8 +352,8 @@ class GreenModel:
     The numerator polynomial is monic with one root per gap; those roots
     are the critical points, so critical_points doubles as the polynomial
     representation.  The band rule is precomputed; the period tables are
-    rebuilt from gap_orders by period_residuals, and the gap series on
-    first use.
+    rebuilt from gap_orders by period_residuals, and the gap and ray
+    series on first use.
     """
 
     set: GapSet
@@ -371,6 +368,8 @@ class GreenModel:
     root_move: float  # largest root change in the last pass; above 1e-14 * diam the cap was hit
     period_residual: float  # largest |period residual|, what the period gate read
     mass_error: float  # |band-rule mass - 1|, what the mass gate read
+    # _ray_series by side, built on first use; _assemble leaves side 1, the Robin probe's
+    _rays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def _gap_series(self):
@@ -401,10 +400,10 @@ class GreenModel:
             ids, m = np.flatnonzero(orders == n), np.arange(n)
             rows[ids], cols, theta = np.arange(len(ids)), first[ids, None] + m, (m + 0.5) * np.pi / n
             twiddle = np.exp(-0.5j * np.pi * m / n)  # e^(-i m theta_0)
-            a = (np.fft.rfft(f[cols], 2 * n)[:, :n] * twiddle).real * (2.0 / n)  # a_0 not yet halved
+            a = _dct(f[cols])  # a_0 not yet halved
             shift = ((t[cols] - c[ids, None]) / r[ids, None] - np.cos(theta)) / np.sin(theta)
             moved = f[cols] + shift * np.fft.fft(m * a * twiddle, 2 * n)[:, :n].imag  # f at the angles
-            a = (np.fft.rfft(moved, 2 * n)[:, :n] * twiddle).real * (2.0 / n)
+            a = _dct(moved)
             coefs[n] = a / np.where(m, m, 2)  # a_0 halved, a_m/m
         return orders, rows, coefs
 
@@ -576,8 +575,7 @@ def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
     bands = len(s.edges) // 2
     own = len(roots) + np.arange(2 * bands).reshape(-1, 2)
     t, log_g = _log_sums(s.edges[0::2], s.edges[1::2], np.full(bands, order), roots, s.edges, own)
-    w = np.exp(log_g)
-    w /= order
+    w = np.exp(log_g) / order
     quad = EquilibriumQuadrature(tuple(t.reshape(bands, order)), tuple(w.reshape(bands, order)), order)
     total = float(w.sum())
     if not abs(total - 1.0) <= TOLERANCES["quadrature_mass"]:  # NaN fails too
@@ -599,17 +597,22 @@ def _assemble(s, roots, order, gap_orders, passes, moved, tables) -> GreenModel:
             )
     quad = _band_rule(s, roots, order)
     # Robin constant via the potential identity at the probe x0 = beta + diam,
-    # one diameter out so the identity is scale-covariant: g(x0) by edge
-    # integration, the potential from the equilibrium rule divided by its
-    # mass, so the rule's mass error does not enter.  Logs are taken in
-    # units of h = diam/2, so capacity = h exp(pot - g0) never passes
-    # through robin, whose own rounding grows with |log h|.
-    h = 0.5 * s.diameter
-    x0 = s.beta + s.diameter
-    g0 = _edge_ray(roots, s.edges, len(s.edges) - 1, s.diameter, order)
-    mass = float(np.sum(quad.all_weights))
-    pot = quad.integrate(lambda t: np.log((x0 - t) / h)) / mass
-    return GreenModel(
+    # one diameter out so the identity is scale-covariant: g(x0) is the
+    # right-hand ray series' whole integral (sin^2(m pi/2) is 1 for odd m,
+    # else 0), the potential from the equilibrium rule divided by its
+    # mass, so the rule's mass error does not enter, its logs and sums in
+    # long double like the series' samples.  Logs are taken in units of
+    # h = diam/2, so capacity = h exp(pot - g0) never passes through robin,
+    # whose own rounding grows with |log h|.
+    h, x0 = 0.5 * s.diameter, s.beta + s.diameter
+    if not math.isfinite(x0):
+        raise NumericalError(f"the Robin probe beta + diam = {x0!r} leaves the float range")
+    ray = _ray_series(s, roots, 1)
+    g0 = float(np.sum(ray[0::2]))
+    mass, ld = float(np.sum(quad.all_weights)), np.longdouble
+    logs = (np.log(((x0 - t) / h).astype(ld)) for t in quad.nodes)
+    pot = float(sum(map(np.dot, quad.weights, logs)) / np.sum(quad.all_weights.astype(ld)))
+    model = GreenModel(
         set=s,
         edges=s.edges,
         critical_points=np.asarray(roots, dtype=float),
@@ -623,6 +626,8 @@ def _assemble(s, roots, order, gap_orders, passes, moved, tables) -> GreenModel:
         period_residual=residual,
         mass_error=abs(mass - 1.0),
     )
+    model._rays[1] = ray
+    return model
 
 
 def period_residuals(model: GreenModel) -> np.ndarray:
@@ -663,26 +668,31 @@ def green_value(model: GreenModel, x):
 
     The points in gaps, found by edge_slots, read their gap's series:
     |A(theta_x)| right of c_j and |A(theta_x) - a_0 pi| left of it, the
-    integral from the edge on x's side.  A point outside [alpha, beta] by
-    less than the diameter takes its own edge ray, sized from its length.
-    The points farther out read the Robin probe's identity g(x) = robin +
-    int log|x - t| dmu_E on the band rule over its mass, in one batch: a
-    ray that long needs more nodes than any rule order allows.  A point's
-    bits ignore its batch.
+    integral from the edge on x's side.  The points outside [alpha, beta]
+    by less than the diameter read their side's ray series, one batch a
+    side.  The points farther out read the Robin probe's identity g(x) =
+    robin + int log|x - t| dmu_E on the band rule over its mass, in one
+    batch: a series that long would need more terms than any order allows.
+    A point's bits ignore its batch.
     """
     s, edges, roots = model.set, model.edges, model.critical_points
     xs = np.asarray(x, dtype=float).ravel()
     slots = edge_slots(s, xs)
     far = np.maximum(s.alpha - xs, xs - s.beta) >= s.diameter
     out, idx = np.zeros(len(xs)), np.flatnonzero(far)
-    if len(idx):  # row sums in ~_ARC_BLOCK chunks
+    if len(idx):  # row sums in _blocks pieces, over the mass as in the Robin probe
         t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
-        mass = np.sum(w)  # as in the Robin probe
-        for rows in np.array_split(idx, min(len(idx), math.ceil(len(idx) * len(t) / _ARC_BLOCK))):
-            out[rows] = model.robin + np.sum(w * np.log(np.abs(xs[rows, None] - t)), axis=1) / mass
-    for k, slot in ((0, 0), (len(edges) - 1, len(edges))):
-        for i in np.flatnonzero((slots == slot) & ~far).tolist():
-            out[i] = abs(_edge_ray(roots, edges, k, abs(xs[i] - edges[k]), model.quad_order))
+        for b, _ in _blocks(len(idx), 1, len(t)):
+            out[idx[b]] = model.robin + np.sum(w * np.log(np.abs(xs[idx[b], None] - t)), axis=1) / np.sum(w)
+    for side, slot in enumerate((0, len(edges))):
+        idx = np.flatnonzero((slots == slot) & ~far)
+        if len(idx) and side not in model._rays:
+            model._rays[side] = _ray_series(s, roots, side)
+        c = model._rays.get(side, ())
+        half = np.arcsin(np.sqrt(np.sqrt(np.abs(xs[idx] - (s.alpha, s.beta)[side]) / s.diameter)))
+        for b, _ in _blocks(len(idx), 1, len(c)):  # row sums: a point's bits ignore its batch
+            terms = np.sin(np.multiply.outer(half[b], np.arange(1, len(c) + 1)))
+            out[idx[b]] = np.sum(terms * terms * c, axis=1)
     idx = np.flatnonzero((slots % 2 == 0) & (slots > 0) & (slots < len(edges)))
     if len(idx):
         gap = slots[idx] // 2 - 1
@@ -732,11 +742,9 @@ def _m_e(model: GreenModel, x: np.ndarray) -> np.ndarray:
 
 def equilibrium_quadrature(model: GreenModel, order: int) -> EquilibriumQuadrature:
     """Per-band quadrature for dmu_E at the given order (the model's own at quad_order)."""
-    if order < 16:
-        raise ValidationError("quadrature order must be at least 16")
-    if order == model.quad_order:
-        return model.quad
-    return _band_rule(model.set, model.critical_points, order)
+    if order < GAP_ORDER_FLOOR:
+        raise ValidationError(f"quadrature order must be at least {GAP_ORDER_FLOOR}")
+    return model.quad if order == model.quad_order else _band_rule(model.set, model.critical_points, order)
 
 
 def model_to_json(model: GreenModel) -> str:
@@ -747,14 +755,12 @@ def model_to_json(model: GreenModel) -> str:
                     "gaps": [list(g) for g in model.set.gaps]},
             "numerator": {"form": "monic-roots",
                           "roots": list(map(float, model.critical_points))},
-            "critical_points": list(map(float, model.critical_points)),
             "robin": model.robin,
             "capacity": model.capacity,
             "quad_order": model.quad_order,
             "gap_orders": list(model.gap_orders),
             "solve_passes": model.solve_passes,
             "root_move": model.root_move,
-            "mass_error": model.mass_error,
         },
         sort_keys=True,
     )

@@ -328,16 +328,11 @@ def eigenvalue_bound_check(
     crit = pw_sum(model)
     c_bound = 2.0 * base_sum + crit
     entries: list[BoundCheckEntry] = []
-    for n in sizes:
-        eigs = [v for v, _ in stable_gap_eigenvalues(strip(J, n), model, eval_size)]
-        entries.append(
-            BoundCheckEntry("strip", n, eigenvalue_green_sum(eigs, model), c_bound, len(eigs))
-        )
-    for n in sizes:
-        eigs = [v for v, _ in gap_eigenvalues(J, model, n)]
-        entries.append(
-            BoundCheckEntry("corner", n, eigenvalue_green_sum(eigs, model), c_bound, len(eigs))
-        )
+    for family, spectrum in (("strip", lambda n: stable_gap_eigenvalues(strip(J, n), model, eval_size)),
+                             ("corner", lambda n: gap_eigenvalues(J, model, n))):
+        for n in sizes:
+            xs = [v for v, _ in spectrum(n)]
+            entries.append(BoundCheckEntry(family, n, eigenvalue_green_sum(xs, model), c_bound, len(xs)))
     for n, eigs in glued_eigenvalues(J, model, sizes).items():
         in_gap = [v for v, loc in eigs if loc.kind == "gap"]
         outside = [v for v, loc in eigs if loc.kind != "gap"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -14,7 +15,6 @@ from gaplab.potential import (
     _cos_points,
     _g_prime,
     _deflated_numerator,
-    _edge_ray,
     _gap_tables,
     _log_g_prime,
     _log_sums,
@@ -157,18 +157,40 @@ def _series_reference(model, j):
     return g
 
 
-def _green_reference(model, x, series):
+def _ray_reference(model, side):
+    """g within one diameter of alpha (side 0) or beta (side 1) from a
+    test-local long-double series: the ray integrand 2|g'|s under
+    t = e -/+ s^2, s = sqrt(diam) sin^2(theta/2), at exact angles and twice
+    the model's series order, its cosine coefficients by direct sums, and
+    their termwise integral against ds from the edge."""
+    ld, s = np.longdouble, model.set
+    own = len(model.critical_points) + (len(model.edges) - 1 if side else 0)
+    n = 2 * len(potential._ray_series(s, model.critical_points, side))
+    e, diam = ld((s.alpha, s.beta)[side]), ld(s.diameter)
+    m, theta = np.arange(n, dtype=ld), (np.arange(n, dtype=ld) + ld(0.5)) * LD_PI / n
+    src = np.delete(np.concatenate([model.critical_points, model.edges]), own).astype(ld)
+    coef = np.where(np.arange(len(src)) < len(model.critical_points), ld(1), ld(-0.5))
+    log_f = (np.log(np.abs(e - src) + diam * np.sin(theta[:, None] / 2) ** 4) * coef).sum(axis=1)
+    a = np.append(2 / ld(n) * (np.cos(np.outer(m, theta)) @ (2 * np.exp(log_f))), [ld(0), ld(0)])
+    c = np.sqrt(diam) * (a[:-2] - a[2:]) / (2 * (m + 1))
+
+    def g(x):
+        half = np.arcsin(np.sqrt(np.sqrt(abs(ld(x) - e) / diam)))
+        return np.sum(c * np.sin((m + 1) * half) ** 2)
+
+    return g
+
+
+def _green_reference(model, x, series, rays):
     """g at one point: robin plus the band rule's log potential one diameter
-    or more outside [alpha, beta], an edge ray nearer, else series[j](x) in
+    or more outside [alpha, beta], rays[side](x) nearer, else series[j](x) in
     gap j, else zero."""
-    s, roots, edges = model.set, model.critical_points, model.edges
+    s = model.set
     if max(s.alpha - x, x - s.beta) >= s.diameter:
         t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
         return float(model.robin + np.sum(w * np.log(np.abs(x - t))) / np.sum(w))
-    if x < s.alpha:
-        return abs(_edge_ray(roots, edges, 0, s.alpha - x, model.quad_order))
-    if x > s.beta:
-        return abs(_edge_ray(roots, edges, len(edges) - 1, x - s.beta, model.quad_order))
+    if x < s.alpha or x > s.beta:
+        return rays[x > s.beta](x)
     j = _gap_of(model, x)
     return 0.0 if j is None else series[j](x)
 
@@ -186,8 +208,8 @@ def test_green_value_array_matches_per_point(name, request):
     # unsorted points in gaps and bands, on edges, repeated, and on both
     # sides of [alpha, beta] out to 1e300 diameters (several far-field chunks),
     # in one call, bit for bit against each point alone, and against the
-    # direct reference outside the gaps; in the gaps within ARC_REL_ERROR of
-    # the long-double series
+    # direct reference one diameter or more out and on the set; in the gaps
+    # and on the rays within ARC_REL_ERROR of the long-double series
     model = request.getfixturevalue(name)
     s = model.set
     rng = np.random.default_rng(14)
@@ -202,9 +224,10 @@ def test_green_value_array_matches_per_point(name, request):
     got = G.green_value(model, pts)
     assert got.tobytes() == np.array([G.green_value(model, x) for x in pts.tolist()]).tobytes()
     series = [_series_reference(model, j) for j in range(len(s.gaps))]
+    rays = [_ray_reference(model, side) for side in (0, 1)]
     for x, g in zip(pts.tolist(), got.tolist()):
-        want = _green_reference(model, x, series)
-        if _gap_of(model, x) is None:
+        want = _green_reference(model, x, series, rays)
+        if _gap_of(model, x) is None and not 0 < max(s.alpha - x, x - s.beta) < s.diameter:
             assert g == want, x
         else:
             assert abs(g - want) <= ARC_REL_ERROR * want, x
@@ -212,6 +235,25 @@ def test_green_value_array_matches_per_point(name, request):
     for i in (0, 1, 2):
         assert G.green_value(model, pts[i : i + 1].reshape(())) == got[i]
     assert G.green_value(model, np.array([])).shape == (0,)
+
+
+def _acosh1p(u):
+    """acosh(1 + u) in long double, accurate for small u > 0."""
+    return np.log1p(u + np.sqrt(u * (u + 2)))
+
+
+@pytest.mark.parametrize("name", ["model_m22", "model_pm12"])
+def test_green_value_ray_closed_forms(name, request):
+    # one ray series per side, against acosh(|x|/2) and
+    # acosh(|4x^2 - 10|/6)/2 in long double, from 1e-12 to 0.999 diameters
+    # out; the sin^2 form keeps the relative accuracy next to the edge
+    model = request.getfixturevalue(name)
+    dist = model.set.diameter * np.geomspace(1e-12, 0.999, 400)
+    xs = np.concatenate([model.set.alpha - dist, model.set.beta + dist])
+    d = np.abs(xs.astype(np.longdouble)) - 2  # both edges at +-2
+    want = _acosh1p(d / 2) if name == "model_m22" else _acosh1p(2 * d * (d + 4) / 3) / 2
+    err = np.abs(G.green_value(model, xs) / want - 1)
+    assert float(np.max(err)) <= 1e-15, xs[np.argmax(err)]
 
 
 @pytest.mark.parametrize("name", ["model_m22", "model_pm12"])
@@ -343,6 +385,52 @@ def test_one_kernel_call_for_all_gaps(monkeypatch):
     assert calls == []
 
 
+def test_one_ray_series_per_side(model_fat3, monkeypatch):
+    # the solve builds the right-hand series for the Robin probe and keeps
+    # it; near-outer points on one side, in any number, build that side's
+    # series once, and points a diameter or more out build none
+    calls, build = [], potential._ray_series
+
+    def count_sides(s, roots, side):
+        calls.append(side)
+        return build(s, roots, side)
+
+    monkeypatch.setattr(potential, "_ray_series", count_sides)
+    s = model_fat3.set
+    dist = s.diameter * np.geomspace(1e-12, 0.999, 1000)
+    model = G.solve_green(s)
+    assert calls == [1]
+    G.green_value(model, s.beta + dist)
+    G.green_value(model, s.alpha - s.diameter * np.array([1.0, 5.0, 1e10]))
+    assert calls == [1]
+    for x in (s.alpha - dist[:1], s.alpha - dist, s.alpha - dist[::-7]):
+        G.green_value(model, x)
+    assert calls == [1, 0]
+    fresh = dataclasses.replace(model_fat3)
+    for side in (s.beta + dist, s.beta + dist[:3], s.alpha - dist):
+        G.green_value(fresh, side)
+    assert calls == [1, 0, 1, 0]
+
+
+def test_no_gauss_legendre_rule_outside_absolute_measures(model_pm12, monkeypatch):
+    # the solve, g, pw_sum and relative-mode measures build every rule on
+    # cosine points; only absolute-mode measures take Gauss-Legendre
+    def no_rule(n):
+        raise AssertionError("a Gauss-Legendre rule was built")
+
+    assert not hasattr(potential, "_leggauss")
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+    monkeypatch.setattr(G.jacobi, "_leggauss", no_rule)
+    for s in (G.make_gapset(-2, 2), G.make_gapset(0.0, 1.0, [(1e-8, 1 - 1e-8)]), G.fat_cantor(4)):
+        model = G.solve_green(s)
+        x = np.linspace(s.alpha - 2 * s.diameter, s.beta + 2 * s.diameter, 101)
+        G.green_value(model, x)
+        G.pw_sum(model)
+        G.make_measure(model, G.WeightSpec("poly", {"coef": [1.0, 0.2]}))
+    with pytest.raises(AssertionError, match="Gauss-Legendre"):
+        G.make_measure(model_pm12, mode="absolute")
+
+
 def test_equilibrium_density_interval(model_m22):
     assert G.equilibrium_density(model_m22, 0.0) == pytest.approx(1 / (2 * math.pi), abs=1e-12)
     assert G.equilibrium_density(model_m22, 1.0) == pytest.approx(1 / (math.pi * math.sqrt(3)), abs=1e-12)
@@ -372,15 +460,20 @@ def test_equilibrium_density_domain_errors(model_pm12):
         G.equilibrium_density(model_pm12, 2.0)  # edge
 
 
+def _moment(quad, k):
+    """int t^k dmu_E on the rule quad."""
+    return float(quad.all_weights @ np.concatenate(quad.nodes) ** k)
+
+
 def test_equilibrium_quadrature_moments(model_m22, model_pm12, model_fat3):
     for model in (model_m22, model_pm12, model_fat3):
         quad = G.equilibrium_quadrature(model, 200)
         assert np.sum(quad.all_weights) == pytest.approx(1.0, abs=1e-10)
         assert G.equilibrium_quadrature(model, model.quad_order) is model.quad
     q22 = G.equilibrium_quadrature(model_m22, 200)
-    assert q22.integrate(lambda t: t * t) == pytest.approx(2.0, abs=1e-8)
+    assert _moment(q22, 2) == pytest.approx(2.0, abs=1e-8)
     qpm = G.equilibrium_quadrature(model_pm12, 200)
-    assert qpm.integrate(lambda t: t) == pytest.approx(0.0, abs=1e-10)
+    assert _moment(qpm, 1) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_equilibrium_m_boundary_interval(model_m22):
@@ -450,8 +543,8 @@ def test_cubic_preimage_oracles():
     # exact pushforward moments: sums of preimage roots give 0 and 6 at
     # every base point, so the first two equilibrium moments are 0 and 2
     quad = G.equilibrium_quadrature(model, 240)
-    assert quad.integrate(lambda t: t) == pytest.approx(0.0, abs=1e-9)
-    assert quad.integrate(lambda t: t * t) == pytest.approx(2.0, abs=1e-8)
+    assert _moment(quad, 1) == pytest.approx(0.0, abs=1e-9)
+    assert _moment(quad, 2) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_capacity_narrow_bands():
@@ -465,8 +558,8 @@ def test_capacity_narrow_bands():
 @pytest.mark.parametrize("eps, bound", [(1e-6, 1e-10), (1e-7, 1e-9), (1e-8, 1e-8)])
 def test_capacity_tiny_outer_bands(eps, bound):
     # [0, eps] u [1 - eps, 1]: the Robin probe's ray from beta meets the branch
-    # point of the edge at beta - eps, so its rule is sized by eps, not by the
-    # band order, which left 2e-3 at eps = 1e-8
+    # point of the edge at beta - eps, so its series is sized by eps, not by
+    # the band order, which left 2e-3 at eps = 1e-8
     model = G.solve_green(G.make_gapset(0.0, 1.0, [(eps, 1.0 - eps)]))
     want = math.sqrt(eps - eps * eps) / 2
     assert abs(model.capacity - want) <= bound * want
@@ -521,7 +614,7 @@ def test_model_json_keeps_solve_diagnostics(name, request):
     # rules, so the JSON stores neither reading
     model = request.getfixturevalue(name)
     text = G.model_to_json(model)
-    assert "period_residual" not in json.loads(text)
+    assert "period_residual" not in json.loads(text) and "mass_error" not in json.loads(text)
     rebuilt = G.model_from_json(text)
     assert (rebuilt.period_residual, rebuilt.mass_error) == (model.period_residual, model.mass_error)
 
@@ -604,7 +697,7 @@ def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_expl
 def test_solver_validation(model_m22, model_pm12):
     with pytest.raises(ValidationError):
         G.solve_green(G.make_gapset(-2, 2), quad_order=16)
-    with pytest.raises(ValidationError, match="at least 16"):
+    with pytest.raises(ValidationError, match="at least 32"):
         G.equilibrium_quadrature(model_m22, 8)
     for j in (-1, 1):
         with pytest.raises(ValidationError, match="out of range"):
