@@ -1,7 +1,8 @@
 """Jacobi recurrence coefficients, eigenvalues and m-functions.
 
 Coefficients come out of a discretized-Stieltjes procedure: the measure is
-replaced by M equilibrium-quadrature atoms (reweighted by the model weight)
+replaced by M atoms per band at the band rule's cosine points (weights:
+the equilibrium rule's, or in absolute mode Fejér's first rule's, times w)
 plus any point masses, and the Lanczos recurrence is run on the resulting
 diagonal operator.  Moment determinants lose every digit by n ~ 20.
 The measure keeps the a.c. rule make_measure builds; Lanczos, boundary
@@ -54,9 +55,16 @@ _INTERLACING_EPS = 1e-6  # interlacing_profile's zeros are the roots of m + this
 
 
 @lru_cache(maxsize=64)
-def _leggauss(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1]: absolute-mode measures' band rule."""
-    return np.polynomial.legendre.leggauss(n)
+def _fejer(n: int) -> np.ndarray:
+    """Fejér's first-rule weights on [-1, 1] at potential._cos_points(n), read-only, exact to
+    degree n - 1: w_i = sum_m c_m cos(m theta_i), c_m = (2/n) int T_m = 4/(n (1 - m^2)) for
+    even m > 0, c_0 = 2/n; one inverse DCT by FFT (Waldvogel, BIT 46, 2006)."""
+    c = np.zeros(n)
+    c[::2] = 4.0 / (n * (1.0 - np.arange(0, n, 2) ** 2))
+    c[0] = 2.0 / n
+    w = np.fft.fft(c * np.exp(-0.5j * np.pi * np.arange(n) / n), 2 * n)[:n].real  # e^(-i m theta_0)
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)
@@ -175,9 +183,9 @@ class MeasureModel:
     mode "relative" means density w(t) * f_E(t); "absolute" means w(t)
     directly.  The stored normalization scales the a.c. part so that total
     mass (including masses) is one.  The GreenModel is kept because both
-    the relative density and all quadratures live on it.  ac_nodes and
-    ac_weights are the per-band a.c. rule at quad's order, unnormalized;
-    Lanczos, the boundary values and the Glauert fit all read it.
+    the relative density and all quadratures live on it.  ac_weights are
+    the per-band a.c. rule at quad.nodes, unnormalized; Lanczos, the
+    boundary values and the Glauert fit all read it.
     """
 
     model: GreenModel
@@ -186,7 +194,6 @@ class MeasureModel:
     point_masses: tuple[tuple[float, float], ...]
     normalization: float
     quad: EquilibriumQuadrature
-    ac_nodes: tuple[np.ndarray, ...] = field(compare=False)
     ac_weights: tuple[np.ndarray, ...] = field(compare=False)
 
     @property
@@ -229,9 +236,8 @@ def make_measure(
         if x in seen:
             raise ValidationError(f"duplicate point mass location {x}")
         seen.add(x)
-    order = model.quad_order if quad_order is None else int(quad_order)
-    quad = equilibrium_quadrature(model, order)
-    nodes, ac_weights = _ac_rule(model, weight, mode, quad)
+    quad = equilibrium_quadrature(model, model.quad.order if quad_order is None else int(quad_order))
+    ac_weights = _ac_rule(model, weight, mode, quad)
     if not all(np.all(w >= 0) and np.all(np.isfinite(w)) for w in ac_weights):
         raise ValidationError("weight factor must be finite and nonnegative on bands")
     ac_mass = float(sum(np.sum(w) for w in ac_weights))
@@ -241,23 +247,20 @@ def make_measure(
     norm = (1.0 - mass_sum) / ac_mass if ac_mass > 0 else 0.0
     if norm < 0:
         raise ValidationError("point masses alone exceed total mass 1")
-    return MeasureModel(model, weight, mode, masses, norm, quad, nodes, ac_weights)
+    return MeasureModel(model, weight, mode, masses, norm, quad, ac_weights)
 
 
 def _ac_rule(model: GreenModel, weight: Callable, mode: str, quad: EquilibriumQuadrature):
-    """Per-band nodes and weights of the unnormalized a.c. part.
+    """Per-band weights of the unnormalized a.c. part at the nodes of quad.
 
-    Relative mode weights the equilibrium rule quad by w (wq * w); absolute
-    mode takes Gauss-Legendre at quad's order on each band (r * wg * w).
+    Relative mode weighs the equilibrium rule by w (wq * w), absolute mode
+    Fejér's first rule on the same cosine points (r * fejer * w), as
+    accurate as Gauss for analytic w (Trefethen, SIAM Rev. 50, 2008).
     """
-    if mode == "relative":
-        nodes, base = quad.nodes, quad.weights
-    else:
-        xg, wg = _leggauss(quad.order)
-        halves = [((lo + hi) / 2, (hi - lo) / 2) for lo, hi in model.set.bands]
-        nodes = [c + r * xg for c, r in halves]
-        base = [r * wg for _, r in halves]
-    return tuple(nodes), tuple(b * np.asarray(weight(t), dtype=float) for t, b in zip(nodes, base))
+    base = quad.weights
+    if mode == "absolute":
+        base = [(hi - lo) / 2 * _fejer(quad.order) for lo, hi in model.set.bands]
+    return tuple(b * np.asarray(weight(t), dtype=float) for t, b in zip(quad.nodes, base))
 
 
 def measure_to_json(mu: MeasureModel) -> str:
@@ -281,13 +284,10 @@ def measure_to_json(mu: MeasureModel) -> str:
 
 
 def _discretize(mu: MeasureModel, quad_order: int):
-    if quad_order == mu.quad.order:
-        nodes, ac_weights = mu.ac_nodes, mu.ac_weights
-    else:
-        quad = equilibrium_quadrature(mu.model, quad_order)
-        nodes, ac_weights = _ac_rule(mu.model, mu.weight, mu.mode, quad)
+    quad = mu.quad if quad_order == mu.quad.order else equilibrium_quadrature(mu.model, quad_order)
+    ac_weights = mu.ac_weights if quad is mu.quad else _ac_rule(mu.model, mu.weight, mu.mode, quad)
     x, m = np.reshape(mu.point_masses, (-1, 2)).T
-    t = np.concatenate([*nodes, x])
+    t = np.concatenate([*quad.nodes, x])
     w = np.concatenate([mu.normalization * np.concatenate(ac_weights), m])
     keep = w > 0
     return t[keep], w[keep]
@@ -298,9 +298,10 @@ def coefficients_from_measure(
 ) -> JacobiCoeffs:
     """First n recurrence pairs via Lanczos on the discretized measure.
 
-    The rule's order is max(2n, mu.quad.order) unless quad_order is given:
-    at mu's order alone, pairs near the support size come out far off
-    (399 pairs of mu_E on [-2,-1] u [1,2] at 200 nodes per band, 0.49).
+    The rule's order is max(2n + 1, mu.quad.order) unless quad_order is
+    given: pair n needs degree 2n, which Fejér reaches at 2n + 1 points, and
+    at mu's order alone pairs near the support size come out far off (399
+    pairs of mu_E on [-2,-1] u [1,2] at 200 nodes per band, 0.49).
     The result records reorth_steps, the number of steps that
     reorthogonalized, and breakdown_margin, min a_k over the breakdown
     threshold 1e-14 * max|t|.  A float overflow or invalid operation in the
@@ -308,7 +309,7 @@ def coefficients_from_measure(
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    order = max(2 * n, mu.quad.order) if quad_order is None else int(quad_order)
+    order = max(2 * n + 1, mu.quad.order) if quad_order is None else int(quad_order)
     t, w = _discretize(mu, order)
     if len(t) < n + 1:
         raise ValidationError(
@@ -650,10 +651,11 @@ def measure_m_boundary(mu: MeasureModel, t):
     singularity subtraction: in relative mode through the Glauert identity
     PV int_0^pi cos(m u)/(cos u - cos a) du = pi sin(m a)/sin(a) on the
     Chebyshev interpolant of w * f_E at the measure's own nodes, in
-    absolute mode by subtracting w(t) and integrating the smooth
-    difference quotient at the measure's order.  The other bands are
-    summed over the measure's a.c. rule, point masses add their real
-    poles, and the imaginary part is pi times the density.
+    absolute mode through PV int T_m(x)/(x - x_t) dx = Q_m(x_t), Q_0 =
+    log((1 - x)/(1 + x)), Q_(m+1) = 2x Q_m - Q_(m-1) + 2 int T_m, on the
+    interpolant of w there.  The other bands are summed over the measure's
+    a.c. rule, point masses add their real poles, and the imaginary part is
+    pi times the density.
     """
     model = mu.model
     ts = np.asarray(t, dtype=float).ravel()
@@ -681,16 +683,15 @@ def measure_m_boundary(mu: MeasureModel, t):
         sines = np.sin(theta[:, None] * np.arange(len(coefs)))
         re = mu.normalization * (np.pi / r * np.sum(coefs * sines, axis=1) / np.sin(theta))
     else:
-        xg, wg = _leggauss(mu.quad.order)
-        W = mu.weight_value(c + r * xg)
-        Wt = mu.weight_value(ts)
-        d = xg - xt[:, None]
-        hit = d == 0.0
-        diff = np.where(hit, 0.0, (W - Wt[:, None]) / np.where(hit, 1.0, d))
-        re = mu.normalization * (
-            np.sum(wg * diff, axis=1) + Wt * np.log((1 - xt) / (1 + xt))
-        )
-    for kk, (sn, wn) in enumerate(zip(mu.ac_nodes, mu.ac_weights)):
+        # w at the nodes is the a.c. weight over r * fejer; Q_(-1) = Q_1 as T_(-1) = T_1
+        b = _dct(mu.ac_weights[k] / (r * _fejer(mu.quad.order))) * mu.normalization
+        b[0] /= 2.0
+        q, re = np.log((1 - xt) / (1 + xt)), np.zeros_like(xt)
+        q_old = 2.0 + xt * q
+        for m, bm in enumerate(b):  # 2 int T_m = 4/(1 - m^2) for even m
+            re += bm * q
+            q_old, q = q, 2.0 * xt * q - q_old + (0.0 if m % 2 else 4.0 / (1 - m * m))
+    for kk, (sn, wn) in enumerate(zip(mu.quad.nodes, mu.ac_weights)):
         if kk != k:
             re += mu.normalization * np.sum(wn / (sn - ts[:, None]), axis=1)
     for x, m in mu.point_masses:

@@ -361,8 +361,7 @@ class GreenModel:
     critical_points: np.ndarray
     robin: float
     capacity: float
-    quad_order: int
-    quad: EquilibriumQuadrature  # the band rule at quad_order
+    quad: EquilibriumQuadrature  # the band rule at the model's order, quad.order
     gap_orders: tuple[int, ...]  # per-gap order of the period tables, a floor on the series'
     solve_passes: int  # linearized period-solve passes run (0: roots given)
     root_move: float  # largest root change in the last pass; above 1e-14 * diam the cap was hit
@@ -600,8 +599,8 @@ def _assemble(s, roots, order, gap_orders, passes, moved, tables) -> GreenModel:
     # one diameter out so the identity is scale-covariant: g(x0) is the
     # right-hand ray series' whole integral (sin^2(m pi/2) is 1 for odd m,
     # else 0), the potential from the equilibrium rule divided by its
-    # mass, so the rule's mass error does not enter, its logs and sums in
-    # long double like the series' samples.  Logs are taken in units of
+    # mass, so the rule's mass error does not enter, its differences (x0 - t
+    # passes 1e308 on [-1e308, 0]), logs and sums in long double.  Logs are taken in units of
     # h = diam/2, so capacity = h exp(pot - g0) never passes through robin,
     # whose own rounding grows with |log h|.
     h, x0 = 0.5 * s.diameter, s.beta + s.diameter
@@ -610,7 +609,7 @@ def _assemble(s, roots, order, gap_orders, passes, moved, tables) -> GreenModel:
     ray = _ray_series(s, roots, 1)
     g0 = float(np.sum(ray[0::2]))
     mass, ld = float(np.sum(quad.all_weights)), np.longdouble
-    logs = (np.log(((x0 - t) / h).astype(ld)) for t in quad.nodes)
+    logs = (np.log((ld(x0) - t.astype(ld)) / ld(h)) for t in quad.nodes)
     pot = float(sum(map(np.dot, quad.weights, logs)) / np.sum(quad.all_weights.astype(ld)))
     model = GreenModel(
         set=s,
@@ -618,7 +617,6 @@ def _assemble(s, roots, order, gap_orders, passes, moved, tables) -> GreenModel:
         critical_points=np.asarray(roots, dtype=float),
         robin=g0 - pot - math.log(h),
         capacity=h * math.exp(pot - g0),
-        quad_order=order,
         quad=quad,
         gap_orders=tuple(gap_orders),
         solve_passes=passes,
@@ -741,10 +739,10 @@ def _m_e(model: GreenModel, x: np.ndarray) -> np.ndarray:
 
 
 def equilibrium_quadrature(model: GreenModel, order: int) -> EquilibriumQuadrature:
-    """Per-band quadrature for dmu_E at the given order (the model's own at quad_order)."""
+    """Per-band quadrature for dmu_E at the given order (the model's own at quad.order)."""
     if order < GAP_ORDER_FLOOR:
         raise ValidationError(f"quadrature order must be at least {GAP_ORDER_FLOOR}")
-    return model.quad if order == model.quad_order else _band_rule(model.set, model.critical_points, order)
+    return model.quad if order == model.quad.order else _band_rule(model.set, model.critical_points, order)
 
 
 def model_to_json(model: GreenModel) -> str:
@@ -757,7 +755,7 @@ def model_to_json(model: GreenModel) -> str:
                           "roots": list(map(float, model.critical_points))},
             "robin": model.robin,
             "capacity": model.capacity,
-            "quad_order": model.quad_order,
+            "quad_order": model.quad.order,
             "gap_orders": list(model.gap_orders),
             "solve_passes": model.solve_passes,
             "root_move": model.root_move,

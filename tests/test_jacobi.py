@@ -143,13 +143,24 @@ def test_make_measure_validation(model_m22):
 @pytest.mark.parametrize("spec,pairs", [("two_band", 399), ("fat_cantor_3", 790)])
 def test_default_order_near_support_size(spec, pairs):
     # both measures have 200 nodes per band; at that order alone these pairs
-    # are 0.49 and 0.08 off, so the default rule runs at twice the pairs
+    # are 0.49 and 0.08 off, so the default rule runs at twice the pairs plus one
     s = G.make_gapset(-2, 2, [(-1, 1)]) if spec == "two_band" else G.fat_cantor(3)
     mu = G.make_measure(G.solve_green(s))
     J = G.coefficients_from_measure(mu, pairs)
     ref = G.coefficients_from_measure(mu, pairs, quad_order=3200)
     assert np.max(np.abs(J.a - ref.a)) <= 1e-13
     assert np.max(np.abs(J.b - ref.b)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [20, 100, 240])
+def test_default_order_is_exact_for_lebesgue(model_m22, n):
+    # Lebesgue measure on [-2, 2] has Legendre's pairs, doubled: pair n needs
+    # degree 2n, which Fejér's rule integrates at 2n + 1 points but not at 2n
+    mu = G.make_measure(model_m22, G.WeightSpec("const", {"value": 1.0}), mode="absolute")
+    J = G.coefficients_from_measure(mu, n)
+    k = np.arange(1, n + 1)
+    assert np.max(np.abs(J.a - 2 * k / np.sqrt(4 * k * k - 1))) <= 1e-13
+    assert np.max(np.abs(J.b)) <= 1e-13
 
 
 def two_pass_lanczos(mu, n, quad_order=None):
@@ -716,6 +727,17 @@ def test_measure_m_boundary_lebesgue_absolute(model_m22):
         assert abs(got - want) <= 1e-10
 
 
+@pytest.mark.parametrize("order", [200, 1000])
+def test_measure_m_boundary_linear_absolute(model_m22, order):
+    # w = 3 + t on [-2, 2] has mass 12 and Re m = (4 + (t + 3) log((2 - t)/(2 + t)))/12,
+    # here at the measure's own nodes and between them
+    w = G.WeightSpec("poly", {"coef": [3.0, 1.0]})
+    mu = G.make_measure(model_m22, w, mode="absolute", quad_order=order)
+    for t in (mu.quad.nodes[0], np.linspace(-1.999, 1.999, 401)):
+        want = (4 + (t + 3) * np.log((2 - t) / (2 + t))) / 12 + 1j * np.pi * (t + 3) / 12
+        assert np.max(np.abs(G.measure_m_boundary(mu, t) - want)) <= 2e-15
+
+
 def test_measure_m_boundary_point_mass(model_m22):
     mu0 = G.make_measure(model_m22, None)
     mu1 = G.make_measure(model_m22, None, point_masses=[(3.0, 0.25)])
@@ -748,7 +770,7 @@ def test_reflectionless_at_stripping_nodes(name, factor, request):
     # m_E(t + i0) is purely imaginary on E; the sum rule strips it at the
     # nodes of mu.quad, also when the measure's order is not the model's
     model = request.getfixturevalue(name)
-    mu = G.make_measure(model, quad_order=factor * model.quad_order)
+    mu = G.make_measure(model, quad_order=factor * model.quad.order)
     for t in mu.quad.nodes:
         m = G.measure_m_boundary(mu, t)
         assert np.max(np.abs(m.real) / m.imag) <= 3e-13

@@ -412,23 +412,24 @@ def test_one_ray_series_per_side(model_fat3, monkeypatch):
     assert calls == [1, 0, 1, 0]
 
 
-def test_no_gauss_legendre_rule_outside_absolute_measures(model_pm12, monkeypatch):
-    # the solve, g, pw_sum and relative-mode measures build every rule on
-    # cosine points; only absolute-mode measures take Gauss-Legendre
+def test_no_gauss_legendre_rule(model_pm12, monkeypatch):
+    # the solve, g, pw_sum and measures of both modes, with their Lanczos,
+    # boundary values and sum rules, build every rule on cosine points
     def no_rule(n):
         raise AssertionError("a Gauss-Legendre rule was built")
 
-    assert not hasattr(potential, "_leggauss")
+    assert not hasattr(potential, "_leggauss") and not hasattr(G.jacobi, "_leggauss")
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
-    monkeypatch.setattr(G.jacobi, "_leggauss", no_rule)
     for s in (G.make_gapset(-2, 2), G.make_gapset(0.0, 1.0, [(1e-8, 1 - 1e-8)]), G.fat_cantor(4)):
         model = G.solve_green(s)
         x = np.linspace(s.alpha - 2 * s.diameter, s.beta + 2 * s.diameter, 101)
         G.green_value(model, x)
         G.pw_sum(model)
         G.make_measure(model, G.WeightSpec("poly", {"coef": [1.0, 0.2]}))
-    with pytest.raises(AssertionError, match="Gauss-Legendre"):
-        G.make_measure(model_pm12, mode="absolute")
+    mu = G.make_measure(model_pm12, G.WeightSpec("poly", {"coef": [1.0, 0.2]}), mode="absolute")
+    J = G.coefficients_from_measure(mu, 8)
+    G.measure_m_boundary(mu, np.linspace(1.1, 1.9, 9))
+    G.n_step_sum_rule(J, mu, 2)
 
 
 def test_equilibrium_density_interval(model_m22):
@@ -469,7 +470,7 @@ def test_equilibrium_quadrature_moments(model_m22, model_pm12, model_fat3):
     for model in (model_m22, model_pm12, model_fat3):
         quad = G.equilibrium_quadrature(model, 200)
         assert np.sum(quad.all_weights) == pytest.approx(1.0, abs=1e-10)
-        assert G.equilibrium_quadrature(model, model.quad_order) is model.quad
+        assert G.equilibrium_quadrature(model, model.quad.order) is model.quad
     q22 = G.equilibrium_quadrature(model_m22, 200)
     assert _moment(q22, 2) == pytest.approx(2.0, abs=1e-8)
     qpm = G.equilibrium_quadrature(model_pm12, 200)
@@ -661,7 +662,7 @@ def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_expl
     # nearest foreign edge; an explicit quad_order sets the band order and
     # is a floor on every gap's, here above each ellipse order
     for model, order in ((model_pm12, 240), (model_fat3_explicit, 64)):
-        assert model.quad_order == order
+        assert model.quad.order == order
         assert model.gap_orders == (order,) * len(model.set.gaps)
         assert {len(t) for t in _per_gap(_gap_tables(model.set, model.gap_orders))[0]} == {order}
     # a tiny band needs more than these quad_orders: they lower no gap order,
@@ -689,7 +690,7 @@ def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_expl
         assert [len(t) for t in _per_gap(_gap_tables(model.set, model.gap_orders))[0]] == want
     # the level-1 gap of level 8 sits next to bands ~2e-3 long and needs
     # more than the band order; the level-8 gaps need only the floor
-    assert m8.gap_orders[127] > m8.quad_order == 80
+    assert m8.gap_orders[127] > m8.quad.order == 80
     assert min(m8.gap_orders) == 32
     assert 2 <= m8.solve_passes < 6 and m8.root_move <= 1e-14 * m8.set.diameter
 
