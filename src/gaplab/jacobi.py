@@ -43,8 +43,10 @@ from .potential import (
     GreenModel,
     TOLERANCES,
     _dct,
+    _idct,
     _log_f_e,
     _m_e,
+    _sine_sums,
     equilibrium_quadrature,
     green_value,
 )
@@ -58,11 +60,11 @@ _INTERLACING_EPS = 1e-6  # interlacing_profile's zeros are the roots of m + this
 def _fejer(n: int) -> np.ndarray:
     """Fejér's first-rule weights on [-1, 1] at potential._cos_points(n), read-only, exact to
     degree n - 1: w_i = sum_m c_m cos(m theta_i), c_m = (2/n) int T_m = 4/(n (1 - m^2)) for
-    even m > 0, c_0 = 2/n; one inverse DCT by FFT (Waldvogel, BIT 46, 2006)."""
+    even m > 0, c_0 = 2/n; one _idct (Waldvogel, BIT 46, 2006)."""
     c = np.zeros(n)
     c[::2] = 4.0 / (n * (1.0 - np.arange(0, n, 2) ** 2))
     c[0] = 2.0 / n
-    w = np.fft.fft(c * np.exp(-0.5j * np.pi * np.arange(n) / n), 2 * n)[:n].real  # e^(-i m theta_0)
+    w = _idct(c).real
     w.flags.writeable = False
     return w
 
@@ -677,15 +679,13 @@ def measure_m_boundary(mu: MeasureModel, t):
     if mu.mode == "relative":
         # Chebyshev coefficients of w f_E r sin(theta), the interpolant at the
         # nodes' angles theta_i, where it is n/pi times the a.c. weight w_i:
-        # c_m = (2/pi) sum_i w_i cos(m theta_i), c_0 halved, m < 400
-        theta, coefs = np.arccos(xt), _dct(mu.ac_weights[k])[:400] * (mu.quad.order / np.pi)
-        coefs[0] /= 2.0
-        sines = np.sin(theta[:, None] * np.arange(len(coefs)))
-        re = mu.normalization * (np.pi / r * np.sum(coefs * sines, axis=1) / np.sin(theta))
+        # c_m = (2/pi) sum_i w_i cos(m theta_i), c_0 halved, every m < n
+        theta, coefs = np.arccos(xt), _dct(mu.ac_weights[k])[None] * (mu.quad.order / np.pi)
+        sines = _sine_sums(theta, coefs, np.zeros(len(theta), dtype=int))
+        re = mu.normalization * (np.pi / r * sines / np.sin(theta))
     else:
         # w at the nodes is the a.c. weight over r * fejer; Q_(-1) = Q_1 as T_(-1) = T_1
         b = _dct(mu.ac_weights[k] / (r * _fejer(mu.quad.order))) * mu.normalization
-        b[0] /= 2.0
         q, re = np.log((1 - xt) / (1 + xt)), np.zeros_like(xt)
         q_old = 2.0 + xt * q
         for m, bm in enumerate(b):  # 2 int T_m = 4/(1 - m^2) for even m

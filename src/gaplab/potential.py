@@ -192,22 +192,11 @@ def _blocks(rows: int, cols: int, width: int):
 
 @lru_cache(maxsize=64)
 def _cheb_interp(p: int, n: int):
-    """Barycentric rows and their derivative rows from the p first-kind
-    Chebyshev points to the n ones; node i meets proxy point k where
-    (2i + 1) p = (2k + 1) n, and reads that point's unit row."""
-    k = np.arange(p)
-    d = _cos_points(n)[:, None] - _cos_points(p)
-    hit = (2 * np.arange(n)[:, None] + 1) * p == (2 * k + 1) * n
-    d[hit] = 1.0
-    w = (-1.0) ** k * np.sin((k + 0.5) * np.pi / p)
-    c = w / d
-    total = np.sum(c, axis=-1, keepdims=True)
-    values = c / total
-    rows = np.any(hit, axis=-1)
-    values[rows] = hit[rows]
-    slopes = values * (np.sum(c / d, axis=-1, keepdims=True) / total - 1.0 / d)
-    own = np.where(hit[rows], 0.0, c[rows] / np.sum(w * hit[rows], axis=-1, keepdims=True))
-    slopes[rows] = np.where(hit[rows], -np.sum(own, axis=-1, keepdims=True), own)
+    """Value and slope rows (n, p) from the p first-kind Chebyshev points to the n >= p ones:
+    _idct of the identity's _dct zero-padded to n, and d/dx = (d/dtheta)/(-sin theta)."""
+    a, m = np.pad(_dct(np.eye(p)), ((0, 0), (0, n - p))), np.arange(n)
+    values = np.ascontiguousarray(_idct(a).real).T
+    slopes = (_idct(m * a).imag / -np.sin((m + 0.5) * np.pi / n)).T
     values.flags.writeable = slopes.flags.writeable = False  # shared through the cache
     return values, slopes
 
@@ -220,8 +209,8 @@ def _log_sums(lo, hi, orders, roots, edges, skip):
     An interval with every source within _FAR r is _log_g_prime, bit for
     bit, tested before any sort.  Otherwise near sources are summed at the
     nodes, far ones once per interval at p Chebyshev proxies (rho^-p <=
-    _GAP_RULE_TARGET on the ellipse through the nearest) and interpolated
-    by _cheb_interp with a derivative step for the nodes' rounding.
+    _GAP_RULE_TARGET on the ellipse through the nearest), carried to the
+    nodes by _cheb_interp's matrices with a step for the nodes' rounding.
     Intervals sharing (order, p, near width) are one unpadded batch: an
     interval's bits ignore its batch.
     """
@@ -300,25 +289,44 @@ def _cos_points(n: int) -> np.ndarray:
 
 
 def _dct(f: np.ndarray) -> np.ndarray:
-    """Cosine coefficients a_m = (2/n) sum_i f_i cos(m theta_i), m < n (a_0 not halved), of
-    samples at the angles theta_i = (i + 1/2) pi/n of _cos_points(n), along f's last axis."""
+    """Coefficients a_m, m < n, of the interpolant sum_m a_m cos(m theta) of samples f at the
+    angles theta_i = (i + 1/2) pi/n of _cos_points(n), along f's last axis: a DCT-II by FFT,
+    a_m = (2/n) sum_i f_i cos(m theta_i), a_0 halved."""
     n = f.shape[-1]
-    twiddle = np.exp(-0.5j * np.pi * np.arange(n) / n)  # e^(-i m theta_0)
-    return (np.fft.rfft(f, 2 * n)[..., :n] * twiddle).real * (2.0 / n)
+    m = np.arange(n)
+    a = np.fft.rfft(f, 2 * n)[..., :n] * np.exp(-0.5j * np.pi * m / n)  # e^(-i m theta_0)
+    return a.real * np.where(m, 2.0 / n, 1.0 / n)
+
+
+def _idct(a: np.ndarray) -> np.ndarray:
+    """sum_m a_m e^(-i m theta_i) at the n = len(a) angles of _dct, along a's last axis, by
+    one FFT: the real part is _dct's inverse, the imaginary part minus the sine sum."""
+    n = a.shape[-1]
+    return np.fft.fft(a * np.exp(-0.5j * np.pi * np.arange(n) / n), 2 * n)[..., :n]
+
+
+def _sine_sums(theta: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_{m >= 1} table[rows[i], m] sin(m theta[i]) per point, as row sums in _blocks
+    pieces: a point's bits ignore its batch."""
+    n, out = table.shape[1], np.empty(len(theta))
+    for b, _ in _blocks(len(theta), 1, n):
+        terms = np.sin(np.multiply.outer(theta[b], np.arange(1, n)))
+        out[b] = np.sum(terms * table[rows[b], 1:], axis=1)
+    return out
 
 
 def _ray_series(s: GapSet, roots, side: int) -> np.ndarray:
     """c_1..c_n of g(x) = sum_m c_m sin^2(m theta_x/2), theta_x = 2 arcsin((|x - e|/diam)^(1/4)),
     on the ray from e = alpha (side 0) or beta (side 1) out one diameter.
 
-    Under t = e -/+ s^2, s = sqrt(diam) sin^2(theta/2), F = 2|g'|s has e's own
-    factor cancelled; its interpolant sum_k a_k cos(k theta) takes the order of
-    the ellipse through the branch points cos(theta) = 1 -/+ 2i sqrt(eps/diam)
-    of the edge one outer band (eps) inside.  cos(k theta) sin(theta)
-    integrates to sin^2((k+1) theta/2)/(k+1) - sin^2((k-1) theta/2)/(k-1), so
-    every term vanishes at e (g keeps its relative accuracy there) and theta =
-    pi sums the odd m.  |t - source| = |e - source| + s^2 for every source; the
-    log-sums run in long double, as ~3N double logs carry ~1e-14 rounding.
+    Under t = e -/+ s^2, s = sqrt(diam) sin^2(theta/2), F = 2|g'|s has e's own factor
+    cancelled; the interpolant sum_k a_k cos(k theta) of F/2 takes the order of the ellipse
+    through the branch points cos(theta) = 1 -/+ 2i sqrt(eps/diam) of the edge one outer band
+    (eps) inside.  cos(k theta) sin(theta) integrates to sin^2((k+1) theta/2)/(k+1) -
+    sin^2((k-1) theta/2)/(k-1), twice the first for k = 0, so every term vanishes at e (g
+    keeps its relative accuracy there) and theta = pi sums the odd m.  |t - source| =
+    |e - source| + s^2 for every source; the log-sums run in long double, as ~3N double
+    logs carry ~1e-14 rounding.
     """
     k = len(s.edges) - 1 if side else 0
     z = complex(1.0, 2.0 * math.sqrt(abs(s.edges[k] - s.edges[k - 1 if side else 1]) / s.diameter))
@@ -328,8 +336,9 @@ def _ray_series(s: GapSet, roots, side: int) -> np.ndarray:
     dist, coef = np.abs(s.edges[k] - src), np.where(np.arange(len(src)) < len(roots), 1.0, -0.5)
     # two long-double temporaries a piece, together the bytes of one _ARC_BLOCK piece
     log_f = np.concatenate([np.log(dist + s2[b, None]) @ coef for b, _ in _blocks(n, 1, 4 * len(src))])
-    a = np.concatenate([_dct(2.0 * np.exp(log_f).astype(float)), [0.0, 0.0]])
-    return math.sqrt(s.diameter) * (a[:-2] - a[2:]) / (2.0 * np.arange(1, n + 1))
+    a = np.concatenate([_dct(np.exp(log_f).astype(float)), [0.0, 0.0]])
+    a[0] *= 2.0
+    return math.sqrt(s.diameter) * (a[:-2] - a[2:]) / np.arange(1, n + 1)
 
 
 @dataclass(frozen=True)
@@ -377,15 +386,14 @@ class GreenModel:
 
             A(theta) = a_0 theta + sum_{m >= 1} a_m sin(m theta)/m,
 
-        the integral from 0 to theta of sum_m a_m cos(m theta), a_0 halved,
-        which interpolates f = +-|g'| r sin(theta) (+ right of c_j) at the
-        cosine points of t = c + r cos(theta).  f is analytic, so n is the
-        interpolant's ellipse order, _gap_orders(s, 1), and at least
-        gap_orders[j].  The samples are one _log_sums call over all gaps;
-        the coefficients are a DCT-II by FFT.  The nodes are rounded, up to
-        ~1e-11 off their angles in a level-9 gap, so one step along the
-        series' own derivative moves the samples onto the angles before
-        the transform is redone.
+        the integral from 0 to theta of _dct's interpolant sum_m a_m cos(m theta)
+        of f = +-|g'| r sin(theta) (+ right of c_j) at the cosine points of
+        t = c + r cos(theta).  f is analytic, so n is the interpolant's
+        ellipse order, _gap_orders(s, 1), and at least gap_orders[j].  The
+        samples are one _log_sums call over all gaps.  The nodes are rounded,
+        up to ~1e-11 off their angles in a level-9 gap, so one step along the
+        series' own derivative, _idct of m a_m, moves the samples onto the
+        angles before _dct is redone.
         """
         roots, edges = self.critical_points, self.edges
         lo, hi = edges[1:-1:2], edges[2:-1:2]
@@ -398,12 +406,9 @@ class GreenModel:
         for n in sorted(set(orders.tolist())):
             ids, m = np.flatnonzero(orders == n), np.arange(n)
             rows[ids], cols, theta = np.arange(len(ids)), first[ids, None] + m, (m + 0.5) * np.pi / n
-            twiddle = np.exp(-0.5j * np.pi * m / n)  # e^(-i m theta_0)
-            a = _dct(f[cols])  # a_0 not yet halved
             shift = ((t[cols] - c[ids, None]) / r[ids, None] - np.cos(theta)) / np.sin(theta)
-            moved = f[cols] + shift * np.fft.fft(m * a * twiddle, 2 * n)[:, :n].imag  # f at the angles
-            a = _dct(moved)
-            coefs[n] = a / np.where(m, m, 2)  # a_0 halved, a_m/m
+            moved = f[cols] + shift * _idct(m * _dct(f[cols])).imag  # f at the angles
+            coefs[n] = _dct(moved) / np.where(m, m, 1)  # a_0, a_m/m
         return orders, rows, coefs
 
 
@@ -642,22 +647,17 @@ def _period_residuals(roots, lo, hi, orders, log_w) -> np.ndarray:
 
 
 def _gap_integrals(model: GreenModel, gap: np.ndarray, x: np.ndarray):
-    """A(theta_x) of gap gap[i]'s series at x[i] (GreenModel._gap_series),
-    and A(pi) = a_0 pi: g(x) from the right edge, and the edge-to-edge
-    integral, zero by the period condition.  Row sums in _blocks pieces,
-    so a point's bits ignore its batch.
-    """
+    """A(theta_x) of gap gap[i]'s series (GreenModel._gap_series) at x[i], by _sine_sums,
+    and A(pi) = a_0 pi: g(x) from the right edge, and the edge-to-edge integral, zero by
+    the period condition."""
     orders, rows, coefs = model._gap_series
     lo, hi = model.edges[1:-1:2][gap], model.edges[2:-1:2][gap]
     theta = np.arccos(np.clip((x - (lo + hi) / 2) / ((hi - lo) / 2), -1.0, 1.0))
     at, whole = np.empty(len(x)), np.empty(len(x))
     for n in sorted(set(orders[gap].tolist())):
-        sel = np.flatnonzero(orders[gap] == n)
-        for b, _ in _blocks(len(sel), 1, n):
-            i = sel[b]
-            a, terms = coefs[n][rows[gap[i]]], np.sin(np.multiply.outer(theta[i], np.arange(1, n)))
-            terms *= a[:, 1:]
-            at[i], whole[i] = a[:, 0] * theta[i] + np.sum(terms, axis=1), a[:, 0] * np.pi
+        i = np.flatnonzero(orders[gap] == n)
+        a0 = coefs[n][rows[gap[i]], 0]
+        at[i], whole[i] = a0 * theta[i] + _sine_sums(theta[i], coefs[n], rows[gap[i]]), a0 * np.pi
     return at, whole
 
 

@@ -738,6 +738,18 @@ def test_measure_m_boundary_linear_absolute(model_m22, order):
         assert np.max(np.abs(G.measure_m_boundary(mu, t) - want)) <= 2e-15
 
 
+@pytest.mark.parametrize("order", [600, 1000])
+def test_measure_m_boundary_past_degree_400(model_m22, order):
+    # w = 2 + T_450(t/2) against mu_E on [-2, 2]: the arcsine weight's Hilbert
+    # transform takes T_m to U_(m-1), so Re m = U_449(t/2)/4, every degree of
+    # the own-band fit counting
+    mu = G.make_measure(model_m22, lambda t: 2.0 + np.cos(450 * np.arccos(t / 2)), quad_order=order)
+    t = np.linspace(-1.9, 1.9, 39)
+    phi = np.arccos(t / 2)
+    want = np.sin(450 * phi) / np.sin(phi) / 4
+    assert np.max(np.abs(G.measure_m_boundary(mu, t).real - want)) <= 1e-12
+
+
 def test_measure_m_boundary_point_mass(model_m22):
     mu0 = G.make_measure(model_m22, None)
     mu1 = G.make_measure(model_m22, None, point_masses=[(3.0, 0.25)])

@@ -1127,19 +1127,25 @@ def test_solve_log_sum_work_and_pieces(monkeypatch):
 @pytest.mark.parametrize("p, n", [(1, 3), (3, 9), (4, 12), (7, 21), (9, 45), (6, 80), (9, 80)])
 def test_cheb_interp_matrices(p, n):
     # built without a warning, also when nodes meet proxy points (n/p odd);
-    # a node on a proxy point reads its value exactly, and polynomials of
-    # degree below p and their derivatives come through to rounding
+    # polynomials of degree below p and their derivatives come through to rounding
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values, slopes = potential._cheb_interp.__wrapped__(p, n)
         x, xp = potential._cos_points(n), potential._cos_points(p)
     f = np.polynomial.Polynomial(np.linspace(1.0, -0.5, p))
-    hits = [(i, k) for i in range(n) for k in range(p) if (2 * i + 1) * p == (2 * k + 1) * n]
-    assert len(hits) == (p if (n // p) % 2 and n % p == 0 else 0)
-    for i, k in hits:
-        assert values[i] @ f(xp) == f(xp)[k]
     assert np.max(np.abs(values @ f(xp) - f(x))) <= 1e-14
     assert np.max(np.abs(slopes @ f(xp) - f.deriv()(x))) <= 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32, 200, 2048])
+def test_idct_inverts_dct_and_gives_the_sine_sum(n):
+    # the real part inverts _dct; the imaginary part for m a_m is the series' theta-derivative
+    f = np.random.default_rng(n).standard_normal((3, n))
+    assert np.max(np.abs(potential._idct(potential._dct(f)).real - f)) <= 1e-14
+    m, z = np.arange(n), np.exp(1j * (np.arange(n) + 0.5) * np.pi / n) / 2
+    # d/dtheta sum_{m<n} 2^-m cos(m theta) = -Im sum_{m<n} m z^m, z = e^(i theta)/2
+    want = -(z * (1 - n * z ** (n - 1) + (n - 1) * z**n) / (1 - z) ** 2).imag
+    assert np.max(np.abs(potential._idct(m * 0.5**m).imag - want)) <= 1e-14
 
 
 # pw_sum of fat_cantor(1..9) from per-interval direct sums, before the proxies

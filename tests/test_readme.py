@@ -145,3 +145,25 @@ def test_every_private_helper_is_reached():
                     used.add(node.asname or node.name)
             reached |= used - own
     assert defined and sorted(defined - reached) == []
+
+
+def _enclosing_functions(pattern: str) -> list[str]:
+    """Names of the innermost package functions with a line containing pattern."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text()
+        funcs = [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.FunctionDef)]
+        for i, line in enumerate(text.splitlines(), 1):
+            if pattern in line:
+                around = [f for f in funcs if f.lineno <= i <= f.end_lineno]
+                found.add(max(around, key=lambda f: f.lineno).name if around else "<module>")
+    return sorted(found)
+
+
+def test_one_cosine_transform_pair():
+    # every cosine series on the cosine points goes through one transform
+    # pair and one blocked sine sum; the ray's sin^2 sum is the one other
+    # sine table, and no caller halves _dct's a_0 again
+    assert _enclosing_functions("np.fft") == ["_dct", "_idct"]
+    assert _enclosing_functions("np.sin(np.multiply.outer(") == ["_sine_sums", "green_value"]
+    assert _enclosing_functions("0] /= 2") == []
