@@ -31,9 +31,10 @@ no root factors, stay logs until they meet log|P| or log|B_j|.  At the
 nodes of interval families (the band rule, the period tables and rows,
 the residual gate, the gap series) the sums are _log_sums's, a one-level
 fast-multipole split (Greengard and Rokhlin, J. Comput. Phys. 73, 1987):
-sources within _FAR half-lengths summed directly, the rest at p <= 9
-Chebyshev proxy points and interpolated; the densities and m_E take
-_log_g_prime's direct sums, the outer rays long-double ones.  Singular
+sources within _FAR half-lengths summed directly, the rest as a power
+series in (t - c)/r from their scaled moments, whose period-row twin gives
+the far Cauchy columns; the densities and m_E take _log_g_prime's direct
+sums, the outer rays long-double ones.  Singular
 integrals are tamed by the cosine substitution t = c + r*cos(theta), which
 cancels the inverse-square-root edge factors exactly, and on the unbounded
 components by t = e +/- s^2.  A gap integrand is then analytic out to the
@@ -153,32 +154,40 @@ def _near_sums(x: np.ndarray, src: np.ndarray, coef: np.ndarray, start, stop, ow
     return out
 
 
-def _far_sums(c: np.ndarray, offsets: np.ndarray, src: np.ndarray, coef: np.ndarray, start, stop):
-    """Sums of coef log|c + offset - s| over the sources s outside
-    src[start[i]:stop[i]]: one sum of log|c - s| per row and one of
-    log1p(offset/(c - s)) per offset.
-
-    Every such source is beyond _FAR r of the interval, so each log1p
-    term is below 1/_FAR and its rounding error far below that of
-    log|x - s|, and the large part, log|c - s|, is one sum per row.  A
-    block of rows holds its (rows, offsets, sources) temporary and two
-    (rows, sources) ones within _ARC_BLOCK entries.
+def _far_sums(c: np.ndarray, r: np.ndarray, terms, src: np.ndarray, coef: np.ndarray, start, stop):
+    """Far field of the intervals (c - r, c + r) from the sources s outside
+    src[start[i]:stop[i]], all beyond _FAR r: per row, the pairwise sum of
+    coef log|c - s|, and b_1..b_K, zero past terms[i], of sum_k b_k u^k =
+    sum coef log|1 + u w| at u = (t - c)/r, w = r/(c - s): b_k = (-1)^(k+1)
+    mu_k/k from the scaled moments mu_k = sum coef w^k.  A block of rows
+    holds two (rows, sources) temporaries within _ARC_BLOCK entries.
     """
-    k = np.arange(len(src))
-    base, var = np.empty((len(c), 1)), np.empty(offsets.shape)
-    for b, _ in _blocks(len(c), 1, (offsets.shape[1] + 2) * len(src)):
+    k, width = np.arange(len(src)), int(np.max(terms))
+    base, mu = np.empty(len(c)), np.empty((len(c), width))
+    for b, _ in _blocks(len(c), 1, 2 * len(src)):
         near = (k >= start[b, None]) & (k < stop[b, None])
         d = c[b, None] - src
         np.copyto(d, 1.0, where=near)
-        inv = np.reciprocal(d)
-        np.copyto(inv, 0.0, where=near)
+        w = np.divide(r[b, None], d)
+        np.copyto(w, 0.0, where=near)
         np.abs(d, out=d)
         np.log(d, out=d)
-        base[b, 0] = np.sum(np.multiply(d, coef, out=d), axis=1)
-        y = offsets[b, :, None] * inv[:, None, :]
-        var[b] = np.log1p(y, out=y) @ coef
-        del d, inv, y  # before the next piece is allocated
-    return base, var
+        base[b] = np.sum(np.multiply(d, coef, out=d), axis=1)
+        d[...] = w  # w^(m + 1) from here on
+        for m in range(width):
+            mu[b, m] = d @ coef
+            d *= w
+        del d, w  # before the next piece is allocated
+    k = np.arange(1, width + 1)
+    return base, np.where(k <= terms[:, None], np.where(k % 2, 1.0, -1.0) / k * mu, 0.0)
+
+
+def _far_terms(lo, hi, src: np.ndarray, start, stop) -> np.ndarray:
+    """Series terms K with (1 + a1)^-K <= 1e-17 for each interval (lo, hi), a1 r its
+    distance to the nearest source outside sorted src[start:stop]; 0 with none."""
+    padded = np.concatenate([[-np.inf], src, [np.inf]])
+    a1 = np.minimum(lo - padded[start], padded[stop + 1] - hi) / ((hi - lo) / 2)
+    return np.ceil(math.log(1e17) / np.log1p(a1)).astype(int)
 
 
 def _blocks(rows: int, cols: int, width: int):
@@ -190,17 +199,6 @@ def _blocks(rows: int, cols: int, width: int):
             yield slice(a, a + step_r), slice(b, b + step_c)
 
 
-@lru_cache(maxsize=64)
-def _cheb_interp(p: int, n: int):
-    """Value and slope rows (n, p) from the p first-kind Chebyshev points to the n >= p ones:
-    _idct of the identity's _dct zero-padded to n, and d/dx = (d/dtheta)/(-sin theta)."""
-    a, m = np.pad(_dct(np.eye(p)), ((0, 0), (0, n - p))), np.arange(n)
-    values = np.ascontiguousarray(_idct(a).real).T
-    slopes = (_idct(m * a).imag / -np.sin((m + 0.5) * np.pi / n)).T
-    values.flags.writeable = slopes.flags.writeable = False  # shared through the cache
-    return values, slopes
-
-
 def _log_sums(lo, hi, orders, roots, edges, skip):
     """_log_g_prime at orders[i] cosine points on each interval (lo[i], hi[i])
     = c -/+ r, factors skip[i] (indices into roots ++ edges) left out; the
@@ -208,11 +206,10 @@ def _log_sums(lo, hi, orders, roots, edges, skip):
 
     An interval with every source within _FAR r is _log_g_prime, bit for
     bit, tested before any sort.  Otherwise near sources are summed at the
-    nodes, far ones once per interval at p Chebyshev proxies (rho^-p <=
-    _GAP_RULE_TARGET on the ellipse through the nearest), carried to the
-    nodes by _cheb_interp's matrices with a step for the nodes' rounding.
-    Intervals sharing (order, p, near width) are one unpadded batch: an
-    interval's bits ignore its batch.
+    nodes, and far ones are _far_sums's series with terms for 1e-17 at the
+    nearest, by Horner at each node's own u = (t - c)/r.  Intervals sharing
+    (order, near width) are one unpadded batch: an interval's bits ignore
+    its batch.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     orders, skip = np.asarray(orders, dtype=int), np.asarray(skip, dtype=int)
@@ -247,30 +244,23 @@ def _log_sums(lo, hi, orders, roots, edges, skip):
     own, src, coef = rank[skip], src[perm], np.where(perm < n_roots, 1.0, -0.5)
     start = np.searchsorted(src, lo - _FAR * r, side="left")
     stop = np.searchsorted(src, hi + _FAR * r, side="right")
-    padded = np.concatenate([[-np.inf], src, [np.inf]])
-    a1 = np.minimum(lo - padded[start], padded[stop + 1] - hi) / r  # a - 1 at the nearest far source
-    p = np.ceil(-math.log(_GAP_RULE_TARGET) / np.log1p(a1 + np.sqrt(a1 * (a1 + 2.0)))).astype(int)
-    pos, far = np.empty_like(p), {}
-    for q in sorted(set(p[batch].tolist())):
-        ids = batch[p[batch] == q]
-        pos[ids] = np.arange(len(ids))
-        far[q] = _far_sums(c[ids], r[ids, None] * _cos_points(q), src, coef, start[ids], stop[ids])
-    key = orders[batch], p[batch], (stop - start)[batch]
-    for n, q, w in sorted(set(zip(*(part.tolist() for part in key)))):
-        ii = batch[(key[0] == n) & (key[1] == q) & (key[2] == w)]
+    base, series = _far_sums(c, r, _far_terms(lo, hi, src, start, stop), src, coef, start, stop)
+    key = orders[batch], (stop - start)[batch]
+    for n, w in sorted(set(zip(*(part.tolist() for part in key)))):
+        ii = batch[(key[0] == n) & (key[1] == w)]
         nodes = c[ii, None] + r[ii, None] * _cos_points(n)
         with np.errstate(divide="ignore"):
             total = _near_sums(nodes, src, coef, start[ii], stop[ii], own[ii])
-        base, var = far[q][0][pos[ii]], far[q][1][pos[ii]]
-        total += base
-        values, slopes = _cheb_interp(q, n)
-        at = (nodes - c[ii, None]) / r[ii, None]  # the nodes' own u
-        at -= _cos_points(n)  # their rounding: one step along the derivative
-        at *= var @ slopes.T
-        total += var @ values.T
-        total += at
+        total += base[ii, None]
         cols = first[ii, None] + np.arange(n)
         t[cols], logsum[cols] = nodes, total
+    at = np.flatnonzero(np.repeat(np.logical_not(direct), orders))  # the batch's nodes
+    iv = np.searchsorted(ends, at, side="right")  # and their intervals
+    u, far = (t[at] - c[iv]) / r[iv], np.zeros(len(at))  # the nodes' own u
+    for k in range(series.shape[1] - 1, -1, -1):  # Horner; zeros past a row's terms are exact
+        far += series[iv, k]
+        far *= u
+    logsum[at] += far
     return t, logsum
 
 
@@ -472,9 +462,12 @@ def _period_correction(anchors, lo, hi, orders, log_w) -> np.ndarray:
     v = w |B_j| (log|B_j| from _log_sums, the own anchor skipped) are
     shifted by their gap's largest log, which makes the diagonal sum
     v >= 1.  A node on m_j only zeroes its factor t - m_j, and no node meets
-    another anchor.  The Cauchy columns sum_t v u/(t - m_i) are one matrix
-    product per chunk of whole gaps of at most _ARC_BLOCK entries (a chunk
-    holds at least one gap).
+    another anchor.  The Cauchy columns sum_t v u/(t - m_i) of the anchors
+    within _FAR r_j of gap j, a window of the sorted anchors, are one matrix
+    product per run of whole gaps with one window, _ARC_BLOCK entries a
+    chunk where they fit.  The far columns are -sum_k M_k q^(k+1)/r from the
+    gap's moments M_k = sum_t v u x^k, x = (t - c)/r, q = r/(m_i - c), with
+    terms for 1e-17 at the nearest; a set with no far pair skips them.
     """
     n = len(anchors)
     t, log_b = _log_sums(lo, hi, orders, anchors, (), np.arange(n)[:, None])
@@ -483,15 +476,37 @@ def _period_correction(anchors, lo, hi, orders, log_w) -> np.ndarray:
     log_v = log_w + log_b  # log w|B_j|
     v = np.exp(log_v - np.maximum.reduceat(log_v, starts)[gap])
     vu = v * (t - anchors[gap])
-    A, j, ends, starts = np.empty((n, n)), 0, ends.tolist(), starts.tolist()
-    while j < n:  # whole gaps, _ARC_BLOCK entries a chunk where they fit
-        k = max(j + 1, bisect.bisect_right(ends, starts[j] + _ARC_BLOCK // n))
-        rows = slice(starts[j], ends[k - 1])
-        inv = _deflated_terms(t[rows], gap[rows], anchors)[1]
-        block = np.zeros((k - j, rows.stop - rows.start))  # gap j + i's row of vu
-        block[gap[rows] - j, np.arange(rows.stop - rows.start)] = vu[rows]
-        A[j:k] = block @ inv
-        del inv  # before the next chunk is allocated
+    A, ms, ends, starts, j = np.zeros((n, n)), anchors.tolist(), ends.tolist(), starts.tolist(), 0
+    near = [(bisect.bisect_left(ms, x - _FAR * h), bisect.bisect_right(ms, y + _FAR * h))
+            for x, y, h in zip(lo.tolist(), hi.tolist(), ((hi - lo) / 2).tolist())]  # overflows are inf
+    if min(b - a for a, b in near) < n:  # a far pair: every column from the moments, near windows below
+        (first, last), c, r = np.array(near).T, (lo + hi) / 2, (hi - lo) / 2
+        terms = int(np.max(_far_terms(lo, hi, anchors, first, last)))
+        x, power, moments = (t - c[gap]) / r[gap], vu / -r[gap], np.empty((n, terms))
+        for m in range(terms):  # -sum_t vu x^m/r, x = (t - c)/r
+            moments[:, m] = np.add.reduceat(power, starts)
+            power *= x
+        del x, power
+        for rows, _ in _blocks(n, 1, 2 * n):  # q within half an _ARC_BLOCK piece, A in place
+            q, far = anchors - c[rows, None], A[rows]
+            np.fill_diagonal(q[:, rows], np.inf)  # m_j may be c_j
+            np.divide(r[rows, None], q, out=q)  # 1/(t - m_i) = -sum_k (x q)^k q/r, q = r/(m_i - c)
+            for m in range(terms - 1, -1, -1):  # Horner in q
+                far += moments[rows, m, None]
+                far *= q
+            del q  # before the next piece is allocated
+    while j < n:  # runs of gaps with one window, _ARC_BLOCK entries a chunk where they fit
+        (a, b), k = near[j], j + 1
+        while k < n and near[k] == (a, b) and ends[k] - starts[j] <= _ARC_BLOCK // (b - a):
+            k += 1
+        if b - a > 1:  # the own anchor alone is no column
+            rows, cols = slice(starts[j], ends[k - 1]), slice(a, b)
+            d = t[rows, None] - anchors[cols]
+            d[np.arange(rows.stop - rows.start), gap[rows] - a] = np.inf  # leave out i = j
+            block = np.zeros((k - j, rows.stop - rows.start))  # gap j + i's row of vu
+            block[gap[rows] - j, np.arange(rows.stop - rows.start)] = vu[rows]
+            A[j:k, cols] = block @ np.reciprocal(d, out=d)
+            del d  # before the next chunk is allocated
         j = k
     A.flat[::n + 1] = np.add.reduceat(v, starts)
     rhs = -np.add.reduceat(vu, starts)
@@ -499,13 +514,6 @@ def _period_correction(anchors, lo, hi, orders, log_w) -> np.ndarray:
         return np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular period-condition system: {exc}") from exc
-
-
-def _deflated_terms(x: np.ndarray, idx, anchors: np.ndarray):
-    """x - m_j and 1/(x - m_i) with the own column i = j zero, for gap j = idx[r] at x[r]."""
-    d = x[:, None] - anchors[None, :]
-    d[np.arange(len(x)), idx] = np.inf  # leave out i = j
-    return x - anchors[idx], np.reciprocal(d, out=d)
 
 
 def _deflated_numerator(x: np.ndarray, idx: np.ndarray, anchors: np.ndarray, delta: np.ndarray):
@@ -519,7 +527,9 @@ def _deflated_numerator(x: np.ndarray, idx: np.ndarray, anchors: np.ndarray, del
     B_j has no zero on gap j and f_j has exactly P's root there; no product
     is formed, so nothing over- or underflows.
     """
-    u, inv = _deflated_terms(x, idx, anchors)
+    d = x[:, None] - anchors[None, :]
+    d[np.arange(len(x)), idx] = np.inf  # leave out i = j
+    u, inv = x - anchors[idx], np.reciprocal(d, out=d)
     s = 1.0 + inv @ delta
     return u * s + delta[idx], s - u * ((inv * inv) @ delta)
 
@@ -613,9 +623,9 @@ def _assemble(s, roots, order, gap_orders, passes, moved, tables) -> GreenModel:
         raise NumericalError(f"the Robin probe beta + diam = {x0!r} leaves the float range")
     ray = _ray_series(s, roots, 1)
     g0 = float(np.sum(ray[0::2]))
-    mass, ld = float(np.sum(quad.all_weights)), np.longdouble
-    logs = (np.log((ld(x0) - t.astype(ld)) / ld(h)) for t in quad.nodes)
-    pot = float(sum(map(np.dot, quad.weights, logs)) / np.sum(quad.all_weights.astype(ld)))
+    t, w, ld = np.concatenate(quad.nodes), quad.all_weights, np.longdouble
+    logs = (np.dot(w[b], np.log((ld(x0) - t[b].astype(ld)) / ld(h))) for b, _ in _blocks(len(t), 1, 4))
+    pot = float(sum(logs) / np.sum(w.astype(ld)))  # _blocks pieces: two long doubles a node
     model = GreenModel(
         set=s,
         edges=s.edges,
@@ -627,7 +637,7 @@ def _assemble(s, roots, order, gap_orders, passes, moved, tables) -> GreenModel:
         solve_passes=passes,
         root_move=moved,
         period_residual=residual,
-        mass_error=abs(mass - 1.0),
+        mass_error=abs(float(np.sum(w)) - 1.0),
     )
     model._rays[1] = ray
     return model

@@ -1019,7 +1019,7 @@ def test_m_e_matches_interval_stieltjes(model_m22):
 
 
 # ---------------------------------------------------------------------------
-# _log_sums: the near field summed, the far field from Chebyshev proxies
+# _log_sums: the near field summed, the far field from moments
 
 SMALL_FAMILIES = [
     G.scale_shift(base, scale, 0.37 * scale)
@@ -1042,10 +1042,14 @@ def _kernel_calls(s, roots):
         yield (lo, hi, orders, roots, (), np.arange(n_gaps)[:, None]), lambda i: (np.delete(roots, i), ())
 
 
+JULIA_4_8 = list(_julia_preimages(4.0, 8))[-1][1]  # 255 gaps in clusters, orders up to 1,024
+
+
 @pytest.mark.parametrize(
-    "s", [G.fat_cantor(level) for level in range(1, 10)] + SMALL_FAMILIES,
+    "s", [G.fat_cantor(level) for level in range(1, 10)] + SMALL_FAMILIES + [JULIA_4_8],
     ids=[f"fat_cantor{level}" for level in range(1, 10)]
-    + [f"{name}_{scale}" for name in ("interval", "two_band", "cubic") for scale in ("1e-12", "1", "1e12")],
+    + [f"{name}_{scale}" for name in ("interval", "two_band", "cubic") for scale in ("1e-12", "1", "1e12")]
+    + ["julia_4_8"],
 )
 def test_log_sums_match_direct_sums(s):
     # on every band and gap, for the band rule, the period tables, the gate and
@@ -1082,15 +1086,57 @@ def test_log_sums_match_direct_sums(s):
             assert abs(got[j] - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
 
+@pytest.mark.parametrize("s", [G.fat_cantor(level) for level in range(3, 10)] + [ASYMMETRIC, JULIA_4_8],
+                         ids=[f"fat_cantor{level}" for level in range(3, 10)] + ["asymmetric", "julia_4_8"])
+def test_period_correction_matches_dense_direct_sums(s, monkeypatch):
+    # both passes' systems, at the gap midpoints and then at the roots their
+    # delta gives, against the same rows summed densely: v from the same
+    # log-sums, every Cauchy column sum_t v u/(t - m_i) term by term.  Each
+    # column is within 32 eps sum_t |v u/(t - m_i)| (reads <= 16.5, Julia,
+    # whose gaps take up to 1,024 terms; <= 6 on fat_cantor), and delta
+    # within 1e-14 diam, the root move that ends the solve (reads <= 6e-16)
+    eps, solved = np.finfo(float).eps, []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: (solved.append(A.copy()), solve(A, b))[1])
+    tables = _gap_tables(s, potential._gap_orders(s))
+    lo, hi, orders, log_w = tables
+    anchors, first = (lo + hi) / 2, np.cumsum(orders) - orders
+    for _ in range(2):
+        got = _period_correction(anchors, *tables)
+        t, log_b = _log_sums(lo, hi, orders, anchors, (), np.arange(len(anchors))[:, None])
+        A, rhs, size = np.empty((len(lo), len(lo))), np.empty(len(lo)), np.empty((len(lo), len(lo)))
+        for j, part in enumerate(slice(a, a + n) for a, n in zip(first, orders)):
+            v = np.exp(log_w[part] + log_b[part] - np.max(log_w[part] + log_b[part]))
+            d = t[part, None] - anchors
+            d[:, j] = np.inf
+            terms = (v * (t[part] - anchors[j]))[:, None] / d
+            A[j], size[j] = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+            A[j, j], rhs[j] = v.sum(), -np.sum(v * (t[part] - anchors[j]))
+        off = ~np.eye(len(lo), dtype=bool)
+        assert np.all(np.abs(solved.pop() - A)[off] <= 32 * eps * size[off])
+        want = solve(A, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-14 * s.diameter
+        anchors = _period_roots(s.gaps, anchors, want)
+
+
+def test_near_window_past_the_float_range():
+    # the gap's 32 half-lengths reach past -1e308: its window of near
+    # anchors is unbounded, not an overflow, and the capacity is covariant
+    unit = G.make_gapset(-1.0, 0.0, [(-0.6, -0.5)])
+    huge = G.solve_green(G.scale_shift(unit, 1e308, 0.0))
+    assert huge.capacity == pytest.approx(1e308 * G.solve_green(unit).capacity, rel=1e-14)
+
+
 def test_solve_log_sum_work_and_pieces(monkeypatch):
     # solve_green(fat_cantor(8)) takes its logs in _log_g_prime (rays,
     # intervals with no far source), _near_sums (near windows at the nodes)
-    # and _far_sums (far sources at c and the proxies): 6.5M in all, where
-    # per-interval direct sums took 22.1M (7.8M with near windows padded
-    # across (order, p) batches); its pw_sum, which builds every gap's
-    # series, takes 2.0M; and every call or _blocks piece holds at most
-    # _ARC_BLOCK entries
-    entries, calls, pieces = [], [], []
+    # and _far_sums (far sources at c): 2.39M in all, where per-interval
+    # direct sums took 22.1M and Chebyshev proxies with one log1p per proxy
+    # and far source 6.5M; the far sources' moments take 6.22M multiplies;
+    # its pw_sum, which builds every gap's series, takes 0.64M logs (2.0M
+    # with the proxies) and 2.32M multiplies; and every call or _blocks
+    # piece holds at most _ARC_BLOCK entries
+    entries, calls, pieces, powers = [], [], [], []
     log_g_prime, near, far, blocks = (potential._log_g_prime, potential._near_sums,
                                       potential._far_sums, potential._blocks)
 
@@ -1102,9 +1148,10 @@ def test_solve_log_sum_work_and_pieces(monkeypatch):
         entries.append(x.size * int(np.max(stop - start)))
         return near(x, src, coef, start, stop, own)
 
-    def count_far(c, offsets, src, coef, start, stop):
-        entries.append((offsets.size + len(c)) * len(src))
-        return far(c, offsets, src, coef, start, stop)
+    def count_far(c, r, terms, src, coef, start, stop):
+        entries.append(len(c) * len(src))
+        powers.append(len(c) * len(src) * int(np.max(terms)))
+        return far(c, r, terms, src, coef, start, stop)
 
     def count_pieces(rows, cols, width):
         for b, e in blocks(rows, cols, width):
@@ -1115,26 +1162,13 @@ def test_solve_log_sum_work_and_pieces(monkeypatch):
                       ("_far_sums", count_far), ("_blocks", count_pieces)):
         monkeypatch.setattr(potential, name, spy)
     model = G.solve_green(G.fat_cantor(8))
-    assert sum(calls) + sum(entries) <= 7.0e6
+    assert sum(calls) + sum(entries) <= 2.4e6 and sum(powers) <= 6.3e6
     assert max(calls) <= potential._ARC_BLOCK and max(pieces) <= potential._ARC_BLOCK
-    for spied in (calls, entries, pieces):
+    for spied in (calls, entries, pieces, powers):
         spied.clear()
     G.pw_sum(model)
-    assert sum(calls) + sum(entries) <= 2.2e6
+    assert sum(calls) + sum(entries) <= 0.65e6 and sum(powers) <= 2.4e6
     assert max(calls) <= potential._ARC_BLOCK and max(pieces) <= potential._ARC_BLOCK
-
-
-@pytest.mark.parametrize("p, n", [(1, 3), (3, 9), (4, 12), (7, 21), (9, 45), (6, 80), (9, 80)])
-def test_cheb_interp_matrices(p, n):
-    # built without a warning, also when nodes meet proxy points (n/p odd);
-    # polynomials of degree below p and their derivatives come through to rounding
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        values, slopes = potential._cheb_interp.__wrapped__(p, n)
-        x, xp = potential._cos_points(n), potential._cos_points(p)
-    f = np.polynomial.Polynomial(np.linspace(1.0, -0.5, p))
-    assert np.max(np.abs(values @ f(xp) - f(x))) <= 1e-14
-    assert np.max(np.abs(slopes @ f(xp) - f.deriv()(x))) <= 1e-11
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 32, 200, 2048])

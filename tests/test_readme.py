@@ -167,3 +167,9 @@ def test_one_cosine_transform_pair():
     assert _enclosing_functions("np.fft") == ["_dct", "_idct"]
     assert _enclosing_functions("np.sin(np.multiply.outer(") == ["_sine_sums", "green_value"]
     assert _enclosing_functions("0] /= 2") == []
+
+
+def test_no_log1p_per_far_source():
+    # the far field is powers of r/(c - s): log1p sizes an interval's rule
+    # or series from its nearest source, and is taken at no node or source
+    assert _enclosing_functions("np.log1p") == ["_far_terms", "_gap_orders"]
