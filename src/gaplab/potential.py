@@ -21,20 +21,24 @@ B_j being free of zeros on gap j.  Gap j's period condition is a row
 linear in delta with node weights w |B_j|, and the new root in gap j is
 a bracketed Newton step on f_j (a step that leaves the bracket becomes
 its midpoint); f_j is formed from sums, never from a product.  Two passes
-(midpoints, then the found roots) reach machine-level period residuals.
+(midpoints, then the found roots) reach machine-level period residuals;
+the pass whose roots move by at most 1e-14 diam confirms its anchors,
+which become the roots, so its samples, with log|t - m_j| added, are g'
+at the roots: the period gate and the gap series read them.
 
 Every weight, density and Green integral is g' itself with the edge
 factors its substitution cancels left out, from log-sums: the root and
 edge log-sums meet in a single exp, so the quotient stays in range where
-either product alone over- or underflows.  The period weights, which have
-no root factors, stay logs until they meet log|P| or log|B_j|.  At the
-nodes of interval families (the band rule, the period tables and rows,
-the residual gate, the gap series) the sums are _log_sums's, a one-level
-fast-multipole split (Greengard and Rokhlin, J. Comput. Phys. 73, 1987):
-sources within _FAR half-lengths summed directly, the rest as a power
-series in (t - c)/r from their scaled moments, whose period-row twin gives
-the far Cauchy columns; the densities and m_E take _log_g_prime's direct
-sums, the outer rays long-double ones.  Singular
+either product alone over- or underflows.  The period weights are never
+summed alone: a pass sums the edges with the anchors.  At the nodes of
+interval families (the band rule, which also samples the few gap series
+that need more points than their pass, and the period passes) the sums
+are _log_sums's, a one-level fast-multipole split (Greengard and
+Rokhlin, J. Comput. Phys. 73, 1987): sources within _FAR half-lengths
+summed directly, the rest as a power series in (t - c)/r from their
+scaled moments, whose period-row twin gives the far Cauchy columns; the
+densities and m_E take _log_g_prime's direct sums, and the outer rays one
+log per gap of a double ratio.  Singular
 integrals are tamed by the cosine substitution t = c + r*cos(theta), which
 cancels the inverse-square-root edge factors exactly, and on the unbounded
 components by t = e +/- s^2.  A gap integrand is then analytic out to the
@@ -159,27 +163,32 @@ def _far_sums(c: np.ndarray, r: np.ndarray, terms, src: np.ndarray, coef: np.nda
     src[start[i]:stop[i]], all beyond _FAR r: per row, the pairwise sum of
     coef log|c - s|, and b_1..b_K, zero past terms[i], of sum_k b_k u^k =
     sum coef log|1 + u w| at u = (t - c)/r, w = r/(c - s): b_k = (-1)^(k+1)
-    mu_k/k from the scaled moments mu_k = sum coef w^k.  A block of rows
-    holds two (rows, sources) temporaries within _ARC_BLOCK entries.
+    mu_k/k from the scaled moments mu_k = sum coef w^k.  Rows run in order
+    of falling terms, so each power step takes only the leading rows that
+    still need it, and mu stays 0 past a row's terms; a block of rows holds
+    two (rows, sources) temporaries within _ARC_BLOCK entries.
     """
-    k, width = np.arange(len(src)), int(np.max(terms))
-    base, mu = np.empty(len(c)), np.empty((len(c), width))
+    k, width, by_terms = np.arange(len(src)), int(np.max(terms)), np.argsort(-terms, kind="stable")
+    base, mu = np.empty(len(c)), np.zeros((len(c), width))
     for b, _ in _blocks(len(c), 1, 2 * len(src)):
-        near = (k >= start[b, None]) & (k < stop[b, None])
-        d = c[b, None] - src
+        rows = by_terms[b]
+        need = terms[rows]  # falling
+        near = (k >= start[rows, None]) & (k < stop[rows, None])
+        d = c[rows, None] - src
         np.copyto(d, 1.0, where=near)
-        w = np.divide(r[b, None], d)
+        w = np.divide(r[rows, None], d)
         np.copyto(w, 0.0, where=near)
         np.abs(d, out=d)
         np.log(d, out=d)
-        base[b] = np.sum(np.multiply(d, coef, out=d), axis=1)
+        base[rows] = np.sum(np.multiply(d, coef, out=d), axis=1)
         d[...] = w  # w^(m + 1) from here on
-        for m in range(width):
-            mu[b, m] = d @ coef
-            d *= w
+        for m in range(need[0]):
+            live = np.count_nonzero(need > m)
+            mu[rows[:live], m] = d[:live] @ coef
+            d[:live] *= w[:live]
         del d, w  # before the next piece is allocated
     k = np.arange(1, width + 1)
-    return base, np.where(k <= terms[:, None], np.where(k % 2, 1.0, -1.0) / k * mu, 0.0)
+    return base, np.where(k % 2, 1.0, -1.0) / k * mu
 
 
 def _far_terms(lo, hi, src: np.ndarray, start, stop) -> np.ndarray:
@@ -208,8 +217,9 @@ def _log_sums(lo, hi, orders, roots, edges, skip):
     bit, tested before any sort.  Otherwise near sources are summed at the
     nodes, and far ones are _far_sums's series with terms for 1e-17 at the
     nearest, by Horner at each node's own u = (t - c)/r.  Intervals sharing
-    (order, near width) are one unpadded batch: an interval's bits ignore
-    its batch.
+    (order, near width) are one unpadded batch: an interval's near sums
+    ignore its batch.  Its far moments are matrix-vector products over a
+    block of rows, whose last bit may depend on the rows beside it.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     orders, skip = np.asarray(orders, dtype=int), np.asarray(skip, dtype=int)
@@ -315,20 +325,29 @@ def _ray_series(s: GapSet, roots, side: int) -> np.ndarray:
     (eps) inside.  cos(k theta) sin(theta) integrates to sin^2((k+1) theta/2)/(k+1) -
     sin^2((k-1) theta/2)/(k-1), twice the first for k = 0, so every term vanishes at e (g
     keeps its relative accuracy there) and theta = pi sums the odd m.  |t - source| =
-    |e - source| + s^2 for every source; the log-sums run in long double, as ~3N double
-    logs carry ~1e-14 rounding.
+    |e - source| + s^2 for every source, in units of diam, which scales F by sqrt(diam) and
+    so cancels the one in s: no sum nears the float range.  Gap j's root and edges enter as
+    one double ratio q = (d_c/d_lo)(d_c/d_hi), near 1 away from the gap, and the other
+    outer edge as its own factor: one log per gap and sample, where ~3N logs of the
+    distances would carry ~1e-14 rounding.
     """
-    k = len(s.edges) - 1 if side else 0
+    k, n_gaps = len(s.edges) - 1 if side else 0, len(roots)
     z = complex(1.0, 2.0 * math.sqrt(abs(s.edges[k] - s.edges[k - 1 if side else 1]) / s.diameter))
     n = int(_ellipse_orders(math.log(abs(z + cmath.sqrt(z * z - 1.0))), 1))  # |z + w| >= |z - w| here
-    s2 = s.diameter * np.sin((np.arange(n) + 0.5) * (0.5 * np.pi / n)) ** 4
-    src = np.concatenate([roots, s.edges[:k], s.edges[k + 1:]]).astype(np.longdouble)
-    dist, coef = np.abs(s.edges[k] - src), np.where(np.arange(len(src)) < len(roots), 1.0, -0.5)
-    # two long-double temporaries a piece, together the bytes of one _ARC_BLOCK piece
-    log_f = np.concatenate([np.log(dist + s2[b, None]) @ coef for b, _ in _blocks(n, 1, 4 * len(src))])
-    a = np.concatenate([_dct(np.exp(log_f).astype(float)), [0.0, 0.0]])
+    s2 = np.sin((np.arange(n) + 0.5) * (0.5 * np.pi / n)) ** 4
+    d_c, d_e = (np.abs(s.edges[k] - x) / s.diameter for x in (roots, s.edges))
+    d_lo, d_hi, d_far = d_e[1:-1:2], d_e[2:-1:2], d_e[len(s.edges) - 1 - k]
+    log_f = np.empty(n)
+    for b, _ in _blocks(n, 1, 3 * n_gaps):  # three (samples, gaps) temporaries a piece
+        c = d_c + s2[b, None]
+        q = c / (d_lo + s2[b, None])
+        c /= d_hi + s2[b, None]
+        q *= c
+        log_f[b] = np.sum(np.log(q, out=q), axis=1)
+        del c, q  # before the next piece is allocated
+    a = np.concatenate([_dct(np.exp(0.5 * (log_f - np.log(d_far + s2)))), [0.0, 0.0]])
     a[0] *= 2.0
-    return math.sqrt(s.diameter) * (a[:-2] - a[2:]) / np.arange(1, n + 1)
+    return (a[:-2] - a[2:]) / np.arange(1, n + 1)
 
 
 @dataclass(frozen=True)
@@ -350,9 +369,11 @@ class GreenModel:
 
     The numerator polynomial is monic with one root per gap; those roots
     are the critical points, so critical_points doubles as the polynomial
-    representation.  The band rule is precomputed; the period tables are
-    rebuilt from gap_orders by period_residuals, and the gap and ray
-    series on first use.
+    representation.  The band rule and the gap series' samples are taken
+    in the solve: the confirming period pass's samples at the roots, and
+    the band rule's call for the gaps whose series needs more points.
+    period_residuals samples the roots again; the gap and ray series are
+    built on first use.
     """
 
     set: GapSet
@@ -366,6 +387,8 @@ class GreenModel:
     root_move: float  # largest root change in the last pass; above 1e-14 * diam the cap was hit
     period_residual: float  # largest |period residual|, what the period gate read
     mass_error: float  # |band-rule mass - 1|, what the mass gate read
+    # f = +-|g'| r sin(theta) per gap at its series' cosine points, flat, for _gap_series
+    gap_samples: np.ndarray = field(repr=False, compare=False)
     # _ray_series by side, built on first use; _assemble leaves side 1, the Robin probe's
     _rays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -380,23 +403,20 @@ class GreenModel:
         of f = +-|g'| r sin(theta) (+ right of c_j) at the cosine points of
         t = c + r cos(theta).  f is analytic, so n is the interpolant's
         ellipse order, _gap_orders(s, 1), and at least gap_orders[j].  The
-        samples are one _log_sums call over all gaps.  The nodes are rounded,
+        samples are gap_samples, taken in the solve.  The nodes are rounded,
         up to ~1e-11 off their angles in a level-9 gap, so one step along the
         series' own derivative, _idct of m a_m, moves the samples onto the
         angles before _dct is redone.
         """
-        roots, edges = self.critical_points, self.edges
-        lo, hi = edges[1:-1:2], edges[2:-1:2]
+        lo, hi, f = self.edges[1:-1:2], self.edges[2:-1:2], self.gap_samples
         c, r = (lo + hi) / 2, (hi - lo) / 2
         orders = np.maximum(self.gap_orders, _gap_orders(self.set, 1))
-        own = len(roots) + np.arange(1, len(edges) - 1).reshape(-1, 2)
-        t, log_f = _log_sums(lo, hi, orders, roots, edges, own)
-        f = np.where(t > np.repeat(roots, orders), 1.0, -1.0) * np.exp(log_f)
         first, rows, coefs = np.cumsum(orders) - orders, np.empty_like(orders), {}
         for n in sorted(set(orders.tolist())):
             ids, m = np.flatnonzero(orders == n), np.arange(n)
             rows[ids], cols, theta = np.arange(len(ids)), first[ids, None] + m, (m + 0.5) * np.pi / n
-            shift = ((t[cols] - c[ids, None]) / r[ids, None] - np.cos(theta)) / np.sin(theta)
+            t = c[ids, None] + r[ids, None] * _cos_points(n)  # the nodes, rounded as _log_sums rounds them
+            shift = ((t - c[ids, None]) / r[ids, None] - np.cos(theta)) / np.sin(theta)
             moved = f[cols] + shift * _idct(m * _dct(f[cols])).imag  # f at the angles
             coefs[n] = _dct(moved) / np.where(m, m, 1)  # a_0, a_m/m
         return orders, rows, coefs
@@ -422,59 +442,58 @@ def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
 
 def _solve(s: GapSet, order: int, floor: int) -> GreenModel:
     gap_orders = tuple(max(n, floor) for n in _gap_orders(s))
-    tables = _gap_tables(s, gap_orders) if s.gaps else ()
     # relinearize until the roots settle; small gap counts stop after two
-    roots = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
-    passes, moved = 0, 0.0
-    while s.gaps and passes < _SOLVE_PASSES:
-        delta = _period_correction(roots, *tables)
-        new_roots = _period_roots(s.gaps, roots, delta)
-        moved = float(np.max(np.abs(new_roots - roots)))
+    roots, passes, moved, samples = np.array([(lo + hi) / 2 for lo, hi in s.gaps]), 0, 0.0, None
+    while s.gaps:
+        samples = _pass_samples(s, roots, gap_orders)
+        new_roots = _period_roots(s.gaps, roots, _period_correction(s, roots, gap_orders, *samples))
+        moved, passes = float(np.max(np.abs(new_roots - roots))), passes + 1
+        if moved <= 1e-14 * (s.beta - s.alpha) or passes == _SOLVE_PASSES:
+            break  # the roots stay this pass's anchors, where its samples were taken
         roots = new_roots
-        passes += 1
-        if moved <= 1e-14 * (s.beta - s.alpha):
-            break
-    return _assemble(s, roots, order, gap_orders, passes, moved, tables)
+    return _assemble(s, roots, order, gap_orders, passes, moved, samples)
 
 
-def _gap_tables(s: GapSet, gap_orders):
-    """Gap ends, orders and cosine-substitution log weights for the period integrals.
+def _pass_samples(s: GapSet, anchors, gap_orders):
+    """A period pass's samples: the flat nodes t, gap_orders[j] cosine points
+    on each gap j, and log(|B_j|/sqrt|R_j|) there, B_j = prod_{k != j}(t - m_k)
+    and R_j the product over the edges but gap j's own.
 
-    Gap j gets gap_orders[j] nodes.  The weights (pi/order)/sqrt|R| with the
-    gap's own edges cancelled stay logs, log(pi/order) - 1/2 sum_{k not own}
-    log|t - e_k|, flat gap after gap: past ~500 edges they leave double
-    range, and only their sum with log|P| is formed.
+    One _log_sums call over the anchors and the edges together: every other
+    gap enters as its anchor and two edges, a triple whose logs nearly
+    cancel away from gap j, where an edges-only and an anchors-only sum
+    would each run to ~800 in magnitude at level 9 and meet in a difference.
+    With the own anchor's log|t - m_j| added these are g' at the anchors,
+    gap j's own edge factors cancelled (_residuals_and_samples).
     """
-    lo, hi, orders = s.edges[1:-1:2], s.edges[2:-1:2], np.asarray(gap_orders, dtype=int)
-    own = np.arange(1, len(s.edges) - 1).reshape(-1, 2)
-    _, log_w = _log_sums(lo, hi, orders, (), s.edges, own)
-    return lo, hi, orders, np.repeat(np.log(np.pi / orders), orders) + log_w
+    n = len(anchors)
+    own = np.column_stack([np.arange(n), n + 1 + 2 * np.arange(n), n + 2 + 2 * np.arange(n)])
+    return _log_sums(s.edges[1:-1:2], s.edges[2:-1:2], gap_orders, anchors, s.edges, own)
 
 
-def _period_correction(anchors, lo, hi, orders, log_w) -> np.ndarray:
+def _period_correction(s: GapSet, anchors, gap_orders, t, log_b) -> np.ndarray:
     """Solve the linearized period conditions for the correction weights.
 
     P = B + sum_i delta_i B_i with B = prod_k (t - m_k) and B_i = B/(t - m_i),
-    so gap j's condition sum_t w P = 0 is sum_t w B_j f_j = 0 with the
-    deflated f_j = P/B_j of _deflated_numerator, linear in delta.  B_j has
-    no zero on gap j, so its sign is the same at every node and is dropped,
-    flipping the row and its right-hand side together.  The node weights
-    v = w |B_j| (log|B_j| from _log_sums, the own anchor skipped) are
-    shifted by their gap's largest log, which makes the diagonal sum
-    v >= 1.  A node on m_j only zeroes its factor t - m_j, and no node meets
-    another anchor.  The Cauchy columns sum_t v u/(t - m_i) of the anchors
-    within _FAR r_j of gap j, a window of the sorted anchors, are one matrix
-    product per run of whole gaps with one window, _ARC_BLOCK entries a
-    chunk where they fit.  The far columns are -sum_k M_k q^(k+1)/r from the
-    gap's moments M_k = sum_t v u x^k, x = (t - c)/r, q = r/(m_i - c), with
-    terms for 1e-17 at the nearest; a set with no far pair skips them.
+    so gap j's condition sum_t w P = 0, w = (pi/n_j)/sqrt|R| with gap j's
+    own edges cancelled, is sum_t w B_j f_j = 0 with the deflated f_j = P/B_j
+    of _deflated_numerator, linear in delta.  B_j has no zero on gap j, so
+    its sign is the same at every node and is dropped, flipping the row and
+    its right-hand side together.  The node weights v = w |B_j| (log_b from
+    _pass_samples) are shifted by their gap's largest log, which makes the
+    diagonal sum v >= 1 and drops pi/n_j.  A node on m_j only zeroes its
+    factor t - m_j, and no node meets another anchor.  The Cauchy columns
+    sum_t v u/(t - m_i) of the anchors within _FAR r_j of gap j, a window of
+    the sorted anchors, are one matrix product per run of whole gaps with
+    one window, _ARC_BLOCK entries a chunk where they fit.  The far columns
+    are -sum_k M_k q^(k+1)/r from the gap's moments M_k = sum_t v u x^k,
+    x = (t - c)/r, q = r/(m_i - c), with terms for 1e-17 at the nearest; a
+    set with no far pair skips them.
     """
-    n = len(anchors)
-    t, log_b = _log_sums(lo, hi, orders, anchors, (), np.arange(n)[:, None])
+    n, lo, hi, orders = len(anchors), s.edges[1:-1:2], s.edges[2:-1:2], np.asarray(gap_orders)
     gap, ends = np.repeat(np.arange(n), orders), np.cumsum(orders)
     starts = ends - orders
-    log_v = log_w + log_b  # log w|B_j|
-    v = np.exp(log_v - np.maximum.reduceat(log_v, starts)[gap])
+    v = np.exp(log_b - np.maximum.reduceat(log_b, starts)[gap])
     vu = v * (t - anchors[gap])
     A, ms, ends, starts, j = np.zeros((n, n)), anchors.tolist(), ends.tolist(), starts.tolist(), 0
     near = [(bisect.bisect_left(ms, x - _FAR * h), bisect.bisect_right(ms, y + _FAR * h))
@@ -580,80 +599,105 @@ def _period_roots(gaps, anchors, delta) -> np.ndarray:
     )
 
 
-def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
+def _band_rule(s: GapSet, roots, order: int, gaps=(), gap_orders=()):
     """dmu_E = |g'|/pi dt per band, its own edge factors cancelled; unit mass.
 
     The band's own edges are skipped in g', because the cosine substitution
-    cancels their factors; (pi/order) * g' then integrates against dt.
+    cancels their factors; (pi/order) * g' then integrates against dt.  The
+    same _log_sums call samples gap gaps[i] at gap_orders[i] cosine points,
+    its own edges skipped, and returns f = +-|g'| r sin(theta) there (+ right
+    of the gap's root), flat, after the rule.
     """
-    bands = len(s.edges) // 2
-    own = len(roots) + np.arange(2 * bands).reshape(-1, 2)
-    t, log_g = _log_sums(s.edges[0::2], s.edges[1::2], np.full(bands, order), roots, s.edges, own)
-    w = np.exp(log_g) / order
-    quad = EquilibriumQuadrature(tuple(t.reshape(bands, order)), tuple(w.reshape(bands, order)), order)
+    bands, gaps = len(s.edges) // 2, np.asarray(gaps, dtype=int)
+    lo, hi = np.r_[s.edges[0::2], s.edges[2 * gaps + 1]], np.r_[s.edges[1::2], s.edges[2 * gaps + 2]]
+    own = len(roots) + np.r_[np.arange(2 * bands).reshape(-1, 2), np.c_[2 * gaps + 1, 2 * gaps + 2]]
+    t, log_g = _log_sums(lo, hi, np.r_[np.full(bands, order), gap_orders], roots, s.edges, own)
+    k = bands * order
+    w = np.exp(log_g[:k]) / order
+    quad = EquilibriumQuadrature(tuple(t[:k].reshape(bands, order)), tuple(w.reshape(bands, order)), order)
     total = float(w.sum())
     if not abs(total - 1.0) <= TOLERANCES["quadrature_mass"]:  # NaN fails too
         raise NumericalError(
             f"equilibrium weights sum to {total!r}, expected 1; raise quad_order"
         )
-    return quad
+    return quad, np.sign(t[k:] - np.repeat(roots[gaps], gap_orders)) * np.exp(log_g[k:])
 
 
-def _assemble(s, roots, order, gap_orders, passes, moved, tables) -> GreenModel:
-    """The gated model: the period gate on the period tables (the solve's,
-    or for a load rebuilt from gap_orders), then the band rule and Robin probe."""
-    residual = 0.0
+def _assemble(s, roots, order, gap_orders, passes, moved, samples) -> GreenModel:
+    """The gated model: the period gate on a pass's samples at the roots (the
+    solve's confirming pass, or for a load a pass at the given roots), then
+    the band rule, with the samples of the gaps whose series needs more
+    points than their table, and the Robin probe."""
+    residual, f = 0.0, np.empty(0)
+    series = np.maximum(gap_orders, _gap_orders(s, 1)).astype(int)
     if len(roots):
-        residual = float(np.max(np.abs(_period_residuals(roots, *tables))))
+        residuals, f = _residuals_and_samples(roots, gap_orders, *samples)
+        residual = float(np.max(np.abs(residuals)))
         if not residual <= TOLERANCES["period_residual"]:  # NaN fails too
             raise NumericalError(
                 f"period residual {residual!r} exceeds {TOLERANCES['period_residual']!r}"
             )
-    quad = _band_rule(s, roots, order)
-    # Robin constant via the potential identity at the probe x0 = beta + diam,
-    # one diameter out so the identity is scale-covariant: g(x0) is the
-    # right-hand ray series' whole integral (sin^2(m pi/2) is 1 for odd m,
-    # else 0), the potential from the equilibrium rule divided by its
-    # mass, so the rule's mass error does not enter, its differences (x0 - t
-    # passes 1e308 on [-1e308, 0]), logs and sums in long double.  Logs are taken in units of
-    # h = diam/2, so capacity = h exp(pot - g0) never passes through robin,
-    # whose own rounding grows with |log h|.
-    h, x0 = 0.5 * s.diameter, s.beta + s.diameter
-    if not math.isfinite(x0):
-        raise NumericalError(f"the Robin probe beta + diam = {x0!r} leaves the float range")
+    more = series > np.asarray(gap_orders, dtype=int)
+    quad, f_more = _band_rule(s, roots, order, np.flatnonzero(more), series[more])
+    gap_samples = np.empty(int(np.sum(series)))
+    gap_samples[np.repeat(~more, series)] = f[np.repeat(~more, gap_orders)]
+    gap_samples[np.repeat(more, series)] = f_more
     ray = _ray_series(s, roots, 1)
-    g0 = float(np.sum(ray[0::2]))
-    t, w, ld = np.concatenate(quad.nodes), quad.all_weights, np.longdouble
-    logs = (np.dot(w[b], np.log((ld(x0) - t[b].astype(ld)) / ld(h))) for b, _ in _blocks(len(t), 1, 4))
-    pot = float(sum(logs) / np.sum(w.astype(ld)))  # _blocks pieces: two long doubles a node
+    robin, capacity = _robin_probe(s, quad, float(np.sum(ray[0::2])))
     model = GreenModel(
         set=s,
         edges=s.edges,
         critical_points=np.asarray(roots, dtype=float),
-        robin=g0 - pot - math.log(h),
-        capacity=h * math.exp(pot - g0),
+        robin=robin,
+        capacity=capacity,
         quad=quad,
         gap_orders=tuple(gap_orders),
         solve_passes=passes,
         root_move=moved,
         period_residual=residual,
-        mass_error=abs(float(np.sum(w)) - 1.0),
+        mass_error=abs(float(np.sum(quad.all_weights)) - 1.0),
+        gap_samples=gap_samples,
     )
     model._rays[1] = ray
     return model
 
 
+def _robin_probe(s: GapSet, quad: EquilibriumQuadrature, g0: float):
+    """Robin constant and capacity via the potential identity at the probe
+    x0 = beta + diam, one diameter out so the identity is scale-covariant.
+
+    g0 = g(x0) is the right-hand ray series' whole integral (sin^2(m pi/2) is
+    1 for odd m, else 0), the potential is from the equilibrium rule divided
+    by its mass, so the rule's mass error does not enter, its differences
+    (x0 - t passes 1e308 on [-1e308, 0]), logs and sums in long double.  Logs
+    are taken in units of h = diam/2, so capacity = h exp(pot - g0) never
+    passes through robin, whose own rounding grows with |log h|.
+    """
+    h, x0 = 0.5 * s.diameter, s.beta + s.diameter
+    if not math.isfinite(x0):
+        raise NumericalError(f"the Robin probe beta + diam = {x0!r} leaves the float range")
+    t, w, ld = np.concatenate(quad.nodes), quad.all_weights, np.longdouble
+    logs = (np.dot(w[b], np.log((ld(x0) - t[b].astype(ld)) / ld(h))) for b, _ in _blocks(len(t), 1, 4))
+    pot = float(sum(logs) / np.sum(w.astype(ld)))  # _blocks pieces: two long doubles a node
+    return g0 - pot - math.log(h), h * math.exp(pot - g0)
+
+
 def period_residuals(model: GreenModel) -> np.ndarray:
     """Per-gap residual of the defining conditions (zero for a solved model)."""
-    return _period_residuals(model.critical_points, *_gap_tables(model.set, model.gap_orders))
+    roots, orders = model.critical_points, model.gap_orders
+    return _residuals_and_samples(roots, orders, *_pass_samples(model.set, roots, orders))[0]
 
 
-def _period_residuals(roots, lo, hi, orders, log_w) -> np.ndarray:
-    """sum of w P over each gap's nodes; P's sign is (-1)^(roots right of t)."""
-    t, log_p = _log_sums(lo, hi, orders, roots, (), np.empty((len(lo), 0), dtype=int))
-    right = len(roots) - np.searchsorted(roots, t, side="right")
-    terms = np.where(right % 2, -1.0, 1.0) * np.exp(log_p + log_w)
-    return np.add.reduceat(terms, np.cumsum(orders) - orders)
+def _residuals_and_samples(roots, gap_orders, t, log_b):
+    """The period residuals (pi/n_j) sum f with P's sign, (-1)^(roots right
+    of t), and f = +-|g'| r sin(theta), + right of c_j: a pass's samples at
+    the roots, one log|t - c_j| more per node."""
+    orders = np.asarray(gap_orders, dtype=int)
+    d = t - np.repeat(roots, orders)
+    with np.errstate(divide="ignore"):  # a node on c_j reads f = 0
+        f = np.sign(d) * np.exp(log_b + np.log(np.abs(d)))
+    sign = np.where((len(roots) - np.arange(len(roots))) % 2, 1.0, -1.0)  # P's sign right of c_j
+    return sign * np.pi / orders * np.add.reduceat(f, np.cumsum(orders) - orders), f
 
 
 def _gap_integrals(model: GreenModel, gap: np.ndarray, x: np.ndarray):
@@ -752,7 +796,7 @@ def equilibrium_quadrature(model: GreenModel, order: int) -> EquilibriumQuadratu
     """Per-band quadrature for dmu_E at the given order (the model's own at quad.order)."""
     if order < GAP_ORDER_FLOOR:
         raise ValidationError(f"quadrature order must be at least {GAP_ORDER_FLOOR}")
-    return model.quad if order == model.quad.order else _band_rule(model.set, model.critical_points, order)
+    return model.quad if order == model.quad.order else _band_rule(model.set, model.critical_points, order)[0]
 
 
 def model_to_json(model: GreenModel) -> str:
@@ -791,4 +835,4 @@ def model_from_json(text: str) -> GreenModel:
             and min((order, *gap_orders)) >= GAP_ORDER_FLOOR):
         raise ValidationError("malformed GreenModel JSON: need one root in and one order per gap, "
                               f"orders at least {GAP_ORDER_FLOOR}")
-    return _assemble(s, roots, order, gap_orders, passes, moved, _gap_tables(s, gap_orders))
+    return _assemble(s, roots, order, gap_orders, passes, moved, _pass_samples(s, roots, gap_orders))

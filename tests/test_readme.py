@@ -173,3 +173,17 @@ def test_no_log1p_per_far_source():
     # the far field is powers of r/(c - s): log1p sizes an interval's rule
     # or series from its nearest source, and is taken at no node or source
     assert _enclosing_functions("np.log1p") == ["_far_terms", "_gap_orders"]
+
+
+def test_long_double_only_in_the_robin_probe():
+    # the ray samples are double ratios, one log per gap; only the Robin
+    # probe's potential, whose differences x0 - t pass 1e308, is long double
+    assert _enclosing_functions("np.longdouble") == ["_robin_probe"]
+
+
+def test_kernel_called_by_the_pass_sampler_and_the_band_rule():
+    # one _log_sums call per period pass and one for the band rule, which
+    # also samples the gap series that need more points than their table;
+    # the gate and the other series read the confirming pass's samples (the
+    # def line is the kernel's own)
+    assert _enclosing_functions("_log_sums(") == ["_band_rule", "_log_sums", "_pass_samples"]
