@@ -177,7 +177,7 @@ def run(config: dict) -> str:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"deltas must be numbers: {exc}") from exc
         rows = [[d, homogeneity_margin(s, t_samples, [d])] for d in deltas]
-        rows.append(["overall", homogeneity_margin(s, t_samples, deltas)])
+        rows.append(["overall", min(m for _, m in rows)])  # each entry is elementwise
         return _table(command, ["delta", "margin"], rows, meta, fmt)
 
     model = solve_green(s, quad_order)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +42,7 @@ from .potential import (
     GreenModel,
     TOLERANCES,
     _dct,
-    _idct,
+    _fejer,
     _log_f_e,
     _m_e,
     _sine_sums,
@@ -54,19 +53,6 @@ from .realset import GapSet, Location, edge_slots, locate
 
 _SWEEP_POINTS = 512  # midpoints per multisection count sweep, all brackets together
 _INTERLACING_EPS = 1e-6  # interlacing_profile's zeros are the roots of m + this
-
-
-@lru_cache(maxsize=64)
-def _fejer(n: int) -> np.ndarray:
-    """Fejér's first-rule weights on [-1, 1] at potential._cos_points(n), read-only, exact to
-    degree n - 1: w_i = sum_m c_m cos(m theta_i), c_m = (2/n) int T_m = 4/(n (1 - m^2)) for
-    even m > 0, c_0 = 2/n; one _idct (Waldvogel, BIT 46, 2006)."""
-    c = np.zeros(n)
-    c[::2] = 4.0 / (n * (1.0 - np.arange(0, n, 2) ** 2))
-    c[0] = 2.0 / n
-    w = _idct(c).real
-    w.flags.writeable = False
-    return w
 
 
 @dataclass(frozen=True)
@@ -231,7 +217,7 @@ def make_measure(
     masses = tuple((float(x), float(m)) for x, m in point_masses)
     seen = set()
     for x, m in masses:
-        if m <= 0:
+        if not m > 0:  # NaN fails too
             raise ValidationError(f"point mass at {x} must be positive, got {m}")
         if locate(model.set, x).kind == "band":
             raise ValidationError(f"point mass location {x} lies inside the set")

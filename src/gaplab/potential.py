@@ -38,16 +38,17 @@ Rokhlin, J. Comput. Phys. 73, 1987): sources within _FAR half-lengths
 summed directly, the rest as a power series in (t - c)/r from their
 scaled moments, whose period-row twin gives the far Cauchy columns; the
 densities and m_E take _log_g_prime's direct sums, and the outer rays one
-log per gap of a double ratio.  Singular
-integrals are tamed by the cosine substitution t = c + r*cos(theta), which
-cancels the inverse-square-root edge factors exactly, and on the unbounded
-components by t = e +/- s^2.  A gap integrand is then analytic out to the
-nearest foreign edge, so each gap's period table gets the order that
-edge's Bernstein ellipse needs for 1e-15 (at least 32; an explicit
+log1p per gap.  Singular integrals are tamed by the cosine substitution
+t = c + r*cos(theta), which cancels the inverse-square-root edge factors
+exactly, and on the unbounded components by t = e +/- diam s^2/(1 - s^2),
+s = sin^2(theta/2), out to infinity.  A gap integrand is then analytic out
+to the nearest foreign edge, so each gap's period table gets the order
+that edge's Bernstein ellipse needs for 1e-15 (at least 32; an explicit
 quad_order raises the orders below it and lowers none).  g on each
-component of R minus E within one diameter of the set is the termwise
-integral of one cosine series (a gap, or an outer ray sized by the edge
-one outer band inside) at its interpolant's rho^(-n) order.
+component of R minus E is the termwise integral of one cosine series (a
+gap, or an outer ray sized by the edge one outer band inside) at its
+interpolant's rho^(-n) order; the right-hand ray's whole integral is the
+Robin constant, so the band rule serves only measures and its mass gate.
 """
 
 from __future__ import annotations
@@ -315,39 +316,54 @@ def _sine_sums(theta: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.nda
     return out
 
 
-def _ray_series(s: GapSet, roots, side: int) -> np.ndarray:
-    """c_1..c_n of g(x) = sum_m c_m sin^2(m theta_x/2), theta_x = 2 arcsin((|x - e|/diam)^(1/4)),
-    on the ray from e = alpha (side 0) or beta (side 1) out one diameter.
+@lru_cache(maxsize=64)
+def _fejer(n: int) -> np.ndarray:
+    """Fejér's first-rule weights on [-1, 1] at _cos_points(n), read-only, exact to degree
+    n - 1: w_i = sum_m c_m cos(m theta_i), c_m = (2/n) int T_m = 4/(n (1 - m^2)) for even
+    m > 0, c_0 = 2/n; one _idct (Waldvogel, BIT 46, 2006)."""
+    c = np.zeros(n)
+    c[::2] = 4.0 / (n * (1.0 - np.arange(0, n, 2) ** 2))
+    c[0] = 2.0 / n
+    w = _idct(c).real
+    w.flags.writeable = False
+    return w
 
-    Under t = e -/+ s^2, s = sqrt(diam) sin^2(theta/2), F = 2|g'|s has e's own factor
-    cancelled; the interpolant sum_k a_k cos(k theta) of F/2 takes the order of the ellipse
-    through the branch points cos(theta) = 1 -/+ 2i sqrt(eps/diam) of the edge one outer band
-    (eps) inside.  cos(k theta) sin(theta) integrates to sin^2((k+1) theta/2)/(k+1) -
-    sin^2((k-1) theta/2)/(k-1), twice the first for k = 0, so every term vanishes at e (g
-    keeps its relative accuracy there) and theta = pi sums the odd m.  |t - source| =
-    |e - source| + s^2 for every source, in units of diam, which scales F by sqrt(diam) and
-    so cancels the one in s: no sum nears the float range.  Gap j's root and edges enter as
-    one double ratio q = (d_c/d_lo)(d_c/d_hi), near 1 away from the gap, and the other
-    outer edge as its own factor: one log per gap and sample, where ~3N logs of the
-    distances would carry ~1e-14 rounding.
+
+def _ray_samples(s: GapSet, roots, side: int) -> np.ndarray:
+    """Phi at the n cosine points of the ray from e = alpha (side 0) or beta (side 1) to
+    infinity, t = e -/+ diam s^2/(1 - s^2), s = sin^2(theta/2): the integrand of
+    g' - 1/(|t - e| + diam) in theta over sin(theta), finite at both ends.
+
+    In units of diam, g' dt/dtheta = sin(theta) exp(M)/(1 - s^2): gap j enters M as
+    -1/2 log1p(u (p - q) - u^2 p q), u = 1/|t - c_j|, p and q c_j's distances to the gap's
+    far and near edge, a factor that keeps its relative accuracy as it tends to 1 at
+    infinity, and the outer edges cancel.  So Phi = expm1(M)/(1 - s^2) + 1/(1 + s), 1 - s =
+    cos^2(theta/2).  Phi is analytic in cos(theta) inside the ellipse through the branch
+    points 1 -/+ 2i sqrt(eps/diam) of the edge one outer band (eps) inside, which sizes n.
     """
-    k, n_gaps = len(s.edges) - 1 if side else 0, len(roots)
+    k = len(s.edges) - 1 if side else 0
     z = complex(1.0, 2.0 * math.sqrt(abs(s.edges[k] - s.edges[k - 1 if side else 1]) / s.diameter))
     n = int(_ellipse_orders(math.log(abs(z + cmath.sqrt(z * z - 1.0))), 1))  # |z + w| >= |z - w| here
-    s2 = np.sin((np.arange(n) + 0.5) * (0.5 * np.pi / n)) ** 4
-    d_c, d_e = (np.abs(s.edges[k] - x) / s.diameter for x in (roots, s.edges))
-    d_lo, d_hi, d_far = d_e[1:-1:2], d_e[2:-1:2], d_e[len(s.edges) - 1 - k]
-    log_f = np.empty(n)
-    for b, _ in _blocks(n, 1, 3 * n_gaps):  # three (samples, gaps) temporaries a piece
-        c = d_c + s2[b, None]
-        q = c / (d_lo + s2[b, None])
-        c /= d_hi + s2[b, None]
-        q *= c
-        log_f[b] = np.sum(np.log(q, out=q), axis=1)
-        del c, q  # before the next piece is allocated
-    a = np.concatenate([_dct(np.exp(0.5 * (log_f - np.log(d_far + s2)))), [0.0, 0.0]])
+    half = (np.arange(n) + 0.5) * (0.5 * np.pi / n)
+    s1 = np.sin(half) ** 2
+    one_minus = np.cos(half) ** 2 * (1.0 + s1)  # 1 - s^2
+    lo, hi = s.edges[1:-1:2], s.edges[2:-1:2]
+    d_c, p, q = (np.abs(x - roots) / s.diameter for x in (s.edges[k], *((lo, hi) if side else (hi, lo))))
+    p_q, pq, m = p - q, p * q, np.zeros(n)
+    for b, _ in _blocks(n, 1, 3 * len(roots)):  # three (samples, gaps) temporaries a piece
+        u = np.reciprocal(d_c + (s1[b] * s1[b] / one_minus[b])[:, None])  # |t - e| = s^2/(1 - s^2)
+        m[b] = -0.5 * np.sum(np.log1p(u * (p_q - u * pq)), axis=1)
+    return np.expm1(m) / one_minus + 1.0 / (1.0 + s1)
+
+
+def _ray_series(s: GapSet, roots, side: int, phi=None) -> np.ndarray:
+    """c_1..c_n of g(x) = log1p(y) + sum_m c_m sin^2(m theta_x/2), y = |x - e|/diam and
+    sin^2(theta_x/2) = sqrt(y/(1 + y)), from _ray_samples's phi (taken when None): cos(k
+    theta) sin(theta) integrates to sin^2((k+1) theta/2)/(k+1) - sin^2((k-1) theta/2)/(k-1),
+    twice the first for k = 0, so every term vanishes at e, where g keeps its relative accuracy."""
+    a = np.concatenate([_dct(_ray_samples(s, roots, side) if phi is None else phi), [0.0, 0.0]])
     a[0] *= 2.0
-    return (a[:-2] - a[2:]) / np.arange(1, n + 1)
+    return (a[:-2] - a[2:]) / np.arange(1, len(a) - 1)
 
 
 @dataclass(frozen=True)
@@ -389,7 +405,7 @@ class GreenModel:
     mass_error: float  # |band-rule mass - 1|, what the mass gate read
     # f = +-|g'| r sin(theta) per gap at its series' cosine points, flat, for _gap_series
     gap_samples: np.ndarray = field(repr=False, compare=False)
-    # _ray_series by side, built on first use; _assemble leaves side 1, the Robin probe's
+    # _ray_series by side, built on first use; _assemble leaves side 1, whose samples give robin
     _rays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -627,7 +643,7 @@ def _assemble(s, roots, order, gap_orders, passes, moved, samples) -> GreenModel
     """The gated model: the period gate on a pass's samples at the roots (the
     solve's confirming pass, or for a load a pass at the given roots), then
     the band rule, with the samples of the gaps whose series needs more
-    points than their table, and the Robin probe."""
+    points than their table, and the right-hand ray, whose int Phi is robin's."""
     residual, f = 0.0, np.empty(0)
     series = np.maximum(gap_orders, _gap_orders(s, 1)).astype(int)
     if len(roots):
@@ -642,14 +658,14 @@ def _assemble(s, roots, order, gap_orders, passes, moved, samples) -> GreenModel
     gap_samples = np.empty(int(np.sum(series)))
     gap_samples[np.repeat(~more, series)] = f[np.repeat(~more, gap_orders)]
     gap_samples[np.repeat(more, series)] = f_more
-    ray = _ray_series(s, roots, 1)
-    robin, capacity = _robin_probe(s, quad, float(np.sum(ray[0::2])))
+    phi = _ray_samples(s, roots, 1)
+    whole = float(_fejer(len(phi)) @ phi)  # g(x) - log1p(y) at infinity
     model = GreenModel(
         set=s,
         edges=s.edges,
         critical_points=np.asarray(roots, dtype=float),
-        robin=robin,
-        capacity=capacity,
+        robin=whole - math.log(s.diameter),
+        capacity=s.diameter * math.exp(-whole),
         quad=quad,
         gap_orders=tuple(gap_orders),
         solve_passes=passes,
@@ -658,28 +674,8 @@ def _assemble(s, roots, order, gap_orders, passes, moved, samples) -> GreenModel
         mass_error=abs(float(np.sum(quad.all_weights)) - 1.0),
         gap_samples=gap_samples,
     )
-    model._rays[1] = ray
+    model._rays[1] = _ray_series(s, roots, 1, phi)
     return model
-
-
-def _robin_probe(s: GapSet, quad: EquilibriumQuadrature, g0: float):
-    """Robin constant and capacity via the potential identity at the probe
-    x0 = beta + diam, one diameter out so the identity is scale-covariant.
-
-    g0 = g(x0) is the right-hand ray series' whole integral (sin^2(m pi/2) is
-    1 for odd m, else 0), the potential is from the equilibrium rule divided
-    by its mass, so the rule's mass error does not enter, its differences
-    (x0 - t passes 1e308 on [-1e308, 0]), logs and sums in long double.  Logs
-    are taken in units of h = diam/2, so capacity = h exp(pot - g0) never
-    passes through robin, whose own rounding grows with |log h|.
-    """
-    h, x0 = 0.5 * s.diameter, s.beta + s.diameter
-    if not math.isfinite(x0):
-        raise NumericalError(f"the Robin probe beta + diam = {x0!r} leaves the float range")
-    t, w, ld = np.concatenate(quad.nodes), quad.all_weights, np.longdouble
-    logs = (np.dot(w[b], np.log((ld(x0) - t[b].astype(ld)) / ld(h))) for b, _ in _blocks(len(t), 1, 4))
-    pot = float(sum(logs) / np.sum(w.astype(ld)))  # _blocks pieces: two long doubles a node
-    return g0 - pot - math.log(h), h * math.exp(pot - g0)
 
 
 def period_residuals(model: GreenModel) -> np.ndarray:
@@ -721,30 +717,28 @@ def green_value(model: GreenModel, x):
     The points in gaps, found by edge_slots, read their gap's series:
     |A(theta_x)| right of c_j and |A(theta_x) - a_0 pi| left of it, the
     integral from the edge on x's side.  The points outside [alpha, beta]
-    by less than the diameter read their side's ray series, one batch a
-    side.  The points farther out read the Robin probe's identity g(x) =
-    robin + int log|x - t| dmu_E on the band rule over its mass, in one
-    batch: a series that long would need more terms than any order allows.
-    A point's bits ignore its batch.
+    read their side's ray series, one batch a side, at any distance:
+    |x - e| is formed from halves, so no difference leaves the float range,
+    and y = |x - e|/diam, which passes it only far beyond a tiny set, then
+    reads log1p(y) as a difference of logs.  A point's bits ignore its batch.
     """
     s, edges, roots = model.set, model.edges, model.critical_points
     xs = np.asarray(x, dtype=float).ravel()
     slots = edge_slots(s, xs)
-    far = np.maximum(s.alpha - xs, xs - s.beta) >= s.diameter
-    out, idx = np.zeros(len(xs)), np.flatnonzero(far)
-    if len(idx):  # row sums in _blocks pieces, over the mass as in the Robin probe
-        t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
-        for b, _ in _blocks(len(idx), 1, len(t)):
-            out[idx[b]] = model.robin + np.sum(w * np.log(np.abs(xs[idx[b], None] - t)), axis=1) / np.sum(w)
+    out = np.zeros(len(xs))
     for side, slot in enumerate((0, len(edges))):
-        idx = np.flatnonzero((slots == slot) & ~far)
+        idx = np.flatnonzero(slots == slot)
         if len(idx) and side not in model._rays:
             model._rays[side] = _ray_series(s, roots, side)
-        c = model._rays.get(side, ())
-        half = np.arcsin(np.sqrt(np.sqrt(np.abs(xs[idx] - (s.alpha, s.beta)[side]) / s.diameter)))
+        c, h = model._rays.get(side, ()), 0.5 * s.diameter
+        a = np.abs(0.5 * xs[idx] - 0.5 * (s.alpha, s.beta)[side])  # |x - e|/2
+        with np.errstate(over="ignore"):
+            y = a / h
+        log1p_y = np.where(np.isinf(y), np.log(a) - math.log(h), np.log1p(y))
+        half = np.arcsin(np.sqrt(np.sqrt(a / (a + h))))
         for b, _ in _blocks(len(idx), 1, len(c)):  # row sums: a point's bits ignore its batch
             terms = np.sin(np.multiply.outer(half[b], np.arange(1, len(c) + 1)))
-            out[idx[b]] = np.sum(terms * terms * c, axis=1)
+            out[idx[b]] = log1p_y[b] + np.sum(terms * terms * c, axis=1)
     idx = np.flatnonzero((slots % 2 == 0) & (slots > 0) & (slots < len(edges)))
     if len(idx):
         gap = slots[idx] // 2 - 1

@@ -169,6 +169,19 @@ def test_homogeneity_command(tmp_path):
     assert float(lines[-1].split(",")[1]) >= 0.25
 
 
+@pytest.mark.parametrize("spec", ["fat_cantor:3", "fat_cantor:5",
+                                  '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}'])
+def test_homogeneity_overall_is_the_margin_over_every_delta(spec, tmp_path):
+    # the overall row is the least per-delta row, bit for bit the margin
+    # over the whole grid: every (t, delta) entry is computed elementwise
+    code, data = run_cli(["--command", "homogeneity", "--set", spec, "--format", "json"], tmp_path)
+    assert code == 0
+    rows = json.loads(data)["rows"]
+    deltas = [d for d, _ in rows[:-1]]
+    assert rows[-1] == ["overall", G.homogeneity_margin(cli.parse_set_spec(spec), 8, deltas)]
+    assert rows[-1][1] == min(m for _, m in rows[:-1])
+
+
 def test_homogeneity_default_deltas(tmp_path):
     code, data = run_cli(["--command", "homogeneity", "--set", "fat_cantor:2"], tmp_path)
     assert code == 0
@@ -210,13 +223,13 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("alpha, beta, code", [
-    (0, 1e308, 2), (-1e308, 1e308, 2), (8e307, 1e308, 2),
+    (0, 1e308, 0), (-1e308, 1e308, 2), (8e307, 1e308, 0),
     (0, 1e307, 0), (5e307, 1e308, 0), (-1e308, 0, 0),
 ])
 def test_sets_near_the_float_range(alpha, beta, code, capsys):
     # a solve that overflows exits 2, with no warning (warnings are errors
-    # here); sets just inside the range still solve to cap = diameter/4,
-    # [-1e308, 0] too, though its Robin probe's x0 - t passes 1e308
+    # here); sets whose diameter is in range solve to cap = diameter/4: the
+    # Robin constant is read at infinity, and no point beta + diam is formed
     spec = json.dumps({"alpha": alpha, "beta": beta})
     assert cli.main(["--command", "capacity", "--set", spec]) == code
     out, err = capsys.readouterr()
@@ -316,6 +329,16 @@ def test_malformed_inputs_are_validation_errors(args, capsys):
     assert cli.main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("gaplab: validation error:") and "Traceback" not in err
+
+
+def test_nan_point_mass_is_a_validation_error(capsys):
+    # JSON's NaN mass, in the gap, reaches make_measure, whose positivity
+    # check it passed; the run then stopped later with "0 support points"
+    args = ["--command", "coeffs", "--set", TWO_BAND, "--n", "3",
+            "--measure", '{"masses": [[0, NaN]]}']
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab: validation error: point mass at 0.0 must be positive")
 
 
 @pytest.mark.parametrize("key,spec", [

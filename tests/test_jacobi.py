@@ -140,6 +140,13 @@ def test_make_measure_validation(model_m22):
         G.WeightSpec("const", [1.0])
 
 
+def test_make_measure_rejects_nan_point_mass(model_m22):
+    # m <= 0 is False for NaN, which let a NaN mass through to a NaN
+    # normalization and silent nan+nanj boundary values
+    with pytest.raises(ValidationError, match="point mass at 3.0 must be positive"):
+        G.make_measure(model_m22, None, point_masses=[(3.0, float("nan"))])
+
+
 @pytest.mark.parametrize("spec,pairs", [("two_band", 399), ("fat_cantor_3", 790)])
 def test_default_order_near_support_size(spec, pairs):
     # both measures have 200 nodes per band; at that order alone these pairs

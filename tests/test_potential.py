@@ -207,9 +207,10 @@ ARC_REL_ERROR = 2.5e-14
 def test_green_value_array_matches_per_point(name, request):
     # unsorted points in gaps and bands, on edges, repeated, and on both
     # sides of [alpha, beta] out to 1e300 diameters (several far-field chunks),
-    # in one call, bit for bit against each point alone, and against the
-    # direct reference one diameter or more out and on the set; in the gaps
-    # and on the rays within ARC_REL_ERROR of the long-double series
+    # in one call, bit for bit against each point alone, and exactly zero on
+    # the set; in the gaps and on the rays within ARC_REL_ERROR of the
+    # long-double series, and one diameter or more out of the band rule's
+    # log potential plus robin
     model = request.getfixturevalue(name)
     s = model.set
     rng = np.random.default_rng(14)
@@ -227,8 +228,8 @@ def test_green_value_array_matches_per_point(name, request):
     rays = [_ray_reference(model, side) for side in (0, 1)]
     for x, g in zip(pts.tolist(), got.tolist()):
         want = _green_reference(model, x, series, rays)
-        if _gap_of(model, x) is None and not 0 < max(s.alpha - x, x - s.beta) < s.diameter:
-            assert g == want, x
+        if _gap_of(model, x) is None and s.alpha <= x <= s.beta:
+            assert g == want == 0.0, x
         else:
             assert abs(g - want) <= ARC_REL_ERROR * want, x
     assert np.count_nonzero(got) > 100
@@ -285,6 +286,26 @@ def test_green_value_far_field_closed_forms(name, request):
         else:
             want = math.log(abs(x)) + 0.5 * math.log(4 / 3)
         assert abs(g - want) <= 2e-15 * want, x
+
+
+@pytest.mark.parametrize("alpha, beta, xs", [
+    (-1e308, 0.0, [1e308, 1.5e308]), (-1e308, -5e307, [0.0, 1.7e308]),
+    (-1e-300, 1e-300, [1e10, -1e300, 1.7e308]),
+])
+def test_green_value_near_the_float_range(alpha, beta, xs):
+    # far points on intervals whose distances to x reach 1e308, or whose
+    # |x - e|/diam passes it, read acosh of the affine image, formed from
+    # halves, with no warning; the band-rule potential read inf with an
+    # overflow warning at the three points past 1e308 on the first two
+    # sets, and 6.0e-14 off at 0
+    model = G.solve_green(G.make_gapset(alpha, beta, []))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = G.green_value(model, np.array(xs))
+    for x, g in zip(xs, got.tolist()):
+        num, den = abs(0.5 * x - 0.25 * (alpha + beta)), 0.25 * (beta - alpha)
+        want = math.acosh(num / den) if num / den < 1e300 else math.log(num) - math.log(den / 2)
+        assert abs(g - want) <= 1e-14 * want, x
 
 
 def test_green_value_shape_follows_input(model_fat3):
@@ -398,22 +419,21 @@ def test_one_kernel_call_for_all_gaps(monkeypatch):
 
 
 def test_one_ray_series_per_side(model_fat3, monkeypatch):
-    # the solve builds the right-hand series for the Robin probe and keeps
-    # it; near-outer points on one side, in any number, build that side's
-    # series once, and points a diameter or more out build none
-    calls, build = [], potential._ray_series
+    # the solve samples the right-hand ray for the Robin constant and keeps
+    # its series; outer points on one side, in any number and at any
+    # distance, sample that side once
+    calls, build = [], potential._ray_samples
 
     def count_sides(s, roots, side):
         calls.append(side)
         return build(s, roots, side)
 
-    monkeypatch.setattr(potential, "_ray_series", count_sides)
+    monkeypatch.setattr(potential, "_ray_samples", count_sides)
     s = model_fat3.set
-    dist = s.diameter * np.geomspace(1e-12, 0.999, 1000)
+    dist = s.diameter * np.geomspace(1e-12, 1e10, 1000)
     model = G.solve_green(s)
     assert calls == [1]
     G.green_value(model, s.beta + dist)
-    G.green_value(model, s.alpha - s.diameter * np.array([1.0, 5.0, 1e10]))
     assert calls == [1]
     for x in (s.alpha - dist[:1], s.alpha - dist, s.alpha - dist[::-7]):
         G.green_value(model, x)
@@ -727,7 +747,7 @@ SCALE_SWEEP_SETS = {
 @pytest.mark.parametrize("name", sorted(SCALE_SWEEP_SETS))
 def test_scale_sweep_covariance(name):
     # capacity scales linearly and g (hence pw_sum) is invariant under
-    # x -> scale*x + shift, at every scale the Robin probe has to follow
+    # x -> scale*x + shift, at every scale the Robin constant has to follow
     s = SCALE_SWEEP_SETS[name]
     base = G.solve_green(s)
     base_pw = G.pw_sum(base)
@@ -1229,8 +1249,9 @@ DIRECT_PW_SUMS = (0.25541281188299525, 0.43675130185679234, 0.5487329482119186,
 
 @pytest.mark.parametrize("level", range(1, 10))
 def test_ladder_matches_order_320_and_direct_sums(level):
-    # level 9's band rule at order 80 has mass 1 + 4.6e-12; the Robin probe
-    # divides by it, so its capacity holds to order 320's too
+    # level 9's band rule at order 80 has mass 1 + 4.6e-12; the Robin
+    # constant is read off the ray, not the rule, so its capacity holds to
+    # order 320's too
     model = G.solve_green(G.fat_cantor(level))
     ref = G.solve_green(G.fat_cantor(level), quad_order=320)
     assert abs(model.capacity / ref.capacity - 1.0) <= 5e-14

@@ -171,14 +171,17 @@ def test_one_cosine_transform_pair():
 
 def test_no_log1p_per_far_source():
     # the far field is powers of r/(c - s): log1p sizes an interval's rule
-    # or series from its nearest source, and is taken at no node or source
-    assert _enclosing_functions("np.log1p") == ["_far_terms", "_gap_orders"]
+    # or series from its nearest source, and the kernels take it at no node
+    # or source; the ray takes one per gap and sample, a factor that tends
+    # to 1 at infinity, and green_value one per outer point, log1p(y)
+    assert _enclosing_functions("np.log1p") == ["_far_terms", "_gap_orders", "_ray_samples",
+                                                "green_value"]
 
 
-def test_long_double_only_in_the_robin_probe():
-    # the ray samples are double ratios, one log per gap; only the Robin
-    # probe's potential, whose differences x0 - t pass 1e308, is long double
-    assert _enclosing_functions("np.longdouble") == ["_robin_probe"]
+def test_no_long_double():
+    # the Robin constant is the ray's integral to infinity, in double; no
+    # potential sum is carried in long double anywhere in the package
+    assert _enclosing_functions("longdouble") == []
 
 
 def test_kernel_called_by_the_pass_sampler_and_the_band_rule():

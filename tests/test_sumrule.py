@@ -202,7 +202,7 @@ LOG_F_E_FAMILIES = {
 @pytest.mark.parametrize("name", sorted(LOG_F_E_FAMILIES))
 def test_log_f_e_integral_matches_closed_forms(name):
     # int log f_E dmu_E = sum_j g(c_j) - log(pi cap): what szego_integral adds
-    # to relative_entropy, at every scale the Robin probe has to follow
+    # to relative_entropy, at every scale the Robin constant has to follow
     s, cap, pw = LOG_F_E_FAMILIES[name]
     for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
         for shift in (0.0, 0.37 * scale):
