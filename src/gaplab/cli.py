@@ -121,7 +121,7 @@ def _report_table(command: str, report, meta: dict, fmt: str) -> str:
     return _table(command, list(row), [list(row.values())], meta, fmt)
 
 
-SOLVE_DIAGNOSTICS = ("solve_passes", "root_move", "period_residual", "mass_error")
+SOLVE_DIAGNOSTICS = ("solve_passes", "root_move", "period_residual")
 
 
 def _coefficients(mu, pairs: int, meta: dict):
@@ -209,6 +209,7 @@ def run(config: dict) -> str:
         return _table(command, ["x", "green"], rows, meta, fmt)
 
     mu = parse_measure_spec(config.get("measure", "equilibrium"), model)
+    meta["mass_error"] = abs(float(mu.quad.all_weights.sum()) - 1.0)  # what the measure's mass gate read
 
     if command == "coeffs":
         n = config.get("n", 20)

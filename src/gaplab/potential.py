@@ -31,24 +31,24 @@ factors its substitution cancels left out, from log-sums: the root and
 edge log-sums meet in a single exp, so the quotient stays in range where
 either product alone over- or underflows.  The period weights are never
 summed alone: a pass sums the edges with the anchors.  At the nodes of
-interval families (the band rule, which also samples the few gap series
-that need more points than their pass, and the period passes) the sums
-are _log_sums's, a one-level fast-multipole split (Greengard and
-Rokhlin, J. Comput. Phys. 73, 1987): sources within _FAR half-lengths
-summed directly, the rest as a power series in (t - c)/r from their
-scaled moments, whose period-row twin gives the far Cauchy columns; the
-densities and m_E take _log_g_prime's direct sums, and the outer rays one
-log1p per gap.  Singular integrals are tamed by the cosine substitution
-t = c + r*cos(theta), which cancels the inverse-square-root edge factors
-exactly, and on the unbounded components by t = e +/- diam s^2/(1 - s^2),
-s = sin^2(theta/2), out to infinity.  A gap integrand is then analytic out
+interval families (the period passes, the few gap series that need more
+points than their pass, and the band rule) the sums are _log_sums's, a
+one-level fast-multipole split (Greengard and Rokhlin, J. Comput. Phys.
+73, 1987): sources within _FAR half-lengths summed directly, the rest as
+a power series in (t - c)/r from their scaled moments, whose period-row
+twin gives the far Cauchy columns; the densities and m_E take
+_log_g_prime's direct sums, and the outer rays one log1p per gap.
+Singular integrals are tamed by the cosine substitution t = c +
+r*cos(theta), which cancels the inverse-square-root edge factors exactly,
+and on the unbounded components by t = e +/- diam s^2/(1 - s^2), s =
+sin^2(theta/2), out to infinity.  A gap integrand is then analytic out
 to the nearest foreign edge, so each gap's period table gets the order
 that edge's Bernstein ellipse needs for 1e-15 (at least 32; an explicit
 quad_order raises the orders below it and lowers none).  g on each
 component of R minus E is the termwise integral of one cosine series (a
 gap, or an outer ray sized by the edge one outer band inside) at its
 interpolant's rho^(-n) order; the right-hand ray's whole integral is the
-Robin constant, so the band rule serves only measures and its mass gate.
+Robin constant, so no solve builds the band rule: its readers do, gated.
 """
 
 from __future__ import annotations
@@ -385,10 +385,10 @@ class GreenModel:
 
     The numerator polynomial is monic with one root per gap; those roots
     are the critical points, so critical_points doubles as the polynomial
-    representation.  The band rule and the gap series' samples are taken
-    in the solve: the confirming period pass's samples at the roots, and
-    the band rule's call for the gaps whose series needs more points.
-    period_residuals samples the roots again; the gap and ray series are
+    representation.  The gap series' samples are taken in the solve: the
+    confirming period pass's samples at the roots, and one more call for
+    the gaps whose series needs more points.  period_residuals samples the
+    roots again; the band rule, mass-gated, and the gap and ray series are
     built on first use.
     """
 
@@ -397,16 +397,20 @@ class GreenModel:
     critical_points: np.ndarray
     robin: float
     capacity: float
-    quad: EquilibriumQuadrature  # the band rule at the model's order, quad.order
+    quad_order: int  # the order of the band rule quad
     gap_orders: tuple[int, ...]  # per-gap order of the period tables, a floor on the series'
     solve_passes: int  # linearized period-solve passes run (0: roots given)
     root_move: float  # largest root change in the last pass; above 1e-14 * diam the cap was hit
     period_residual: float  # largest |period residual|, what the period gate read
-    mass_error: float  # |band-rule mass - 1|, what the mass gate read
     # f = +-|g'| r sin(theta) per gap at its series' cosine points, flat, for _gap_series
     gap_samples: np.ndarray = field(repr=False, compare=False)
     # _ray_series by side, built on first use; _assemble leaves side 1, whose samples give robin
     _rays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def quad(self) -> EquilibriumQuadrature:
+        """The band rule at quad_order, which only measures read; its mass gate raises."""
+        return _band_rule(self.set, self.critical_points, self.quad_order)
 
     @cached_property
     def _gap_series(self):
@@ -615,35 +619,29 @@ def _period_roots(gaps, anchors, delta) -> np.ndarray:
     )
 
 
-def _band_rule(s: GapSet, roots, order: int, gaps=(), gap_orders=()):
+def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
     """dmu_E = |g'|/pi dt per band, its own edge factors cancelled; unit mass.
 
     The band's own edges are skipped in g', because the cosine substitution
-    cancels their factors; (pi/order) * g' then integrates against dt.  The
-    same _log_sums call samples gap gaps[i] at gap_orders[i] cosine points,
-    its own edges skipped, and returns f = +-|g'| r sin(theta) there (+ right
-    of the gap's root), flat, after the rule.
+    cancels their factors; (pi/order) * g' then integrates against dt.
     """
-    bands, gaps = len(s.edges) // 2, np.asarray(gaps, dtype=int)
-    lo, hi = np.r_[s.edges[0::2], s.edges[2 * gaps + 1]], np.r_[s.edges[1::2], s.edges[2 * gaps + 2]]
-    own = len(roots) + np.r_[np.arange(2 * bands).reshape(-1, 2), np.c_[2 * gaps + 1, 2 * gaps + 2]]
-    t, log_g = _log_sums(lo, hi, np.r_[np.full(bands, order), gap_orders], roots, s.edges, own)
-    k = bands * order
-    w = np.exp(log_g[:k]) / order
-    quad = EquilibriumQuadrature(tuple(t[:k].reshape(bands, order)), tuple(w.reshape(bands, order)), order)
+    bands = len(s.edges) // 2
+    own = len(roots) + np.arange(2 * bands).reshape(-1, 2)
+    t, log_g = _log_sums(s.edges[0::2], s.edges[1::2], np.full(bands, order), roots, s.edges, own)
+    w = np.exp(log_g) / order
     total = float(w.sum())
     if not abs(total - 1.0) <= TOLERANCES["quadrature_mass"]:  # NaN fails too
         raise NumericalError(
             f"equilibrium weights sum to {total!r}, expected 1; raise quad_order"
         )
-    return quad, np.sign(t[k:] - np.repeat(roots[gaps], gap_orders)) * np.exp(log_g[k:])
+    return EquilibriumQuadrature(tuple(t.reshape(bands, order)), tuple(w.reshape(bands, order)), order)
 
 
 def _assemble(s, roots, order, gap_orders, passes, moved, samples) -> GreenModel:
     """The gated model: the period gate on a pass's samples at the roots (the
-    solve's confirming pass, or for a load a pass at the given roots), then
-    the band rule, with the samples of the gaps whose series needs more
-    points than their table, and the right-hand ray, whose int Phi is robin's."""
+    solve's confirming pass, or for a load a pass at the given roots), one
+    _log_sums call for the gaps whose series needs more points than their
+    table, own edges skipped, and the right-hand ray, whose int Phi is robin's."""
     residual, f = 0.0, np.empty(0)
     series = np.maximum(gap_orders, _gap_orders(s, 1)).astype(int)
     if len(roots):
@@ -654,10 +652,11 @@ def _assemble(s, roots, order, gap_orders, passes, moved, samples) -> GreenModel
                 f"period residual {residual!r} exceeds {TOLERANCES['period_residual']!r}"
             )
     more = series > np.asarray(gap_orders, dtype=int)
-    quad, f_more = _band_rule(s, roots, order, np.flatnonzero(more), series[more])
+    own = 2 * np.flatnonzero(more)[:, None] + np.array([1, 2])  # those gaps' edges
+    t, log_g = _log_sums(*s.edges[own].T, series[more], roots, s.edges, len(roots) + own)
     gap_samples = np.empty(int(np.sum(series)))
     gap_samples[np.repeat(~more, series)] = f[np.repeat(~more, gap_orders)]
-    gap_samples[np.repeat(more, series)] = f_more
+    gap_samples[np.repeat(more, series)] = np.sign(t - np.repeat(roots[more], series[more])) * np.exp(log_g)
     phi = _ray_samples(s, roots, 1)
     whole = float(_fejer(len(phi)) @ phi)  # g(x) - log1p(y) at infinity
     model = GreenModel(
@@ -666,12 +665,11 @@ def _assemble(s, roots, order, gap_orders, passes, moved, samples) -> GreenModel
         critical_points=np.asarray(roots, dtype=float),
         robin=whole - math.log(s.diameter),
         capacity=s.diameter * math.exp(-whole),
-        quad=quad,
+        quad_order=order,
         gap_orders=tuple(gap_orders),
         solve_passes=passes,
         root_move=moved,
         period_residual=residual,
-        mass_error=abs(float(np.sum(quad.all_weights)) - 1.0),
         gap_samples=gap_samples,
     )
     model._rays[1] = _ray_series(s, roots, 1, phi)
@@ -787,10 +785,10 @@ def _m_e(model: GreenModel, x: np.ndarray) -> np.ndarray:
 
 
 def equilibrium_quadrature(model: GreenModel, order: int) -> EquilibriumQuadrature:
-    """Per-band quadrature for dmu_E at the given order (the model's own at quad.order)."""
+    """Per-band quadrature for dmu_E at the given order (the model's own at quad_order)."""
     if order < GAP_ORDER_FLOOR:
         raise ValidationError(f"quadrature order must be at least {GAP_ORDER_FLOOR}")
-    return model.quad if order == model.quad.order else _band_rule(model.set, model.critical_points, order)[0]
+    return model.quad if order == model.quad_order else _band_rule(model.set, model.critical_points, order)
 
 
 def model_to_json(model: GreenModel) -> str:
@@ -803,7 +801,7 @@ def model_to_json(model: GreenModel) -> str:
                           "roots": list(map(float, model.critical_points))},
             "robin": model.robin,
             "capacity": model.capacity,
-            "quad_order": model.quad.order,
+            "quad_order": model.quad_order,
             "gap_orders": list(model.gap_orders),
             "solve_passes": model.solve_passes,
             "root_move": model.root_move,

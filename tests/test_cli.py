@@ -447,19 +447,39 @@ def test_theorem_meta_carries_glued_sums(tmp_path):
 
 def test_solve_diagnostics_in_json_meta(tmp_path):
     # the gates' own readings ride in meta: one entry per level for cantor,
-    # the model's values for a command on one set; CSV output is unchanged
+    # the model's values for a command on one set; the mass gate's reading
+    # only where a measure builds the band rule; CSV output is unchanged
     code, data = run_cli(["--command", "cantor", "--n", "3", "--format", "json"], tmp_path)
     assert code == 0
     meta = json.loads(data)["meta"]
     models = [G.solve_green(G.fat_cantor(level)) for level in (1, 2, 3)]
-    for key in ("solve_passes", "root_move", "period_residual", "mass_error"):
+    for key in ("solve_passes", "root_move", "period_residual"):
         assert meta[key] == [getattr(m, key) for m in models]
     assert max(meta["period_residual"]) <= cli.TOLERANCES["period_residual"]
+    assert "mass_error" not in meta
     spec = '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}'
     code, data = run_cli(["--command", "capacity", "--set", spec, "--format", "json"], tmp_path)
     model = G.solve_green(G.make_gapset(-2, 2, [(-1, 1)]))
     meta = json.loads(data)["meta"]
     assert (meta["solve_passes"], meta["root_move"]) == (model.solve_passes, model.root_move)
-    assert (meta["period_residual"], meta["mass_error"]) == (model.period_residual, model.mass_error)
+    assert meta["period_residual"] == model.period_residual and "mass_error" not in meta
+    code, data = run_cli(["--command", "sumrule", "--set", spec, "--format", "json"], tmp_path)
+    meta = json.loads(data)["meta"]
+    assert meta["period_residual"] == model.period_residual
+    assert meta["mass_error"] == abs(float(np.sum(model.quad.all_weights)) - 1.0)
     _, csv = run_cli(["--command", "capacity", "--set", spec], tmp_path, "out.csv")
     assert b"residual" not in csv
+
+
+def test_theorem_builds_the_model_rule_once(monkeypatch):
+    # the measure, its Lanczos rule and the entropies share the model's band
+    # rule: one build at its order, whatever other orders they add
+    orders, band_rule = [], G.potential._band_rule
+
+    def count_orders(s, roots, order):
+        orders.append(order)
+        return band_rule(s, roots, order)
+
+    monkeypatch.setattr(G.potential, "_band_rule", count_orders)
+    cli.run({"command": "theorem", "set": '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}', "n": 100})
+    assert orders.count(G.potential.DEFAULT_ORDER_SMALL) == 1
