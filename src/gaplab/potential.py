@@ -20,11 +20,11 @@ B_i = B/(t - m_i), and uses one deflated numerator per gap,
 B_j being free of zeros on gap j.  Gap j's period condition is a row
 linear in delta with node weights w |B_j|, and the new root in gap j is
 a bracketed Newton step on f_j (a step that leaves the bracket becomes
-its midpoint); f_j is formed from sums, never from a product.  Two passes
-(midpoints, then the found roots) reach machine-level period residuals;
-the pass whose roots move by at most 1e-14 diam confirms its anchors,
-which become the roots, so its samples, with log|t - m_j| added, are g'
-at the roots: the period gate and the gap series read them.
+its midpoint); f_j is formed from sums, never from a product.  The
+conditions are linear in P: one correction from the midpoints lands the
+roots, and the next pass's diagonal step (_pass_weights), at most 1e-14
+diam, confirms its anchors as the roots with no period system built, so
+its samples, with log|t - m_j| added, are g' there for the gate and series.
 
 Every weight, density and Green integral is g' itself with the edge
 factors its substitution cancels left out, from log-sums: the root and
@@ -72,7 +72,7 @@ _GAP_COUNT_SWITCH = 15
 GAP_ORDER_FLOOR = 32  # smallest per-gap order; also the smallest quad_order
 _GAP_ORDER_CAP = 1024  # largest default per-gap table order; a gap series may take twice it
 _GAP_RULE_TARGET = 1e-15  # error the per-gap orders are sized for
-_SOLVE_PASSES = 6  # cap on linearized period-solve passes
+_SOLVE_PASSES = 6  # cap on period-solve sampling passes
 _ROOT_SWEEPS = 100  # cap on Newton/bisection sweeps per pass
 _ARC_BLOCK = 80 * 765  # entries per log-sum chunk: one level-8 band-rule block
 _FAR = 32.0  # sources within _FAR half-lengths of an interval are summed directly
@@ -399,8 +399,8 @@ class GreenModel:
     capacity: float
     quad_order: int  # the order of the band rule quad
     gap_orders: tuple[int, ...]  # per-gap order of the period tables, a floor on the series'
-    solve_passes: int  # linearized period-solve passes run (0: roots given)
-    root_move: float  # largest root change in the last pass; above 1e-14 * diam the cap was hit
+    solve_passes: int  # period-solve sampling passes run (0: roots given)
+    root_move: float  # the last pass's largest diagonal step; above 1e-14 * diam the cap or floor hit
     period_residual: float  # largest |period residual|, what the period gate read
     # f = +-|g'| r sin(theta) per gap at its series' cosine points, flat, for _gap_series
     gap_samples: np.ndarray = field(repr=False, compare=False)
@@ -461,17 +461,20 @@ def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
 
 
 def _solve(s: GapSet, order: int, floor: int) -> GreenModel:
+    """Correct the gap midpoints until the largest diagonal step (_pass_weights)
+    is at most 1e-14 diam, or from the third pass on falls less than tenfold, the
+    rounding floor; the roots stay that pass's anchors, where its samples were taken."""
     gap_orders = tuple(max(n, floor) for n in _gap_orders(s))
-    # relinearize until the roots settle; small gap counts stop after two
-    roots, passes, moved, samples = np.array([(lo + hi) / 2 for lo, hi in s.gaps]), 0, 0.0, None
+    roots, passes, step, samples = np.array([(lo + hi) / 2 for lo, hi in s.gaps]), 0, 0.0, None
     while s.gaps:
         samples = _pass_samples(s, roots, gap_orders)
-        new_roots = _period_roots(s.gaps, roots, _period_correction(s, roots, gap_orders, *samples))
-        moved, passes = float(np.max(np.abs(new_roots - roots))), passes + 1
-        if moved <= 1e-14 * (s.beta - s.alpha) or passes == _SOLVE_PASSES:
-            break  # the roots stay this pass's anchors, where its samples were taken
-        roots = new_roots
-    return _assemble(s, roots, order, gap_orders, passes, moved, samples)
+        (v, vu, diagonal), last, passes = _pass_weights(roots, gap_orders, *samples), step, passes + 1
+        step = float(np.max(np.abs(diagonal)))
+        if step <= 1e-14 * (s.beta - s.alpha) or passes == _SOLVE_PASSES or (passes > 2 and step > last / 10):
+            break
+        delta, v, vu = _period_correction(s, roots, gap_orders, samples[0], v, vu), None, None
+        roots = _period_roots(s.gaps, roots, delta)  # its sweeps' tables peak with no weights held
+    return _assemble(s, roots, order, gap_orders, passes, step, samples)
 
 
 def _pass_samples(s: GapSet, anchors, gap_orders):
@@ -491,7 +494,16 @@ def _pass_samples(s: GapSet, anchors, gap_orders):
     return _log_sums(s.edges[1:-1:2], s.edges[2:-1:2], gap_orders, anchors, s.edges, own)
 
 
-def _period_correction(s: GapSet, anchors, gap_orders, t, log_b) -> np.ndarray:
+def _pass_weights(anchors, gap_orders, t, log_b):
+    """Node weights v = w |B_j| (_period_correction) shifted by their gap's largest log, vu = v (t - m_j),
+    and gap j's diagonal step sum vu/sum v: its root move under a correction without the others' columns."""
+    starts, gap = np.cumsum(gap_orders) - gap_orders, np.repeat(np.arange(len(anchors)), gap_orders)
+    v = np.exp(log_b - np.maximum.reduceat(log_b, starts)[gap])
+    vu = v * (t - anchors[gap])
+    return v, vu, np.add.reduceat(vu, starts) / np.add.reduceat(v, starts)
+
+
+def _period_correction(s: GapSet, anchors, gap_orders, t, v, vu) -> np.ndarray:
     """Solve the linearized period conditions for the correction weights.
 
     P = B + sum_i delta_i B_i with B = prod_k (t - m_k) and B_i = B/(t - m_i),
@@ -499,9 +511,9 @@ def _period_correction(s: GapSet, anchors, gap_orders, t, log_b) -> np.ndarray:
     own edges cancelled, is sum_t w B_j f_j = 0 with the deflated f_j = P/B_j
     of _deflated_numerator, linear in delta.  B_j has no zero on gap j, so
     its sign is the same at every node and is dropped, flipping the row and
-    its right-hand side together.  The node weights v = w |B_j| (log_b from
-    _pass_samples) are shifted by their gap's largest log, which makes the
-    diagonal sum v >= 1 and drops pi/n_j.  A node on m_j only zeroes its
+    its right-hand side together.  The node weights v = w |B_j| and vu =
+    v (t - m_j) are _pass_weights', v shifted by its gap's largest log: the
+    diagonal sum v >= 1, and pi/n_j drops out.  A node on m_j only zeroes its
     factor t - m_j, and no node meets another anchor.  The Cauchy columns
     sum_t v u/(t - m_i) of the anchors within _FAR r_j of gap j, a window of
     the sorted anchors, are one matrix product per run of whole gaps with
@@ -513,8 +525,6 @@ def _period_correction(s: GapSet, anchors, gap_orders, t, log_b) -> np.ndarray:
     n, lo, hi, orders = len(anchors), s.edges[1:-1:2], s.edges[2:-1:2], np.asarray(gap_orders)
     gap, ends = np.repeat(np.arange(n), orders), np.cumsum(orders)
     starts = ends - orders
-    v = np.exp(log_b - np.maximum.reduceat(log_b, starts)[gap])
-    vu = v * (t - anchors[gap])
     A, ms, ends, starts, j = np.zeros((n, n)), anchors.tolist(), ends.tolist(), starts.tolist(), 0
     near = [(bisect.bisect_left(ms, x - _FAR * h), bisect.bisect_right(ms, y + _FAR * h))
             for x, y, h in zip(lo.tolist(), hi.tolist(), ((hi - lo) / 2).tolist())]  # overflows are inf

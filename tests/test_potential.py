@@ -19,6 +19,7 @@ from gaplab.potential import (
     _log_sums,
     _m_e,
     _pass_samples,
+    _pass_weights,
     _period_correction,
     _period_roots,
 )
@@ -788,7 +789,7 @@ def test_numerator_sign_matches_explicit_form(model_fat4):
         on_gap = (x[ok] >= lo) & (x[ok] <= hi)
         assert np.any(on_gap)
         assert f[on_gap] * bi[ok, j][on_gap] == pytest.approx(explicit[ok][on_gap], rel=1e-12)
-    # the deflated rows solve the explicit period conditions of both passes,
+    # the deflated rows solve the explicit period conditions of two linearized passes,
     # with the period weights 1/sqrt|R| (gap j's own edges cancelled) summed directly
     for anchors, delta in _root_step_inputs(s):
         for j, t in enumerate(_per_gap(s, anchors, model_fat4.gap_orders)):
@@ -897,13 +898,19 @@ def _bisection_roots(gaps, anchors, delta):
 
 
 def _root_step_inputs(s):
-    """Anchors and corrections of both solve passes: gap midpoints, then their roots."""
+    """Anchors and corrections of two linearized passes: gap midpoints, then their roots."""
     orders = potential._gap_orders(s)
     anchors = np.array([(lo + hi) / 2 for lo, hi in s.gaps])
-    delta = _period_correction(s, anchors, orders, *_pass_samples(s, anchors, orders))
+    delta = _period_correction(s, anchors, orders, *_weighted_samples(s, anchors, orders))
     yield anchors, delta
     anchors = _period_roots(s.gaps, anchors, delta)
-    yield anchors, _period_correction(s, anchors, orders, *_pass_samples(s, anchors, orders))
+    yield anchors, _period_correction(s, anchors, orders, *_weighted_samples(s, anchors, orders))
+
+
+def _weighted_samples(s, anchors, orders):
+    """A pass's nodes t and node weights v, vu: _period_correction's inputs after the orders."""
+    t, log_b = _pass_samples(s, anchors, orders)
+    return (t, *_pass_weights(anchors, orders, t, log_b)[:2])
 
 
 @pytest.mark.parametrize("s", [G.fat_cantor(level) for level in range(1, 9)] + [ASYMMETRIC],
@@ -1135,12 +1142,12 @@ def test_log_sums_match_direct_sums(s):
 @pytest.mark.parametrize("s", [G.fat_cantor(level) for level in range(3, 10)] + [ASYMMETRIC, JULIA_4_8],
                          ids=[f"fat_cantor{level}" for level in range(3, 10)] + ["asymmetric", "julia_4_8"])
 def test_period_correction_matches_dense_direct_sums(s, monkeypatch):
-    # both passes' systems, at the gap midpoints and then at the roots their
-    # delta gives, against the same rows summed densely: v from the same
+    # two linearized passes' systems, at the gap midpoints and then at the
+    # roots their delta gives, against the same rows summed densely: v from the same
     # pass samples, every Cauchy column sum_t v u/(t - m_i) term by term.  Each
     # column is within 32 eps sum_t |v u/(t - m_i)| (reads <= 16.5, Julia,
     # whose gaps take up to 1,024 terms; <= 6 on fat_cantor), and delta
-    # within 1e-14 diam, the root move that ends the solve (reads <= 6e-16)
+    # within 1e-14 diam, the solve's stopping tolerance (reads <= 6e-16)
     eps, solved = np.finfo(float).eps, []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda A, b: (solved.append(A.copy()), solve(A, b))[1])
@@ -1148,7 +1155,7 @@ def test_period_correction_matches_dense_direct_sums(s, monkeypatch):
     anchors, first = (lo + hi) / 2, np.cumsum(orders) - orders
     for _ in range(2):
         t, log_b = _pass_samples(s, anchors, orders)
-        got = _period_correction(s, anchors, orders, t, log_b)
+        got = _period_correction(s, anchors, orders, t, *_pass_weights(anchors, orders, t, log_b)[:2])
         A, rhs, size = np.empty((len(lo), len(lo))), np.empty(len(lo)), np.empty((len(lo), len(lo)))
         for j, part in enumerate(slice(a, a + n) for a, n in zip(first, orders)):
             v = np.exp(log_b[part] - np.max(log_b[part]))
@@ -1169,9 +1176,10 @@ def test_period_correction_matches_dense_direct_sums(s, monkeypatch):
     ids=[f"fat_cantor{level}" for level in range(1, 10)] + ["julia_4_8", "tiny_outer_bands"],
 )
 def test_period_gate_is_the_confirming_pass(s, monkeypatch):
-    # the roots are the anchors of the solve's last pass, which confirmed
-    # them, and the gate read that pass's samples: period_residuals samples
-    # the roots again and reads the same residual, bit for bit
+    # the roots are the anchors of the solve's last pass, whose diagonal
+    # step confirmed them with no period system built, and the gate read
+    # that pass's samples: period_residuals samples the roots again and
+    # reads the same residual, bit for bit
     anchors, sample = [], potential._pass_samples
 
     def spy(s, roots, orders):
@@ -1183,6 +1191,89 @@ def test_period_gate_is_the_confirming_pass(s, monkeypatch):
     assert len(anchors) == model.solve_passes and model.root_move <= 1e-14 * s.diameter
     assert np.array_equal(model.critical_points, anchors[-1])
     assert model.period_residual == np.max(np.abs(G.period_residuals(model)))
+
+
+def _count_calls(monkeypatch, *names):
+    """Per name, the calls solve_green's pipeline makes to that potential function."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    for name in names:
+        monkeypatch.setattr(potential, name, counted(name, getattr(potential, name)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "s, passes, corrections",
+    [(G.fat_cantor(8), 2, 1), (G.make_gapset(-2, 2, [(-1, 1)]), 1, 0), (cubic_preimage_set(), 2, 1)],
+    ids=["fat_cantor8", "two_band", "cubic"],
+)
+def test_one_correction_per_solve(s, passes, corrections, monkeypatch):
+    # the period conditions are linear in P, so one correction from the gap
+    # midpoints lands the roots; the second pass samples them for the gate
+    # and the gap series, and its diagonal step ends the solve with no
+    # period system built.  The symmetric two-band set's midpoint is its
+    # root, so its first pass ends it.  The kernel runs once a pass and once
+    # for the gaps whose series outgrow their tables (7 at level 8, else none)
+    calls = _count_calls(monkeypatch, "_pass_samples", "_period_correction", "_log_sums")
+    model = G.solve_green(s)
+    assert model.solve_passes == passes and model.root_move <= 1e-14 * s.diameter
+    assert (calls["_pass_samples"], calls["_period_correction"], calls["_log_sums"]) == (passes, corrections, passes + 1)
+
+
+@pytest.mark.parametrize("s", [G.fat_cantor(level) for level in range(2, 10)] + [JULIA_4_8, cubic_preimage_set()],
+                         ids=[f"fat_cantor{level}" for level in range(2, 10)] + ["julia_4_8", "cubic"])
+def test_diagonal_step_tracks_the_first_move(s):
+    # gap j's diagonal step sum vu/sum v is its move under a correction
+    # that drops the other gaps' columns; from the gap midpoints its largest
+    # is within 10% of the full correction's largest root move (reads 0.7%
+    # on fat_cantor, 7% on Julia, 0.9% on the cubic preimage)
+    orders = potential._gap_orders(s)
+    anchors = (s.edges[1:-1:2] + s.edges[2:-1:2]) / 2
+    t, log_b = _pass_samples(s, anchors, orders)
+    v, vu, diagonal = _pass_weights(anchors, orders, t, log_b)
+    roots = _period_roots(s.gaps, anchors, _period_correction(s, anchors, orders, t, v, vu))
+    assert abs(np.max(np.abs(diagonal)) / np.max(np.abs(roots - anchors)) - 1) <= 0.1
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-6, 0.5], ids=["off_1e-6", "halved"])
+@pytest.mark.parametrize("s", [G.fat_cantor(4), G.fat_cantor(8), cubic_preimage_set(), JULIA_4_8],
+                         ids=["fat_cantor4", "fat_cantor8", "cubic", "julia_4_8"])
+def test_an_inexact_first_correction_takes_a_third_pass(s, factor, monkeypatch):
+    # a first delta off by a factor 1 + 1e-6 leaves a diagonal step far above
+    # 1e-14 diam, and a halved one half the first step, which the floor
+    # guard lets through at pass 2: a third pass corrects again, and the
+    # roots land on the unperturbed solve's with the gate passing
+    want, correction, first = G.solve_green(s), potential._period_correction, []
+
+    def perturbed(*args):
+        delta = correction(*args)
+        return delta if first else (first.append(1), delta * factor)[1]
+
+    monkeypatch.setattr(potential, "_period_correction", perturbed)
+    calls = _count_calls(monkeypatch, "_pass_samples", "_period_correction")
+    model = G.solve_green(s)
+    assert model.solve_passes == calls["_pass_samples"] == 3 and calls["_period_correction"] == 2
+    assert np.max(np.abs(model.critical_points - want.critical_points)) <= 1e-14 * s.diameter
+    assert model.root_move <= 1e-14 * s.diameter
+    assert model.period_residual <= TOLERANCES["period_residual"]
+
+
+def test_floor_guard_stops_a_stalled_solve(monkeypatch):
+    # corrections that only halve the step never fall tenfold: the guard lets
+    # pass 2 correct, stops the solve at pass 3, and the gate rejects roots
+    # that far from final
+    correction = potential._period_correction
+    monkeypatch.setattr(potential, "_period_correction", lambda *args: 0.5 * correction(*args))
+    calls = _count_calls(monkeypatch, "_pass_samples", "_period_correction")
+    with pytest.raises(NumericalError, match="period residual"):
+        G.solve_green(cubic_preimage_set())
+    assert (calls["_pass_samples"], calls["_period_correction"]) == (3, 2)
 
 
 def test_near_window_past_the_float_range():

@@ -192,3 +192,10 @@ def test_kernel_called_by_the_pass_sampler_and_the_band_rule():
     # functions' own)
     assert _enclosing_functions("_log_sums(") == ["_assemble", "_band_rule", "_log_sums", "_pass_samples"]
     assert _enclosing_functions("_band_rule(") == ["_band_rule", "equilibrium_quadrature", "quad"]
+
+
+def test_period_correction_reached_only_from_the_solve():
+    # the period system is built only to move roots: the solve builds it when
+    # the pass's diagonal step says the roots are not final, and the gate,
+    # the loads and period_residuals never do (the def line is its own)
+    assert _enclosing_functions("_period_correction(") == ["_period_correction", "_solve"]
