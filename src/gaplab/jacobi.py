@@ -20,7 +20,7 @@ Truncation spectra are seeded from the dense symmetric eigensolver (the
 N x N truncation, O(N^2) memory) and certified by Sturm-sequence sign
 counts, which give exact eigenvalue counts per interval: one sweep checks
 a bracket narrower than 1e-13 * max(1, |x|) around every seed, and
-multisection from the component bracket takes over where a seed fails.  The
+bisection from the component bracket takes over where a seed fails.  The
 zeros of the truncated m-function are the eigenvalues of a rank-one shift
 of b_1, so the same certification finds poles and zeros; m_function is the
 only continued fraction, evaluated on J as given (its N x N corner is J's
@@ -51,7 +51,8 @@ from .potential import (
 )
 from .realset import GapSet, Location, edge_slots, locate
 
-_SWEEP_POINTS = 512  # midpoints per multisection count sweep, all brackets together
+_SWEEP_POINTS = 512  # points per bisection count sweep, all brackets together
+_TABLE = 1 << 15  # entries of b - x per row block of a pivot sweep
 _INTERLACING_EPS = 1e-6  # interlacing_profile's zeros are the roots of m + this
 
 
@@ -406,25 +407,33 @@ def _check_size(J: JacobiCoeffs, N: int) -> None:
         raise ValidationError(f"truncation size {N} out of range for length {len(J)}")
 
 
-def _negative_pivots(J: JacobiCoeffs, x, last, shift=0.0) -> np.ndarray:
-    """Negative LDL^T pivots of rows 0..last of J - x, the last one less a_{last+1}^2 shift.
+def _negative_pivots(J: JacobiCoeffs, x, last, shift=0.0, values=False):
+    """Negative LDL^T pivots of rows 0..last of J - x, the last one less a_{last+1}^2 shift,
+    and with values F, that counted last pivot less its shift, which decreases through roots.
 
-    last and shift broadcast against x; one streamed sweep stops at the largest
-    last.  A zero pivot counts as negative (standard tie-break for the LDL signs).
-    """
-    rows = set(np.ravel(last).tolist())
-    top = max(rows)
-    b, a2 = J.b[: top + 1], np.r_[J.a[: top + 1], 0.0][: top + 1] ** 2  # a_{top+1} may not exist
+    last and shift broadcast against x; one sweep stops at the largest last.  The pivots
+    overwrite b - x, _TABLE entries of rows at a time; one below tiny is clamped to -tiny (a
+    zero pivot counts as negative, the standard LDL tie-break) and its block redone after it."""
+    top = max(rows := set(np.ravel(last).tolist()))
+    b, a2 = J.b[: top + 1], np.r_[0.0, J.a[: top + 1], 0.0][: top + 2] ** 2  # a2[i] couples rows i-1, i
     tiny = 1e-290 * max(1.0, float(np.max(np.abs(b)) + np.max(a2)))
-    neg, out, d = np.zeros(x.shape, int), 0, b[0] - x
-    for i in range(top + 1):
-        d = np.where(np.abs(d) < tiny, -tiny, d)
-        if i in rows:
-            out = np.where(last == i, neg + (d - a2[i] * shift < 0), out)
-        if i < top:
-            neg += d < 0
-            d = b[i + 1] - x - a2[i] / d
-    return out
+    neg, out, f, d, step = np.zeros(x.shape, int), 0, 0.0, 1.0, max(1, _TABLE // max(1, x.size))
+    for start in range(0, top + 1, step):
+        table, r = np.subtract.outer(b[start : start + step], x), 0
+        while r < len(table):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                for k in range(r, len(table)):
+                    d = np.subtract(table[k], a2[start + k] / d, out=table[k])
+            r += int(np.argmax(np.r_[(np.abs(table[r:]) < tiny).any(axis=tuple(range(1, x.ndim + 1))), True]))
+            if r < len(table):  # clamp, and redo the rows after it from b - x
+                d = table[r] = np.where(np.abs(table[r]) < tiny, -tiny, table[r])
+                table[r + 1 :], r = np.subtract.outer(b[start + r + 1 : start + len(table)], x), r + 1
+        for i in rows & set(range(start, start + len(table))):
+            last_f = table[i - start] - a2[i + 1] * shift
+            out = np.where(last == i, neg + (table[: i - start] < 0).sum(axis=0) + (last_f < 0), out)
+            f = np.where(last == i, last_f, f) if values else f
+        neg += (table < 0).sum(axis=0)
+    return (out, f) if values else out
 
 
 def sturm_count(J: JacobiCoeffs, N: int, x) -> np.ndarray:
@@ -464,29 +473,59 @@ def _batch_bisect(J: JacobiCoeffs, N: int, indices, lo, hi) -> np.ndarray:
     ok = (c_lo <= idx) & (idx < c_hi)
     lo = np.where(ok, seed - delta, lo)
     hi = np.where(ok, seed + delta, hi)
-    return _bisect(lambda x: sturm_count(J, N, x), idx, lo, hi)
+    return _bisect(lambda x: _negative_pivots(J, x, N - 1, values=True), idx, lo, hi)
 
 
 def _bisect(count: Callable, idx, lo, hi) -> np.ndarray:
     """Bisect each bracket to eigenvalue_abs/10 * max(1, |x|) on where count(x) > idx starts.
 
-    By multisection: a count call takes the (2^s - 1, B) heap of midpoints s steps could
-    visit in the B brackets, s >= 1 the largest with B (2^s - 1) <= _SWEEP_POINTS."""
-    depth = level = max(1, (_SWEEP_POINTS // max(1, len(idx)) + 1).bit_length() - 1)
-    for _ in range(200):
+    One-level bisection's result, bit for bit: every bracket is kept after every step and read
+    at the first step where all meet the stop rule, capped at 200.  A count call takes P =
+    2^s - 1 points a bracket, s >= 1 the largest with B P <= _SWEEP_POINTS: the heap of
+    midpoints s steps could visit or, where count returns (counts, F), the ends' counts isolate
+    the root, F(lo) > 0 > F(hi) and the last sweep kept s steps or more, the bisection path
+    toward F's regula-falsi root, kept up to and through the first turn the counts reverse."""
+    depth = max(1, (_SWEEP_POINTS // max(1, len(idx)) + 1).bit_length() - 1)
+    P, cols, steps = 2**depth - 1, np.arange(len(idx)), np.arange(2**depth - 1)[:, None]
+    L = min(P, 64)  # steps of a guided path; the stop rule fires within ~50 of a component bracket
+    at = np.empty((2, 201 + L, len(idx)))  # lo and hi after each step a bracket has taken
+    at[:, 0], f, n, reached, first = (lo, hi), np.full((2, len(idx)), np.nan), depth, 0 * cols, 0
+    while True:
+        top = min(200, reached.min(initial=200))  # steps every bracket has taken
+        lo, hi = at[:, first : min(top, 199) + 1]
         mid = 0.5 * (lo + hi)
-        if np.all(hi - lo <= TOLERANCES["eigenvalue_abs"] / 10 * np.maximum(1.0, np.abs(mid))):
-            break
-        if level == depth:  # heap walked: one sweep counts the next depth levels
-            ends, heap = np.stack([lo, hi]), []
-            for _ in range(depth):  # level l holds the midpoints of ends, 2^l + 1 in order
-                heap.append(0.5 * (ends[:-1] + ends[1:]))
-                ends = np.insert(ends, np.arange(1, len(ends)), heap[-1], axis=0)
-            above_at, node, level = count(np.concatenate(heap)) > idx, np.zeros(len(idx), int), 0
-        above = above_at[node, np.arange(len(idx))]
-        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
-        node, level = 2 * node + 2 - above, level + 1  # children 2i + 1 (left), 2i + 2
-    return 0.5 * (lo + hi)
+        done = np.all(hi - lo <= TOLERANCES["eigenvalue_abs"] / 10 * np.maximum(1.0, np.abs(mid)), axis=1)
+        k = first + int(np.argmax(np.r_[done, True]))  # top + 1 if no step checked is done
+        if k <= top:
+            return 0.5 * (at[0, k] + at[1, k])
+        first, (lo, hi) = k, at[:, reached, cols]
+        ends, heap = np.stack([lo, hi]), []
+        for _ in range(depth):  # level l holds the midpoints of ends, 2^l + 1 in order
+            heap.append(0.5 * (ends[:-1] + ends[1:]))
+            ends = np.insert(ends, np.arange(1, len(ends)), heap[-1], axis=0)
+        pts, turns = np.concatenate(heap), np.zeros((P, len(idx)), bool)
+        with np.errstate(all="ignore"):
+            guess, guided = lo + (hi - lo) * (f[0] / (f[0] - f[1])), (f[0] > 0) & (f[1] < 0) & (n >= depth)
+        if guided.any():
+            path, left, l, h, g = [], [], lo[guided], hi[guided], guess[guided]
+            for _ in range(L):  # a midpoint equal to an end turns as that end's count did
+                path.append(0.5 * (l + h))
+                left.append(((g < path[-1]) | (path[-1] == h)) & (path[-1] != l))
+                l, h = np.where(left[-1], l, path[-1]), np.where(left[-1], path[-1], h)
+            pts[:L, guided], turns[:L, guided] = path, left
+        counts, values = out if isinstance(out := count(pts), tuple) else (out, np.nan)
+        values = np.where((counts == idx) | (counts == idx + 1), values, np.nan)  # one root, no pole
+        above, walk = counts > idx, np.zeros((P, len(idx)), int)
+        for level in range(1, depth):  # the heap's children of node i are 2i + 1 (left), 2i + 2
+            walk[level] = 2 * walk[level - 1] + 2 - above[walk[level - 1], cols]
+        n = np.where(guided, np.minimum(np.argmax(np.r_[(above != turns)[:L], [guided]], 0) + 1, L), depth)
+        order, kept = np.where(guided, steps, walk), steps < n
+        up = above[order, cols]  # per kept step, the latest one that moved lo (not up) and hi
+        moved = np.maximum.accumulate(np.where([kept & ~up, kept & up], steps, -1), axis=1)
+        new = np.where(moved >= 0, pts[order, cols][moved, cols], np.stack([lo, hi])[:, None])
+        at[:, (reached + 1 + steps)[kept], np.broadcast_to(cols, kept.shape)[kept]] = new[:, kept]
+        f = np.where(moved[:, n - 1, cols] >= 0, values[order, cols][moved[:, n - 1, cols], cols], f)
+        reached = np.minimum(reached + n, 200)
 
 
 def truncation_eigenvalues(J: JacobiCoeffs, N: int) -> np.ndarray:
@@ -592,7 +631,7 @@ def glued_eigenvalues(J: JacobiCoeffs, model: GreenModel, sizes) -> dict[int, li
     found = [(n, *br) for n, c in zip(sizes, counts) for br in _component_brackets(s, ends, c)]
     heads, idx, los, his, locs = zip(*found)  # m_E(alpha-) = +inf: the left holds one or more
     last = np.array(heads) - 1
-    vals = _bisect(lambda x: _negative_pivots(J, x, last, _m_e(model, x.ravel()).reshape(x.shape)),
+    vals = _bisect(lambda x: _negative_pivots(J, x, last, _m_e(model, x.ravel()).reshape(x.shape), True),
                    np.array(idx), np.array(los), np.array(his))
     return {n: [(v, loc) for h, v, loc in zip(heads, vals.tolist(), locs) if h == n] for n in sizes}
 

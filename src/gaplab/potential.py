@@ -649,9 +649,9 @@ def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
 
 def _assemble(s, roots, order, gap_orders, passes, moved, samples) -> GreenModel:
     """The gated model: the period gate on a pass's samples at the roots (the
-    solve's confirming pass, or for a load a pass at the given roots), one
-    _log_sums call for the gaps whose series needs more points than their
-    table, own edges skipped, and the right-hand ray, whose int Phi is robin's."""
+    solve's confirming pass, or for a load a pass at the given roots), a
+    _log_sums call for the gaps whose series outgrow their table, if any, own
+    edges skipped, and the right-hand ray, whose int Phi is robin's."""
     residual, f = 0.0, np.empty(0)
     series = np.maximum(gap_orders, _gap_orders(s, 1)).astype(int)
     if len(roots):
@@ -662,11 +662,12 @@ def _assemble(s, roots, order, gap_orders, passes, moved, samples) -> GreenModel
                 f"period residual {residual!r} exceeds {TOLERANCES['period_residual']!r}"
             )
     more = series > np.asarray(gap_orders, dtype=int)
-    own = 2 * np.flatnonzero(more)[:, None] + np.array([1, 2])  # those gaps' edges
-    t, log_g = _log_sums(*s.edges[own].T, series[more], roots, s.edges, len(roots) + own)
     gap_samples = np.empty(int(np.sum(series)))
     gap_samples[np.repeat(~more, series)] = f[np.repeat(~more, gap_orders)]
-    gap_samples[np.repeat(more, series)] = np.sign(t - np.repeat(roots[more], series[more])) * np.exp(log_g)
+    if more.any():
+        own = 2 * np.flatnonzero(more)[:, None] + np.array([1, 2])  # those gaps' edges
+        t, log_g = _log_sums(*s.edges[own].T, series[more], roots, s.edges, len(roots) + own)
+        gap_samples[np.repeat(more, series)] = np.sign(t - roots[more].repeat(series[more])) * np.exp(log_g)
     phi = _ray_samples(s, roots, 1)
     whole = float(_fejer(len(phi)) @ phi)  # g(x) - log1p(y) at infinity
     model = GreenModel(

@@ -604,6 +604,101 @@ def test_multisection_matches_one_level_bisection(batch, depth, capped):
     # each sweep takes a full heap; only the last may be cut short by the stop rule
     assert calls["multisection"] == [(2 ** depth - 1, batch)] * -(-steps // depth)
 
+    # a count that also returns the last pivot F follows it only where the
+    # ends' counts isolate a root, which few of these brackets hold: the same
+    # midpoints, in sweeps of the same size and no more of them
+    guided = []
+
+    def valued(x):
+        guided.append(np.shape(x))
+        return jacobi._negative_pivots(J, x, N - 1, values=True)
+
+    with np.errstate(over="ignore"):
+        assert np.all(jacobi._bisect(valued, idx, lo, hi) == want)
+    assert set(guided) == {(2 ** depth - 1, batch)}
+    assert len(guided) <= len(calls["multisection"])
+
+
+@pytest.mark.parametrize("batch, depth, sweeps, guided_sweeps", [(1, 9, 5, 3), (15, 5, 9, 6), (40, 3, 15, 10)])
+def test_guided_bisection_takes_fewer_sweeps(batch, depth, sweeps, guided_sweeps):
+    # brackets that each hold one eigenvalue of the free 40 x 40 truncation,
+    # 2 cos(k pi/41), cut at the midpoints between them: following F's
+    # regula-falsi root converges in fewer sweeps to the same midpoints
+    N = 40
+    J = G.JacobiCoeffs(np.ones(N - 1), np.zeros(N))
+    eig = 2 * np.cos(np.arange(N, 0, -1) * math.pi / (N + 1))
+    cuts = np.r_[-3.0, (eig[:-1] + eig[1:]) / 2, 3.0]
+    idx = np.random.default_rng(batch).integers(0, N, batch)
+    calls = {"heap": [], "guided": []}
+
+    def counter(name):
+        def count(x):
+            calls[name].append(np.shape(x))
+            return jacobi._negative_pivots(J, x, N - 1, values=name == "guided")
+        return count
+
+    want = one_level_bisect(lambda x: sturm_count(J, N, x), idx, cuts[idx], cuts[idx + 1])
+    for name in calls:
+        assert np.all(jacobi._bisect(counter(name), idx, cuts[idx], cuts[idx + 1]) == want)
+    assert set(calls["heap"] + calls["guided"]) == {(2 ** depth - 1, batch)}
+    assert (len(calls["heap"]), len(calls["guided"])) == (sweeps, guided_sweeps)
+
+
+def _reference_pivots(J, x, last, shift=0.0):
+    """The row-by-row sweep with the clamp on every row: counts and F."""
+    rows = set(np.ravel(last).tolist())
+    top = max(rows)
+    b, a2 = J.b[: top + 1], np.r_[J.a[: top + 1], 0.0][: top + 1] ** 2
+    tiny = 1e-290 * max(1.0, float(np.max(np.abs(b)) + np.max(a2)))
+    neg, out, f, d = np.zeros(x.shape, int), 0, 0.0, b[0] - x
+    for i in range(top + 1):
+        d = np.where(np.abs(d) < tiny, -tiny, d)
+        if i in rows:
+            out = np.where(last == i, neg + (d - a2[i] * shift < 0), out)
+            f = np.where(last == i, d - a2[i] * shift, f)
+        if i < top:
+            neg += d < 0
+            d = b[i + 1] - x - a2[i] / d
+    return out, f
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("points", [0, 1, 6, 31, 465])
+def test_pivot_sweep_matches_row_by_row(points, monkeypatch):
+    # counts and F bit for bit, from one block and from blocks of 7 entries
+    rng = np.random.default_rng(points)
+    J = G.JacobiCoeffs(rng.uniform(0.2, 1.5, 119), rng.normal(size=120))
+    x = rng.uniform(-3.5, 3.5, points)
+    cases = [(x, 119, 0.0), (x, 0, 0.0), (x, rng.integers(0, 120, max(points, 1)), rng.normal(size=max(points, 1))),
+             (x.reshape(-1, 1) if points else x, 60, 0.0)]
+    for table in (jacobi._TABLE, 7):
+        monkeypatch.setattr(jacobi, "_TABLE", table)
+        for xs, last, shift in cases:
+            got = jacobi._negative_pivots(J, xs, last, shift, values=True)
+            want = _reference_pivots(J, xs, last, shift)
+            assert all(map(_same_bits, got, want))
+            assert _same_bits(jacobi._negative_pivots(J, xs, last, shift), want[0])
+
+
+def test_pivot_sweep_clamps_as_row_by_row(monkeypatch):
+    # exact zero pivots (b = 0, a = 1 at x = 0, +-1, +-sqrt 2), a pivot below
+    # tiny (b_1 = 1e-300 at x = 0) and the glued ends' infinite shifts
+    free = G.JacobiCoeffs(np.ones(12), np.zeros(12))
+    x = np.array([0.0, 1.0, -1.0, math.sqrt(2), -math.sqrt(2), 0.5])
+    below = G.JacobiCoeffs(np.ones(11), np.r_[1e-300, np.zeros(11)])
+    ends = np.array([-3.0, -2.0, 2.0, 3.0])
+    for table in (jacobi._TABLE, 5):
+        monkeypatch.setattr(jacobi, "_TABLE", table)
+        for J, xs, last, shift in [(free, x, np.arange(6), 0.0), (free, x, 11, 0.0), (below, x, 11, 0.0),
+                                   (free, ends, np.array([4, 4, 9, 9]), np.array([np.inf, -np.inf] * 2))]:
+            want = _reference_pivots(J, xs, last, shift)
+            assert all(map(_same_bits, jacobi._negative_pivots(J, xs, last, shift, values=True), want))
+    assert -1e-280 < jacobi._negative_pivots(free, x, 0, values=True)[1][0] < 0  # 0 clamped to -tiny
+
 
 def test_certified_seeds_make_no_sweep(monkeypatch, model_m22):
     # one count at the component ends, one at the seed brackets: a batch of

@@ -1209,21 +1209,21 @@ def _count_calls(monkeypatch, *names):
 
 
 @pytest.mark.parametrize(
-    "s, passes, corrections",
-    [(G.fat_cantor(8), 2, 1), (G.make_gapset(-2, 2, [(-1, 1)]), 1, 0), (cubic_preimage_set(), 2, 1)],
+    "s, passes, corrections, top_ups",
+    [(G.fat_cantor(8), 2, 1, 1), (G.make_gapset(-2, 2, [(-1, 1)]), 1, 0, 0), (cubic_preimage_set(), 2, 1, 0)],
     ids=["fat_cantor8", "two_band", "cubic"],
 )
-def test_one_correction_per_solve(s, passes, corrections, monkeypatch):
+def test_one_correction_per_solve(s, passes, corrections, top_ups, monkeypatch):
     # the period conditions are linear in P, so one correction from the gap
     # midpoints lands the roots; the second pass samples them for the gate
     # and the gap series, and its diagonal step ends the solve with no
     # period system built.  The symmetric two-band set's midpoint is its
-    # root, so its first pass ends it.  The kernel runs once a pass and once
-    # for the gaps whose series outgrow their tables (7 at level 8, else none)
+    # root, so its first pass ends it.  The kernel runs once a pass, and once
+    # more only where some gap's series outgrows its table (7 at level 8)
     calls = _count_calls(monkeypatch, "_pass_samples", "_period_correction", "_log_sums")
     model = G.solve_green(s)
     assert model.solve_passes == passes and model.root_move <= 1e-14 * s.diameter
-    assert (calls["_pass_samples"], calls["_period_correction"], calls["_log_sums"]) == (passes, corrections, passes + 1)
+    assert (calls["_pass_samples"], calls["_period_correction"], calls["_log_sums"]) == (passes, corrections, passes + top_ups)
 
 
 @pytest.mark.parametrize("s", [G.fat_cantor(level) for level in range(2, 10)] + [JULIA_4_8, cubic_preimage_set()],

@@ -185,8 +185,8 @@ def test_no_long_double():
 
 
 def test_kernel_called_by_the_pass_sampler_and_the_band_rule():
-    # one _log_sums call per period pass, one in _assemble for the gap
-    # series that need more points than their table, and one for the band
+    # one _log_sums call per period pass, one in _assemble when some gap
+    # series needs more points than its table, and one for the band
     # rule, which only the measure's readers build; the gate and the other
     # series read the confirming pass's samples (the def lines are the
     # functions' own)
@@ -199,3 +199,11 @@ def test_period_correction_reached_only_from_the_solve():
     # the pass's diagonal step says the roots are not final, and the gate,
     # the loads and period_residuals never do (the def line is its own)
     assert _enclosing_functions("_period_correction(") == ["_period_correction", "_solve"]
+
+
+def test_one_pivot_sweep_behind_every_count():
+    # one LDL^T sweep serves every count: the truncations' Sturm counts, the
+    # glued heads' shifted counts and the certification's count closure,
+    # which also reads the last pivot F (the def line is its own)
+    assert _enclosing_functions("_negative_pivots(") == ["_batch_bisect", "_negative_pivots",
+                                                         "glued_eigenvalues", "sturm_count"]
