@@ -67,12 +67,13 @@ def parse_set_spec(spec) -> GapSet:
     return make_gapset(obj["alpha"], obj["beta"], obj.get("gaps", []))
 
 
-def parse_measure_spec(spec, model):
-    if spec == "equilibrium":
-        return make_measure(model, None, mode="relative")
-    if spec == "lebesgue":
-        return make_measure(model, WeightSpec("const", {"value": 1.0}), mode="absolute")
-    obj = _decode_spec(spec, "measure")
+NAMED_MEASURES = {"equilibrium": {}, "lebesgue": {"mode": "absolute"}}  # a unit factor each
+
+
+def parse_measure_spec(spec, model, quad_order: int | None):
+    """A measure on model, its band rule of order quad_order (None: make_measure's default)."""
+    named = isinstance(spec, str) and spec in NAMED_MEASURES
+    obj = NAMED_MEASURES[spec] if named else _decode_spec(spec, "measure")
     if not isinstance(obj, dict):
         raise ValidationError(f"measure spec must be a JSON object, got {obj!r}")
     try:
@@ -82,6 +83,7 @@ def parse_measure_spec(spec, model):
             factor,
             mode=obj.get("mode", "relative"),
             point_masses=[tuple(pm) for pm in obj.get("masses", [])],
+            quad_order=quad_order,
         )
     except ValidationError:
         raise
@@ -208,7 +210,7 @@ def run(config: dict) -> str:
             emit_plotdata("green", [r[1] for r in rows], config["plot"])
         return _table(command, ["x", "green"], rows, meta, fmt)
 
-    mu = parse_measure_spec(config.get("measure", "equilibrium"), model)
+    mu = parse_measure_spec(config.get("measure", "equilibrium"), model, quad_order)
     meta["mass_error"] = abs(float(mu.quad.all_weights.sum()) - 1.0)  # what the measure's mass gate read
 
     if command == "coeffs":

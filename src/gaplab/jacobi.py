@@ -51,6 +51,9 @@ from .potential import (
 )
 from .realset import GapSet, Location, edge_slots, locate
 
+DEFAULT_ORDER_SMALL = 200  # band-rule nodes per band of a measure on up to 15 gaps
+DEFAULT_ORDER_LARGE = 80  # above that, keep 255-gap levels affordable
+_GAP_COUNT_SWITCH = 15
 _SWEEP_POINTS = 512  # points per bisection count sweep, all brackets together
 _TABLE = 1 << 15  # entries of b - x per row block of a pivot sweep
 _INTERLACING_EPS = 1e-6  # interlacing_profile's zeros are the roots of m + this
@@ -210,7 +213,7 @@ def make_measure(
     point_masses: Sequence[tuple[float, float]] = (),
     quad_order: int | None = None,
 ) -> MeasureModel:
-    """Build and normalize a measure model over the given potential model."""
+    """Build and normalize a measure over model, its band rule of order quad_order or _default_order."""
     if mode not in ("relative", "absolute"):
         raise ValidationError(f"mode must be relative or absolute, got {mode!r}")
     if weight is None:
@@ -225,7 +228,8 @@ def make_measure(
         if x in seen:
             raise ValidationError(f"duplicate point mass location {x}")
         seen.add(x)
-    quad = equilibrium_quadrature(model, model.quad.order if quad_order is None else int(quad_order))
+    order = _default_order(len(model.set.gaps)) if quad_order is None else int(quad_order)
+    quad = equilibrium_quadrature(model, order)
     ac_weights = _ac_rule(model, weight, mode, quad)
     if not all(np.all(w >= 0) and np.all(np.isfinite(w)) for w in ac_weights):
         raise ValidationError("weight factor must be finite and nonnegative on bands")
@@ -237,6 +241,10 @@ def make_measure(
     if norm < 0:
         raise ValidationError("point masses alone exceed total mass 1")
     return MeasureModel(model, weight, mode, masses, norm, quad, ac_weights)
+
+
+def _default_order(n_gaps: int) -> int:
+    return DEFAULT_ORDER_SMALL if n_gaps <= _GAP_COUNT_SWITCH else DEFAULT_ORDER_LARGE
 
 
 def _ac_rule(model: GreenModel, weight: Callable, mode: str, quad: EquilibriumQuadrature):
@@ -273,7 +281,7 @@ def measure_to_json(mu: MeasureModel) -> str:
 
 
 def _discretize(mu: MeasureModel, quad_order: int):
-    quad = mu.quad if quad_order == mu.quad.order else equilibrium_quadrature(mu.model, quad_order)
+    quad = equilibrium_quadrature(mu.model, quad_order)
     ac_weights = mu.ac_weights if quad is mu.quad else _ac_rule(mu.model, mu.weight, mu.mode, quad)
     x, m = np.reshape(mu.point_masses, (-1, 2)).T
     t = np.concatenate([*quad.nodes, x])

@@ -48,7 +48,8 @@ quad_order raises the orders below it and lowers none).  g on each
 component of R minus E is the termwise integral of one cosine series (a
 gap, or an outer ray sized by the edge one outer band inside) at its
 interpolant's rho^(-n) order; the right-hand ray's whole integral is the
-Robin constant, so no solve builds the band rule: its readers do, gated.
+Robin constant, so no solve builds a band rule: equilibrium_quadrature
+builds one per order a measure asks for, gated, and keeps it.
 """
 
 from __future__ import annotations
@@ -66,10 +67,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .realset import GapSet, edge_slots, locate, make_gapset
 
-DEFAULT_ORDER_SMALL = 200  # nodes per band/gap for up to 15 gaps
-DEFAULT_ORDER_LARGE = 80  # above that, keep 255-gap levels affordable
-_GAP_COUNT_SWITCH = 15
-GAP_ORDER_FLOOR = 32  # smallest per-gap order; also the smallest quad_order
+GAP_ORDER_FLOOR = 32  # smallest per-gap order; also the smallest quad_order and band rule
 _GAP_ORDER_CAP = 1024  # largest default per-gap table order; a gap series may take twice it
 _GAP_RULE_TARGET = 1e-15  # error the per-gap orders are sized for
 _SOLVE_PASSES = 6  # cap on period-solve sampling passes
@@ -84,10 +82,6 @@ TOLERANCES = {
     "eigenvalue_abs": 1e-12,  # certified brackets close to a tenth of this * max(1, |x|)
     "eigenvalue_stability": 1e-8,  # matching across truncation sizes
 }
-
-
-def _default_order(n_gaps: int) -> int:
-    return DEFAULT_ORDER_SMALL if n_gaps <= _GAP_COUNT_SWITCH else DEFAULT_ORDER_LARGE
 
 
 def _gap_orders(s: GapSet, power: int = 2) -> tuple[int, ...]:
@@ -388,8 +382,8 @@ class GreenModel:
     representation.  The gap series' samples are taken in the solve: the
     confirming period pass's samples at the roots, and one more call for
     the gaps whose series needs more points.  period_residuals samples the
-    roots again; the band rule, mass-gated, and the gap and ray series are
-    built on first use.
+    roots again; the gap and ray series, and the mass-gated band rule of
+    each order a measure asks for, are built on first use.
     """
 
     set: GapSet
@@ -397,7 +391,6 @@ class GreenModel:
     critical_points: np.ndarray
     robin: float
     capacity: float
-    quad_order: int  # the order of the band rule quad
     gap_orders: tuple[int, ...]  # per-gap order of the period tables, a floor on the series'
     solve_passes: int  # period-solve sampling passes run (0: roots given)
     root_move: float  # the last pass's largest diagonal step; above 1e-14 * diam the cap or floor hit
@@ -406,11 +399,8 @@ class GreenModel:
     gap_samples: np.ndarray = field(repr=False, compare=False)
     # _ray_series by side, built on first use; _assemble leaves side 1, whose samples give robin
     _rays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @cached_property
-    def quad(self) -> EquilibriumQuadrature:
-        """The band rule at quad_order, which only measures read; its mass gate raises."""
-        return _band_rule(self.set, self.critical_points, self.quad_order)
+    # band rules by order, built on first use by equilibrium_quadrature
+    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def _gap_series(self):
@@ -445,22 +435,22 @@ class GreenModel:
 def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
     """Solve the period conditions and assemble all derived quantities.
 
-    A float overflow or invalid operation in the solve, as on sets that
-    span most of the float range, is a NumericalError, never an inf or nan.
+    An explicit quad_order is a floor on the gap tables' orders, the only way
+    past _GAP_ORDER_CAP.  A float overflow or invalid operation in the solve,
+    as on sets that span most of the float range, is a NumericalError, never
+    an inf or nan.
     """
-    order = _default_order(len(s.gaps)) if quad_order is None else int(quad_order)
-    if order < GAP_ORDER_FLOOR:
+    floor = 0 if quad_order is None else int(quad_order)
+    if quad_order is not None and floor < GAP_ORDER_FLOOR:
         raise ValidationError(f"quad_order must be at least {GAP_ORDER_FLOOR}")
-    # an explicit quad_order is a floor: it never lowers a gap below its ellipse order
-    floor = 0 if quad_order is None else order
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _solve(s, order, floor)
+            return _solve(s, floor)
     except FloatingPointError as exc:
         raise NumericalError(f"solve left the float range: {exc}") from exc
 
 
-def _solve(s: GapSet, order: int, floor: int) -> GreenModel:
+def _solve(s: GapSet, floor: int) -> GreenModel:
     """Correct the gap midpoints until the largest diagonal step (_pass_weights)
     is at most 1e-14 diam, or from the third pass on falls less than tenfold, the
     rounding floor; the roots stay that pass's anchors, where its samples were taken."""
@@ -474,7 +464,7 @@ def _solve(s: GapSet, order: int, floor: int) -> GreenModel:
             break
         delta, v, vu = _period_correction(s, roots, gap_orders, samples[0], v, vu), None, None
         roots = _period_roots(s.gaps, roots, delta)  # its sweeps' tables peak with no weights held
-    return _assemble(s, roots, order, gap_orders, passes, step, samples)
+    return _assemble(s, roots, gap_orders, passes, step, samples)
 
 
 def _pass_samples(s: GapSet, anchors, gap_orders):
@@ -647,7 +637,7 @@ def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
     return EquilibriumQuadrature(tuple(t.reshape(bands, order)), tuple(w.reshape(bands, order)), order)
 
 
-def _assemble(s, roots, order, gap_orders, passes, moved, samples) -> GreenModel:
+def _assemble(s, roots, gap_orders, passes, moved, samples) -> GreenModel:
     """The gated model: the period gate on a pass's samples at the roots (the
     solve's confirming pass, or for a load a pass at the given roots), a
     _log_sums call for the gaps whose series outgrow their table, if any, own
@@ -676,7 +666,6 @@ def _assemble(s, roots, order, gap_orders, passes, moved, samples) -> GreenModel
         critical_points=np.asarray(roots, dtype=float),
         robin=whole - math.log(s.diameter),
         capacity=s.diameter * math.exp(-whole),
-        quad_order=order,
         gap_orders=tuple(gap_orders),
         solve_passes=passes,
         root_move=moved,
@@ -796,10 +785,12 @@ def _m_e(model: GreenModel, x: np.ndarray) -> np.ndarray:
 
 
 def equilibrium_quadrature(model: GreenModel, order: int) -> EquilibriumQuadrature:
-    """Per-band quadrature for dmu_E at the given order (the model's own at quad_order)."""
+    """Per-band rule for dmu_E at the given order, mass-gated; built once per model and order."""
     if order < GAP_ORDER_FLOOR:
         raise ValidationError(f"quadrature order must be at least {GAP_ORDER_FLOOR}")
-    return model.quad if order == model.quad_order else _band_rule(model.set, model.critical_points, order)
+    if order not in model._rules:
+        model._rules[order] = _band_rule(model.set, model.critical_points, order)
+    return model._rules[order]
 
 
 def model_to_json(model: GreenModel) -> str:
@@ -812,7 +803,6 @@ def model_to_json(model: GreenModel) -> str:
                           "roots": list(map(float, model.critical_points))},
             "robin": model.robin,
             "capacity": model.capacity,
-            "quad_order": model.quad_order,
             "gap_orders": list(model.gap_orders),
             "solve_passes": model.solve_passes,
             "root_move": model.root_move,
@@ -825,7 +815,6 @@ def model_from_json(text: str) -> GreenModel:
     try:
         obj = json.loads(text)
         s = make_gapset(obj["set"]["alpha"], obj["set"]["beta"], obj["set"]["gaps"])
-        order = int(obj["quad_order"])
         gap_orders = tuple(int(n) for n in obj["gap_orders"])
         roots = np.asarray(obj["numerator"]["roots"], dtype=float)
         passes, moved = int(obj["solve_passes"]), float(obj["root_move"])
@@ -835,7 +824,7 @@ def model_from_json(text: str) -> GreenModel:
     lo, hi = np.reshape(s.gaps, (-1, 2)).T
     shaped = roots.shape == lo.shape and len(gap_orders) == len(lo)
     if not (shaped and np.all((lo <= roots) & (roots <= hi))
-            and min((order, *gap_orders)) >= GAP_ORDER_FLOOR):
+            and all(n >= GAP_ORDER_FLOOR for n in gap_orders)):
         raise ValidationError("malformed GreenModel JSON: need one root in and one order per gap, "
                               f"orders at least {GAP_ORDER_FLOOR}")
-    return _assemble(s, roots, order, gap_orders, passes, moved, _pass_samples(s, roots, gap_orders))
+    return _assemble(s, roots, gap_orders, passes, moved, _pass_samples(s, roots, gap_orders))

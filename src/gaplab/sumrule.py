@@ -161,7 +161,7 @@ def relative_entropy(mu: MeasureModel) -> float:
     """
     values, trimmed = [], []
     for k in range(3):
-        quad = mu.quad if k == 0 else equilibrium_quadrature(mu.model, mu.quad.order << k)
+        quad = equilibrium_quadrature(mu.model, mu.quad.order << k)
         logs = _log_ratio(mu, quad)
         if logs is None:
             return NEG_INF

@@ -436,7 +436,7 @@ def test_theorem_meta_carries_glued_sums(tmp_path):
     assert code == 0
     s = G.make_gapset(-2, 2, [(-1, 1)])
     mu = cli.parse_measure_spec('{"factor": {"form": "poly", "coef": [1, 0, 0.3]}}',
-                                G.solve_green(s))
+                                G.solve_green(s), None)
     report = G.theorem_upper_bound(G.coefficients_from_measure(mu, 100), mu, 100)
     glued = json.loads(data)["meta"]["glued_sums"]
     assert glued == {str(n): v for n, v in report.glued_sums.items()}
@@ -466,7 +466,8 @@ def test_solve_diagnostics_in_json_meta(tmp_path):
     code, data = run_cli(["--command", "sumrule", "--set", spec, "--format", "json"], tmp_path)
     meta = json.loads(data)["meta"]
     assert meta["period_residual"] == model.period_residual
-    assert meta["mass_error"] == abs(float(np.sum(model.quad.all_weights)) - 1.0)
+    rule = G.equilibrium_quadrature(model, G.jacobi.DEFAULT_ORDER_SMALL)
+    assert meta["mass_error"] == abs(float(np.sum(rule.all_weights)) - 1.0)
     _, csv = run_cli(["--command", "capacity", "--set", spec], tmp_path, "out.csv")
     assert b"residual" not in csv
 
@@ -482,4 +483,4 @@ def test_theorem_builds_the_model_rule_once(monkeypatch):
 
     monkeypatch.setattr(G.potential, "_band_rule", count_orders)
     cli.run({"command": "theorem", "set": '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}', "n": 100})
-    assert orders.count(G.potential.DEFAULT_ORDER_SMALL) == 1
+    assert orders.count(G.jacobi.DEFAULT_ORDER_SMALL) == 1

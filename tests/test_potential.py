@@ -188,7 +188,8 @@ def _green_reference(model, x, series, rays):
     gap j, else zero."""
     s = model.set
     if max(s.alpha - x, x - s.beta) >= s.diameter:
-        t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
+        quad = G.make_measure(model).quad
+        t, w = np.concatenate(quad.nodes), quad.all_weights
         return float(model.robin + np.sum(w * np.log(np.abs(x - t))) / np.sum(w))
     if x < s.alpha or x > s.beta:
         return rays[x > s.beta](x)
@@ -503,7 +504,7 @@ def test_equilibrium_quadrature_moments(model_m22, model_pm12, model_fat3):
     for model in (model_m22, model_pm12, model_fat3):
         quad = G.equilibrium_quadrature(model, 200)
         assert np.sum(quad.all_weights) == pytest.approx(1.0, abs=1e-10)
-        assert G.equilibrium_quadrature(model, model.quad.order) is model.quad
+        assert G.equilibrium_quadrature(model, 200) is quad  # built once per model and order
     q22 = G.equilibrium_quadrature(model_m22, 200)
     assert _moment(q22, 2) == pytest.approx(2.0, abs=1e-8)
     qpm = G.equilibrium_quadrature(model_pm12, 200)
@@ -643,14 +644,16 @@ def _per_gap(s, roots, orders):
 @pytest.mark.parametrize("name", ["model_pm12", "model_fat4", "model_fat3_explicit"])
 def test_model_json_keeps_solve_diagnostics(name, request):
     # the gate readings round-trip: the load reruns the period gate on the
-    # same tables and builds the same band rule, so the JSON stores neither
+    # same tables and builds the same band rules, so the JSON stores neither
     # the residual nor a mass
     model = request.getfixturevalue(name)
     text = G.model_to_json(model)
     assert "period_residual" not in json.loads(text) and "mass_error" not in json.loads(text)
     rebuilt = G.model_from_json(text)
     assert rebuilt.period_residual == model.period_residual
-    assert rebuilt.quad.all_weights.tobytes() == model.quad.all_weights.tobytes()
+    for order in (64, 200):
+        rules = [G.equilibrium_quadrature(m, order).all_weights.tobytes() for m in (rebuilt, model)]
+        assert rules[0] == rules[1]
 
 
 def _without(key):
@@ -665,16 +668,14 @@ def _roots(roots):
     lambda obj: "{}", lambda obj: "[]", lambda obj: "not json",
     _without("numerator"), _without("gap_orders"),
     _without("solve_passes"), _without("root_move"),
-    lambda obj: json.dumps(dict(obj, quad_order="x")),
     _roots([float("nan")]), _roots([float("inf")]), _roots([1e300]), _roots([]),
     _roots([0.1, 0.2]),
     lambda obj: json.dumps(dict(obj, gap_orders=[])),
     lambda obj: json.dumps(dict(obj, gap_orders=[1])),
-    lambda obj: json.dumps(dict(obj, quad_order=-5)),
 ], ids=["empty_object", "list", "not_json", "no_numerator", "no_gap_orders",
-        "no_solve_passes", "no_root_move", "quad_order_string",
+        "no_solve_passes", "no_root_move",
         "nan_root", "inf_root", "root_outside_gap", "no_root", "two_roots", "no_gap_order",
-        "gap_order_1", "quad_order_negative"])
+        "gap_order_1"])
 def test_model_json_malformed_is_validation_error(model_pm12, edit):
     text = edit(json.loads(G.model_to_json(model_pm12)))
     with pytest.raises(ValidationError, match="malformed GreenModel JSON"):
@@ -692,10 +693,9 @@ def test_model_json_root_off_its_period_condition_is_numerical_error(model_pm12,
 
 def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_explicit):
     # the default sizes each gap from the Bernstein ellipse through its
-    # nearest foreign edge; an explicit quad_order sets the band order and
-    # is a floor on every gap's, here above each ellipse order
+    # nearest foreign edge; an explicit quad_order is a floor on every
+    # gap's, here above each ellipse order
     for model, order in ((model_pm12, 240), (model_fat3_explicit, 64)):
-        assert model.quad.order == order
         assert model.gap_orders == (order,) * len(model.set.gaps)
         assert {len(t) for t in _per_gap(model.set, model.critical_points, model.gap_orders)} == {order}
     # a tiny band needs more than these quad_orders: they lower no gap order,
@@ -722,8 +722,8 @@ def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_expl
         assert model.gap_orders == tuple(want)
         assert [len(t) for t in _per_gap(model.set, model.critical_points, model.gap_orders)] == want
     # the level-1 gap of level 8 sits next to bands ~2e-3 long and needs
-    # more than the band order; the level-8 gaps need only the floor
-    assert m8.gap_orders[127] > m8.quad.order == 80
+    # more than a default measure's band order; the level-8 gaps need only the floor
+    assert m8.gap_orders[127] > G.make_measure(m8).quad.order == 80
     assert min(m8.gap_orders) == 32
     assert 2 <= m8.solve_passes < 6 and m8.root_move <= 1e-14 * m8.set.diameter
 
@@ -820,14 +820,14 @@ def test_period_residual_gate(monkeypatch):
 
 def test_quadrature_mass_gate(monkeypatch):
     # the gate rides with the band rule, which the solve does not build:
-    # at tolerance 0 the solve succeeds, and the model's rule and a measure
-    # on it raise
+    # at tolerance 0 the solve succeeds, and a band rule and a measure on
+    # it raise
     model = G.solve_green(ASYMMETRIC)
-    assert np.sum(model.quad.all_weights) != 1.0
+    assert np.sum(G.equilibrium_quadrature(model, 200).all_weights) != 1.0
     monkeypatch.setitem(potential.TOLERANCES, "quadrature_mass", 0.0)
     model = G.solve_green(ASYMMETRIC)
     with pytest.raises(NumericalError, match="equilibrium weights sum"):
-        model.quad
+        G.equilibrium_quadrature(model, 200)
     with pytest.raises(NumericalError, match="equilibrium weights sum"):
         G.make_measure(model)
 
@@ -1049,7 +1049,8 @@ def test_m_e_is_the_band_rule_stieltjes_transform(name, request):
     x = np.linspace(s.alpha - s.diameter, s.beta + s.diameter, 3001)
     off = x[(edge_slots(s, x) % 2 == 0)
             & (np.min(np.abs(x[:, None] - s.edges), axis=1) >= 0.01 * s.diameter)]
-    t, w = np.concatenate(model.quad.nodes), model.quad.all_weights
+    quad = G.make_measure(model).quad
+    t, w = np.concatenate(quad.nodes), quad.all_weights
     assert np.max(np.abs(_m_e(model, off) - (w / (t - off[:, None])).sum(axis=1))) <= 1e-12
     for lo, hi in zip(np.r_[s.alpha - s.diameter, s.edges[1::2]], np.r_[s.edges[::2], np.inf]):
         hi = min(hi, s.beta + s.diameter)
@@ -1361,7 +1362,7 @@ def test_ladder_matches_order_320_and_direct_sums(level):
     assert abs(model.capacity / ref.capacity - 1.0) <= 5e-14
     assert abs(G.pw_sum(model) - DIRECT_PW_SUMS[level - 1]) <= 1e-14
     assert model.period_residual <= TOLERANCES["period_residual"]
-    assert abs(float(np.sum(model.quad.all_weights)) - 1.0) <= TOLERANCES["quadrature_mass"]
+    assert abs(float(np.sum(G.make_measure(model).quad.all_weights)) - 1.0) <= TOLERANCES["quadrature_mass"]
 
 
 def test_level_10_solves_past_its_band_rule():

@@ -191,7 +191,7 @@ def test_kernel_called_by_the_pass_sampler_and_the_band_rule():
     # series read the confirming pass's samples (the def lines are the
     # functions' own)
     assert _enclosing_functions("_log_sums(") == ["_assemble", "_band_rule", "_log_sums", "_pass_samples"]
-    assert _enclosing_functions("_band_rule(") == ["_band_rule", "equilibrium_quadrature", "quad"]
+    assert _enclosing_functions("_band_rule(") == ["_band_rule", "equilibrium_quadrature"]
 
 
 def test_period_correction_reached_only_from_the_solve():

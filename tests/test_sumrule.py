@@ -160,7 +160,7 @@ def test_log_integral_product_matches_per_edge_loop(model_fat4):
     # szego_integral's own term on fat_cantor(4): one log|t - e| @ p product
     # per band against the loop over every fitted edge inside every band
     model = model_fat4
-    quad, edges = model.quad, model.edges
+    quad, edges = G.make_measure(model).quad, model.edges
     logs = [G.potential._log_f_e(model, t) for t in quad.nodes]
     exps = {}
     for k, (t, l) in enumerate(zip(quad.nodes, logs)):
@@ -217,8 +217,8 @@ def test_log_f_e_integral_matches_node_integral(level):
     # rule's nodes, which it replaced
     model = G.solve_green(G.fat_cantor(level))
     mu = G.make_measure(model)
-    logs = [G.potential._log_f_e(model, t) for t in model.quad.nodes]
-    nodes = sumrule._log_integral(model, model.quad, logs)[0]
+    logs = [G.potential._log_f_e(model, t) for t in mu.quad.nodes]
+    nodes = sumrule._log_integral(model, mu.quad, logs)[0]
     assert abs(G.szego_integral(mu) - G.relative_entropy(mu) - nodes) <= 2e-13
 
 
