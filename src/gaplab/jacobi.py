@@ -29,6 +29,7 @@ first N pairs).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -49,7 +50,7 @@ from .potential import (
     equilibrium_quadrature,
     green_value,
 )
-from .realset import GapSet, Location, edge_slots, locate
+from .realset import GapSet, Location, _integer, edge_slots, locate
 
 DEFAULT_ORDER_SMALL = 200  # band-rule nodes per band of a measure on up to 15 gaps
 DEFAULT_ORDER_LARGE = 80  # above that, keep 255-gap levels affordable
@@ -304,7 +305,7 @@ def coefficients_from_measure(
     threshold 1e-14 * max|t|.  A float overflow or invalid operation in the
     loop, as on sets spanning 1e200, is a NumericalError.
     """
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValidationError("n must be at least 1")
     order = max(2 * n + 1, mu.quad.order) if quad_order is None else int(quad_order)
     t, w = _discretize(mu, order)
@@ -384,7 +385,7 @@ def coefficients_from_measure(
 
 def strip(J: JacobiCoeffs, k: int) -> JacobiCoeffs:
     """Drop the first k coefficient pairs (the k-times stripped matrix)."""
-    if k < 0 or k >= len(J):
+    if not 0 <= _integer(k, "strip count") < len(J):
         raise ValidationError(f"strip count {k} out of range for length {len(J)}")
     return JacobiCoeffs(J.a[k:], J.b[k:])
 
@@ -411,7 +412,7 @@ def glue_head(head: JacobiCoeffs, junction_a: float, tail: JacobiCoeffs) -> Jaco
 
 
 def _check_size(J: JacobiCoeffs, N: int) -> None:
-    if N < 1 or N > len(J):
+    if not 1 <= _integer(N, "truncation size") <= len(J):
         raise ValidationError(f"truncation size {N} out of range for length {len(J)}")
 
 
@@ -445,9 +446,12 @@ def _negative_pivots(J: JacobiCoeffs, x, last, shift=0.0, values=False):
 
 
 def sturm_count(J: JacobiCoeffs, N: int, x) -> np.ndarray:
-    """Number of eigenvalues of the N x N truncation strictly below each x."""
+    """Number of eigenvalues of the N x N truncation strictly below each x (+-inf: N or 0)."""
     _check_size(J, N)
-    return _negative_pivots(J, np.atleast_1d(x), N - 1)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.isnan(x).any():
+        raise ValidationError("cannot count eigenvalues below NaN")
+    return _negative_pivots(J, x, N - 1)
 
 
 def _gershgorin(J: JacobiCoeffs, N: int):
@@ -627,7 +631,7 @@ def glued_eigenvalues(J: JacobiCoeffs, model: GreenModel, sizes) -> dict[int, li
     (Haynsworth).  m_E rises from -inf at beta and gap left ends to +inf at
     alpha and gap right ends: a gap holds one more than J's (n-1)-corner.
     """
-    sizes = sorted({int(n) for n in sizes})
+    sizes = sorted({_integer(n, "head size") for n in sizes})
     if not sizes or sizes[0] < 1 or sizes[-1] > len(J.a):
         raise ValidationError(f"head sizes {sizes} must lie in 1..{len(J.a)}, J's couplings")
     s, a, b = model.set, J.a[: sizes[-1]], J.b[: sizes[-1]]
@@ -664,6 +668,8 @@ def m_function(J: JacobiCoeffs, x: complex) -> complex:
     the matrix has poles.
     """
     xc = complex(x)
+    if cmath.isnan(xc):
+        raise ValidationError("cannot evaluate the m-function at NaN")
     lo, hi = _gershgorin(J, len(J))  # an empty J is a ValidationError here
     if xc.imag == 0.0 and lo <= xc.real <= hi:
         raise ValidationError("real evaluation points must lie beyond the spectral-radius bound")

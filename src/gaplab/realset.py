@@ -103,7 +103,7 @@ def fat_cantor(level: int) -> GapSet:
     from the middle of each of the 2^(k-1) bands left by stage k-1.  All
     endpoints are dyadic rationals, so float arithmetic below is exact.
     """
-    if level < 0:
+    if _integer(level, "level") < 0:
         raise ValidationError("level must be >= 0")
     if level > 16:
         raise ValidationError(f"level {level} exceeds the supported maximum of 16")
@@ -119,6 +119,14 @@ def fat_cantor(level: int) -> GapSet:
             new_bands.append((mid + half, b))
         bands = new_bands
     return make_gapset(0.0, 1.0, gaps)
+
+
+def _integer(n, what: str) -> int:
+    """n as an int where it is an integer, numpy's too; anything else, a bool included,
+    is a ValidationError: the one type check of every size, level and count."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {n!r}")
+    return int(n)
 
 
 def lebesgue_measure(s: GapSet) -> float:

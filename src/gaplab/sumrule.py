@@ -36,6 +36,7 @@ from .jacobi import (
     strip,
 )
 from .potential import EquilibriumQuadrature, GreenModel, equilibrium_quadrature, pw_sum
+from .realset import _integer
 
 NEG_INF = float("-inf")
 
@@ -226,7 +227,7 @@ def _stripped_densities(mu: MeasureModel, J: JacobiCoeffs, n: int):
 
 def n_step_sum_rule(J: JacobiCoeffs, mu: MeasureModel, n: int) -> SumRuleReport:
     """Residual of the n-step sum rule for mu and its Jacobi matrix J."""
-    if n < 1 or n > len(J):
+    if not 1 <= _integer(n, "step count") <= len(J):
         raise ValidationError(f"step count {n} out of range for length {len(J)}")
     model, quad = mu.model, mu.quad
     lhs = float(np.sum(np.log(J.a[:n]))) - n * math.log(model.capacity)
@@ -266,7 +267,7 @@ def step_sum_rule(J: JacobiCoeffs, mu: MeasureModel) -> SumRuleReport:
 
 def szego_product(J: JacobiCoeffs, capacity: float, n_max: int) -> np.ndarray:
     """u_n = a_1...a_n / cap^n for n = 1..n_max, accumulated in log space."""
-    if n_max < 1 or n_max > len(J):
+    if not 1 <= _integer(n_max, "n_max") <= len(J):
         raise ValidationError(f"n_max {n_max} out of range for length {len(J)}")
     logs = np.cumsum(np.log(J.a[:n_max])) - np.arange(1, n_max + 1) * math.log(capacity)
     return np.exp(logs)
@@ -319,7 +320,7 @@ def eigenvalue_bound_check(
     while the outside part is reported separately in outside_sum (see
     README for a concrete strong-junction example).
     """
-    sizes = sorted(int(x) for x in sizes)
+    sizes = sorted(_integer(x, "size") for x in sizes)
     if not sizes or sizes[0] < 1:
         raise ValidationError("sizes must be positive integers")
     eval_size = _eval_size(J, sizes[-1])

@@ -472,6 +472,20 @@ def test_solve_diagnostics_in_json_meta(tmp_path):
     assert b"residual" not in csv
 
 
+def test_sumrule_quad_order_sets_the_floor_and_the_measure(tmp_path):
+    # one --quad-order serves the solve's gap floor and the measure's band rule
+    spec = '{"alpha": -2, "beta": 2, "gaps": [[-1, 1]]}'
+    code, data = run_cli(["--command", "sumrule", "--set", spec, "--quad-order", "240",
+                          "--format", "json"], tmp_path)
+    assert code == 0
+    model = G.solve_green(G.make_gapset(-2, 2, [(-1, 1)]), 240)
+    mu = G.make_measure(model, quad_order=240)
+    report = G.n_step_sum_rule(G.coefficients_from_measure(mu, max(4, 120) + 2 * 60), mu, 1)
+    out = json.loads(data)
+    assert out["rows"] == [[getattr(report, name) for name in out["columns"]]]
+    assert out["meta"]["quad_order"] == report.quad_order == 240
+
+
 def test_theorem_builds_the_model_rule_once(monkeypatch):
     # the measure, its Lanczos rule and the entropies share the model's band
     # rule: one build at its order, whatever other orders they add

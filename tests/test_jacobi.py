@@ -446,6 +446,49 @@ def test_truncation_size_beyond_length_is_validation_error(model_m22, j_free):
         G.stable_gap_eigenvalues(j_free, model_m22, len(j_free) // 2 + 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda J, model: G.fat_cantor(2.5),
+    lambda J, model: G.sturm_count(J, 2.5, [0.0]),
+    lambda J, model: G.gap_eigenvalues(J, model, 2.5),
+    lambda J, model: G.stable_gap_eigenvalues(J, model, 2.5),
+    lambda J, model: G.interlacing_profile(J, model, 2.5),
+    lambda J, model: G.truncation_eigenvalues(J, 2.5),
+    lambda J, model: G.strip(J, 1.5),
+    lambda J, model: G.szego_product(J, 1.0, 2.5),
+    lambda J, model: G.glued_eigenvalues(J, model, [2.5]),
+    lambda J, model: G.fat_cantor(True),
+], ids=["fat_cantor", "sturm_count", "gap_eigenvalues", "stable_gap_eigenvalues",
+        "interlacing_profile", "truncation_eigenvalues", "strip", "szego_product",
+        "glued_head", "fat_cantor_bool"])
+def test_non_integer_sizes_are_validation_errors(model_pm12, j_free, call):
+    # one type check serves every size, level and count, where a float was a
+    # raw TypeError or, for a glued head, silently truncated
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(j_free, model_pm12)
+
+
+def test_numpy_integer_sizes_pass(model_pm12, j_free):
+    three, ten = np.int64(3), np.int64(10)
+    assert G.fat_cantor(three) == G.fat_cantor(3)
+    assert G.sturm_count(j_free, ten, [0.1]).tolist() == G.sturm_count(j_free, 10, [0.1]).tolist()
+    assert np.array_equal(G.strip(j_free, three).a, G.strip(j_free, 3).a)
+    assert np.array_equal(G.szego_product(j_free, 1.0, ten), G.szego_product(j_free, 1.0, 10))
+    assert G.glued_eigenvalues(j_free, model_pm12, [three]) == G.glued_eigenvalues(j_free, model_pm12, [3])
+
+
+def test_nan_points_are_validation_errors(j_free):
+    # a NaN point was nan+nanj with a RuntimeWarning, or a count of 0
+    with pytest.raises(ValidationError, match="NaN"):
+        G.m_function(j_free, math.nan)
+    with pytest.raises(ValidationError, match="NaN"):
+        G.m_function(j_free, complex(0.0, math.nan))
+    with pytest.raises(ValidationError, match="NaN"):
+        G.sturm_count(j_free, 10, [0.1, math.nan])
+    # the infinities keep their limits: m -> 0, counts 0 and N
+    assert G.m_function(j_free, math.inf) == 0 and G.m_function(j_free, -math.inf) == 0
+    assert G.sturm_count(j_free, 10, [-math.inf, 0.1, math.inf]).tolist() == [0, 5, 10]
+
+
 def test_eigenvalue_green_sum_validation(model_m22):
     assert G.eigenvalue_green_sum([], model_m22) == 0.0
     assert G.eigenvalue_green_sum([2.9, -2.9], model_m22) == pytest.approx(

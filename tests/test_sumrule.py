@@ -639,3 +639,36 @@ def test_eval_size_matches_clamped_policy():
         with pytest.raises(ValidationError, match="too short"):
             _eval_size(short, used)
     assert _eval_size(short, 20) == 2
+
+
+@pytest.fixture
+def band_rule_orders(monkeypatch):
+    """The orders of the band rules built while the test runs."""
+    orders, band_rule = [], G.potential._band_rule
+
+    def spy(s, roots, order):
+        orders.append(order)
+        return band_rule(s, roots, order)
+
+    monkeypatch.setattr(G.potential, "_band_rule", spy)
+    return orders
+
+
+def test_sum_rules_share_each_band_rule(band_rule_orders):
+    # the measure's rule, its Lanczos rule and the entropy's doubled rule are
+    # each built once, however many entropy readers follow
+    model = G.solve_green(G.make_gapset(-2, 2, [(-1, 1)]))
+    mu = G.make_measure(model, G.WeightSpec("poly", {"coef": [1, 0, 0.3]}), quad_order=800)
+    J = G.coefficients_from_measure(mu, 400)
+    G.n_step_sum_rule(J, mu, 2)
+    G.szego_integral(mu)
+    G.step_sum_rule(J, mu)
+    G.theorem_upper_bound(J, mu, 100)
+    assert sorted(band_rule_orders) == [800, 801, 1600]
+    assert G.equilibrium_quadrature(model, 800) is mu.quad and len(band_rule_orders) == 3
+
+
+def test_relative_entropy_builds_its_ladder_once(band_rule_orders):
+    mu = G.make_measure(G.solve_green(G.fat_cantor(8)))
+    values = {G.relative_entropy(mu) for _ in range(3)}
+    assert band_rule_orders == [80, 160] and len(values) == 1
