@@ -67,13 +67,10 @@ def parse_set_spec(spec) -> GapSet:
     return make_gapset(obj["alpha"], obj["beta"], obj.get("gaps", []))
 
 
-NAMED_MEASURES = {"equilibrium": {}, "lebesgue": {"mode": "absolute"}}  # a unit factor each
-
-
 def parse_measure_spec(spec, model, quad_order: int | None):
     """A measure on model, its band rule of order quad_order (None: make_measure's default)."""
-    named = isinstance(spec, str) and spec in NAMED_MEASURES
-    obj = NAMED_MEASURES[spec] if named else _decode_spec(spec, "measure")
+    named = {"equilibrium": {}, "lebesgue": {"mode": "absolute"}}  # a unit factor each
+    obj = named[spec] if isinstance(spec, str) and spec in named else _decode_spec(spec, "measure")
     if not isinstance(obj, dict):
         raise ValidationError(f"measure spec must be a JSON object, got {obj!r}")
     try:

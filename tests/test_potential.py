@@ -1377,3 +1377,78 @@ def test_level_10_solves_past_its_band_rule():
         assert cli.main(argv) == 0
     with pytest.raises(NumericalError, match="equilibrium weights sum"):
         G.make_measure(model)
+
+
+# Periodic Jacobi parameters a_1..a_p > 0, b_1..b_p have the discriminant
+# Delta = tr(A_p ... A_1), A_n = [[x - b_n, -1], [a_n^2, 0]]/a_n, a degree-p
+# polynomial with leading coefficient 1/(a_1...a_p), and E = Delta^-1([-2, 2])
+# has p bands, edged by the roots of Delta -/+ 2.  Exactly: cap = (a_1...a_p)^(1/p),
+# g = arccosh(|Delta|/2)/p off E, the critical points are the zeros of Delta' in
+# the gaps, and f_E = |Delta'|/(p pi sqrt(4 - Delta^2)) (Simon, Szego's Theorem
+# and Its Descendants, ch. 5).  The bounds are within 10x of the battery's worst
+# reads, recorded in CHANGES.md.
+PERIODIC_SEEDS = 20  # sets per period p
+
+
+def _discriminant(a, b, x):
+    """Delta(x) and Delta'(x) from the transfer matrices, vectorized over x."""
+    x = np.asarray(x, dtype=float)
+    m, dm = np.broadcast_to(np.eye(2), x.shape + (2, 2)).copy(), np.zeros(x.shape + (2, 2))
+    for an, bn in zip(a, b):
+        step, d_step = np.zeros_like(m), np.zeros_like(m)
+        step[..., 0, 0], step[..., 0, 1], step[..., 1, 0] = (x - bn) / an, -1.0 / an, an
+        d_step[..., 0, 0] = 1.0 / an
+        m, dm = step @ m, step @ dm + d_step @ m
+    return np.trace(m, axis1=-2, axis2=-1), np.trace(dm, axis1=-2, axis2=-1)
+
+
+def _periodic_set(p, seed):
+    """(a, b, E, critical points) for seeded a_n in [0.5, 1.5], b_n in [-1, 1]: the edges are
+    numpy's roots of Delta -/+ 2, Newton-polished on the transfer matrices, and each critical
+    point is bisected on the sign of Delta' across its gap."""
+    rng = np.random.default_rng([p, seed])
+    a, b = rng.uniform(0.5, 1.5, p), rng.uniform(-1.0, 1.0, p)
+    poly = np.polynomial.Polynomial([1.0])
+    t = [[poly, 0 * poly], [0 * poly, poly]]
+    for an, bn in zip(a, b):
+        x_b = np.polynomial.Polynomial([-bn, 1.0])
+        t = [[(x_b * t[0][j] - t[1][j]) / an, an * t[0][j]] for j in range(2)]
+        t = [[t[0][0], t[1][0]], [t[0][1], t[1][1]]]
+    delta = t[0][0] + t[1][1]
+    edges = []
+    for level in (2.0, -2.0):
+        r = np.sort((delta - level).roots().real)
+        for _ in range(4):
+            d, dd = _discriminant(a, b, r)
+            r = r - (d - level) / dd
+        edges.append(r)
+    e = np.sort(np.concatenate(edges))
+    lo, hi = e[1:-1:2], e[2:-1:2]
+    side = np.sign(_discriminant(a, b, lo)[1])
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        left = np.sign(_discriminant(a, b, mid)[1]) == side
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return a, b, G.make_gapset(e[0], e[-1], list(zip(e[1:-1:2], e[2:-1:2]))), 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_periodic_set_oracles(p):
+    # capacity, pw_sum, g in the gaps and on the rays, the critical points and
+    # f_E at five points of every band, at the default settings
+    for seed in range(PERIODIC_SEEDS):
+        a, b, s, crit = _periodic_set(p, seed)
+        model = G.solve_green(s)
+        assert len(s.gaps) == p - 1
+        assert abs(model.capacity / float(np.prod(a)) ** (1 / p) - 1) <= 5e-14, seed
+        pw = float(np.sum(np.arccosh(np.abs(_discriminant(a, b, crit)[0]) / 2))) / p
+        assert abs(G.pw_sum(model) - pw) <= 5e-14, seed
+        x = np.r_[(s.edges[1:-1:2] + s.edges[2:-1:2]) / 2, s.alpha - s.diameter / 2, s.beta + 2 * s.diameter]
+        g = np.arccosh(np.abs(_discriminant(a, b, x)[0]) / 2) / p
+        assert np.max(np.abs(G.green_value(model, x) - g)) <= 5e-14, seed
+        assert np.max(np.abs(model.critical_points - crit), initial=0.0) <= 5e-15 * s.diameter, seed
+        t = np.concatenate([lo + (hi - lo) * np.array([0.05, 0.3, 0.5, 0.7, 0.95]) for lo, hi in s.bands])
+        d, dd = _discriminant(a, b, t)
+        f_e = np.abs(dd) / (p * math.pi * np.sqrt((2 - d) * (2 + d)))
+        got = np.array([G.equilibrium_density(model, x) for x in t.tolist()])
+        assert np.max(np.abs(got / f_e - 1)) <= 5e-12, seed

@@ -2,6 +2,7 @@
 CLI change cannot leave them stale."""
 
 import ast
+import dataclasses
 import inspect
 import pathlib
 import re
@@ -192,6 +193,15 @@ def test_kernel_called_by_the_pass_sampler_and_the_band_rule():
     # functions' own)
     assert _enclosing_functions("_log_sums(") == ["_assemble", "_band_rule", "_log_sums", "_pass_samples"]
     assert _enclosing_functions("_band_rule(") == ["_band_rule", "equilibrium_quadrature"]
+
+
+def test_the_measure_owns_its_band_rule():
+    # the model keeps no order and no privileged rule: make_measure picks the
+    # order, and equilibrium_quadrature builds and keeps each order's rule
+    assert _enclosing_functions("_default_order(") == ["_default_order", "make_measure"]
+    names = {f.name for f in dataclasses.fields(gaplab.GreenModel)}
+    assert "quad_order" not in names and "quad" not in names
+    assert not hasattr(gaplab.GreenModel, "quad")
 
 
 def test_period_correction_reached_only_from_the_solve():
