@@ -65,7 +65,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .realset import GapSet, edge_slots, locate, make_gapset
+from .realset import GapSet, _integer, edge_slots, locate, make_gapset
 
 GAP_ORDER_FLOOR = 32  # smallest per-gap order; also the smallest quad_order and band rule
 _GAP_ORDER_CAP = 1024  # largest default per-gap table order; a gap series may take twice it
@@ -440,7 +440,7 @@ def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
     as on sets that span most of the float range, is a NumericalError, never
     an inf or nan.
     """
-    floor = 0 if quad_order is None else int(quad_order)
+    floor = 0 if quad_order is None else _integer(quad_order, "quad_order")
     if quad_order is not None and floor < GAP_ORDER_FLOOR:
         raise ValidationError(f"quad_order must be at least {GAP_ORDER_FLOOR}")
     try:
@@ -786,7 +786,7 @@ def _m_e(model: GreenModel, x: np.ndarray) -> np.ndarray:
 
 def equilibrium_quadrature(model: GreenModel, order: int) -> EquilibriumQuadrature:
     """Per-band rule for dmu_E at the given order, mass-gated; built once per model and order."""
-    if order < GAP_ORDER_FLOOR:
+    if _integer(order, "quadrature order") < GAP_ORDER_FLOOR:
         raise ValidationError(f"quadrature order must be at least {GAP_ORDER_FLOOR}")
     if order not in model._rules:
         model._rules[order] = _band_rule(model.set, model.critical_points, order)

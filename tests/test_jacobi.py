@@ -457,12 +457,17 @@ def test_truncation_size_beyond_length_is_validation_error(model_m22, j_free):
     lambda J, model: G.szego_product(J, 1.0, 2.5),
     lambda J, model: G.glued_eigenvalues(J, model, [2.5]),
     lambda J, model: G.fat_cantor(True),
+    lambda J, model: G.solve_green(model.set, 40.7),
+    lambda J, model: G.equilibrium_quadrature(model, 40.7),
+    lambda J, model: G.make_measure(model, quad_order=40.7),
+    lambda J, model: G.coefficients_from_measure(G.make_measure(model), 5, quad_order=99.9),
 ], ids=["fat_cantor", "sturm_count", "gap_eigenvalues", "stable_gap_eigenvalues",
         "interlacing_profile", "truncation_eigenvalues", "strip", "szego_product",
-        "glued_head", "fat_cantor_bool"])
+        "glued_head", "fat_cantor_bool", "solve_order", "band_rule_order", "measure_order",
+        "lanczos_order"])
 def test_non_integer_sizes_are_validation_errors(model_pm12, j_free, call):
-    # one type check serves every size, level and count, where a float was a
-    # raw TypeError or, for a glued head, silently truncated
+    # one type check serves every size, level, count and order, where a float
+    # was a raw TypeError or, for a glued head and the orders, silently truncated
     with pytest.raises(ValidationError, match="must be an integer"):
         call(j_free, model_pm12)
 
