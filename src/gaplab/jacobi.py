@@ -229,7 +229,7 @@ def make_measure(
         if x in seen:
             raise ValidationError(f"duplicate point mass location {x}")
         seen.add(x)
-    order = _default_order(len(model.set.gaps)) if quad_order is None else _integer(quad_order, "quad_order")
+    order = _default_order(len(model.set.gaps)) if quad_order is None else quad_order
     quad = equilibrium_quadrature(model, order)
     ac_weights = _ac_rule(model, weight, mode, quad)
     if not all(np.all(w >= 0) and np.all(np.isfinite(w)) for w in ac_weights):
@@ -307,7 +307,7 @@ def coefficients_from_measure(
     """
     if _integer(n, "n") < 1:
         raise ValidationError("n must be at least 1")
-    order = max(2 * n + 1, mu.quad.order) if quad_order is None else _integer(quad_order, "quad_order")
+    order = max(2 * n + 1, mu.quad.order) if quad_order is None else quad_order
     t, w = _discretize(mu, order)
     if len(t) < n + 1:
         raise ValidationError(

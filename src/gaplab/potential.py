@@ -786,7 +786,7 @@ def _m_e(model: GreenModel, x: np.ndarray) -> np.ndarray:
 
 def equilibrium_quadrature(model: GreenModel, order: int) -> EquilibriumQuadrature:
     """Per-band rule for dmu_E at the given order, mass-gated; built once per model and order."""
-    if _integer(order, "quadrature order") < GAP_ORDER_FLOOR:
+    if (order := _integer(order, "quadrature order")) < GAP_ORDER_FLOOR:
         raise ValidationError(f"quadrature order must be at least {GAP_ORDER_FLOOR}")
     if order not in model._rules:
         model._rules[order] = _band_rule(model.set, model.critical_points, order)
