@@ -1408,13 +1408,11 @@ def _periodic_set(p, seed):
     point is bisected on the sign of Delta' across its gap."""
     rng = np.random.default_rng([p, seed])
     a, b = rng.uniform(0.5, 1.5, p), rng.uniform(-1.0, 1.0, p)
-    poly = np.polynomial.Polynomial([1.0])
-    t = [[poly, 0 * poly], [0 * poly, poly]]
+    x = np.polynomial.Polynomial([0.0, 1.0])
+    m = [[x**0, 0 * x], [0 * x, x**0]]
     for an, bn in zip(a, b):
-        x_b = np.polynomial.Polynomial([-bn, 1.0])
-        t = [[(x_b * t[0][j] - t[1][j]) / an, an * t[0][j]] for j in range(2)]
-        t = [[t[0][0], t[1][0]], [t[0][1], t[1][1]]]
-    delta = t[0][0] + t[1][1]
+        m = [[((x - bn) * m[0][j] - m[1][j]) / an for j in range(2)], [an * m[0][j] for j in range(2)]]
+    delta = m[0][0] + m[1][1]
     edges = []
     for level in (2.0, -2.0):
         r = np.sort((delta - level).roots().real)
