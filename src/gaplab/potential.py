@@ -30,9 +30,9 @@ Every weight, density and Green integral is g' itself with the edge
 factors its substitution cancels left out, from log-sums: the root and
 edge log-sums meet in a single exp, so the quotient stays in range where
 either product alone over- or underflows.  The period weights are never
-summed alone: a pass sums the edges with the anchors.  At the nodes of
-interval families (the period passes, the few gap series that need more
-points than their pass, and the band rule) the sums are _log_sums's, a
+summed alone: a pass sums the edges with the anchors, and every direct
+sum adds its sources in sorted order.  At the nodes of interval families
+(the period passes and the band rule) the sums are _log_sums's, a
 one-level fast-multipole split (Greengard and Rokhlin, J. Comput. Phys.
 73, 1987): sources within _FAR half-lengths summed directly, the rest as
 a power series in (t - c)/r from their scaled moments, whose period-row
@@ -42,14 +42,15 @@ Singular integrals are tamed by the cosine substitution t = c +
 r*cos(theta), which cancels the inverse-square-root edge factors exactly,
 and on the unbounded components by t = e +/- diam s^2/(1 - s^2), s =
 sin^2(theta/2), out to infinity.  A gap integrand is then analytic out
-to the nearest foreign edge, so each gap's period table gets the order
-that edge's Bernstein ellipse needs for 1e-15 (at least 32; an explicit
-quad_order raises the orders below it and lowers none).  g on each
-component of R minus E is the termwise integral of one cosine series (a
-gap, or an outer ray sized by the edge one outer band inside) at its
-interpolant's rho^(-n) order; the right-hand ray's whole integral is the
-Robin constant, so no solve builds a band rule: equilibrium_quadrature
-builds one per order a measure asks for, gated, and keeps it.
+to the nearest foreign edge, so each gap gets the order its interpolant
+needs for 1e-15 in that edge's Bernstein ellipse, rho^(-n) (32 to 2,048;
+an explicit quad_order raises the orders below it and lowers none), and
+every period pass samples it there.  g on each component of R minus E is
+the termwise integral of one cosine series (a gap, from the confirming
+pass's samples, or an outer ray sized by the edge one outer band inside);
+the right-hand ray's whole integral is the Robin constant, so no solve
+builds a band rule: equilibrium_quadrature builds one per order a
+measure asks for, gated, and keeps it.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .errors import NumericalError, ValidationError
 from .realset import GapSet, _integer, edge_slots, locate, make_gapset
 
 GAP_ORDER_FLOOR = 32  # smallest per-gap order; also the smallest quad_order and band rule
-_GAP_ORDER_CAP = 1024  # largest default per-gap table order; a gap series may take twice it
+_GAP_ORDER_CAP = 2048  # largest default order of a gap's tables and series, and of a ray series
 _GAP_RULE_TARGET = 1e-15  # error the per-gap orders are sized for
 _SOLVE_PASSES = 6  # cap on period-solve sampling passes
 _ROOT_SWEEPS = 100  # cap on Newton/bisection sweeps per pass
@@ -84,51 +85,54 @@ TOLERANCES = {
 }
 
 
-def _gap_orders(s: GapSet, power: int = 2) -> tuple[int, ...]:
-    """Cosine-point count per gap: for the period tables' integrals
-    (power 2) or the gap series' interpolants (power 1).
+def _gap_orders(s: GapSet) -> tuple[int, ...]:
+    """Cosine-point count per gap, for its period tables and its series alike.
 
     Under t = c + r cos(theta) the gap's own edges cancel and P is a
     polynomial, so the integrand is analytic inside the Bernstein ellipse
     through the nearest foreign edge, at distance D (the shorter adjacent
-    band): rho = a + sqrt(a^2 - 1), a = 1 + D/r.  A rule's error falls like
-    rho^(-2n) and an interpolant's like rho^(-n), so n = ceil(ln(1/target) /
-    (power ln rho)), within [GAP_ORDER_FLOOR, 2 _GAP_ORDER_CAP / power].
+    band): rho = a + sqrt(a^2 - 1), a = 1 + D/r.  The series' interpolant
+    errs like rho^(-n) and the tables' rule like rho^(-2n), so n =
+    ceil(ln(1/target)/ln rho), within [GAP_ORDER_FLOOR, _GAP_ORDER_CAP].
     The band order is no bound: a wide gap beside a band ~1e-4 its size
-    needs ~600 nodes, where 200 leave a period residual of 2e-6 that no
+    needs ~1,700 nodes, where 200 leave a period residual of 2e-6 that no
     gate sees.
     """
     lengths = np.diff(s.edges)
     r = 0.5 * lengths[1::2]
     u = np.minimum(lengths[0:-1:2], lengths[2::2]) / r  # a - 1
-    return tuple(int(k) for k in _ellipse_orders(np.log1p(u + np.sqrt(u * (u + 2.0))), power))
+    return tuple(int(k) for k in _ellipse_orders(np.log1p(u + np.sqrt(u * (u + 2.0)))))
 
 
-def _ellipse_orders(log_rho, power: int = 2):
-    """Orders n with rho^(-power n) <= _GAP_RULE_TARGET inside Bernstein
-    ellipses of radius exp(log_rho), within [GAP_ORDER_FLOOR, 2 _GAP_ORDER_CAP / power]."""
-    n = np.ceil(-math.log(_GAP_RULE_TARGET) / (power * log_rho))
-    return np.minimum(np.maximum(n, GAP_ORDER_FLOOR), 2 * _GAP_ORDER_CAP // power).astype(int)
+def _ellipse_orders(log_rho):
+    """Orders n with rho^(-n) <= _GAP_RULE_TARGET inside Bernstein ellipses
+    of radius exp(log_rho), within [GAP_ORDER_FLOOR, _GAP_ORDER_CAP]."""
+    n = np.ceil(-math.log(_GAP_RULE_TARGET) / log_rho)
+    return np.minimum(np.maximum(n, GAP_ORDER_FLOOR), _GAP_ORDER_CAP).astype(int)
 
 
 def _log_g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = (), signed: bool = True):
     """sign (None unless signed) and log|g'(t)| with the edge factors in skip left out.
 
     log|g'| = sum_j log|t - c_j| - 1/2 sum_{k not in skip} log|t - e_k|,
-    vectorized over t; -inf at a root.  With no edges this is P.
+    vectorized over t, its sources added in sorted order by 1 and -1/2 as
+    _near_sums adds them, so each root's log meets its gap's edges' first.
+    -inf at a root; an edge on a node sums to +inf, as no root lies on an
+    edge, and is an error.  With no edges this is P.
     """
-    t = np.asarray(t, dtype=float)
-    d = t[:, None] - np.asarray(roots, dtype=float)
+    t, roots = np.asarray(t, dtype=float), np.asarray(roots, dtype=float)
+    src = np.concatenate([roots, np.delete(np.asarray(edges, dtype=float), list(skip))])
+    perm = np.argsort(src, kind="stable")
+    d = np.abs(t[:, None] - src[perm])
     with np.errstate(divide="ignore"):
-        logmag = np.log(np.abs(d)).sum(axis=1)
-    if len(edges):
-        keep = np.ones(len(edges), dtype=bool)
-        keep[list(skip)] = False
-        diffs = np.abs(t[:, None] - edges[keep])
-        if (diffs == 0.0).any():
-            raise NumericalError("quadrature node collided with a band edge")
-        logmag = logmag - 0.5 * np.log(diffs).sum(axis=1)
-    return (np.sign(d).prod(axis=1) if signed else None), logmag
+        np.log(d, out=d)
+    logmag = np.sum(np.multiply(d, np.where(perm < len(roots), 1.0, -0.5), out=d), axis=1)  # exact
+    if np.isposinf(logmag).any():
+        raise NumericalError("quadrature node collided with a band edge")
+    if not signed:
+        return None, logmag
+    right = len(roots) - np.searchsorted(np.sort(roots), t, side="right")  # roots right of t
+    return np.where(right % 2, -1.0, 1.0), logmag
 
 
 def _near_sums(x: np.ndarray, src: np.ndarray, coef: np.ndarray, start, stop, own) -> np.ndarray:
@@ -337,7 +341,7 @@ def _ray_samples(s: GapSet, roots, side: int) -> np.ndarray:
     """
     k = len(s.edges) - 1 if side else 0
     z = complex(1.0, 2.0 * math.sqrt(abs(s.edges[k] - s.edges[k - 1 if side else 1]) / s.diameter))
-    n = int(_ellipse_orders(math.log(abs(z + cmath.sqrt(z * z - 1.0))), 1))  # |z + w| >= |z - w| here
+    n = int(_ellipse_orders(math.log(abs(z + cmath.sqrt(z * z - 1.0)))))  # |z + w| >= |z - w| here
     half = (np.arange(n) + 0.5) * (0.5 * np.pi / n)
     s1 = np.sin(half) ** 2
     one_minus = np.cos(half) ** 2 * (1.0 + s1)  # 1 - s^2
@@ -379,11 +383,11 @@ class GreenModel:
 
     The numerator polynomial is monic with one root per gap; those roots
     are the critical points, so critical_points doubles as the polynomial
-    representation.  The gap series' samples are taken in the solve: the
-    confirming period pass's samples at the roots, and one more call for
-    the gaps whose series needs more points.  period_residuals samples the
-    roots again; the gap and ray series, and the mass-gated band rule of
-    each order a measure asks for, are built on first use.
+    representation.  Each gap has one order, its series', at which every
+    period pass samples it, so the gap series keep the confirming pass's
+    samples at the roots.  period_residuals samples the roots again; the
+    gap and ray series, and the mass-gated band rule of each order a
+    measure asks for, are built on first use.
     """
 
     set: GapSet
@@ -391,7 +395,7 @@ class GreenModel:
     critical_points: np.ndarray
     robin: float
     capacity: float
-    gap_orders: tuple[int, ...]  # per-gap order of the period tables, a floor on the series'
+    gap_orders: tuple[int, ...]  # per-gap order of the period tables and the gap series
     solve_passes: int  # period-solve sampling passes run (0: roots given)
     root_move: float  # the last pass's largest diagonal step; above 1e-14 * diam the cap or floor hit
     period_residual: float  # largest |period residual|, what the period gate read
@@ -411,16 +415,15 @@ class GreenModel:
 
         the integral from 0 to theta of _dct's interpolant sum_m a_m cos(m theta)
         of f = +-|g'| r sin(theta) (+ right of c_j) at the cosine points of
-        t = c + r cos(theta).  f is analytic, so n is the interpolant's
-        ellipse order, _gap_orders(s, 1), and at least gap_orders[j].  The
-        samples are gap_samples, taken in the solve.  The nodes are rounded,
-        up to ~1e-11 off their angles in a level-9 gap, so one step along the
-        series' own derivative, _idct of m a_m, moves the samples onto the
-        angles before _dct is redone.
+        t = c + r cos(theta).  f is analytic, so n = gap_orders[j], at least
+        the interpolant's ellipse order; the samples are gap_samples, taken in
+        the solve.  The nodes are rounded, up to ~1e-11 off their angles in a
+        level-9 gap, so one step along the series' own derivative, _idct of
+        m a_m, moves the samples onto the angles before _dct is redone.
         """
         lo, hi, f = self.edges[1:-1:2], self.edges[2:-1:2], self.gap_samples
         c, r = (lo + hi) / 2, (hi - lo) / 2
-        orders = np.maximum(self.gap_orders, _gap_orders(self.set, 1))
+        orders = np.asarray(self.gap_orders)
         first, rows, coefs = np.cumsum(orders) - orders, np.empty_like(orders), {}
         for n in sorted(set(orders.tolist())):
             ids, m = np.flatnonzero(orders == n), np.arange(n)
@@ -435,8 +438,8 @@ class GreenModel:
 def solve_green(s: GapSet, quad_order: int | None = None) -> GreenModel:
     """Solve the period conditions and assemble all derived quantities.
 
-    An explicit quad_order is a floor on the gap tables' orders, the only way
-    past _GAP_ORDER_CAP.  A float overflow or invalid operation in the solve,
+    An explicit quad_order is a floor on the gap orders, the only way past
+    _GAP_ORDER_CAP.  A float overflow or invalid operation in the solve,
     as on sets that span most of the float range, is a NumericalError, never
     an inf or nan.
     """
@@ -639,11 +642,9 @@ def _band_rule(s: GapSet, roots, order: int) -> EquilibriumQuadrature:
 
 def _assemble(s, roots, gap_orders, passes, moved, samples) -> GreenModel:
     """The gated model: the period gate on a pass's samples at the roots (the
-    solve's confirming pass, or for a load a pass at the given roots), a
-    _log_sums call for the gaps whose series outgrow their table, if any, own
-    edges skipped, and the right-hand ray, whose int Phi is robin's."""
+    solve's confirming pass, or for a load a pass at the given roots), which
+    the gap series keep, and the right-hand ray, whose int Phi is robin's."""
     residual, f = 0.0, np.empty(0)
-    series = np.maximum(gap_orders, _gap_orders(s, 1)).astype(int)
     if len(roots):
         residuals, f = _residuals_and_samples(roots, gap_orders, *samples)
         residual = float(np.max(np.abs(residuals)))
@@ -651,13 +652,6 @@ def _assemble(s, roots, gap_orders, passes, moved, samples) -> GreenModel:
             raise NumericalError(
                 f"period residual {residual!r} exceeds {TOLERANCES['period_residual']!r}"
             )
-    more = series > np.asarray(gap_orders, dtype=int)
-    gap_samples = np.empty(int(np.sum(series)))
-    gap_samples[np.repeat(~more, series)] = f[np.repeat(~more, gap_orders)]
-    if more.any():
-        own = 2 * np.flatnonzero(more)[:, None] + np.array([1, 2])  # those gaps' edges
-        t, log_g = _log_sums(*s.edges[own].T, series[more], roots, s.edges, len(roots) + own)
-        gap_samples[np.repeat(more, series)] = np.sign(t - roots[more].repeat(series[more])) * np.exp(log_g)
     phi = _ray_samples(s, roots, 1)
     whole = float(_fejer(len(phi)) @ phi)  # g(x) - log1p(y) at infinity
     model = GreenModel(
@@ -670,7 +664,7 @@ def _assemble(s, roots, gap_orders, passes, moved, samples) -> GreenModel:
         solve_passes=passes,
         root_move=moved,
         period_residual=residual,
-        gap_samples=gap_samples,
+        gap_samples=f,
     )
     model._rays[1] = _ray_series(s, roots, 1, phi)
     return model
@@ -757,7 +751,7 @@ def gap_derivative_l1(model: GreenModel, j: int) -> float:
     |A(theta_c) - a_0 pi| from c_j to the left edge, so it differs from
     2 g(c_j) by the period residual at the series' order.
     """
-    if not 0 <= j < len(model.set.gaps):
+    if not 0 <= (j := _integer(j, "gap index")) < len(model.set.gaps):
         raise ValidationError(f"gap index {j} out of range")
     at, whole = _gap_integrals(model, np.array([j]), model.critical_points[j:j + 1])
     return float(at[0] + abs(at[0] - whole[0]))
@@ -820,11 +814,11 @@ def model_from_json(text: str) -> GreenModel:
         passes, moved = int(obj["solve_passes"]), float(obj["root_move"])
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValidationError(f"malformed GreenModel JSON: {exc!r}") from exc
-    # what solve_green writes: one root in each gap (a NaN fails) and orders >= the floor
+    # what solve_green writes: one root in each gap (a NaN fails) and the series' orders or more
     lo, hi = np.reshape(s.gaps, (-1, 2)).T
     shaped = roots.shape == lo.shape and len(gap_orders) == len(lo)
     if not (shaped and np.all((lo <= roots) & (roots <= hi))
-            and all(n >= GAP_ORDER_FLOOR for n in gap_orders)):
+            and all(n >= m for n, m in zip(gap_orders, _gap_orders(s)))):
         raise ValidationError("malformed GreenModel JSON: need one root in and one order per gap, "
-                              f"orders at least {GAP_ORDER_FLOOR}")
+                              "orders at least the gap series'")
     return _assemble(s, roots, gap_orders, passes, moved, _pass_samples(s, roots, gap_orders))

@@ -174,6 +174,8 @@ def homogeneity_margin(s: GapSet, t_samples: int, delta_grid: Sequence[float]) -
     uniformly inside each band.  The result certifies the minimum over the
     sampled grid only; refining the grid can only lower it.
     """
+    if (t_samples := _integer(t_samples, "t_samples")) < 0:
+        raise ValidationError(f"t_samples must be at least 0, got {t_samples}")
     deltas = np.asarray(list(delta_grid), dtype=float)
     if deltas.size == 0:
         raise ValidationError("delta grid must be non-empty")

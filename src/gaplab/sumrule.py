@@ -269,6 +269,8 @@ def szego_product(J: JacobiCoeffs, capacity: float, n_max: int) -> np.ndarray:
     """u_n = a_1...a_n / cap^n for n = 1..n_max, accumulated in log space."""
     if not 1 <= _integer(n_max, "n_max") <= len(J):
         raise ValidationError(f"n_max {n_max} out of range for length {len(J)}")
+    if not 0.0 < capacity < math.inf:  # NaN fails too
+        raise ValidationError(f"capacity must be positive and finite, got {capacity!r}")
     logs = np.cumsum(np.log(J.a[:n_max])) - np.arange(1, n_max + 1) * math.log(capacity)
     return np.exp(logs)
 

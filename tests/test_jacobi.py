@@ -481,6 +481,23 @@ def test_numpy_integer_sizes_pass(model_pm12, j_free):
     assert G.glued_eigenvalues(j_free, model_pm12, [three]) == G.glued_eigenvalues(j_free, model_pm12, [3])
 
 
+@pytest.mark.parametrize("call, match", [
+    *[(lambda J, model, cap=cap: G.szego_product(J, cap, 5), "capacity must be positive")
+      for cap in (0.0, -1.0, math.nan, math.inf, -math.inf)],
+    (lambda J, model: G.homogeneity_margin(model.set, -3, [0.1]), "t_samples must be at least 0"),
+    (lambda J, model: G.homogeneity_margin(model.set, 2.5, [0.1]), "t_samples must be an integer"),
+    (lambda J, model: G.homogeneity_margin(model.set, math.nan, [0.1]), "t_samples must be an integer"),
+    (lambda J, model: G.gap_derivative_l1(model, 0.0), "gap index must be an integer"),
+], ids=["capacity_0", "capacity_-1", "capacity_nan", "capacity_inf", "capacity_-inf",
+        "t_samples_-3", "t_samples_2.5", "t_samples_nan", "gap_index_float"])
+def test_bad_sizes_and_values_are_validation_errors(model_pm12, j_free, call, match):
+    # a capacity of 0, -1 or -inf was a raw ValueError from math.log, NaN
+    # returned NaNs and inf zeros; a float t_samples or gap index was a raw
+    # TypeError, and a negative t_samples read as none
+    with pytest.raises(ValidationError, match=match):
+        call(j_free, model_pm12)
+
+
 def test_nan_points_are_validation_errors(j_free):
     # a NaN point was nan+nanj with a RuntimeWarning, or a count of 0
     with pytest.raises(ValidationError, match="NaN"):

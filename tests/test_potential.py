@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -346,14 +347,28 @@ def test_pw_sum_is_the_per_gap_sum(model_fat8):
 
 @pytest.mark.parametrize("level", [6, 7, 8])
 def test_gap_series_against_long_double(level, model_fat8):
-    # g(c_j) on every gap against the long-double series: worst 8.0e-15 and
-    # mean 2.3e-15 relative at level 8
+    # g(c_j) on every gap against the long-double series: worst 8.3e-15 and
+    # mean 2.2e-15 relative at level 8
     model = model_fat8 if level == 8 else G.solve_green(G.fat_cantor(level))
     got = G.green_value(model, model.critical_points).tolist()
     errors = [float(abs(g - ref) / ref) for g, ref in
               ((got[j], _series_reference(model, j)(c)) for j, c in enumerate(model.critical_points))]
     assert max(errors) <= ARC_REL_ERROR
     assert sum(errors) / len(errors) <= 4e-15
+
+
+@pytest.mark.parametrize("level", [5, 8])
+def test_green_value_near_gap_edges_against_long_double(level, model_fat8):
+    # g at 0.05% and 0.1% of each gap's width from both its edges, on every
+    # gap: the big gaps' samples are direct sums over the sorted roots and
+    # edges, worst 5.3e-15 relative at level 5 and 1.1e-14 at level 8 (2.4e-14
+    # and 5.8e-14 with the roots and edges summed apart)
+    model = model_fat8 if level == 8 else G.solve_green(G.fat_cantor(level))
+    for j, (lo, hi) in enumerate(model.set.gaps):
+        ref = _series_reference(model, j)
+        x = [lo + (hi - lo) * f for f in (5e-4, 1e-3, 1 - 1e-3, 1 - 5e-4)]
+        for xi, g in zip(x, G.green_value(model, np.array(x)).tolist()):
+            assert abs(g - ref(xi)) <= ARC_REL_ERROR * ref(xi), (j, xi)
 
 
 @pytest.mark.parametrize("level", range(4, 9))
@@ -682,6 +697,23 @@ def test_model_json_malformed_is_validation_error(model_pm12, edit):
         G.model_from_json(text)
 
 
+def test_model_json_below_the_series_orders_is_validation_error(model_fat4):
+    # JSON that stores the period tables' older orders, sized for a rule's
+    # rho^(-2n), would build every gap series at about half its order: a load
+    # refuses it, and any one order below its gap's series order
+    obj = json.loads(G.model_to_json(model_fat4))
+    bands, old = model_fat4.set.bands, []
+    for j, (lo, hi) in enumerate(model_fat4.set.gaps):
+        a = 1 + min(bands[j][1] - bands[j][0], bands[j + 1][1] - bands[j + 1][0]) / ((hi - lo) / 2)
+        old.append(max(math.ceil(math.log(1e15) / (2 * math.log(a + math.sqrt(a * a - 1)))), 32))
+    one_short = list(obj["gap_orders"])
+    one_short[7] -= 1
+    assert old != obj["gap_orders"] and one_short[7] >= 32
+    for orders in (old, one_short):
+        with pytest.raises(ValidationError, match="orders at least the gap series'"):
+            G.model_from_json(json.dumps(dict(obj, gap_orders=orders)))
+
+
 @pytest.mark.parametrize("root", [0.5, 0.999])
 def test_model_json_root_off_its_period_condition_is_numerical_error(model_pm12, root):
     # a load reruns the period gate on tables rebuilt from gap_orders, so an
@@ -703,13 +735,13 @@ def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_expl
     # period residual below 1e-15
     s = G.make_gapset(-2, 2, [(-1, 1), (1.0002, 1.5)])
     ref = G.solve_green(s)
-    assert ref.gap_orders == (864, 432)
+    assert ref.gap_orders == (1727, 864)
     for order in (32, 80, 200, 400):
         model = G.solve_green(s, order)
         assert model.gap_orders == ref.gap_orders
         assert abs(model.capacity / ref.capacity - 1) <= 2e-15
         assert G.pw_sum(model) == G.pw_sum(ref)
-    assert G.solve_green(s, 1000).gap_orders == (1000, 1000)
+    assert G.solve_green(s, 1000).gap_orders == (1727, 1000)
     m8 = G.solve_green(G.fat_cantor(8))
     for model in (model_fat4, m8):
         bands = model.set.bands
@@ -717,8 +749,8 @@ def test_gap_orders_default_and_explicit(model_pm12, model_fat4, model_fat3_expl
         for j, (lo, hi) in enumerate(model.set.gaps):
             r = (hi - lo) / 2
             a = 1 + min(bands[j][1] - bands[j][0], bands[j + 1][1] - bands[j + 1][0]) / r
-            n = math.ceil(math.log(1e15) / (2 * math.log(a + math.sqrt(a * a - 1))))
-            want.append(min(max(n, 32), 1024))
+            n = math.ceil(math.log(1e15) / math.log(a + math.sqrt(a * a - 1)))
+            want.append(min(max(n, 32), 2048))
         assert model.gap_orders == tuple(want)
         assert [len(t) for t in _per_gap(model.set, model.critical_points, model.gap_orders)] == want
     # the level-1 gap of level 8 sits next to bands ~2e-3 long and needs
@@ -820,16 +852,17 @@ def test_period_residual_gate(monkeypatch):
 
 def test_quadrature_mass_gate(monkeypatch):
     # the gate rides with the band rule, which the solve does not build:
-    # at tolerance 0 the solve succeeds, and a band rule and a measure on
-    # it raise
+    # at tolerance 0 the solve succeeds, and a band rule whose mass is not
+    # exactly 1 and a measure on it raise (order 80 sums to 1 - 1.1e-16;
+    # orders 32, 64 and 200 sum to 1.0 exactly)
     model = G.solve_green(ASYMMETRIC)
-    assert np.sum(G.equilibrium_quadrature(model, 200).all_weights) != 1.0
+    assert np.sum(G.equilibrium_quadrature(model, 80).all_weights) != 1.0
     monkeypatch.setitem(potential.TOLERANCES, "quadrature_mass", 0.0)
     model = G.solve_green(ASYMMETRIC)
     with pytest.raises(NumericalError, match="equilibrium weights sum"):
-        G.equilibrium_quadrature(model, 200)
+        G.equilibrium_quadrature(model, 80)
     with pytest.raises(NumericalError, match="equilibrium weights sum"):
-        G.make_measure(model)
+        G.make_measure(model, quad_order=80)
 
 
 def _two_factor_g_prime(t, roots, edges, skip):
@@ -1040,6 +1073,34 @@ def test_julia_preimage_oracles(c):
         assert abs(G.pw_sum(model) - pw) <= 5e-13, level
 
 
+@functools.lru_cache(maxsize=None)
+def _julia_errors(c, level):
+    """E_L's capacity error, relative, and pw_sum error, absolute, against
+    test_julia_preimage_oracles's exact values: one solve per (c, L)."""
+    orbit = pw = 0.0
+    for k, (beta, s) in enumerate(_julia_preimages(c, level), start=1):
+        orbit = orbit * orbit - c
+        pw += math.acosh(abs(orbit) / beta) / 2**k
+    model = G.solve_green(s)
+    return {"capacity": abs(model.capacity / (beta / 2) ** (2.0**-level) - 1), "pw_sum": abs(G.pw_sum(model) - pw)}
+
+
+# rows whose smallest gaps need more than _GAP_ORDER_CAP nodes: 2.5e-9, 7.7e-10 and 3.2e-6
+# off in pw_sum at c = 4, L = 9 and c = 3 and 4, L = 10, 1.4e-9 in capacity at c = 4, L = 10
+JULIA_CAPPED = {(4.0, 9, "pw_sum"), (3.0, 10, "pw_sum"), (4.0, 10, "pw_sum"), (4.0, 10, "capacity")}
+
+
+@pytest.mark.parametrize("c, level, what", [
+    pytest.param(c, level, what, marks=[pytest.mark.xfail(reason="gap orders capped at 2,048 nodes")]
+                 if (c, level, what) in JULIA_CAPPED else [])
+    for c in (2.5, 3.0, 4.0) for level in (9, 10) for what in ("capacity", "pw_sum")
+])
+def test_julia_preimage_oracles_at_levels_9_and_10(c, level, what):
+    # the same oracles and bounds at 511 and 1,023 gaps; the capped rows fail
+    # the suite once they pass, so they cannot stay marked
+    assert _julia_errors(c, level)[what] <= 5e-13
+
+
 @pytest.mark.parametrize("name", ["model_pm12", "model_fat3"])
 def test_m_e_is_the_band_rule_stieltjes_transform(name, request):
     # m_E = -g' off E: the band rule's sum w/(t - x) at points 1% of the
@@ -1076,12 +1137,12 @@ SMALL_FAMILIES = [
 
 def _kernel_calls(s, roots):
     """The intervals, orders and log-sums of the _log_sums callers on s: the
-    band rule and the gap series' samples (here one call, every gap's), and a period pass,
-    and for interval i the roots and skipped edges of the _log_g_prime call
-    it stands for."""
+    band rule, here with every gap at its order beside the bands, own edges
+    left out, and a period pass, and for interval i the roots and skipped
+    edges of the _log_g_prime call it stands for."""
     e, n_bands, n = s.edges, len(s.edges) // 2, len(roots)
     lo, hi = np.r_[e[0::2], e[1:-1:2]], np.r_[e[1::2], e[2:-1:2]]
-    orders = np.r_[np.full(n_bands, 80), potential._gap_orders(s, 1)].astype(int)
+    orders = np.r_[np.full(n_bands, 80), potential._gap_orders(s)].astype(int)
     skip = n + np.r_[np.arange(2 * n_bands), np.arange(1, 2 * n + 1)].reshape(-1, 2)
     yield lo, hi, orders, lambda: _log_sums(lo, hi, orders, roots, e, skip), lambda i: (roots, skip[i] - n)
     if n:
@@ -1090,7 +1151,7 @@ def _kernel_calls(s, roots):
             lambda i: (np.delete(roots, i), (2 * i + 1, 2 * i + 2))
 
 
-JULIA_4_8 = list(_julia_preimages(4.0, 8))[-1][1]  # 255 gaps in clusters, orders up to 1,024
+JULIA_4_8 = list(_julia_preimages(4.0, 8))[-1][1]  # 255 gaps in clusters, orders up to 2,048
 
 
 @pytest.fixture(scope="module")
@@ -1145,10 +1206,12 @@ def test_log_sums_match_direct_sums(s):
 def test_period_correction_matches_dense_direct_sums(s, monkeypatch):
     # two linearized passes' systems, at the gap midpoints and then at the
     # roots their delta gives, against the same rows summed densely: v from the same
-    # pass samples, every Cauchy column sum_t v u/(t - m_i) term by term.  Each
-    # column is within 32 eps sum_t |v u/(t - m_i)| (reads <= 16.5, Julia,
-    # whose gaps take up to 1,024 terms; <= 6 on fat_cantor), and delta
-    # within 1e-14 diam, the solve's stopping tolerance (reads <= 6e-16)
+    # pass samples, every Cauchy column sum_t v u/(t - m_i) term by term in long
+    # double (a double sum down a 2,048-node column rounds by up to 28 eps
+    # sum_t |v u/(t - m_i)| itself, in order, on Julia).  Each
+    # column is within 32 eps sum_t |v u/(t - m_i)| (reads <= 14.8, Julia,
+    # whose gaps take up to 2,048 terms; <= 5.8 on fat_cantor), and delta
+    # within 1e-14 diam, the solve's stopping tolerance (reads <= 1.1e-15)
     eps, solved = np.finfo(float).eps, []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda A, b: (solved.append(A.copy()), solve(A, b))[1])
@@ -1163,7 +1226,7 @@ def test_period_correction_matches_dense_direct_sums(s, monkeypatch):
             d = t[part, None] - anchors
             d[:, j] = np.inf
             terms = (v * (t[part] - anchors[j]))[:, None] / d
-            A[j], size[j] = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+            A[j], size[j] = terms.astype(np.longdouble).sum(axis=0), np.abs(terms).sum(axis=0)
             A[j, j], rhs[j] = v.sum(), -np.sum(v * (t[part] - anchors[j]))
         off = ~np.eye(len(lo), dtype=bool)
         assert np.all(np.abs(solved.pop() - A)[off] <= 32 * eps * size[off])
@@ -1210,21 +1273,21 @@ def _count_calls(monkeypatch, *names):
 
 
 @pytest.mark.parametrize(
-    "s, passes, corrections, top_ups",
-    [(G.fat_cantor(8), 2, 1, 1), (G.make_gapset(-2, 2, [(-1, 1)]), 1, 0, 0), (cubic_preimage_set(), 2, 1, 0)],
+    "s, passes, corrections",
+    [(G.fat_cantor(8), 2, 1), (G.make_gapset(-2, 2, [(-1, 1)]), 1, 0), (cubic_preimage_set(), 2, 1)],
     ids=["fat_cantor8", "two_band", "cubic"],
 )
-def test_one_correction_per_solve(s, passes, corrections, top_ups, monkeypatch):
+def test_one_correction_per_solve(s, passes, corrections, monkeypatch):
     # the period conditions are linear in P, so one correction from the gap
     # midpoints lands the roots; the second pass samples them for the gate
     # and the gap series, and its diagonal step ends the solve with no
     # period system built.  The symmetric two-band set's midpoint is its
-    # root, so its first pass ends it.  The kernel runs once a pass, and once
-    # more only where some gap's series outgrows its table (7 at level 8)
+    # root, so its first pass ends it.  The kernel runs once a pass: every
+    # pass samples each gap at its series' order
     calls = _count_calls(monkeypatch, "_pass_samples", "_period_correction", "_log_sums")
     model = G.solve_green(s)
     assert model.solve_passes == passes and model.root_move <= 1e-14 * s.diameter
-    assert (calls["_pass_samples"], calls["_period_correction"], calls["_log_sums"]) == (passes, corrections, passes + top_ups)
+    assert (calls["_pass_samples"], calls["_period_correction"], calls["_log_sums"]) == (passes, corrections, passes)
 
 
 @pytest.mark.parametrize("s", [G.fat_cantor(level) for level in range(2, 10)] + [JULIA_4_8, cubic_preimage_set()],
@@ -1287,13 +1350,12 @@ def test_near_window_past_the_float_range():
 
 def test_solve_log_sum_work_and_pieces(monkeypatch):
     # solve_green(fat_cantor(8)) and its pw_sum, whose gap series' samples
-    # the solve takes, build no band rule and make 3 _log_sums calls: two
-    # period passes and the 7 gaps whose series needs more points than
-    # their table.  They take their logs in _log_g_prime (intervals with no
-    # far source), _near_sums (near windows at the nodes) and _far_sums (far
-    # sources at c): 1.31M in all; the far sources' moments take 3.69M
-    # multiplies, each row to its own K; and every call or _blocks piece
-    # holds at most _ARC_BLOCK entries
+    # the solve takes, build no band rule and make 2 _log_sums calls, the
+    # two period passes.  They take their logs in _log_g_prime (intervals
+    # with no far source), _near_sums (near windows at the nodes) and
+    # _far_sums (far sources at c): 1.29M in all; the far sources' moments
+    # take 3.66M multiplies, each row to its own K; and every call or
+    # _blocks piece holds at most _ARC_BLOCK entries
     entries, calls, pieces, powers, kernel, rules = [], [], [], [], [], []
     log_g_prime, near, far, blocks, log_sums = (potential._log_g_prime, potential._near_sums,
                                                 potential._far_sums, potential._blocks, potential._log_sums)
@@ -1330,7 +1392,7 @@ def test_solve_log_sum_work_and_pieces(monkeypatch):
                       ("_band_rule", count_rules)):
         monkeypatch.setattr(potential, name, spy)
     G.pw_sum(G.solve_green(G.fat_cantor(8)))
-    assert len(kernel) == 3 and rules == []
+    assert len(kernel) == 2 and rules == []
     assert sum(calls) + sum(entries) <= 1.35e6 and sum(powers) <= 3.75e6
     assert max(calls) <= potential._ARC_BLOCK and max(pieces) <= potential._ARC_BLOCK
 

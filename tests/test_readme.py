@@ -186,12 +186,10 @@ def test_no_long_double():
 
 
 def test_kernel_called_by_the_pass_sampler_and_the_band_rule():
-    # one _log_sums call per period pass, one in _assemble when some gap
-    # series needs more points than its table, and one for the band
-    # rule, which only the measure's readers build; the gate and the other
-    # series read the confirming pass's samples (the def lines are the
-    # functions' own)
-    assert _enclosing_functions("_log_sums(") == ["_assemble", "_band_rule", "_log_sums", "_pass_samples"]
+    # one _log_sums call per period pass and one for the band rule, which
+    # only the measure's readers build; the gate and the gap series read
+    # the confirming pass's samples (the def lines are the functions' own)
+    assert _enclosing_functions("_log_sums(") == ["_band_rule", "_log_sums", "_pass_samples"]
     assert _enclosing_functions("_band_rule(") == ["_band_rule", "equilibrium_quadrature"]
 
 

@@ -153,9 +153,11 @@ def test_homogeneity_full_interval():
 
 def test_homogeneity_two_far_bands():
     # window (t - d, t + d) at t = 0.1 with d = 0.8 grabs 0.1 from material
-    # on both sides: |(-0.7, 0.9) cap E| = 0.1, ratio 0.125
+    # on both sides: |(-0.7, 0.9) cap E| = 0.1, ratio 0.125; t = 0.1 is a band
+    # edge, so no interior sample is needed to find it
     s = G.make_gapset(0, 1, [(0.1, 0.9)])
-    assert G.homogeneity_margin(s, 4, [0.8]) == pytest.approx(0.125, abs=1e-15)
+    for t_samples in (4, 0):
+        assert G.homogeneity_margin(s, t_samples, [0.8]) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_homogeneity_fat_cantor_quarter_bound():
