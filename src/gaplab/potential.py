@@ -30,14 +30,15 @@ Every weight, density and Green integral is g' itself with the edge
 factors its substitution cancels left out, from log-sums: the root and
 edge log-sums meet in a single exp, so the quotient stays in range where
 either product alone over- or underflows.  The period weights are never
-summed alone: a pass sums the edges with the anchors, and every direct
-sum adds its sources in sorted order.  At the nodes of interval families
-(the period passes and the band rule) the sums are _log_sums's, a
-one-level fast-multipole split (Greengard and Rokhlin, J. Comput. Phys.
-73, 1987): sources within _FAR half-lengths summed directly, the rest as
-a power series in (t - c)/r from their scaled moments, whose period-row
-twin gives the far Cauchy columns; the densities and m_E take
-_log_g_prime's direct sums, and the outer rays one log1p per gap.
+summed alone: a pass sums the edges with the anchors, and _near_sums,
+the one direct sum, adds its sources in sorted order.  At the nodes of
+interval families (the period passes and the band rule) the sums are
+_log_sums's, a one-level fast-multipole split (Greengard and Rokhlin, J.
+Comput. Phys. 73, 1987): sources within _FAR half-lengths summed
+directly, the rest as a power series in (t - c)/r from their scaled
+moments, whose period-row twin gives the far Cauchy columns; the
+densities and m_E take _near_sums over one window of every source
+(_log_g_prime), and the outer rays one log1p per gap.
 Singular integrals are tamed by the cosine substitution t = c +
 r*cos(theta), which cancels the inverse-square-root edge factors exactly,
 and on the unbounded components by t = e +/- diam s^2/(1 - s^2), s =
@@ -61,7 +62,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -111,46 +111,43 @@ def _ellipse_orders(log_rho):
     return np.minimum(np.maximum(n, GAP_ORDER_FLOOR), _GAP_ORDER_CAP).astype(int)
 
 
-def _log_g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = (), signed: bool = True):
-    """sign (None unless signed) and log|g'(t)| with the edge factors in skip left out.
+def _log_g_prime(t: np.ndarray, roots, edges):
+    """P's sign and log|g'(t)| = sum_j log|t - c_j| - 1/2 sum_k log|t - e_k|, vectorized over t.
 
-    log|g'| = sum_j log|t - c_j| - 1/2 sum_{k not in skip} log|t - e_k|,
-    vectorized over t, its sources added in sorted order by 1 and -1/2 as
-    _near_sums adds them, so each root's log meets its gap's edges' first.
-    -inf at a root; an edge on a node sums to +inf, as no root lies on an
-    edge, and is an error.  With no edges this is P.
+    _near_sums over one window that holds every root and edge, sorted
+    together, so each root's log meets its gap's edges' first.  -inf at a
+    root; an edge on a node sums to +inf, as no root lies on an edge, and
+    is an error.  With no edges this is P.
     """
     t, roots = np.asarray(t, dtype=float), np.asarray(roots, dtype=float)
-    src = np.concatenate([roots, np.delete(np.asarray(edges, dtype=float), list(skip))])
+    src = np.concatenate([roots, edges])
     perm = np.argsort(src, kind="stable")
-    d = np.abs(t[:, None] - src[perm])
-    with np.errstate(divide="ignore"):
-        np.log(d, out=d)
-    logmag = np.sum(np.multiply(d, np.where(perm < len(roots), 1.0, -0.5), out=d), axis=1)  # exact
+    logmag = _near_sums(t[None, :], src[perm], np.where(perm < len(roots), 1.0, -0.5),
+                        np.zeros(1, dtype=int), np.full(1, len(src)), np.empty((1, 0), dtype=int))[0]
     if np.isposinf(logmag).any():
         raise NumericalError("quadrature node collided with a band edge")
-    if not signed:
-        return None, logmag
     right = len(roots) - np.searchsorted(np.sort(roots), t, side="right")  # roots right of t
     return np.where(right % 2, -1.0, 1.0), logmag
 
 
 def _near_sums(x: np.ndarray, src: np.ndarray, coef: np.ndarray, start, stop, own) -> np.ndarray:
-    """sum_k coef_k log|x[i] - src_k| over src[start[i]:stop[i]] but src[own[i]].
+    """sum_k coef_k log|x[i, j] - src_k| over src[start[i]:stop[i]] but src[own[i]].
 
-    All windows have one width.  A left-out source reads log 1 = 0, so a
-    node on it does no harm; a node on a kept root reads -inf.
-    Temporaries are _ARC_BLOCK entries a piece.
+    The one direct log-sum: sources in sorted order, by 1 or -1/2.  All
+    windows have one width.  A left-out source reads log 1 = 0, so a node
+    on it does no harm; a node on a kept root reads -inf.  Temporaries are
+    _ARC_BLOCK entries a piece, and a sum's bits ignore its batch.
     """
     width = int(np.max(stop - start))
     out = np.empty(x.shape)
     for b, e in _blocks(*x.shape, width):
         win = start[b, None] + np.arange(width)
-        keep = np.all(win[:, :, None] != own[b, None, :], axis=2)
+        left_out = np.any(win[:, :, None] == own[b, None, :], axis=2)
         a = x[b, e, None] - src[win][:, None, :]
         np.abs(a, out=a)
-        np.copyto(a, 1.0, where=~keep[:, None, :])
-        np.log(a, out=a)
+        np.copyto(a, 1.0, where=left_out[:, None, :])
+        with np.errstate(divide="ignore"):
+            np.log(a, out=a)
         np.multiply(a, coef[win][:, None, :], out=a)  # by 1 or -1/2, exact
         out[b, e] = np.sum(a, axis=-1)
         del a  # before the next piece is allocated
@@ -208,74 +205,51 @@ def _blocks(rows: int, cols: int, width: int):
 
 
 def _log_sums(lo, hi, orders, roots, edges, skip):
-    """_log_g_prime at orders[i] cosine points on each interval (lo[i], hi[i])
-    = c -/+ r, factors skip[i] (indices into roots ++ edges) left out; the
-    flat nodes and log-sums.
+    """log|g'|'s sums, roots by 1 and edges by -1/2, factors skip[i] (indices
+    into roots ++ edges) left out, at orders[i] cosine points on each
+    interval (lo[i], hi[i]) = c -/+ r; the flat nodes and log-sums.
 
-    An interval with every source within _FAR r is _log_g_prime, bit for
-    bit, tested before any sort.  Otherwise near sources are summed at the
-    nodes, and far ones are _far_sums's series with terms for 1e-17 at the
-    nearest, by Horner at each node's own u = (t - c)/r.  Intervals sharing
-    (order, near width) are one unpadded batch: an interval's near sums
-    ignore its batch.  Its far moments are matrix-vector products over a
-    block of rows, whose last bit may depend on the rows beside it.
+    The sources within _FAR r of an interval, a window of the sorted roots
+    and edges (unbounded where _FAR r overflows), are _near_sums's at its
+    nodes; the rest are _far_sums's series with terms for 1e-17 at the
+    nearest, by Horner at each node's own u = (t - c)/r, and a call with
+    no far pair skips them.  Intervals sharing (order, near width) are one
+    unpadded batch: an interval's near sums ignore its batch.  Its far
+    moments are matrix-vector products over a block of rows, whose last
+    bit may depend on the rows beside it.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     orders, skip = np.asarray(orders, dtype=int), np.asarray(skip, dtype=int)
-    roots = np.asarray(roots, dtype=float)
     src = np.concatenate([roots, edges])
-    sizes, n_roots = orders.tolist(), len(roots)
-    ends = list(accumulate(sizes))
-    t, logsum = np.empty(sum(sizes)), np.empty(sum(sizes))
-    if not sizes:
-        return t, logsum
-    lowest, highest, lows, highs = src.min(), src.max(), lo.tolist(), hi.tolist()
-    reach = [_FAR * ((b - a) / 2) for a, b in zip(lows, highs)]  # floats: an overflow is inf, no error
-    direct = [a - x <= lowest and b + x >= highest for a, b, x in zip(lows, highs, reach)]
-    step = max(1, _ARC_BLOCK // len(src))  # nodes per _log_g_prime call
-    for i in (i for i, near in enumerate(direct) if near):
-        own = skip[i].tolist()
-        kept = roots[np.arange(n_roots) != own[0]] if own and own[0] < n_roots else roots  # own root
-        skipped = [j - n_roots for j in own if j >= n_roots]
-        a, b, end = lows[i], highs[i], ends[i]
-        begin = end - sizes[i]
-        t[begin:end] = (a + b) / 2 + (b - a) / 2 * _cos_points(sizes[i])
-        for e in range(begin, end, step):
-            piece = slice(e, min(e + step, end))
-            logsum[piece] = _log_g_prime(t[piece], kept, edges, skipped, False)[1]
-    batch = np.flatnonzero(np.logical_not(direct))
-    if not len(batch):
-        return t, logsum
     first, c, r = np.cumsum(orders) - orders, (lo + hi) / 2, (hi - lo) / 2
     perm = np.argsort(src, kind="stable")
-    rank = np.empty_like(perm)
-    rank[perm] = np.arange(len(src))
-    own, src, coef = rank[skip], src[perm], np.where(perm < n_roots, 1.0, -0.5)
-    start = np.searchsorted(src, lo - _FAR * r, side="left")
-    stop = np.searchsorted(src, hi + _FAR * r, side="right")
-    base, series = _far_sums(c, r, _far_terms(lo, hi, src, start, stop), src, coef, start, stop)
-    key = orders[batch], (stop - start)[batch]
-    for n, w in sorted(set(zip(*(part.tolist() for part in key)))):
-        ii = batch[(key[0] == n) & (key[1] == w)]
+    own, src, coef = np.argsort(perm)[skip], src[perm], np.where(perm < len(roots), 1.0, -0.5)
+    with np.errstate(over="ignore"):  # a reach past the float range is an unbounded window
+        start = np.searchsorted(src, lo - _FAR * r, side="left")
+        stop = np.searchsorted(src, hi + _FAR * r, side="right")
+    width = stop - start
+    sizes, widths = orders.tolist(), width.tolist()
+    t, logsum = np.empty(sum(sizes)), np.empty(sum(sizes))
+    for n, w in sorted(set(zip(sizes, widths))):
+        ii = np.flatnonzero((orders == n) & (width == w))
         nodes = c[ii, None] + r[ii, None] * _cos_points(n)
-        with np.errstate(divide="ignore"):
-            total = _near_sums(nodes, src, coef, start[ii], stop[ii], own[ii])
-        total += base[ii, None]
         cols = first[ii, None] + np.arange(n)
-        t[cols], logsum[cols] = nodes, total
-    at = np.flatnonzero(np.repeat(np.logical_not(direct), orders))  # the batch's nodes
-    iv = np.searchsorted(ends, at, side="right")  # and their intervals
-    u, far = (t[at] - c[iv]) / r[iv], np.zeros(len(at))  # the nodes' own u
-    for k in range(series.shape[1] - 1, -1, -1):  # Horner; zeros past a row's terms are exact
-        far += series[iv, k]
-        far *= u
-    logsum[at] += far
+        t[cols], logsum[cols] = nodes, _near_sums(nodes, src, coef, start[ii], stop[ii], own[ii])
+    if widths and min(widths) < len(src):  # a far pair
+        base, series = _far_sums(c, r, _far_terms(lo, hi, src, start, stop), src, coef, start, stop)
+        iv = np.repeat(np.arange(len(lo)), orders)  # the nodes' intervals
+        u, far = (t - c[iv]) / r[iv], np.zeros(len(t))  # the nodes' own u
+        for k in range(series.shape[1] - 1, -1, -1):  # Horner; zeros past a row's terms are exact
+            far += series[iv, k]
+            far *= u
+        logsum += base[iv]
+        logsum += far
     return t, logsum
 
 
-def _g_prime(t: np.ndarray, roots, edges, skip: tuple[int, ...] = ()) -> np.ndarray:
+def _g_prime(t: np.ndarray, roots, edges) -> np.ndarray:
     """g'(t) = P(t)/sqrt|R(t)| from one exp of _log_g_prime; exactly zero at a root."""
-    sign, logmag = _log_g_prime(t, roots, edges, skip)
+    sign, logmag = _log_g_prime(t, roots, edges)
     return sign * np.exp(logmag)
 
 
@@ -769,7 +743,7 @@ def equilibrium_density(model: GreenModel, t: float) -> float:
 
 def _log_f_e(model: GreenModel, t: np.ndarray) -> np.ndarray:
     """log f_E = log|g'| - log pi at band points, vectorized over t."""
-    return _log_g_prime(t, model.critical_points, model.edges, (), False)[1] - math.log(math.pi)
+    return _log_g_prime(t, model.critical_points, model.edges)[1] - math.log(math.pi)
 
 
 def _m_e(model: GreenModel, x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ from gaplab.potential import (
     _cos_points,
     _g_prime,
     _deflated_numerator,
-    _log_g_prime,
     _log_sums,
     _m_e,
     _pass_samples,
@@ -29,6 +29,17 @@ from gaplab.potential import (
 def _cosine_nodes(lo, hi, order):
     """t = c + r cos(theta_i) over [lo, hi], theta_i = (i + 1/2) pi/order: the kernel's nodes."""
     return (lo + hi) / 2 + (hi - lo) / 2 * _cos_points(order)
+
+
+def _direct_log_sum(x, roots, edges):
+    """sum_k coef_k log|x - s_k| over the roots (coef 1) and edges (coef -1/2) at each x,
+    summed here in the order given, and the sum of the terms' magnitudes: the oracle
+    the kernels are read against."""
+    src = np.concatenate([np.asarray(roots, dtype=float), np.asarray(edges, dtype=float)])
+    coef = np.r_[np.ones(len(roots)), np.full(len(edges), -0.5)]
+    with np.errstate(divide="ignore"):
+        terms = coef * np.log(np.abs(x[:, None] - src))
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
 
 # closed forms used as oracles:
@@ -825,7 +836,7 @@ def test_numerator_sign_matches_explicit_form(model_fat4):
     # with the period weights 1/sqrt|R| (gap j's own edges cancelled) summed directly
     for anchors, delta in _root_step_inputs(s):
         for j, t in enumerate(_per_gap(s, anchors, model_fat4.gap_orders)):
-            log_w = _log_g_prime(t, (), s.edges, (2 * j + 1, 2 * j + 2))[1]
+            log_w = _direct_log_sum(t, (), np.delete(s.edges, (2 * j + 1, 2 * j + 2)))[0]
             bfull, bi = _explicit_parts(t, anchors)
             terms = np.exp(log_w)[:, None] * np.column_stack([bfull, bi * delta])
             assert abs(np.sum(terms)) <= 1e-12 * np.sum(np.abs(terms))
@@ -886,7 +897,7 @@ def test_g_prime_single_exp_at_band_nodes(level):
     for k, (lo, hi) in enumerate(s.bands):
         skip = (2 * k, 2 * k + 1)
         t = _cosine_nodes(lo, hi, 80)
-        got = _g_prime(t, roots, s.edges, skip)
+        got = _g_prime(t, roots, np.delete(s.edges, skip))
         assert np.all(np.isfinite(got)) and np.all(got != 0.0)
         old = _two_factor_g_prime(t, roots, s.edges, skip)
         ok = np.isfinite(old) & (old != 0.0)
@@ -1139,7 +1150,7 @@ def _kernel_calls(s, roots):
     """The intervals, orders and log-sums of the _log_sums callers on s: the
     band rule, here with every gap at its order beside the bands, own edges
     left out, and a period pass, and for interval i the roots and skipped
-    edges of the _log_g_prime call it stands for."""
+    edges of the direct sum it stands for."""
     e, n_bands, n = s.edges, len(s.edges) // 2, len(roots)
     lo, hi = np.r_[e[0::2], e[1:-1:2]], np.r_[e[1::2], e[2:-1:2]]
     orders = np.r_[np.full(n_bands, 80), potential._gap_orders(s)].astype(int)
@@ -1180,12 +1191,7 @@ def test_log_sums_match_direct_sums(s):
             x, part = _cosine_nodes(lo[i], hi[i], orders[i]), slice(first[i], first[i] + orders[i])
             assert np.array_equal(t[part], x)
             kept, skipped = direct(i)
-            want = _log_g_prime(x, kept, edges, skipped)[1]
-            keep = np.ones(len(edges), dtype=bool)
-            keep[list(skipped)] = False
-            with np.errstate(divide="ignore"):
-                terms = (np.abs(np.log(np.abs(x[:, None] - np.asarray(kept, dtype=float)))).sum(axis=1)
-                         + 0.5 * np.abs(np.log(np.abs(x[:, None] - np.asarray(edges)[keep]))).sum(axis=1))
+            want, terms = _direct_log_sum(x, kept, np.delete(edges, skipped))
             finite = np.isfinite(want)
             assert np.array_equal(np.isfinite(got[part]), finite)
             assert np.all(np.abs(got[part][finite] - want[finite]) <= 4 * eps * terms[finite])
@@ -1195,8 +1201,8 @@ def test_log_sums_match_direct_sums(s):
         orders = potential._gap_orders(s)
         got = potential._residuals_and_samples(roots, orders, *_pass_samples(s, roots, orders))[0]
         for j, x in enumerate(_per_gap(s, roots, orders)):
-            sign, log_p = _log_g_prime(x, roots, ())
-            log_w = math.log(math.pi / orders[j]) + _log_g_prime(x, (), edges, (2 * j + 1, 2 * j + 2))[1]
+            sign, log_p = np.prod(np.sign(x[:, None] - roots), axis=1), _direct_log_sum(x, roots, ())[0]
+            log_w = math.log(math.pi / orders[j]) + _direct_log_sum(x, (), np.delete(edges, (2 * j + 1, 2 * j + 2)))[0]
             terms = sign * np.exp(log_p + log_w)
             assert abs(got[j] - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
@@ -1341,28 +1347,32 @@ def test_floor_guard_stops_a_stalled_solve(monkeypatch):
 
 
 def test_near_window_past_the_float_range():
-    # the gap's 32 half-lengths reach past -1e308: its window of near
-    # anchors is unbounded, not an overflow, and the capacity is covariant
+    # a gap's 32 half-lengths reach past -1e308: its window of near sources
+    # is unbounded, not an overflow, and the capacity is covariant.  So it
+    # is on fat_cantor(3) spread over [-0.85e308, 0.85e308], whose edges are
+    # finite but whose intervals' reaches pass the float range, and pw_sum
+    # is scale-free (read 1.7e-15 and 4.7e-15).  Spread over [0, 1e308] its
+    # gap midpoints overflow, and the solve says so
     unit = G.make_gapset(-1.0, 0.0, [(-0.6, -0.5)])
     huge = G.solve_green(G.scale_shift(unit, 1e308, 0.0))
     assert huge.capacity == pytest.approx(1e308 * G.solve_green(unit).capacity, rel=1e-14)
+    unit = G.solve_green(G.fat_cantor(3))
+    huge = G.solve_green(G.scale_shift(G.fat_cantor(3), 1.7e308, -0.85e308))
+    assert huge.capacity == pytest.approx(1.7e308 * unit.capacity, rel=1e-14)
+    assert abs(G.pw_sum(huge) - G.pw_sum(unit)) <= 5e-14
+    with pytest.raises(NumericalError, match="float range"):
+        G.solve_green(G.scale_shift(G.fat_cantor(3), 1e308))
 
 
 def test_solve_log_sum_work_and_pieces(monkeypatch):
     # solve_green(fat_cantor(8)) and its pw_sum, whose gap series' samples
     # the solve takes, build no band rule and make 2 _log_sums calls, the
-    # two period passes.  They take their logs in _log_g_prime (intervals
-    # with no far source), _near_sums (near windows at the nodes) and
-    # _far_sums (far sources at c): 1.29M in all; the far sources' moments
-    # take 3.66M multiplies, each row to its own K; and every call or
-    # _blocks piece holds at most _ARC_BLOCK entries
-    entries, calls, pieces, powers, kernel, rules = [], [], [], [], [], []
-    log_g_prime, near, far, blocks, log_sums = (potential._log_g_prime, potential._near_sums,
-                                                potential._far_sums, potential._blocks, potential._log_sums)
-
-    def count_log_g_prime(t, roots, edges, skip=(), signed=True):
-        calls.append(len(t) * (len(roots) + len(edges)))
-        return log_g_prime(t, roots, edges, skip, signed)
+    # two period passes.  They take their logs in _near_sums (near windows
+    # at the nodes) and _far_sums (far sources at c): 1.29M in all; the far
+    # sources' moments take 3.66M multiplies, each row to its own K; and
+    # every _blocks piece holds at most _ARC_BLOCK entries
+    entries, pieces, powers, kernel, rules = [], [], [], [], []
+    near, far, blocks, log_sums = potential._near_sums, potential._far_sums, potential._blocks, potential._log_sums
 
     def count_near(x, src, coef, start, stop, own):
         entries.append(x.size * int(np.max(stop - start)))
@@ -1387,14 +1397,30 @@ def test_solve_log_sum_work_and_pieces(monkeypatch):
         return band_rule(*args)
 
     band_rule = potential._band_rule
-    for name, spy in (("_log_g_prime", count_log_g_prime), ("_near_sums", count_near),
-                      ("_far_sums", count_far), ("_blocks", count_pieces), ("_log_sums", count_kernel),
-                      ("_band_rule", count_rules)):
+    for name, spy in (("_near_sums", count_near), ("_far_sums", count_far), ("_blocks", count_pieces),
+                      ("_log_sums", count_kernel), ("_band_rule", count_rules)):
         monkeypatch.setattr(potential, name, spy)
     G.pw_sum(G.solve_green(G.fat_cantor(8)))
     assert len(kernel) == 2 and rules == []
-    assert sum(calls) + sum(entries) <= 1.35e6 and sum(powers) <= 3.75e6
-    assert max(calls) <= potential._ARC_BLOCK and max(pieces) <= potential._ARC_BLOCK
+    assert sum(entries) <= 1.35e6 and sum(powers) <= 3.75e6
+    assert max(pieces) <= potential._ARC_BLOCK
+
+
+def test_density_runs_in_bounded_pieces():
+    # the density on 60,000 points of a level-8 band takes _near_sums's
+    # _ARC_BLOCK pieces (peak 2.9 MB traced), not one points x (roots +
+    # edges) table (737 MB), and each point's bits ignore its batch
+    mu = G.make_measure(G.solve_green(G.fat_cantor(8)))
+    lo, hi = mu.set.bands[0]
+    t = np.linspace(lo, hi, 60_002)[1:-1]
+    tracemalloc.start()
+    try:
+        got = mu.density(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    assert np.array_equal(got, np.concatenate([mu.density(t[a:a + 1000]) for a in range(0, len(t), 1000)]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 32, 200, 2048])

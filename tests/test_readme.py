@@ -193,6 +193,14 @@ def test_kernel_called_by_the_pass_sampler_and_the_band_rule():
     assert _enclosing_functions("_band_rule(") == ["_band_rule", "equilibrium_quadrature"]
 
 
+def test_one_direct_log_sum():
+    # _near_sums is the only direct log-sum: _log_sums takes it at every
+    # interval's near window, and _log_g_prime, behind the densities and
+    # m_E, over one window of all sources (the def lines are their own)
+    assert _enclosing_functions("_near_sums(") == ["_log_g_prime", "_log_sums", "_near_sums"]
+    assert _enclosing_functions("_log_g_prime(") == ["_g_prime", "_log_f_e", "_log_g_prime"]
+
+
 def test_the_measure_owns_its_band_rule():
     # the model keeps no order and no privileged rule: make_measure picks the
     # order, and equilibrium_quadrature builds and keeps each order's rule
